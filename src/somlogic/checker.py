@@ -25,6 +25,7 @@ specificity ordering and is reported as an error rather than patched.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -249,40 +250,19 @@ class SpecificityRelation:
         return self._above.get(cat, frozenset())
 
 
-def _find_cycle(nodes: list[str], edges: Mapping[str, set[str]]) -> list[str] | None:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    stack_path: list[str] = []
-
-    def dfs(start: str) -> list[str] | None:
-        stack = [(start, iter(sorted(edges.get(start, ()))))]
-        color[start] = GREY
-        stack_path.append(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    i = stack_path.index(nxt)
-                    return stack_path[i:]
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack_path.append(nxt)
-                    stack.append((nxt, iter(sorted(edges.get(nxt, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                stack_path.pop()
-                color[node] = BLACK
-        return None
-
-    for n in nodes:
-        if color[n] == WHITE:
-            cycle = dfs(n)
-            if cycle is not None:
-                return cycle
-    return None
+def _cycle_through(start: str, edges: Mapping[str, set[str]]) -> list[str]:
+    """A shortest cycle from ``start`` back to itself, found breadth-first;
+    ``start`` must lie in its own transitive closure."""
+    queue = deque([[start]])
+    seen = {start}
+    while True:
+        path = queue.popleft()
+        for nxt in sorted(edges[path[-1]]):
+            if nxt == start:
+                return path
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(path + [nxt])
 
 
 def derive_specificity(model: SemanticModel) -> SpecificityRelation:
@@ -293,30 +273,24 @@ def derive_specificity(model: SemanticModel) -> SpecificityRelation:
     silently dropped.
     """
     cats = [c for c in model.category_names if not model.categories[c].empty]
-    edges: dict[str, set[str]] = {c: set() for c in cats}
-    for ci in cats:
-        for cj in cats:
-            if ci == cj:
-                continue
-            if check_strict(model, ci, cj).holds and not check_strict(model, cj, ci).holds:
-                edges[ci].add(cj)
+    strict = {
+        (ci, cj): check_strict(model, ci, cj).holds for ci in cats for cj in cats if ci != cj
+    }
+    edges = {
+        ci: {cj for cj in cats if ci != cj and strict[ci, cj] and not strict[cj, ci]}
+        for ci in cats
+    }
 
-    cycle = _find_cycle(cats, edges)
-    if cycle is not None:
-        raise SpecificityCycleError(cycle)
-
-    # Transitive closure; the graph is small (categories, not elements).
-    closed: dict[str, set[str]] = {c: set(edges[c]) for c in cats}
-    changed = True
-    while changed:
-        changed = False
+    # Warshall's transitive closure; the graph is small (categories, not
+    # elements).  A category in its own closure lies on a cycle.
+    closed = {c: set(edges[c]) for c in cats}
+    for k in cats:
         for a in cats:
-            extra = set()
-            for b in closed[a]:
-                extra |= closed[b]
-            if not extra <= closed[a]:
-                closed[a] |= extra
-                changed = True
+            if k in closed[a]:
+                closed[a] |= closed[k]
+    for c in cats:
+        if c in closed[c]:
+            raise SpecificityCycleError(_cycle_through(c, edges))
     pairs = frozenset((a, b) for a in cats for b in closed[a])
     return SpecificityRelation(pairs=pairs)
 

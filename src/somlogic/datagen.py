@@ -33,6 +33,8 @@ def gaussian_clusters(
     if any(len(c) != dim for c in centers):
         raise ConfigError("all centers must share one dimension")
     rng = np.random.default_rng(seed)
+    # One index width for the whole call, so distinct labels give distinct ids.
+    width = max(2, len(str(n_per_cluster - 1)))
     data: list[Stimulus] = []
     for center, label in zip(centers, labels):
         pts = rng.normal(loc=np.asarray(center, dtype=np.float64), scale=std,
@@ -40,7 +42,7 @@ def gaussian_clusters(
         for k in range(n_per_cluster):
             data.append(
                 Stimulus(
-                    sid=f"{label}{k:02d}",
+                    sid=f"{label}{k:0{width}d}",
                     features=tuple(float(v) for v in pts[k]),
                     label=label,
                 )

@@ -227,15 +227,7 @@ def build_model(
     for cat in cat_names:
         idxs = [i for i, s in enumerate(data) if s.label == cat]
         if not idxs:
-            tables[cat] = CategoryTable(
-                name=cat,
-                bmu_units=(),
-                bmu_element_ids=(),
-                stimulus_element_ids=(),
-                precision=None,
-                rd={},
-                rd_max=None,
-            )
+            tables[cat] = _empty_table(cat)
             extensions[cat] = frozenset()
             continue
 
@@ -282,6 +274,18 @@ def build_model(
     )
 
 
+def _empty_table(name: str) -> CategoryTable:
+    return CategoryTable(
+        name=name,
+        bmu_units=(),
+        bmu_element_ids=(),
+        stimulus_element_ids=(),
+        precision=None,
+        rd={},
+        rd_max=None,
+    )
+
+
 def _check_table(t: CategoryTable) -> None:
     # Invariants of the construction; violations are implementation bugs.
     for eid in t.bmu_element_ids:
@@ -308,22 +312,10 @@ def initial_model(categories: Sequence[str], input_dim: int) -> SemanticModel:
     if not cat_names:
         raise InputError("need at least one category")
     _check_category_names(cat_names)
-    tables = {
-        c: CategoryTable(
-            name=c,
-            bmu_units=(),
-            bmu_element_ids=(),
-            stimulus_element_ids=(),
-            precision=None,
-            rd={},
-            rd_max=None,
-        )
-        for c in cat_names
-    }
     return SemanticModel(
         input_dim=input_dim,
         elements=(),
-        categories=tables,
+        categories={c: _empty_table(c) for c in cat_names},
         extensions={c: frozenset() for c in cat_names},
     )
 
@@ -417,7 +409,7 @@ def model_from_snapshot(doc: dict) -> SemanticModel:
                 rd_max=None if rd_max is None else jsonio.decode_float(rd_max),
             )
             extensions[name] = frozenset(str(x) for x in doc["extensions"][name])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):
             raise
         raise InputError(f"malformed model snapshot: {exc}") from exc
@@ -427,23 +419,35 @@ def model_from_snapshot(doc: dict) -> SemanticModel:
         categories=tables,
         extensions=extensions,
     )
-    known = set(model.element_ids)
+    # The invariants build_model establishes, re-checked on what was read.
+    ids = model.element_ids
+    known = set(ids)
     for t in tables.values():
-        if t.name not in extensions:
-            raise InputError(f"category {t.name!r} has no extension entry")
-        if not t.empty:
-            missing = [eid for eid in known if eid not in t.rd]
-            if missing:
-                raise InputError(
-                    f"category {t.name!r}: rd table misses elements {sorted(missing)[:3]}"
-                )
         for eid in (*t.bmu_element_ids, *t.stimulus_element_ids):
             if eid not in known:
                 raise InputError(f"category {t.name!r} references unknown element {eid!r}")
-    for name, ext in extensions.items():
-        bad = ext - known
-        if bad:
-            raise InputError(f"extension of {name!r} references unknown elements {sorted(bad)[:3]}")
+        if t.empty:
+            if t != _empty_table(t.name) or extensions[t.name]:
+                raise InputError(
+                    f"category {t.name!r} has no stimuli but a non-empty table or extension"
+                )
+            continue
+        missing = [eid for eid in known if eid not in t.rd]
+        if missing:
+            raise InputError(
+                f"category {t.name!r}: rd table misses elements {sorted(missing)[:3]}"
+            )
+        negative = [eid for eid, v in t.rd.items() if not v >= 0.0]
+        if negative:
+            raise InputError(f"category {t.name!r}: rd is not >= 0 at {sorted(negative)[:3]}")
+        if t.rd_max is None:
+            raise InputError(f"category {t.name!r} has stimuli but no rd_max")
+        try:
+            _check_table(t)
+        except ConsistencyError as exc:
+            raise InputError(f"model snapshot breaks an invariant: {exc}") from None
+        if extensions[t.name] != frozenset(eid for eid in ids if t.rd[eid] <= t.rd_max):
+            raise InputError(f"extension of {t.name!r} is not the elements with rd <= rd_max")
     return model
 
 

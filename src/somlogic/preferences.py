@@ -161,17 +161,10 @@ def build_preferential(
         cond_all &= ok
     order = cond_any_strict & cond_all
 
-    if bool(order.diagonal().any()):
-        i = int(np.nonzero(order.diagonal())[0][0])
-        raise ConsistencyError(f"global preference is reflexive at {ids[i]!r}")
-    reach2 = (order.astype(np.uint8) @ order.astype(np.uint8)) > 0
-    gap = reach2 & ~order
-    if bool(gap.any()):
-        i, j = (int(v[0]) for v in np.nonzero(gap))
-        k = int(np.nonzero(order[i] & order[:, j])[0][0])
+    refl, trans = _order_violations(ids, order)
+    if refl or trans:
         raise ConsistencyError(
-            "global preference is not transitive: "
-            f"{ids[i]!r} < {ids[k]!r} < {ids[j]!r} but not {ids[i]!r} < {ids[j]!r}"
+            f"global preference is not a strict order: {(refl + trans)[0].instance}"
         )
     return PreferentialModel(model, specificity, ids, order)
 
@@ -249,46 +242,47 @@ class PropertyCheck:
 _MAX_VIOLATIONS = 10
 
 
+def _order_violations(
+    ids: Sequence[str], m: np.ndarray
+) -> tuple[list[Violation], list[Violation]]:
+    """Irreflexivity and transitivity violations of the relation ``m`` over
+    ``ids``, at most ``_MAX_VIOLATIONS`` of each."""
+    refl = [
+        Violation(instance=f"{ids[i]} < {ids[i]}", witnesses=(ids[i],))
+        for i in np.nonzero(m.diagonal())[0][:_MAX_VIOLATIONS]
+    ]
+    m8 = m.astype(np.uint8)
+    gap = ((m8 @ m8) > 0) & ~m  # a diagonal gap here is a 2-cycle x < z < x
+    trans = []
+    for i, j in itertools.islice(zip(*np.nonzero(gap)), _MAX_VIOLATIONS):
+        k = int(np.nonzero(m[i] & m[:, j])[0][0])
+        trans.append(
+            Violation(
+                instance=f"{ids[i]} < {ids[k]} < {ids[j]} but not {ids[i]} < {ids[j]}",
+                witnesses=(ids[i], ids[k], ids[j]),
+            )
+        )
+    return refl, trans
+
+
 def verify_order_axioms(pref: PreferentialModel) -> list[PropertyCheck]:
     """Check irreflexivity, transitivity, well-foundedness and (informational
     only) modularity of the materialised global preference."""
     ids = pref.element_ids
     m = pref.order
-    out: list[PropertyCheck] = []
-
-    refl = [
-        Violation(instance=f"{ids[i]} < {ids[i]}", witnesses=(ids[i],))
-        for i in np.nonzero(m.diagonal())[0][:_MAX_VIOLATIONS]
-    ]
-    out.append(
+    refl, trans = _order_violations(ids, m)
+    out = [
         PropertyCheck(
             check="irreflexivity",
             status="pass" if not refl else "fail",
             violations=tuple(refl),
-        )
-    )
-
-    trans: list[Violation] = []
-    if len(ids):
-        reach2 = (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
-        gap = reach2 & ~m  # a diagonal gap here is a 2-cycle x < z < x
-        for i, j in zip(*np.nonzero(gap)):
-            k = int(np.nonzero(m[i] & m[:, j])[0][0])
-            trans.append(
-                Violation(
-                    instance=f"{ids[i]} < {ids[k]} < {ids[j]} but not {ids[i]} < {ids[j]}",
-                    witnesses=(ids[i], ids[k], ids[j]),
-                )
-            )
-            if len(trans) >= _MAX_VIOLATIONS:
-                break
-    out.append(
+        ),
         PropertyCheck(
             check="transitivity",
             status="pass" if not trans else "fail",
             violations=tuple(trans),
-        )
-    )
+        ),
+    ]
 
     # An irreflexive transitive relation on a finite set has no infinite
     # descending chain; report a failure only if the axioms above failed.

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import jsonio
 from .checker import extract_kb
 from .concepts import Inclusion, inclusion_text
@@ -103,12 +101,8 @@ def revise(state: RevisionState, stimulus: Stimulus, lr: float, radius: float) -
         seen = seen + (stimulus,)
 
     new_som = apply_presentation(state.som, stimulus.features, lr, radius)
-    if seen is state.seen and np.array_equal(new_som.weights, state.som.weights):
-        # Exact fixed point: nothing observable changed, keep the old model.
-        model, kb = state.model, state.kb
-    else:
-        model = build_model(new_som, seen, categories=state.categories)
-        kb = extract_kb(model).kb
+    model = build_model(new_som, seen, categories=state.categories)
+    kb = extract_kb(model).kb
 
     step = RevisionStep(
         step_index=state.steps_done,

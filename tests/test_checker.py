@@ -215,10 +215,14 @@ def _cyclic_model():
 
 
 def test_specificity_cycle_detected():
+    m = _cyclic_model()
     with pytest.raises(SpecificityCycleError) as exc:
-        derive_specificity(_cyclic_model())
-    assert set(exc.value.cycle) == {"A", "B", "C"}
+        derive_specificity(m)
+    cycle = exc.value.cycle
+    assert set(cycle) == {"A", "B", "C"}
     assert " > " in str(exc.value)
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert check_strict(m, a, b).holds and not check_strict(m, b, a).holds
 
 
 def test_specificity_transitive_closure():

@@ -186,6 +186,36 @@ def test_cyclic_specificity_exit_3(tmp_path, capsys):
     assert main(["check", "--model", str(path), "--query", "A & B <= Bot"]) == 3
 
 
+def _edit_rd_to_list(doc):
+    cat = doc["categories"]["X"]
+    cat["rd"] = list(cat["rd"].values())
+
+
+def _edit_empty_category(doc):
+    cat = doc["categories"]["X"]
+    cat["rd"] = {eid: -1.0 for eid in cat["rd"]}
+    cat["stimulus_elements"] = cat["bmu_elements"] = cat["bmu_units"] = []
+
+
+def _edit_empty_extension(doc):
+    doc["extensions"]["X"] = []
+
+
+@pytest.mark.parametrize(
+    "edit", [_edit_rd_to_list, _edit_empty_category, _edit_empty_extension]
+)
+def test_broken_snapshot_exit_1(tmp_path, data_csv, capsys, edit):
+    out = train_and_extract(tmp_path, data_csv)
+    path = out / "model.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--model", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["train"]) == 1

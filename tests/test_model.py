@@ -251,6 +251,15 @@ def test_model_snapshot_validation(cluster_model):
     doc["categories"]["A"]["rd"].pop(next(iter(doc["categories"]["A"]["rd"])))
     with pytest.raises(InputError):
         model_from_snapshot(doc)
+    # a negative rd on an element that stays inside the extension
+    doc = model_snapshot(cluster_model)
+    doc["categories"]["A"]["rd"][cluster_model.categories["A"].stimulus_element_ids[0]] = -0.5
+    with pytest.raises(InputError, match="rd is not >= 0"):
+        model_from_snapshot(doc)
+    doc = model_snapshot(cluster_model)
+    doc["categories"]["A"]["rd_max"] = None
+    with pytest.raises(InputError, match="no rd_max"):
+        model_from_snapshot(doc)
 
 
 # ==============================================================

@@ -232,13 +232,22 @@ def test_broken_order_is_reported():
 
 
 def test_builder_rejects_inconsistent_state():
-    # extreme sanity: the builder itself refuses a matrix failing its axioms;
-    # force the situation by lying about the rd tables after the fact is not
-    # possible, so check the assertion path directly on the combined rule
-    # with a healthy model (it must NOT raise)
+    # a healthy model builds without complaint
     rd = {"K": {"a": 0.0, "b": 0.5, "s": 1.0}}
     m = make_model(rd, {"K": ["a", "s"]})
     build_preferential(m, SpecificityRelation(pairs=frozenset()))
+
+    # two categories that disagree on x/y, each declared more specific than
+    # the other: each overrides the other's objection, so x < y < x
+    rd = {
+        "K1": {"x": 0.0, "y": 0.5, "s1": 1.0, "s2": 1.0},
+        "K2": {"x": 0.5, "y": 0.0, "s1": 1.0, "s2": 1.0},
+    }
+    m = make_model(rd, {"K1": ["x", "s1"], "K2": ["y", "s2"]})
+    cyclic = SpecificityRelation(pairs=frozenset({("K1", "K2"), ("K2", "K1")}))
+    with pytest.raises(ConsistencyError) as exc:
+        build_preferential(m, cyclic)
+    assert "x < y < x" in str(exc.value).replace("'", "")
 
 
 def test_klm_zero_violations_on_trained_model(cluster_pref):

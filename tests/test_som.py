@@ -12,6 +12,7 @@ from somlogic import (
     apply_presentation,
     feature_range,
     find_bmu,
+    gaussian_clusters,
     init_map,
     load_map,
     presentation_schedule,
@@ -146,6 +147,15 @@ def test_train_zero_epochs_is_noop():
     out, log = train(som0, data, TrainConfig(epochs=0))
     assert np.array_equal(out.weights, som0.weights)
     assert log == []
+
+
+def test_gaussian_cluster_ids_are_distinct():
+    labels = [f"C{i}" for i in range(12)]
+    data = gaussian_clusters([(0.0, 0.0)] * 12, labels, 101, 1.0, seed=0)
+    assert len({s.sid for s in data}) == 12 * 101
+    # up to 100 points per cluster the ids keep their two-digit form
+    small = gaussian_clusters([(0.0, 0.0)] * 2, ["A", "B"], 100, 1.0, seed=0)
+    assert small[0].sid == "A00" and small[-1].sid == "B99"
 
 
 def test_train_does_not_mutate_input_map():
