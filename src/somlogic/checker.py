@@ -44,7 +44,6 @@ __all__ = [
     "kb_file_text",
     "derive_specificity",
     "specificity_to_json",
-    "specificity_from_json",
 ]
 
 
@@ -241,10 +240,6 @@ class SpecificityRelation:
             self, "_above", {k: frozenset(v) for k, v in above.items()}
         )
 
-    def holds(self, a: str, b: str) -> bool:
-        """True iff a is strictly more specific than b."""
-        return (a, b) in self.pairs
-
     def above(self, cat: str) -> frozenset[str]:
         """Categories strictly more specific than ``cat``."""
         return self._above.get(cat, frozenset())
@@ -297,11 +292,3 @@ def derive_specificity(model: SemanticModel) -> SpecificityRelation:
 
 def specificity_to_json(rel: SpecificityRelation) -> dict:
     return {"pairs": sorted([a, b] for a, b in rel.pairs)}
-
-
-def specificity_from_json(doc: dict) -> SpecificityRelation:
-    try:
-        pairs = frozenset((str(a), str(b)) for a, b in doc["pairs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed specificity document: {exc}") from exc
-    return SpecificityRelation(pairs=pairs)

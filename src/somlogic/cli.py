@@ -5,10 +5,15 @@ off the semantic model and knowledge base, ``check`` evaluates one inclusion
 against a saved model, ``verify`` re-checks the order axioms and entailment
 postulates, and ``trace`` replays training as stepwise belief revision.
 
-Exit codes: 0 success (and: the queried inclusion holds), 1 invalid input or
-configuration, 2 I/O or file-format failure, 3 semantic failure (specificity
-cycle, broken model invariants, failed required verification), 4 the queried
-inclusion does not hold.
+Exit codes:
+
+* 0: success (for ``check``: the queried inclusion holds).
+* 1: readable input with wrong content: a bad option or query, a malformed
+  CSV, or a ``model.json`` that breaks the model invariants.
+* 2: a file cannot be opened, is not UTF-8 text, or is not valid JSON.
+* 3: a specificity cycle, a global preference that is not a strict order, or
+  a failed required check.
+* 4: the queried inclusion does not hold.
 """
 
 from __future__ import annotations
@@ -19,8 +24,16 @@ import os
 import sys
 
 from . import dataset, jsonio
-from .checker import derive_specificity, check_strict, check_typicality, extract_kb, kb_file_text, specificity_to_json
-from .concepts import Inclusion, Name, inclusion_text, parse_query
+from .checker import (
+    CheckReport,
+    check_strict,
+    check_typicality,
+    derive_specificity,
+    extract_kb,
+    kb_file_text,
+    specificity_to_json,
+)
+from .concepts import Inclusion, Name, parse_query
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -167,15 +180,8 @@ def cmd_check(args) -> int:
         rel = derive_specificity(model)
         pref = build_preferential(model, rel)
         holds = entails(pref, query.kind, query.lhs, query.rhs)
-        doc = {
-            "inclusion": inclusion_text(query),
-            "holds": holds,
-            "method": "global_typicality" if query.kind == "defeasible" else "set_inclusion",
-            "plausibility": None,
-            "set_holds": None,
-            "status": "checked",
-            "witnesses": [],
-        }
+        method = "global_typicality" if query.kind == "defeasible" else "set_inclusion"
+        doc = CheckReport(query, holds, method).to_json()
     print(jsonio.canonical_dumps(doc))
     return 0 if holds else 4
 
@@ -225,23 +231,15 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SpecificityCycleError as exc:
+    except (SpecificityCycleError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        prefix = "invalid JSON input: " if isinstance(exc, json.JSONDecodeError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
         return 2
 
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import InputError, ParseError, UnknownCategoryError
 from .model import RESERVED_WORDS as RESERVED
-from .model import SemanticModel, valid_category_name
+from .model import SemanticModel
 
 __all__ = [
     "ConceptExpr",
@@ -38,11 +38,7 @@ __all__ = [
     "pretty",
     "inclusion_text",
     "extension",
-    "names_in",
     "parse_kb_text",
-    "kb_text",
-    "RESERVED",
-    "valid_category_name",
 ]
 
 
@@ -267,14 +263,6 @@ def extension(model: SemanticModel, expr: ConceptExpr) -> frozenset[str]:
     raise InputError(f"not a concept expression: {expr!r}")
 
 
-def names_in(expr: ConceptExpr) -> frozenset[str]:
-    if isinstance(expr, Name):
-        return frozenset({expr.name})
-    if isinstance(expr, And):
-        return names_in(expr.left) | names_in(expr.right)
-    return frozenset()
-
-
 # ==============================================================
 # Knowledge-base files
 # ==============================================================
@@ -293,12 +281,3 @@ def parse_kb_text(text: str) -> list[Inclusion]:
         except ParseError as exc:
             raise ParseError(f"line {line_no}: {exc.args[0]}") from exc
     return out
-
-
-def kb_text(inclusions: Iterable[Inclusion], header: str | None = None) -> str:
-    lines = []
-    if header:
-        for h in header.splitlines():
-            lines.append(f"# {h}" if h else "#")
-    lines.extend(sorted(inclusion_text(inc) for inc in inclusions))
-    return "\n".join(lines) + "\n"

@@ -149,17 +149,15 @@ def build_preferential(
     )
     cat_row = {c: i for i, c in enumerate(cats)}
     less = rk[:, :, np.newaxis] < rk[:, np.newaxis, :]
-    leq = rk[:, :, np.newaxis] <= rk[:, np.newaxis, :]
 
-    cond_any_strict = less.any(axis=0)
-    cond_all = np.ones((n, n), dtype=bool)
+    order = less.any(axis=0)
     for cj in cats:
-        ok = leq[cat_row[cj]].copy()
+        # rd is never NaN, so rd(x) <= rd(y) is exactly not rd(y) < rd(x).
+        ok = ~less[cat_row[cj]].T
         for ch in specificity.above(cj):
             if ch in cat_row:
                 ok |= less[cat_row[ch]]
-        cond_all &= ok
-    order = cond_any_strict & cond_all
+        order &= ok
 
     refl, trans = _order_violations(ids, order)
     if refl or trans:
@@ -242,6 +240,18 @@ class PropertyCheck:
 _MAX_VIOLATIONS = 10
 
 
+def _check(
+    name: str, violations: Sequence[Violation], required: bool = True, notes: str | None = None
+) -> PropertyCheck:
+    return PropertyCheck(
+        name,
+        "pass" if not violations else "fail",
+        tuple(violations[:_MAX_VIOLATIONS]),
+        required,
+        notes,
+    )
+
+
 def _order_violations(
     ids: Sequence[str], m: np.ndarray
 ) -> tuple[list[Violation], list[Violation]]:
@@ -271,18 +281,7 @@ def verify_order_axioms(pref: PreferentialModel) -> list[PropertyCheck]:
     ids = pref.element_ids
     m = pref.order
     refl, trans = _order_violations(ids, m)
-    out = [
-        PropertyCheck(
-            check="irreflexivity",
-            status="pass" if not refl else "fail",
-            violations=tuple(refl),
-        ),
-        PropertyCheck(
-            check="transitivity",
-            status="pass" if not trans else "fail",
-            violations=tuple(trans),
-        ),
-    ]
+    out = [_check("irreflexivity", refl), _check("transitivity", trans)]
 
     # An irreflexive transitive relation on a finite set has no infinite
     # descending chain; report a failure only if the axioms above failed.
@@ -301,7 +300,7 @@ def verify_order_axioms(pref: PreferentialModel) -> list[PropertyCheck]:
         comp = (~m).astype(np.uint8)
         counts = comp @ comp  # counts[x, y] = |{z : not x<z and not z<y}|
         bad = m & (counts > 0)
-        for i, j in zip(*np.nonzero(bad)):
+        for i, j in itertools.islice(zip(*np.nonzero(bad)), _MAX_VIOLATIONS):
             z = int(np.nonzero(~m[i] & ~m[:, j])[0][0])
             mod.append(
                 Violation(
@@ -311,13 +310,10 @@ def verify_order_axioms(pref: PreferentialModel) -> list[PropertyCheck]:
                     witnesses=(ids[i], ids[j], ids[z]),
                 )
             )
-            if len(mod) >= _MAX_VIOLATIONS:
-                break
     out.append(
-        PropertyCheck(
-            check="modularity",
-            status="pass" if not mod else "fail",
-            violations=tuple(mod),
+        _check(
+            "modularity",
+            mod,
             required=False,
             notes="the combined preference is not required to be modular",
         )
@@ -363,19 +359,17 @@ def verify_klm(
             min_cache[s] = minimal_elements(pref, s)
         return min_cache[s]
 
-    def clip(vs: list[Violation]) -> tuple[Violation, ...]:
-        return tuple(vs[:_MAX_VIOLATIONS])
-
-    out: list[PropertyCheck] = []
+    def violation(c: int, d: int, e: int, bad: frozenset) -> Violation:
+        return Violation(
+            instance=f"C={labels[c]}, D={labels[d]}, E={labels[e]}",
+            witnesses=tuple(sorted(bad))[:5],
+        )
 
     refl = [
         Violation(instance=f"C={labels[i]}", witnesses=tuple(sorted(typs[i] - exts[i]))[:5])
         for i in range(n)
         if not typs[i] <= exts[i]
     ]
-    out.append(
-        PropertyCheck("reflexivity", "pass" if not refl else "fail", clip(refl))
-    )
 
     lle: list[Violation] = []
     for i in range(n):
@@ -389,42 +383,10 @@ def verify_klm(
                             instance=f"C1={labels[i]}, C2={labels[j]}, D={labels[d]}"
                         )
                     )
-    out.append(
-        PropertyCheck(
-            "left_logical_equivalence", "pass" if not lle else "fail", clip(lle)
-        )
-    )
 
+    # Right Weakening, And and Cautious Monotonicity all assume C |~ D.
     rw: list[Violation] = []
-    for c in range(n):
-        for d in range(n):
-            if not entail[c][d]:
-                continue
-            for e in range(n):
-                if subset[d][e] and not entail[c][e]:
-                    rw.append(
-                        Violation(
-                            instance=f"C={labels[c]}, D={labels[d]}, E={labels[e]}",
-                            witnesses=tuple(sorted(typs[c] - exts[e]))[:5],
-                        )
-                    )
-    out.append(PropertyCheck("right_weakening", "pass" if not rw else "fail", clip(rw)))
-
     conj: list[Violation] = []
-    for c in range(n):
-        for d in range(n):
-            if not entail[c][d]:
-                continue
-            for e in range(n):
-                if entail[c][e] and not typs[c] <= (exts[d] & exts[e]):
-                    conj.append(
-                        Violation(
-                            instance=f"C={labels[c]}, D={labels[d]}, E={labels[e]}",
-                            witnesses=tuple(sorted(typs[c] - (exts[d] & exts[e])))[:5],
-                        )
-                    )
-    out.append(PropertyCheck("and", "pass" if not conj else "fail", clip(conj)))
-
     cm: list[Violation] = []
     for c in range(n):
         for d in range(n):
@@ -432,46 +394,40 @@ def verify_klm(
                 continue
             min_cd = minima(exts[c] & exts[d])
             for e in range(n):
-                if entail[c][e] and not min_cd <= exts[e]:
-                    cm.append(
-                        Violation(
-                            instance=f"C={labels[c]}, D={labels[d]}, E={labels[e]}",
-                            witnesses=tuple(sorted(min_cd - exts[e]))[:5],
-                        )
-                    )
-    out.append(
-        PropertyCheck("cautious_monotonicity", "pass" if not cm else "fail", clip(cm))
-    )
+                if not entail[c][e]:
+                    if subset[d][e]:
+                        rw.append(violation(c, d, e, typs[c] - exts[e]))
+                    continue
+                if not typs[c] <= (exts[d] & exts[e]):
+                    conj.append(violation(c, d, e, typs[c] - (exts[d] & exts[e])))
+                if not min_cd <= exts[e]:
+                    cm.append(violation(c, d, e, min_cd - exts[e]))
 
-    ext_index: dict[frozenset, int] = {}
-    for i in range(n):
-        ext_index.setdefault(exts[i], i)
+    expressible = set(exts)
     or_viol: list[Violation] = []
     skipped = 0
     for c in range(n):
         for d in range(c + 1, n):
             union = exts[c] | exts[d]
-            if union not in ext_index:
+            if union not in expressible:
                 skipped += 1
                 continue
             min_u = minima(union)
             for e in range(n):
                 if entail[c][e] and entail[d][e] and not min_u <= exts[e]:
-                    or_viol.append(
-                        Violation(
-                            instance=f"C={labels[c]}, D={labels[d]}, E={labels[e]}",
-                            witnesses=tuple(sorted(min_u - exts[e]))[:5],
-                        )
-                    )
-    out.append(
-        PropertyCheck(
+                    or_viol.append(violation(c, d, e, min_u - exts[e]))
+    return [
+        _check("reflexivity", refl),
+        _check("left_logical_equivalence", lle),
+        _check("right_weakening", rw),
+        _check("and", conj),
+        _check("cautious_monotonicity", cm),
+        _check(
             "or",
-            "pass" if not or_viol else "fail",
-            clip(or_viol),
+            or_viol,
             notes=(
                 f"checked only pairs whose union is the extension of a pool "
                 f"concept; {skipped} pairs skipped as inexpressible"
             ),
-        )
-    )
-    return out
+        ),
+    ]

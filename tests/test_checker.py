@@ -21,7 +21,6 @@ from somlogic import (
 )
 from somlogic.checker import (
     SpecificityRelation,
-    specificity_from_json,
     specificity_to_json,
 )
 from somlogic.concepts import Inclusion, inclusion_text, parse_kb_text
@@ -127,8 +126,8 @@ def test_nested_strict_inclusion_holds():
 def test_nested_specificity_derived():
     rel = derive_specificity(_nested_model())
     assert rel.pairs == {("Spec", "Gen")}
-    assert rel.holds("Spec", "Gen")
-    assert not rel.holds("Gen", "Spec")
+    assert ("Spec", "Gen") in rel.pairs
+    assert ("Gen", "Spec") not in rel.pairs
     assert rel.above("Gen") == {"Spec"}
     assert rel.above("Spec") == frozenset()
 
@@ -244,7 +243,6 @@ def test_specificity_serialisation_round_trip():
     rel = SpecificityRelation(pairs=frozenset({("A", "B"), ("A", "C")}))
     doc = specificity_to_json(rel)
     assert doc == {"pairs": [["A", "B"], ["A", "C"]]}
-    assert specificity_from_json(doc).pairs == rel.pairs
 
 
 def test_specificity_rejects_self_pair():

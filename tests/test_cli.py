@@ -144,6 +144,21 @@ def test_corrupt_json_exit_2(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exit_2(tmp_path, capsys):
+    bad_json = tmp_path / "model.json"
+    bad_json.write_bytes(b"\xff")
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(b"0.0,0.1,X\n0.2,0.\xff,X\n")
+    for argv in (
+        ["verify", "--model", str(bad_json)],
+        ["train", "--data", str(bad_csv), "--out", str(tmp_path / "run")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 def test_malformed_csv_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.0,0.1,X\n0.2,oops,X\n", encoding="utf-8")

@@ -17,7 +17,7 @@ from somlogic import (
     parse_query,
     pretty,
 )
-from somlogic.concepts import kb_text, names_in, parse_kb_text
+from somlogic.concepts import parse_kb_text
 
 from oracles import make_model
 
@@ -172,11 +172,6 @@ def test_unknown_name():
         extension(_tiny_model(), Name("R"))
 
 
-def test_names_in():
-    expr = parse_concept("A & (B & A) & Top")
-    assert names_in(expr) == {"A", "B"}
-
-
 # ==============================================================
 # KB files
 # ==============================================================
@@ -188,9 +183,8 @@ def test_kb_text_round_trip():
         parse_inclusion("T(A & B) <= C"),
         parse_inclusion("C <= Bot"),
     ]
-    text = kb_text(incs, header="extracted\nsecond line")
-    assert text.startswith("# extracted\n# second line\n")
-    assert set(parse_kb_text(text)) == set(incs)
+    text = "# extracted\n# second line\n" + "".join(inclusion_text(i) + "\n" for i in incs)
+    assert parse_kb_text(text) == incs
 
 
 def test_kb_parse_reports_line():

@@ -250,6 +250,30 @@ def test_builder_rejects_inconsistent_state():
     assert "x < y < x" in str(exc.value).replace("'", "")
 
 
+def test_broken_order_fails_cautious_monotonicity():
+    # bypass the builder: a<b and b<c without a<c
+    rd = {"KD": {"a": 0.0, "b": 2.0, "c": 0.5}, "KE": {"a": 0.0, "b": 1.0, "c": 1.0}}
+    m = make_model(rd, {"KD": ["a", "c"], "KE": ["a"]})
+    order = np.zeros((3, 3), dtype=bool)
+    order[0, 1] = order[1, 2] = True
+    pref = PreferentialModel(
+        base=m,
+        specificity=SpecificityRelation(pairs=frozenset()),
+        element_ids=m.element_ids,
+        order=order,
+    )
+    checks = {c.check: c for c in verify_klm(pref, [Top(), Name("KD"), Name("KE")])}
+    cm = checks.pop("cautious_monotonicity")
+    assert cm.status == "fail"
+    assert [(v.instance, v.witnesses) for v in cm.violations] == [
+        ("C=Top, D=KD, E=KE", ("c",))
+    ]
+    # Minimal elements of a set lie inside it, and being dominated within a
+    # set is monotone in the set, so a bad order alone breaks only CM here.
+    for check in checks.values():
+        assert check.status == "pass", check.check
+
+
 def test_klm_zero_violations_on_trained_model(cluster_pref):
     for check in verify_klm(cluster_pref):
         assert check.status == "pass", f"{check.check}: {check.violations[:2]}"
