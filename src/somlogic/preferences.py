@@ -21,6 +21,16 @@ postulates (Reflexivity, Left Logical Equivalence, Right Weakening, And,
 Cautious Monotonicity, and Or where the union is expressible) for the
 induced nonmonotonic entailment  C |~ D  iff  every globally minimal element
 of ext(C) lies in ext(D).
+
+The postulates are checked over the distinct extensions of the concept pool,
+not over every pool concept: entailment depends on a concept only through
+its extension, which is what LLE licenses.  Sets are boolean masks over the
+domain, and minima and inclusions come from boolean matrix products whose
+path counts are summed in float32, exact below 2**24 elements.  Once minima
+are computed as sets, Reflexivity, LLE, RW, And and Or hold for *any*
+relation (minima lie inside their set, and min(C | D) is a subset of
+min(C) | min(D)), so of the postulates only CM can be broken by a bad order;
+the others are still checked, as guards on the computation itself.
 """
 
 from __future__ import annotations
@@ -148,15 +158,21 @@ def build_preferential(
         [[model.categories[c].rd[eid] for eid in ids] for c in cats], dtype=np.float64
     )
     cat_row = {c: i for i, c in enumerate(cats)}
-    less = rk[:, :, np.newaxis] < rk[:, np.newaxis, :]
 
-    order = less.any(axis=0)
+    def less(i: int) -> np.ndarray:
+        # Category i's strict preference, built on demand so that at most a
+        # few N x N matrices are alive, never one per category.
+        return rk[i][:, np.newaxis] < rk[i][np.newaxis, :]
+
+    order = np.zeros((n, n), dtype=bool)
+    for i in range(len(cats)):
+        order |= less(i)
     for cj in cats:
         # rd is never NaN, so rd(x) <= rd(y) is exactly not rd(y) < rd(x).
-        ok = ~less[cat_row[cj]].T
+        ok = ~less(cat_row[cj]).T
         for ch in specificity.above(cj):
             if ch in cat_row:
-                ok |= less[cat_row[ch]]
+                ok |= less(cat_row[ch])
         order &= ok
 
     refl, trans = _order_violations(ids, order)
@@ -252,6 +268,26 @@ def _check(
     )
 
 
+# float32 entries of one row block of a boolean product (256 KB).
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a @ b) > 0`` for boolean matrices: is some k with a[i, k] and b[k, j]?
+
+    The path counts are summed in float32, which is exact while they stay
+    below 2**24, so the product runs in BLAS and cannot wrap the way a
+    uint8 product does at 256.  Rows of ``a`` go through in blocks, so no
+    full float32 result is held.
+    """
+    bf = b.astype(np.float32)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=bool)
+    step = max(1, _BLOCK_ENTRIES // max(1, b.shape[1]))
+    for i in range(0, a.shape[0], step):
+        np.greater(a[i : i + step].astype(np.float32) @ bf, 0, out=out[i : i + step])
+    return out
+
+
 def _order_violations(
     ids: Sequence[str], m: np.ndarray
 ) -> tuple[list[Violation], list[Violation]]:
@@ -261,8 +297,7 @@ def _order_violations(
         Violation(instance=f"{ids[i]} < {ids[i]}", witnesses=(ids[i],))
         for i in np.nonzero(m.diagonal())[0][:_MAX_VIOLATIONS]
     ]
-    m8 = m.astype(np.uint8)
-    gap = ((m8 @ m8) > 0) & ~m  # a diagonal gap here is a 2-cycle x < z < x
+    gap = _bool_product(m, m) & ~m  # a diagonal gap here is a 2-cycle x < z < x
     trans = []
     for i, j in itertools.islice(zip(*np.nonzero(gap)), _MAX_VIOLATIONS):
         k = int(np.nonzero(m[i] & m[:, j])[0][0])
@@ -297,9 +332,8 @@ def verify_order_axioms(pref: PreferentialModel) -> list[PropertyCheck]:
 
     mod: list[Violation] = []
     if len(ids):
-        comp = (~m).astype(np.uint8)
-        counts = comp @ comp  # counts[x, y] = |{z : not x<z and not z<y}|
-        bad = m & (counts > 0)
+        comp = ~m
+        bad = m & _bool_product(comp, comp)  # some z with not x<z and not z<y
         for i, j in itertools.islice(zip(*np.nonzero(bad)), _MAX_VIOLATIONS):
             z = int(np.nonzero(~m[i] & ~m[:, j])[0][0])
             mod.append(
@@ -335,96 +369,153 @@ def default_concept_pool(names: Sequence[str], max_conjuncts: int = 3) -> list[C
     return pool
 
 
+def _witnesses(ids: Sequence[str], mask: np.ndarray) -> tuple[str, ...]:
+    return tuple(sorted(ids[i] for i in np.flatnonzero(mask)))[:5]
+
+
+def _first_violations(n: int, bad_at, make) -> list[Violation]:
+    """The first ``_MAX_VIOLATIONS`` violations (c, d, e) in row-major order,
+    where ``bad_at(c)`` is the boolean n x n matrix of bad (d, e) for c."""
+    out: list[Violation] = []
+    for c in range(n):
+        for d, e in zip(*np.nonzero(bad_at(c))):
+            out.append(make(c, int(d), int(e)))
+            if len(out) == _MAX_VIOLATIONS:
+                return out
+    return out
+
+
 def verify_klm(
     pref: PreferentialModel, pool: Sequence[ConceptExpr] | None = None
 ) -> list[PropertyCheck]:
     """Check the closure postulates of the induced entailment C |~ D over a
     concept pool (default: all conjunctions of up to three category names,
     plus Top and Bot).  All of them must hold in this semantics; a violation
-    is an implementation bug surfacing, not an interesting phenomenon."""
+    is an implementation bug surfacing, not an interesting phenomenon.
+
+    Reflexivity and LLE are checked per pool concept.  RW, And, CM and Or
+    are checked over the distinct extensions of the pool ("classes"), which
+    LLE licenses, as class x class x class boolean tensors; only a tensor
+    with a violation is walked again in pool order to list instances.
+    """
     if pool is None:
         pool = default_concept_pool(pref.base.category_names)
     pool = list(pool)
     n = len(pool)
     labels = [pretty(c) for c in pool]
-    exts = [extension(pref.base, c) for c in pool]
-    typs = [minimal_elements(pref, e) for e in exts]
-    entail = [[typs[i] <= exts[j] for j in range(n)] for i in range(n)]
-    subset = [[exts[i] <= exts[j] for j in range(n)] for i in range(n)]
-
-    min_cache: dict[frozenset, frozenset] = {}
-
-    def minima(s: frozenset) -> frozenset:
-        if s not in min_cache:
-            min_cache[s] = minimal_elements(pref, s)
-        return min_cache[s]
-
-    def violation(c: int, d: int, e: int, bad: frozenset) -> Violation:
-        return Violation(
-            instance=f"C={labels[c]}, D={labels[d]}, E={labels[e]}",
-            witnesses=tuple(sorted(bad))[:5],
-        )
+    ids = pref.element_ids
+    ext = np.zeros((n, len(ids)), dtype=bool)
+    for i, c in enumerate(pool):
+        ext[i, [pref._row[e] for e in extension(pref.base, c)]] = True
+    typ = ext & ~_bool_product(ext, pref.order)  # minima: nothing inside beats them
+    entail = ~_bool_product(typ, ~ext.T)  # entail[c, d]: T(C) inside ext(D)
 
     refl = [
-        Violation(instance=f"C={labels[i]}", witnesses=tuple(sorted(typs[i] - exts[i]))[:5])
-        for i in range(n)
-        if not typs[i] <= exts[i]
+        Violation(instance=f"C={labels[i]}", witnesses=_witnesses(ids, typ[i] & ~ext[i]))
+        for i in np.flatnonzero((typ & ~ext).any(axis=1))
     ]
 
+    classes, first, inv = np.unique(ext, axis=0, return_index=True, return_inverse=True)
+    inv = inv.reshape(-1)
     lle: list[Violation] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if exts[i] != exts[j]:
-                continue
-            for d in range(n):
-                if entail[i][d] != entail[j][d]:
-                    lle.append(
-                        Violation(
-                            instance=f"C1={labels[i]}, C2={labels[j]}, D={labels[d]}"
-                        )
-                    )
+    if (entail != entail[first[inv]]).any():
+        later = np.arange(n)
+        lle = _first_violations(
+            n,
+            lambda i: ((inv == inv[i]) & (later > i))[:, np.newaxis] & (entail != entail[i]),
+            lambda i, j, d: Violation(
+                instance=f"C1={labels[i]}, C2={labels[j]}, D={labels[d]}"
+            ),
+        )
 
-    # Right Weakening, And and Cautious Monotonicity all assume C |~ D.
-    rw: list[Violation] = []
-    conj: list[Violation] = []
-    cm: list[Violation] = []
-    for c in range(n):
-        for d in range(n):
-            if not entail[c][d]:
-                continue
-            min_cd = minima(exts[c] & exts[d])
-            for e in range(n):
-                if not entail[c][e]:
-                    if subset[d][e]:
-                        rw.append(violation(c, d, e, typs[c] - exts[e]))
-                    continue
-                if not typs[c] <= (exts[d] & exts[e]):
-                    conj.append(violation(c, d, e, typs[c] - (exts[d] & exts[e])))
-                if not min_cd <= exts[e]:
-                    cm.append(violation(c, d, e, min_cd - exts[e]))
+    # The set family: the classes, then every intersection of two classes
+    # that is not itself a class.  A union counts only if it is a class.
+    k = len(classes)
+    class_of = {m.tobytes(): a for a, m in enumerate(classes)}
+    extra: dict[bytes, int] = {}
+    meet = np.empty((k, k), dtype=np.intp)
+    join = np.full((k, k), -1, dtype=np.intp)
+    for a in range(k):
+        rows = zip(range(a, k), classes[a] & classes[a:], classes[a] | classes[a:])
+        for b, both, either in rows:
+            key = both.tobytes()
+            f = class_of.get(key)
+            if f is None:
+                f = extra.setdefault(key, k + len(extra))
+            meet[a, b] = meet[b, a] = f
+            join[a, b] = join[b, a] = class_of.get(either.tobytes(), -1)
+    family = np.vstack([classes, *(np.frombuffer(key, dtype=bool) for key in extra)])
+    fam_typ = family & ~_bool_product(family, pref.order)
+    fam_entail = ~_bool_product(fam_typ, ~family.T)
 
-    expressible = set(exts)
-    or_viol: list[Violation] = []
-    skipped = 0
-    for c in range(n):
-        for d in range(c + 1, n):
-            union = exts[c] | exts[d]
-            if union not in expressible:
-                skipped += 1
-                continue
-            min_u = minima(union)
-            for e in range(n):
-                if entail[c][e] and entail[d][e] and not min_u <= exts[e]:
-                    or_viol.append(violation(c, d, e, min_u - exts[e]))
+    ent = fam_entail[:k, :k]
+    entailed = ent[:, :, np.newaxis] & ent[:, np.newaxis, :]  # C |~ D and C |~ E
+    subset = ~_bool_product(classes, ~classes.T)
+    expressible = join >= 0
+
+    def triples(tensor: np.ndarray, witness, unordered: bool = False) -> list[Violation]:
+        """Pool instances (c, d, e) of the class tensor's violations, each
+        with ``witness(c, d, e)``, the mask of the elements that make it bad."""
+        if not tensor.any():
+            return []
+
+        def bad_at(c: int) -> np.ndarray:
+            bad = tensor[inv[c]][np.ix_(inv, inv)]
+            if unordered:
+                bad[: c + 1] = False  # each pair once, as (c, d) with c < d
+            return bad
+
+        return _first_violations(
+            n,
+            bad_at,
+            lambda c, d, e: Violation(
+                instance=f"C={labels[c]}, D={labels[d]}, E={labels[e]}",
+                witnesses=_witnesses(ids, witness(c, d, e)),
+            ),
+        )
+
+    # Pool pairs (c, d), c < d, whose union is no class.  Equal classes
+    # always join to themselves, so only pairs of distinct classes count.
+    mult = np.bincount(inv, minlength=k)
+    skipped = int(np.outer(mult, mult)[~expressible].sum()) // 2
     return [
         _check("reflexivity", refl),
         _check("left_logical_equivalence", lle),
-        _check("right_weakening", rw),
-        _check("and", conj),
-        _check("cautious_monotonicity", cm),
+        _check(
+            "right_weakening",
+            triples(
+                # C |~ D and ext(D) inside ext(E), but not C |~ E
+                ent[:, :, np.newaxis] & ~ent[:, np.newaxis, :] & subset,
+                lambda c, d, e: typ[c] & ~ext[e],
+            ),
+        ),
+        _check(
+            "and",
+            triples(
+                # C |~ D and C |~ E, but not C |~ D & E
+                entailed & ~fam_entail[:k][:, meet],
+                lambda c, d, e: typ[c] & ~(ext[d] & ext[e]),
+            ),
+        ),
+        _check(
+            "cautious_monotonicity",
+            triples(
+                # C |~ D and C |~ E, but not C & D |~ E
+                entailed & ~fam_entail[meet, :k],
+                lambda c, d, e: fam_typ[meet[inv[c], inv[d]]] & ~ext[e],
+            ),
+        ),
         _check(
             "or",
-            or_viol,
+            triples(
+                # C |~ E and D |~ E, but not C | D |~ E, for a union that is a class
+                expressible[:, :, np.newaxis]
+                & ent[:, np.newaxis, :]
+                & ent[np.newaxis, :, :]
+                & ~ent[np.where(expressible, join, 0)],
+                lambda c, d, e: fam_typ[join[inv[c], inv[d]]] & ~ext[e],
+                unordered=True,
+            ),
             notes=(
                 f"checked only pairs whose union is the extension of a pool "
                 f"concept; {skipped} pairs skipped as inexpressible"

@@ -1,16 +1,27 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written with plain Python loops and dicts, straight from
-the definitions, sharing no code with the package internals.  Tests compare
-library outputs against these.
+the definitions, sharing no code with the package internals, except that
+``oracle_verify_klm`` takes extensions, minima and the report types from the
+library.  Tests compare library outputs against these.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from somlogic.checker import SpecificityRelation
+from somlogic.concepts import ConceptExpr, extension, pretty
 from somlogic.model import CategoryTable, DomainElement, SemanticModel
+from somlogic.preferences import (
+    PreferentialModel,
+    PropertyCheck,
+    Violation,
+    _check,
+    default_concept_pool,
+    minimal_elements,
+)
 
 
 def dist(a, b) -> float:
@@ -73,6 +84,133 @@ def oracle_minimal(prefers, eids) -> frozenset:
         if not any(prefers(x, y) for x in eids):
             out.add(y)
     return frozenset(out)
+
+
+def oracle_order_violations(ids, order) -> dict[str, list[tuple[str, tuple]]]:
+    """Every irreflexivity, transitivity and modularity violation of the
+    relation ``order[i][j]`` over ``ids`` as (instance, witnesses), pairs
+    (i, j) in row-major order, each with its first middle element."""
+    n = len(ids)
+    out = {"irreflexivity": [], "transitivity": [], "modularity": []}
+    for i in range(n):
+        if order[i][i]:
+            out["irreflexivity"].append((f"{ids[i]} < {ids[i]}", (ids[i],)))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if not order[i][j] and order[i][k] and order[k][j]:
+                    out["transitivity"].append((
+                        f"{ids[i]} < {ids[k]} < {ids[j]} but not {ids[i]} < {ids[j]}",
+                        (ids[i], ids[k], ids[j]),
+                    ))
+                    break
+            for z in range(n):
+                if order[i][j] and not order[i][z] and not order[z][j]:
+                    out["modularity"].append((
+                        f"{ids[i]} < {ids[j]} but {ids[z]} is unordered against both",
+                        (ids[i], ids[j], ids[z]),
+                    ))
+                    break
+    return out
+
+
+def oracle_verify_klm(
+    pref: PreferentialModel, pool: Sequence[ConceptExpr] | None = None
+) -> list[PropertyCheck]:
+    """The KLM postulate checks as plain loops over pool concepts, pairs and
+    triples, on frozensets of element ids: the reference for the
+    distinct-extension tensors of ``preferences.verify_klm``.  Minima come
+    from ``minimal_elements``, which is itself checked against
+    ``oracle_minimal``."""
+    if pool is None:
+        pool = default_concept_pool(pref.base.category_names)
+    pool = list(pool)
+    n = len(pool)
+    labels = [pretty(c) for c in pool]
+    exts = [extension(pref.base, c) for c in pool]
+    typs = [minimal_elements(pref, e) for e in exts]
+    entail = [[typs[i] <= exts[j] for j in range(n)] for i in range(n)]
+    subset = [[exts[i] <= exts[j] for j in range(n)] for i in range(n)]
+
+    min_cache: dict[frozenset, frozenset] = {}
+
+    def minima(s: frozenset) -> frozenset:
+        if s not in min_cache:
+            min_cache[s] = minimal_elements(pref, s)
+        return min_cache[s]
+
+    def violation(c: int, d: int, e: int, bad: frozenset) -> Violation:
+        return Violation(
+            instance=f"C={labels[c]}, D={labels[d]}, E={labels[e]}",
+            witnesses=tuple(sorted(bad))[:5],
+        )
+
+    refl = [
+        Violation(instance=f"C={labels[i]}", witnesses=tuple(sorted(typs[i] - exts[i]))[:5])
+        for i in range(n)
+        if not typs[i] <= exts[i]
+    ]
+
+    lle: list[Violation] = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if exts[i] != exts[j]:
+                continue
+            for d in range(n):
+                if entail[i][d] != entail[j][d]:
+                    lle.append(
+                        Violation(
+                            instance=f"C1={labels[i]}, C2={labels[j]}, D={labels[d]}"
+                        )
+                    )
+
+    # Right Weakening, And and Cautious Monotonicity all assume C |~ D.
+    rw: list[Violation] = []
+    conj: list[Violation] = []
+    cm: list[Violation] = []
+    for c in range(n):
+        for d in range(n):
+            if not entail[c][d]:
+                continue
+            min_cd = minima(exts[c] & exts[d])
+            for e in range(n):
+                if not entail[c][e]:
+                    if subset[d][e]:
+                        rw.append(violation(c, d, e, typs[c] - exts[e]))
+                    continue
+                if not typs[c] <= (exts[d] & exts[e]):
+                    conj.append(violation(c, d, e, typs[c] - (exts[d] & exts[e])))
+                if not min_cd <= exts[e]:
+                    cm.append(violation(c, d, e, min_cd - exts[e]))
+
+    expressible = set(exts)
+    or_viol: list[Violation] = []
+    skipped = 0
+    for c in range(n):
+        for d in range(c + 1, n):
+            union = exts[c] | exts[d]
+            if union not in expressible:
+                skipped += 1
+                continue
+            min_u = minima(union)
+            for e in range(n):
+                if entail[c][e] and entail[d][e] and not min_u <= exts[e]:
+                    or_viol.append(violation(c, d, e, min_u - exts[e]))
+    return [
+        _check("reflexivity", refl),
+        _check("left_logical_equivalence", lle),
+        _check("right_weakening", rw),
+        _check("and", conj),
+        _check("cautious_monotonicity", cm),
+        _check(
+            "or",
+            or_viol,
+            notes=(
+                f"checked only pairs whose union is the extension of a pool "
+                f"concept; {skipped} pairs skipped as inexpressible"
+            ),
+        ),
+    ]
 
 
 # ==============================================================

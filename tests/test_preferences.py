@@ -23,9 +23,16 @@ from somlogic import (
     verify_order_axioms,
 )
 from somlogic.checker import SpecificityRelation
-from somlogic.preferences import PreferentialModel, default_concept_pool
+from somlogic.preferences import PreferentialModel, _bool_product, default_concept_pool
 
-from oracles import make_model, oracle_global_prefer, oracle_minimal, random_model
+from oracles import (
+    make_model,
+    oracle_global_prefer,
+    oracle_minimal,
+    oracle_order_violations,
+    oracle_verify_klm,
+    random_model,
+)
 
 
 # ==============================================================
@@ -231,6 +238,67 @@ def test_broken_order_is_reported():
     assert any("b" in v.witnesses for v in checks["irreflexivity"].violations)
 
 
+def _hand_built(ids, pairs):
+    """A PreferentialModel over ``ids`` whose order is exactly ``pairs``."""
+    m = make_model({"K": {e: 0.0 for e in ids}}, {"K": [ids[0]]})
+    row = {e: i for i, e in enumerate(m.element_ids)}
+    order = np.zeros((len(ids), len(ids)), dtype=bool)
+    for x, y in pairs:
+        order[row[x], row[y]] = True
+    return PreferentialModel(
+        base=m,
+        specificity=SpecificityRelation(pairs=frozenset()),
+        element_ids=m.element_ids,
+        order=order,
+    )
+
+
+@pytest.mark.parametrize("middles", [255, 256])
+def test_path_counts_do_not_wrap(middles):
+    # A count of 256 paths wrapped to 0 in a uint8 product and hid both
+    # violations below.
+    zs = [f"z{i:03d}" for i in range(middles)]
+    pref = _hand_built(["x", "y", *zs], [p for z in zs for p in (("x", z), (z, "y"))])
+    checks = {c.check: c for c in verify_order_axioms(pref)}
+    assert checks["transitivity"].status == "fail"
+    assert [(v.instance, v.witnesses) for v in checks["transitivity"].violations] == [
+        ("x < z000 < y but not x < y", ("x", "z000", "y"))
+    ]
+
+    pref = _hand_built(["x", "y", *zs], [("x", "y")])
+    checks = {c.check: c for c in verify_order_axioms(pref)}
+    assert checks["transitivity"].status == "pass"
+    assert checks["modularity"].status == "fail"
+    assert [(v.instance, v.witnesses) for v in checks["modularity"].violations] == [
+        ("x < y but z000 is unordered against both", ("x", "y", "z000"))
+    ]
+
+
+def test_bool_product_spans_row_blocks():
+    rng = np.random.default_rng(3)
+    a = rng.random((700, 300)) < 0.01
+    b = rng.random((300, 200)) < 0.01
+    assert np.array_equal(_bool_product(a, b), a.astype(int) @ b.astype(int) > 0)
+
+
+def test_order_axioms_match_oracle_on_random_relations():
+    rng = np.random.default_rng(7)
+    for n in range(1, 16):
+        ids = [f"e{i}" for i in range(n)]
+        for density in (0.05, 0.2, 0.5, 0.8):
+            pref = _hand_built(ids, [])
+            pref.order[:] = rng.random((n, n)) < density
+            want = oracle_order_violations(ids, pref.order)
+            checks = {c.check: c for c in verify_order_axioms(pref)}
+            for name, violations in want.items():
+                got = [(v.instance, v.witnesses) for v in checks[name].violations]
+                assert got == violations[:10], (n, density, name)
+                assert checks[name].status == ("fail" if violations else "pass")
+            assert checks["well_foundedness"].status == (
+                "fail" if want["irreflexivity"] or want["transitivity"] else "pass"
+            )
+
+
 def test_builder_rejects_inconsistent_state():
     # a healthy model builds without complaint
     rd = {"K": {"a": 0.0, "b": 0.5, "s": 1.0}}
@@ -250,7 +318,8 @@ def test_builder_rejects_inconsistent_state():
     assert "x < y < x" in str(exc.value).replace("'", "")
 
 
-def test_broken_order_fails_cautious_monotonicity():
+@pytest.mark.parametrize("verify", [verify_klm, oracle_verify_klm])
+def test_broken_order_fails_cautious_monotonicity(verify):
     # bypass the builder: a<b and b<c without a<c
     rd = {"KD": {"a": 0.0, "b": 2.0, "c": 0.5}, "KE": {"a": 0.0, "b": 1.0, "c": 1.0}}
     m = make_model(rd, {"KD": ["a", "c"], "KE": ["a"]})
@@ -262,7 +331,7 @@ def test_broken_order_fails_cautious_monotonicity():
         element_ids=m.element_ids,
         order=order,
     )
-    checks = {c.check: c for c in verify_klm(pref, [Top(), Name("KD"), Name("KE")])}
+    checks = {c.check: c for c in verify(pref, [Top(), Name("KD"), Name("KE")])}
     cm = checks.pop("cautious_monotonicity")
     assert cm.status == "fail"
     assert [(v.instance, v.witnesses) for v in cm.violations] == [
@@ -287,6 +356,26 @@ def test_klm_zero_violations_on_random_models(seed):
     pref = build_preferential(model, rel)
     for check in verify_klm(pref):
         assert check.status == "pass", f"{check.check}: {check.violations[:2]}"
+
+
+def test_klm_report_matches_oracle():
+    # The built order of each random model, plus two with flipped bits so
+    # that the failure paths are compared too.
+    rng = np.random.default_rng(11)
+    densities = (0.02, 0.1, 0.3)
+    cm_failures = 0
+    for i in range(100):
+        model, rel, _, _ = random_model(rng, max_elements=20, max_categories=4)
+        pref = build_preferential(model, rel)
+        orders = [pref.order]
+        for density in (densities[i % 3], densities[(i + 1) % 3]):
+            orders.append(pref.order ^ (rng.random(pref.order.shape) < density))
+        for order in orders:
+            p = PreferentialModel(model, rel, model.element_ids, order)
+            got = [c.to_json() for c in verify_klm(p)]
+            assert got == [c.to_json() for c in oracle_verify_klm(p)], i
+            cm_failures += {c["check"]: c for c in got}["cautious_monotonicity"]["status"] == "fail"
+    assert cm_failures > 0
 
 
 def test_default_concept_pool_shape():
