@@ -12,6 +12,9 @@ distance of Ci's best-matching-unit elements measured in Cj:
 Exact extension containment is computed alongside the margin criterion and
 reported separately; the two can disagree and neither overrides the other.
 
+``kb_rule`` states both criteria once, over the ``k x k`` matrix of those
+maxima: ``extract_kb`` and ``derive_specificity`` read the matrix off a
+model, and the revision step computes it from the map alone.
 ``extract_kb`` runs every ordered pair of categories through both checks and
 returns the inclusions that hold; categories without any stimulus yield
 ``Ci <= Bot`` instead (their extension is empty) and their pair checks are
@@ -29,6 +32,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .concepts import Bot, Inclusion, Name, inclusion_text
 from .errors import InputError, SpecificityCycleError
 from .model import SemanticModel
@@ -40,6 +45,7 @@ __all__ = [
     "rd_bmu_set",
     "check_typicality",
     "check_strict",
+    "kb_rule",
     "extract_kb",
     "kb_file_text",
     "derive_specificity",
@@ -99,33 +105,48 @@ def _max_rd_witnesses(model: SemanticModel, ci: str, cj: str, bound: float) -> t
     return tuple(eid for eid in ti.bmu_element_ids if not tj.rd[eid] <= bound)
 
 
-def check_typicality(model: SemanticModel, ci: str, cj: str) -> CheckReport:
-    """Does ``T(ci) <= cj`` hold?  Both categories must have stimuli."""
-    inc = Inclusion(kind="defeasible", lhs=Name(ci), rhs=Name(cj))
-    val = rd_bmu_set(model, ci, cj)
-    bound = model.category(cj).rd_max
-    holds = val <= bound
-    return CheckReport(
-        inclusion=inc,
-        holds=holds,
-        method="bmu_rd_bound",
-        plausibility=val,
-        witnesses=() if holds else _max_rd_witnesses(model, ci, cj, bound),
-    )
+def _criteria(val, rd_max_i, rd_max_j) -> dict:
+    """Whether ``T(Ci) <= Cj`` and ``Ci <= Cj`` hold, by inclusion kind, for
+    ``val = rd_bmu_set(Ci, Cj)``; elementwise on arrays as on floats."""
+    return {"defeasible": val <= rd_max_j, "strict": val + rd_max_i <= rd_max_j}
 
 
-def check_strict(model: SemanticModel, ci: str, cj: str) -> CheckReport:
-    """Does ``ci <= cj`` hold by the margin criterion?  The exact-extension
-    comparison lands in ``set_holds`` without influencing ``holds``."""
-    inc = Inclusion(kind="strict", lhs=Name(ci), rhs=Name(cj))
-    val = rd_bmu_set(model, ci, cj)
-    ti = model.category(ci)
-    tj = model.category(cj)
-    holds = val + ti.rd_max <= tj.rd_max
+def kb_rule(names, val: np.ndarray, rd_max: np.ndarray, empty: np.ndarray) -> frozenset[Inclusion]:
+    """The inclusions that hold among the categories ``names``.
+
+    ``val[i, j]`` is ``rd_bmu_set`` of ``names[i]`` in ``names[j]`` and
+    ``rd_max[i]`` the bound of ``names[i]``; both are read only where neither
+    category is ``empty``.  An empty category contributes ``Ci <= Bot`` and
+    nothing else.  ``extract_kb``, ``derive_specificity`` and the revision
+    step all take their inclusions from here.
+    """
+    live = ~empty[:, np.newaxis] & ~empty[np.newaxis, :]
+    kb = [Inclusion(kind="strict", lhs=Name(names[i]), rhs=Bot()) for i in np.flatnonzero(empty)]
+    for kind, holds in _criteria(val, rd_max[:, np.newaxis], rd_max[np.newaxis, :]).items():
+        kb += (
+            Inclusion(kind=kind, lhs=Name(names[i]), rhs=Name(names[j]))
+            for i, j in zip(*np.nonzero(holds & live))
+        )
+    return frozenset(kb)
+
+
+def _report(model: SemanticModel, inc: Inclusion, val: float, holds: bool) -> CheckReport:
+    """The report on ``inc`` between two named categories with stimuli, whose
+    criterion gave ``holds`` on ``val = rd_bmu_set(lhs, rhs)``."""
+    ci, cj = inc.lhs.name, inc.rhs.name
+    bound = model.categories[cj].rd_max
+    if inc.kind == "defeasible":
+        return CheckReport(
+            inclusion=inc,
+            holds=holds,
+            method="bmu_rd_bound",
+            plausibility=val,
+            witnesses=() if holds else _max_rd_witnesses(model, ci, cj, bound),
+        )
     set_holds = model.extensions[ci] <= model.extensions[cj]
     witnesses: tuple[str, ...] = ()
     if not holds:
-        witnesses = _max_rd_witnesses(model, ci, cj, tj.rd_max - ti.rd_max)
+        witnesses = _max_rd_witnesses(model, ci, cj, bound - model.categories[ci].rd_max)
     elif not set_holds:
         witnesses = tuple(sorted(model.extensions[ci] - model.extensions[cj]))[:5]
     return CheckReport(
@@ -136,6 +157,23 @@ def check_strict(model: SemanticModel, ci: str, cj: str) -> CheckReport:
         set_holds=set_holds,
         witnesses=witnesses,
     )
+
+
+def _check(model: SemanticModel, kind: str, ci: str, cj: str) -> CheckReport:
+    val = rd_bmu_set(model, ci, cj)
+    holds = _criteria(val, model.categories[ci].rd_max, model.categories[cj].rd_max)[kind]
+    return _report(model, Inclusion(kind=kind, lhs=Name(ci), rhs=Name(cj)), val, holds)
+
+
+def check_typicality(model: SemanticModel, ci: str, cj: str) -> CheckReport:
+    """Does ``T(ci) <= cj`` hold?  Both categories must have stimuli."""
+    return _check(model, "defeasible", ci, cj)
+
+
+def check_strict(model: SemanticModel, ci: str, cj: str) -> CheckReport:
+    """Does ``ci <= cj`` hold by the margin criterion?  The exact-extension
+    comparison lands in ``set_holds`` without influencing ``holds``."""
+    return _check(model, "strict", ci, cj)
 
 
 def _vacuous(kind: str, ci: str, cj: str) -> CheckReport:
@@ -156,22 +194,35 @@ class KbExtraction:
     ranked_defeasible: tuple[tuple[Inclusion, float], ...]
 
 
+def _rule_inputs(model: SemanticModel, cats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``kb_rule``'s ``val``, ``rd_max`` and ``empty`` read off a model; an
+    empty category's ``rd_max`` of None reads as nan."""
+    tables = [model.categories[c] for c in cats]
+    val = np.array(
+        [[np.nan if ti.empty or tj.empty else rd_bmu_set(model, ti.name, tj.name)
+          for tj in tables] for ti in tables],
+        dtype=np.float64,
+    )
+    rd_max = np.array([t.rd_max for t in tables], dtype=np.float64)
+    return val, rd_max, np.array([t.empty for t in tables], dtype=bool)
+
+
 def extract_kb(model: SemanticModel) -> KbExtraction:
     """Check every ordered category pair (defeasible and strict, diagonal
     included) and collect the inclusions that hold.  A category without
     stimuli contributes ``Ci <= Bot`` and only vacuous pair reports."""
     cats = model.category_names
+    val, rd_max, empty = _rule_inputs(model, cats)
+    kb = kb_rule(cats, val, rd_max, empty)
     reports: list[CheckReport] = []
-    for ci in cats:
-        for cj in cats:
-            ei = model.categories[ci].empty
-            ej = model.categories[cj].empty
-            if ei or ej:
-                reports.append(_vacuous("defeasible", ci, cj))
-                reports.append(_vacuous("strict", ci, cj))
-            else:
-                reports.append(check_typicality(model, ci, cj))
-                reports.append(check_strict(model, ci, cj))
+    for i, ci in enumerate(cats):
+        for j, cj in enumerate(cats):
+            for kind in ("defeasible", "strict"):
+                if empty[i] or empty[j]:
+                    reports.append(_vacuous(kind, ci, cj))
+                else:
+                    inc = Inclusion(kind=kind, lhs=Name(ci), rhs=Name(cj))
+                    reports.append(_report(model, inc, float(val[i, j]), inc in kb))
     for ci in cats:
         if model.categories[ci].empty:
             reports.append(
@@ -181,7 +232,6 @@ def extract_kb(model: SemanticModel) -> KbExtraction:
                     method="empty_extension",
                 )
             )
-    kb = frozenset(r.inclusion for r in reports if r.holds)
     ranked = tuple(
         sorted(
             (
@@ -267,12 +317,15 @@ def derive_specificity(model: SemanticModel) -> SpecificityRelation:
     inclusions are circular; the caller decides what to do, nothing is
     silently dropped.
     """
-    cats = [c for c in model.category_names if not model.categories[c].empty]
+    names = model.category_names
     strict = {
-        (ci, cj): check_strict(model, ci, cj).holds for ci in cats for cj in cats if ci != cj
+        (inc.lhs.name, inc.rhs.name)
+        for inc in kb_rule(names, *_rule_inputs(model, names))
+        if inc.kind == "strict" and isinstance(inc.rhs, Name)
     }
+    cats = [c for c in names if not model.categories[c].empty]
     edges = {
-        ci: {cj for cj in cats if ci != cj and strict[ci, cj] and not strict[cj, ci]}
+        ci: {cj for cj in cats if ci != cj and (ci, cj) in strict and (cj, ci) not in strict}
         for ci in cats
     }
 

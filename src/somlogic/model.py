@@ -38,7 +38,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import ConsistencyError, InputError
-from .som import SomMap, Stimulus, find_bmu
+from .som import SomMap, Stimulus, nearest_units
 
 __all__ = [
     "DomainElement",
@@ -188,7 +188,8 @@ def build_model(
             raise InputError(f"stimulus id {s.sid!r} reused with different features")
         seen_sids[s.sid] = s.features
 
-    bmu_of = [find_bmu(som, s.features) for s in data]
+    stim_feats = np.array([s.features for s in data], dtype=np.float64)
+    bmu_of = nearest_units(stim_feats.reshape(len(data), som.input_dim), som.weights)[0].tolist()
 
     # Domain: stimuli first, then BMU weight vectors, then probes, all
     # deduplicated on exact feature equality.
@@ -237,9 +238,7 @@ def build_model(
         )
         stim_elem_ids = _unique_keep_order(by_feat[data[i].features] for i in idxs)
 
-        ens = som.weights[list(bmu_units)]
-        d2 = ((feats_mat[:, np.newaxis, :] - ens[np.newaxis, :, :]) ** 2).sum(axis=2)
-        num = np.sqrt(d2).min(axis=1)
+        num = np.sqrt(nearest_units(feats_mat, som.weights[list(bmu_units)])[1])
 
         # A stimulus's own BMU minimises the distance over *all* units, so
         # its row of ``num`` is exactly its own-BMU distance; the precision

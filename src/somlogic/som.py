@@ -28,6 +28,7 @@ __all__ = [
     "SomMap",
     "feature_range",
     "init_map",
+    "nearest_units",
     "find_bmu",
     "apply_presentation",
     "presentation_schedule",
@@ -244,6 +245,34 @@ def _check_vector(som: SomMap, x) -> np.ndarray:
     return v
 
 
+# Distance-matrix entries per row block of ``nearest_units``: small enough
+# that a block's (rows, units, dim) temporaries stay near 256 KB at dim 8.
+_BLOCK_ENTRIES = 4096
+
+
+def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``x``, the index of the nearest row of ``weights`` and
+    the squared Euclidean distance to it.
+
+    Ties break to the lowest index.  BMU lookups, relative distances (in
+    ``model`` and ``revision``) and the quantization error all go through the
+    expression below.  Its sum over the feature axis is numpy's pairwise sum,
+    which fixes each float result, so a distance computed in two places is
+    equal bit for bit.  A feature-by-feature sum would differ from it in the
+    last bit from dimension 8 up, a matrix-product expansion at any
+    dimension.  Rows are taken in blocks so that the temporaries stay small.
+    """
+    n = len(x)
+    nearest = np.empty(n, dtype=np.intp)
+    d2_min = np.empty(n, dtype=np.float64)
+    rows = max(1, _BLOCK_ENTRIES // len(weights))
+    for start in range(0, n, rows):
+        d2 = ((x[start:start + rows, np.newaxis, :] - weights[np.newaxis, :, :]) ** 2).sum(axis=2)
+        nearest[start:start + rows] = d2.argmin(axis=1)
+        d2_min[start:start + rows] = d2.min(axis=1)
+    return nearest, d2_min
+
+
 def find_bmu(som: SomMap, x) -> int:
     """Index of the unit whose weights are closest to ``x`` (Euclidean).
 
@@ -251,8 +280,7 @@ def find_bmu(som: SomMap, x) -> int:
     the same winner as over distance.
     """
     v = _check_vector(som, x)
-    d2 = ((som.weights - v) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    return int(nearest_units(v[np.newaxis, :], som.weights)[0][0])
 
 
 def _present(weights: np.ndarray, coords: np.ndarray, x: np.ndarray, lr: float, radius: float) -> None:
@@ -339,8 +367,7 @@ def train(som: SomMap, data: Sequence[Stimulus], cfg: TrainConfig) -> tuple[SomM
 
 
 def _qe(weights: np.ndarray, x: np.ndarray) -> float:
-    d2 = ((x[:, np.newaxis, :] - weights[np.newaxis, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.min(axis=1)).mean())
+    return float(np.sqrt(nearest_units(x, weights)[1]).mean())
 
 
 def quantization_error(som: SomMap, data: Sequence[Stimulus]) -> float:

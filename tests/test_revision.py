@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from somlogic import (
+    ConsistencyError,
     InputError,
     Stimulus,
     TrainConfig,
@@ -17,6 +20,8 @@ from somlogic import (
     run_trace,
     train,
 )
+from somlogic import revision
+from somlogic.model import model_snapshot
 from somlogic.revision import step_to_json, trace_text
 from somlogic.som import presentation_schedule
 
@@ -83,8 +88,91 @@ def test_every_step_matches_from_scratch_rebuild():
         state, _ = revise(state, data[i], lr, rad)
         fresh = build_model(state.som, state.seen, categories=state.categories)
         assert extract_kb(fresh).kb == state.kb
-        for name, t in fresh.categories.items():
-            assert state.model.categories[name].rd == t.rd
+        assert model_snapshot(state.model) == model_snapshot(fresh)
+
+
+def test_rebuild_comparison_catches_stale_bmus():
+    # The comparison above can fail: a KB computed on the previous step's
+    # map, hence with its BMUs, differs from the rebuild at some step.  Every
+    # unit moves on every step, as the Gaussian neighbourhood is never 0.
+    data = two_cluster_stream()
+    som0 = init_map(3, 3, 2, CFG.seed, feature_range(data))
+    state = initial_state(som0, sorted({s.label for s in data}))
+    stale_steps = 0
+    for _e, i, lr, rad in presentation_schedule(len(data), CFG):
+        previous_som = state.som
+        state, _ = revise(state, data[i], lr, rad)
+        fresh = extract_kb(build_model(state.som, state.seen, categories=state.categories)).kb
+        stale = revision._kb_of(
+            previous_som, state.categories, state.features, state.labels, state.seen_by_id
+        )
+        stale_steps += stale != fresh
+    assert stale_steps > 0
+
+
+@st.composite
+def replays(draw):
+    """A random map and schedule over stimuli drawn from a few shared points,
+    so that identical features, and shared BMUs across labels, are common.
+    ``lr = 1`` lands a unit on its stimulus, giving precision 0 and infinite
+    rd; the last category never gets a stimulus."""
+    d = draw(st.sampled_from([1, 2, 8, 9]))
+    points = draw(st.lists(st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.0])] * d),
+                           min_size=1, max_size=4))
+    k = draw(st.integers(1, 3))
+    picks = draw(st.lists(st.tuples(st.sampled_from(points), st.integers(0, k - 1)),
+                          min_size=1, max_size=6))
+    data = [Stimulus(f"s{i}", p, f"C{c}") for i, (p, c) in enumerate(picks)]
+    schedule = draw(st.lists(
+        st.tuples(st.integers(0, len(data) - 1), st.sampled_from([1.0, 0.5, 0.3]),
+                  st.sampled_from([0.3, 1.0, 2.5])),
+        min_size=1, max_size=12))
+    som0 = init_map(draw(st.integers(1, 3)), draw(st.integers(1, 3)), d,
+                    draw(st.integers(0, 99)), feature_range(data))
+    return som0, [f"C{c}" for c in range(k + 1)], data, schedule
+
+
+@given(replays())
+def test_step_kb_matches_rebuild_on_random_replays(case):
+    som0, categories, data, schedule = case
+    state = initial_state(som0, categories)
+    for i, lr, radius in schedule:
+        state, _ = revise(state, data[i], lr, radius)
+        fresh = build_model(state.som, state.seen, categories=state.categories)
+        assert state.kb == extract_kb(fresh).kb
+
+
+def test_step_kb_at_equality_boundaries():
+    # Two labels on one point, each presented with lr = 1: the unit lands on
+    # the point, both precisions are 0, and T(A) <= B, A <= B and B <= A hold
+    # at exact equality (0 <= 0 and 0 + 0 <= 0).  A third point gives A a
+    # positive precision: T(A) <= A then holds at 0 <= 1, A <= A at 0 + 1 <= 1.
+    som0 = init_map(1, 2, 2, 0, ((0.0, 0.0), (1.0, 1.0)))
+    state = initial_state(som0, ["A", "B"])
+    stream = [(Stimulus("a", (0.0, 0.0), "A"), 1.0), (Stimulus("b", (0.0, 0.0), "B"), 1.0),
+              (Stimulus("c", (1.0, 1.0), "A"), 0.5)]
+    kbs = []
+    for s, lr in stream:
+        state, _ = revise(state, s, lr, 0.3)
+        assert state.kb == extract_kb(build_model(state.som, state.seen, categories=("A", "B"))).kb
+        kbs.append({inclusion_text(i) for i in state.kb})
+    assert {"T(A) <= B", "A <= B", "B <= A"} <= kbs[1]
+    assert state.model.categories["A"].precision > 0.0
+    assert {"T(A) <= A", "A <= A"} <= kbs[2]
+
+
+@pytest.mark.parametrize("value_range, stimulus, error, message", [
+    # a stimulus id equal to the element id of a BMU unit not on a stimulus
+    (((0.0, 0.0), (1.0, 1.0)), Stimulus("u0", (0.0, 0.0), "A"), InputError,
+     "duplicate element ids in domain"),
+    # squared distances that overflow give an infinite precision
+    (((0.0, 0.0), (1e200, 1e200)), Stimulus("a", (0.0, 0.0), "A"), ConsistencyError,
+     "expected 1.0"),
+], ids=["unit-id", "overflow"])
+def test_step_keeps_build_model_refusals(value_range, stimulus, error, message):
+    state = initial_state(init_map(1, 1, 2, 0, value_range), ["A"])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
+        revise(state, stimulus, 0.5, 1.0)
 
 
 def test_trace_final_equals_batch():
