@@ -65,6 +65,7 @@ from .preferences import (
     default_concept_pool,
     entails,
     global_prefer,
+    minima,
     minimal_elements,
     typicality_extension,
     verify_klm,

@@ -5,14 +5,20 @@ off the semantic model and knowledge base, ``check`` evaluates one inclusion
 against a saved model, ``verify`` re-checks the order axioms and entailment
 postulates, and ``trace`` replays training as stepwise belief revision.
 
+``check`` answers a name-to-name query by the pairwise criteria.  Any other
+query first derives specificity.  A strict one then compares extensions
+only; a defeasible ``T(C) <= D`` reads the global preference restricted to
+ext(C), checked to be a strict order on that block, never the whole order.
+
 Exit codes:
 
 * 0: success (for ``check``: the queried inclusion holds).
 * 1: readable input with wrong content: a bad option or query, a malformed
   CSV, or a ``model.json`` that breaks the model invariants.
 * 2: a file cannot be opened, is not UTF-8 text, or is not valid JSON.
-* 3: a specificity cycle, a global preference that is not a strict order, or
-  a failed required check.
+* 3: a specificity cycle, a global preference that is not a strict order
+  (for ``check``: on the block of ext(C) it reads), or a failed required
+  check.
 * 4: the queried inclusion does not hold.
 """
 
@@ -33,7 +39,7 @@ from .checker import (
     kb_file_text,
     specificity_to_json,
 )
-from .concepts import Inclusion, Name, parse_query
+from .concepts import Inclusion, Name, extension, parse_query
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -42,7 +48,7 @@ from .errors import (
     SpecificityCycleError,
 )
 from .model import build_model, load_model, save_model
-from .preferences import build_preferential, entails, verify_klm, verify_order_axioms
+from .preferences import build_preferential, minima, verify_klm, verify_order_axioms
 from .revision import run_trace, trace_text
 from .som import TrainConfig, feature_range, init_map, load_map, quantization_error, save_map, train
 
@@ -177,9 +183,13 @@ def cmd_check(args) -> int:
         doc = report.to_json()
         holds = report.holds
     else:
+        # Specificity first, so that a cycle exits 3 before any unknown name
+        # is reported.
         rel = derive_specificity(model)
-        pref = build_preferential(model, rel)
-        holds = entails(pref, query.kind, query.lhs, query.rhs)
+        lhs, rhs = extension(model, query.lhs), extension(model, query.rhs)
+        if query.kind == "defeasible":
+            lhs = minima(model, rel, lhs)
+        holds = lhs <= rhs
         method = "global_typicality" if query.kind == "defeasible" else "set_inclusion"
         doc = CheckReport(query, holds, method).to_json()
     print(jsonio.canonical_dumps(doc))

@@ -15,12 +15,20 @@ though the general category mildly disagrees.
 
 The result is an irreflexive, transitive, well-founded relation on the finite
 domain, i.e. exactly the preference structure of a preferential-semantics
-model; it need not be modular.  ``verify_order_axioms`` checks all of this on
-the materialised relation, and ``verify_klm`` checks the standard closure
-postulates (Reflexivity, Left Logical Equivalence, Right Weakening, And,
-Cautious Monotonicity, and Or where the union is expressible) for the
-induced nonmonotonic entailment  C |~ D  iff  every globally minimal element
-of ext(C) lies in ext(D).
+model; it need not be modular.
+
+The rule is stated once, in ``_global_order``, over any list of elements:
+each pair is decided by the two elements' rd values and specificity alone.
+It has two callers.  ``build_preferential`` applies it to the whole domain.
+``minima`` applies it to one set, e.g. ext(C), and reads T(C) off that
+block, which is how ``somlogic check`` answers a defeasible query without
+the N x N order.  Both check the order they build to be a strict order.
+
+``verify_order_axioms`` checks the axioms on the materialised relation,
+and ``verify_klm`` checks the standard closure postulates (Reflexivity, Left
+Logical Equivalence, Right Weakening, And, Cautious Monotonicity, and Or
+where the union is expressible) for the induced nonmonotonic entailment
+C |~ D  iff  every globally minimal element of ext(C) lies in ext(D).
 
 The postulates are checked over the distinct extensions of the concept pool,
 not over every pool concept: entailment depends on a concept only through
@@ -51,6 +59,7 @@ __all__ = [
     "global_prefer",
     "build_preferential",
     "minimal_elements",
+    "minima",
     "typicality_extension",
     "entails",
     "Violation",
@@ -135,25 +144,18 @@ class PreferentialModel:
         )
 
 
-def build_preferential(
-    model: SemanticModel, specificity: SpecificityRelation | None = None
-) -> PreferentialModel:
-    """Materialise the global preference over the whole domain.
+def _global_order(
+    model: SemanticModel, specificity: SpecificityRelation, ids: Sequence[str]
+) -> np.ndarray:
+    """The combination rule over the elements ``ids``: ``order[a, b]`` is
+    True iff ``ids[a]`` is globally preferred to ``ids[b]``.
 
-    The relation is checked to be an irreflexive, transitive strict order
-    before it is returned; a failure is a ConsistencyError naming a witness,
-    never a silently wrong model.
+    A pair is decided by the two elements' rd values and specificity alone,
+    so the rule over a subset of the domain is exactly the global preference
+    restricted to that subset.
     """
-    if specificity is None:
-        specificity = derive_specificity(model)
-    ids = model.element_ids
-    n = len(ids)
     cats = _ranked_categories(model)
-
-    if n == 0 or not cats:
-        order = np.zeros((n, n), dtype=bool)
-        return PreferentialModel(model, specificity, ids, order)
-
+    n = len(ids)
     rk = np.array(
         [[model.categories[c].rd[eid] for eid in ids] for c in cats], dtype=np.float64
     )
@@ -161,7 +163,7 @@ def build_preferential(
 
     def less(i: int) -> np.ndarray:
         # Category i's strict preference, built on demand so that at most a
-        # few N x N matrices are alive, never one per category.
+        # few n x n matrices are alive, never one per category.
         return rk[i][:, np.newaxis] < rk[i][np.newaxis, :]
 
     order = np.zeros((n, n), dtype=bool)
@@ -174,13 +176,51 @@ def build_preferential(
             if ch in cat_row:
                 ok |= less(cat_row[ch])
         order &= ok
+    return order
 
+
+def _strict_order(
+    model: SemanticModel, specificity: SpecificityRelation, ids: Sequence[str]
+) -> np.ndarray:
+    """``_global_order`` over ``ids``, checked to be an irreflexive,
+    transitive strict order; a failure is a ConsistencyError naming a
+    witness, never a silently wrong answer."""
+    order = _global_order(model, specificity, ids)
     refl, trans = _order_violations(ids, order)
     if refl or trans:
         raise ConsistencyError(
             f"global preference is not a strict order: {(refl + trans)[0].instance}"
         )
-    return PreferentialModel(model, specificity, ids, order)
+    return order
+
+
+def build_preferential(
+    model: SemanticModel, specificity: SpecificityRelation | None = None
+) -> PreferentialModel:
+    """Materialise the global preference over the whole domain, checked to
+    be a strict order (ConsistencyError otherwise)."""
+    if specificity is None:
+        specificity = derive_specificity(model)
+    ids = model.element_ids
+    return PreferentialModel(model, specificity, ids, _strict_order(model, specificity, ids))
+
+
+def minima(
+    model: SemanticModel, specificity: SpecificityRelation, eids: Iterable[str]
+) -> frozenset[str]:
+    """The globally minimal elements of ``eids`` (T(C) when ``eids`` is
+    ext(C)), from the order restricted to ``eids`` alone.
+
+    Equal to ``minimal_elements(build_preferential(model, specificity), eids)``
+    at a cost of O(k·|eids|²) rather than O(k·N²) plus the full-order check;
+    the restricted block is itself checked to be a strict order.
+    """
+    wanted = frozenset(eids)
+    ids = [eid for eid in model.element_ids if eid in wanted]
+    if len(ids) != len(wanted):
+        raise InputError(f"unknown domain element {min(wanted.difference(ids))!r}")
+    dominated = _strict_order(model, specificity, ids).any(axis=0)
+    return frozenset(ids[i] for i in np.flatnonzero(~dominated))
 
 
 def minimal_elements(pref: PreferentialModel, eids: Iterable[str]) -> frozenset[str]:

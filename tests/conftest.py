@@ -6,6 +6,7 @@ from somlogic import (
     build_model,
     build_preferential,
     feature_range,
+    gaussian_clusters,
     init_map,
     three_cluster_dataset,
     train,
@@ -44,3 +45,20 @@ def cluster_model(trained_map, clusters):
 @pytest.fixture(scope="session")
 def cluster_pref(cluster_model):
     return build_preferential(cluster_model)
+
+
+@pytest.fixture(scope="session")
+def nested_model():
+    """A broad category G and a tight one S around the same centre, plus a
+    5 x 5 probe grid, on a trained 3 x 3 map.  S comes out strictly more
+    specific than G, so specificity overrides decide part of the global
+    preference, and the typical elements of Top all lie in S."""
+    data = gaussian_clusters([(0.0, 0.0)], ["G"], 16, 1.5, 1) + gaussian_clusters(
+        [(0.0, 0.0)], ["S"], 8, 0.4, 2
+    )
+    lo, hi = feature_range(data)
+    grid = [(lo[0] - 1 + (hi[0] - lo[0] + 2) * i / 4, lo[1] - 1 + (hi[1] - lo[1] + 2) * j / 4)
+            for i in range(5) for j in range(5)]
+    som0 = init_map(3, 3, 2, 1, (lo, hi))
+    trained, _ = train(som0, data, TrainConfig(epochs=10, seed=1))
+    return build_model(trained, data, grid)

@@ -5,7 +5,23 @@ import sys
 import pytest
 
 from oracles import make_model
-from somlogic import load_map, load_model, parse_kb_text, save_model
+from somlogic import (
+    Bot,
+    CheckReport,
+    Inclusion,
+    Name,
+    Top,
+    build_preferential,
+    default_concept_pool,
+    derive_specificity,
+    entails,
+    inclusion_text,
+    load_map,
+    load_model,
+    parse_kb_text,
+    save_model,
+)
+from somlogic.jsonio import canonical_dumps
 from somlogic.cli import main
 
 DATA = """\
@@ -118,6 +134,37 @@ def test_check_compound_query(tmp_path, data_csv, capsys):
     assert doc["method"] == "global_typicality" and doc["holds"] is False
 
 
+def test_check_matches_full_order_route(tmp_path, nested_model, capsys):
+    # Every non-name-to-name query over the nested model prints what the
+    # full global preference answers, byte for byte, with its exit code.
+    path = tmp_path / "nested.json"
+    save_model(str(path), nested_model)
+    model = load_model(str(path))
+    rel = derive_specificity(model)
+    assert rel.pairs
+    pref = build_preferential(model, rel)
+    names = list(model.category_names)
+    rhs_side = [Name(n) for n in names] + [Top(), Bot()]
+    exits = set()
+    for lhs in default_concept_pool(names):
+        for rhs in rhs_side:
+            if isinstance(lhs, Name) and isinstance(rhs, Name):
+                continue  # answered by the pairwise criteria
+            for kind in ("strict", "defeasible"):
+                query = Inclusion(kind, lhs, rhs)
+                holds = entails(pref, kind, lhs, rhs)
+                method = "global_typicality" if kind == "defeasible" else "set_inclusion"
+                want = canonical_dumps(CheckReport(query, holds, method).to_json()) + "\n"
+                code = main(["check", "--model", str(path), "--query", inclusion_text(query)])
+                assert (code, capsys.readouterr().out) == (0 if holds else 4, want)
+                exits.add(code)
+    assert exits == {0, 4}
+    # Here a defeasible answer is not the strict one, so reading ext(lhs)
+    # in place of its minima would not pass the loop above.
+    assert entails(pref, "defeasible", Top(), Name("S"))
+    assert not entails(pref, "strict", Top(), Name("S"))
+
+
 def test_check_parse_error(tmp_path, data_csv, capsys):
     out = train_and_extract(tmp_path, data_csv)
     code = main(["check", "--model", str(out / "model.json"), "--query", "T(X) <="])
@@ -198,7 +245,8 @@ def test_cyclic_specificity_exit_3(tmp_path, capsys):
     assert main(["verify", "--model", str(path)]) == 3
     assert "cyclic" in capsys.readouterr().err
     # compound queries also need the specificity relation
-    assert main(["check", "--model", str(path), "--query", "A & B <= Bot"]) == 3
+    for query in ["A & B <= Bot", "T(A & B) <= A", "Top <= A", "T(Top) <= A"]:
+        assert main(["check", "--model", str(path), "--query", query]) == 3, query
 
 
 def _edit_rd_to_list(doc):

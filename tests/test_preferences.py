@@ -17,6 +17,7 @@ from somlogic import (
     entails,
     extension,
     global_prefer,
+    minima,
     minimal_elements,
     typicality_extension,
     verify_klm,
@@ -80,6 +81,90 @@ def test_minimal_elements_against_oracle(seed):
         got = minimal_elements(pref, subset)
         assert got == want
         assert got  # well-founded: every non-empty subset has minima
+
+
+# ==============================================================
+# Minima from the order restricted to one set
+# ==============================================================
+
+
+def _minima_corpus(nested_model):
+    """(model, specificity, rd tables, above, sets): the seeded random
+    models, then the nested G/S model.  The sets are every pool concept's
+    extension, three random subsets of the domain, and every two-element
+    set, whose minima pin the order pair by pair."""
+    rng = np.random.default_rng(13)
+    models = [random_model(rng, max_elements=14, max_categories=4)[:3] for _ in range(40)]
+    rel = derive_specificity(nested_model)
+    tables = {c: dict(t.rd) for c, t in nested_model.categories.items()}
+    models.append((nested_model, rel, tables))
+    for model, rel, rd_tables in models:
+        above = {c: {a for a, b in rel.pairs if b == c} for c in rd_tables}
+        ids = list(model.element_ids)
+        sets = [extension(model, c) for c in default_concept_pool(model.category_names)]
+        for _ in range(3):
+            size = int(rng.integers(1, len(ids) + 1))
+            sets.append(frozenset(rng.choice(ids, size=size, replace=False).tolist()))
+        sets += [frozenset(pair) for pair in itertools.combinations(ids, 2)]
+        yield model, rel, rd_tables, above, sets
+
+
+def _minima_mismatches(nested_model) -> list:
+    """Every set whose ``minima`` differs from the minimal elements under
+    the full order or under the oracle rule."""
+    out = []
+    for model, rel, rd_tables, above, sets in _minima_corpus(nested_model):
+        pref = build_preferential(model, rel)
+
+        def prefers(x, y):
+            return oracle_global_prefer(rd_tables, above, x, y)
+
+        for s in sets:
+            got = minima(model, rel, s)
+            if got != minimal_elements(pref, s) or got != oracle_minimal(prefers, s):
+                out.append((model.category_names, sorted(s)))
+    return out
+
+
+def test_minima_equal_full_order_and_oracle(nested_model):
+    assert _minima_mismatches(nested_model) == []
+    # An override decides a minimum in some random model and in the nested
+    # one, so the comparison above covers the override term.
+    none = SpecificityRelation(pairs=frozenset())
+    decided = {
+        model is nested_model
+        for model, rel, _, _, sets in _minima_corpus(nested_model)
+        for s in sets
+        if minima(model, rel, s) != minima(model, none, s)
+    }
+    assert decided == {False, True}
+
+
+def test_minima_without_override_fail_the_comparison(nested_model, monkeypatch):
+    monkeypatch.setattr(SpecificityRelation, "above", lambda self, cat: frozenset())
+    assert _minima_mismatches(nested_model)
+
+
+def test_minima_rejects_cyclic_specificity():
+    # Each category overrides the other's objection, so x < y < x inside
+    # the block; the block's own order check must refuse it.
+    rd = {
+        "K1": {"x": 0.0, "y": 0.5, "s1": 1.0, "s2": 1.0},
+        "K2": {"x": 0.5, "y": 0.0, "s1": 1.0, "s2": 1.0},
+    }
+    m = make_model(rd, {"K1": ["x", "s1"], "K2": ["y", "s2"]})
+    cyclic = SpecificityRelation(pairs=frozenset({("K1", "K2"), ("K2", "K1")}))
+    assert minima(m, cyclic, {"s1", "s2"}) == {"s1", "s2"}  # a block without the cycle
+    with pytest.raises(ConsistencyError) as exc:
+        minima(m, cyclic, {"x", "y", "s1"})
+    assert "x < y < x" in str(exc.value)
+
+
+def test_minima_of_empty_and_unknown_sets(nested_model):
+    rel = derive_specificity(nested_model)
+    assert minima(nested_model, rel, ()) == frozenset()
+    with pytest.raises(InputError):
+        minima(nested_model, rel, ["ghost", nested_model.element_ids[0]])
 
 
 # ==============================================================
