@@ -53,21 +53,16 @@ from .model import (
     load_model,
     model_from_snapshot,
     model_snapshot,
-    prefer,
-    relative_distance,
     save_model,
-    typical_elements,
 )
 from .preferences import (
     PreferentialModel,
     PropertyCheck,
     build_preferential,
     default_concept_pool,
-    entails,
     global_prefer,
     minima,
     minimal_elements,
-    typicality_extension,
     verify_klm,
     verify_order_axioms,
 )

@@ -14,7 +14,8 @@ Exit codes:
 
 * 0: success (for ``check``: the queried inclusion holds).
 * 1: readable input with wrong content: a bad option or query, a malformed
-  CSV, or a ``model.json`` that breaks the model invariants.
+  CSV, or a ``model.json`` whose stored tables differ from the ones
+  ``build_model``'s derivation gives for its features and prototype lists.
 * 2: a file cannot be opened, is not UTF-8 text, or is not valid JSON.
 * 3: a specificity cycle, a global preference that is not a strict order
   (for ``check``: on the block of ext(C) it reads), or a failed required

@@ -19,7 +19,7 @@ import json
 import math
 from typing import Any
 
-__all__ = ["canonical_dumps", "dump_file", "load_file", "encode_float", "decode_float"]
+__all__ = ["canonical_dumps", "dump_file", "load_file", "encode_float"]
 
 INF_TOKEN = "inf"
 
@@ -29,13 +29,6 @@ def encode_float(x: float) -> float | str:
     if math.isinf(x):
         return INF_TOKEN
     return float(x)
-
-
-def decode_float(v: float | int | str) -> float:
-    """Inverse of :func:`encode_float`."""
-    if v == INF_TOKEN:
-        return math.inf
-    return float(v)
 
 
 def _float_repr(x: float) -> str:

@@ -20,11 +20,13 @@ Per category ``C`` with at least one stimulus:
                      on the ensemble itself and infinite elsewhere,
 * ``rd_max``         max of ``rd`` over C's own stimuli (exactly 1.0 whenever
                      the precision is positive),
-* extension          every domain element with ``rd`` at most ``rd_max``,
-* typical elements   every domain element with ``rd`` exactly zero.
+* extension          every domain element with ``rd`` at most ``rd_max``.
 
-``prefer(model, C, x, y)`` is the induced strict modular order: x is more
-typical than y for C iff rd(x, C) < rd(y, C).
+Only the element features and each category's ``bmu_units``,
+``bmu_elements`` and ``stimulus_elements`` come from the map; ``_derive``
+computes the rest from them.  ``build_model`` reads those off the map, and
+``load_model`` off a saved ``model.json``, whose stored tables and origins
+must then equal the derived ones.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import jsonio
 from .errors import ConsistencyError, InputError
-from .som import SomMap, Stimulus, nearest_units
+from .som import SomMap, Stimulus, nearest_in_groups, nearest_units
 
 __all__ = [
     "DomainElement",
@@ -48,9 +51,6 @@ __all__ = [
     "valid_category_name",
     "build_model",
     "initial_model",
-    "relative_distance",
-    "prefer",
-    "typical_elements",
     "model_snapshot",
     "model_from_snapshot",
     "save_model",
@@ -150,10 +150,6 @@ class SemanticModel:
 # ==============================================================
 
 
-def _unique_keep_order(items: Iterable[str]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(items))
-
-
 def build_model(
     som: SomMap,
     data: Sequence[Stimulus],
@@ -193,63 +189,97 @@ def build_model(
 
     # Domain: stimuli first, then BMU weight vectors, then probes, all
     # deduplicated on exact feature equality.
-    elements: list[DomainElement] = []
+    elements: list[tuple[str, tuple[float, ...]]] = []
     by_feat: dict[tuple[float, ...], str] = {}
 
-    def add(eid: str, feats: tuple[float, ...], origin: str) -> str:
-        if feats in by_feat:
-            return by_feat[feats]
-        elements.append(DomainElement(eid=eid, features=feats, origin=origin))
-        by_feat[feats] = eid
-        return eid
+    def add(eid: str, feats: tuple[float, ...]) -> None:
+        if feats not in by_feat:
+            elements.append((eid, feats))
+            by_feat[feats] = eid
 
     for s in data:
-        add(s.sid, s.features, "stimulus")
-    all_bmu_units = sorted(set(bmu_of))
-    for u in all_bmu_units:
-        feats = tuple(float(v) for v in som.weights[u])
-        add(f"u{u}", feats, "bmu")
+        add(s.sid, s.features)
+    unit_feats = {u: tuple(float(v) for v in som.weights[u]) for u in sorted(set(bmu_of))}
+    for u, feats in unit_feats.items():
+        add(f"u{u}", feats)
     for j, p in enumerate(probes):
         feats = tuple(float(v) for v in p)
         if len(feats) != som.input_dim:
             raise InputError(
                 f"probe {j} has dimension {len(feats)}, map expects {som.input_dim}"
             )
-        if not all(math.isfinite(v) for v in feats):
-            raise InputError(f"probe {j} has non-finite values")
-        add(f"p{j}", feats, "probe")
+        add(f"p{j}", feats)
 
-    feats_mat = np.array([e.features for e in elements], dtype=np.float64)
-    eids = [e.eid for e in elements]
-    row_of = {eid: i for i, eid in enumerate(eids)}
+    refs = {}
+    for cat in cat_names:
+        idxs = [i for i, s in enumerate(data) if s.label == cat]
+        bmu_units = tuple(sorted({bmu_of[i] for i in idxs}))
+        refs[cat] = (
+            bmu_units,
+            tuple(dict.fromkeys(by_feat[unit_feats[u]] for u in bmu_units)),
+            tuple(dict.fromkeys(by_feat[data[i].features] for i in idxs)),
+        )
+    return _derive(som.input_dim, elements, refs)
+
+
+def _rd(num: np.ndarray, precision: float) -> np.ndarray:
+    """Relative distances from the distances ``num`` to a category's BMU
+    ensemble: ``num / precision``, or, when the precision is zero, 0.0 on
+    the ensemble and infinite elsewhere."""
+    if precision > 0.0:
+        return num / precision
+    return np.where(num == 0.0, 0.0, np.inf)
+
+
+# Squared distances may overflow on far-apart features.  An infinite
+# distance is a valid rd; only an infinite precision is refused.
+@np.errstate(over="ignore")
+def _derive(
+    input_dim: int,
+    elements: Sequence[tuple[str, tuple[float, ...]]],
+    refs: Mapping[str, tuple[tuple[int, ...], tuple[str, ...], tuple[str, ...]]],
+) -> SemanticModel:
+    """The semantic model of the domain ``elements``, (id, features) pairs
+    in domain order, given each category's (bmu_units, bmu_elements,
+    stimulus_elements) in ``refs``, the BMU elements non-empty whenever the
+    stimulus elements are.  Each category's precision, rd, ``rd_max`` and
+    extension come from the distances to the BMU elements' own feature
+    rows; an element's origin is ``stimulus`` if some category lists it as
+    a stimulus, else ``bmu`` if one lists it as a BMU, else ``probe``.
+    """
+    ids = [eid for eid, _ in elements]
+    row_of = {eid: i for i, eid in enumerate(ids)}
+    feats = np.fromiter(chain.from_iterable(f for _, f in elements), np.float64)
+    feats = feats.reshape(len(ids), input_dim)
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        raise InputError(f"element {ids[int(finite.argmin())]!r} has non-finite features")
+
+    # One column of distances per category with stimuli, to its nearest BMU
+    # element, each distance computed once.
+    ranked = [cat for cat, (_, _, stim) in refs.items() if stim]
+    bmu_rows = sorted({row_of[eid] for cat in ranked for eid in refs[cat][1]})
+    col_of = {row: j for j, row in enumerate(bmu_rows)}
+    num = {}
+    if ranked:
+        groups = [[col_of[row_of[eid]] for eid in refs[cat][1]] for cat in ranked]
+        num = dict(zip(ranked, np.sqrt(nearest_in_groups(feats, feats[bmu_rows], groups).T)))
 
     tables: dict[str, CategoryTable] = {}
     extensions: dict[str, frozenset[str]] = {}
-    for cat in cat_names:
-        idxs = [i for i, s in enumerate(data) if s.label == cat]
-        if not idxs:
+    for cat, (bmu_units, bmu_elem_ids, stim_elem_ids) in refs.items():
+        if not stim_elem_ids:
             tables[cat] = _empty_table(cat)
             extensions[cat] = frozenset()
             continue
-
-        bmu_units = tuple(sorted({bmu_of[i] for i in idxs}))
-        bmu_elem_ids = _unique_keep_order(
-            by_feat[tuple(float(v) for v in som.weights[u])] for u in bmu_units
-        )
-        stim_elem_ids = _unique_keep_order(by_feat[data[i].features] for i in idxs)
-
-        num = np.sqrt(nearest_units(feats_mat, som.weights[list(bmu_units)])[1])
-
         # A stimulus's own BMU minimises the distance over *all* units, so
-        # its row of ``num`` is exactly its own-BMU distance; the precision
-        # is therefore the max of ``num`` over the category's stimuli.
-        stim_rows = [row_of[eid] for eid in stim_elem_ids]
-        precision = float(num[stim_rows].max())
-        if precision > 0.0:
-            rd_vec = num / precision
-        else:
-            rd_vec = np.where(num == 0.0, 0.0, np.inf)
-        rd = {eid: float(rd_vec[i]) for i, eid in enumerate(eids)}
+        # its distance to the ensemble is exactly its own-BMU distance; the
+        # precision is therefore their max.
+        precision = float(num[cat][[row_of[eid] for eid in stim_elem_ids]].max())
+        if not math.isfinite(precision):
+            raise InputError(f"category {cat!r}: distances to its BMUs overflow float64")
+        rd_vec = _rd(num[cat], precision)
+        rd = dict(zip(ids, rd_vec.tolist()))
         rd_max = max(rd[eid] for eid in stim_elem_ids)
 
         table = CategoryTable(
@@ -263,11 +293,20 @@ def build_model(
         )
         _check_table(table)
         tables[cat] = table
-        extensions[cat] = frozenset(eid for eid in eids if rd[eid] <= rd_max)
+        extensions[cat] = frozenset(compress(ids, (rd_vec <= rd_max).tolist()))
 
+    stimuli = {eid for _, _, stim in refs.values() for eid in stim}
+    bmus = {eid for _, bmu, _ in refs.values() for eid in bmu}
     return SemanticModel(
-        input_dim=som.input_dim,
-        elements=tuple(elements),
+        input_dim=input_dim,
+        elements=tuple(
+            DomainElement(
+                eid=eid,
+                features=f,
+                origin="stimulus" if eid in stimuli else "bmu" if eid in bmus else "probe",
+            )
+            for eid, f in elements
+        ),
         categories=tables,
         extensions=extensions,
     )
@@ -311,47 +350,7 @@ def initial_model(categories: Sequence[str], input_dim: int) -> SemanticModel:
     if not cat_names:
         raise InputError("need at least one category")
     _check_category_names(cat_names)
-    return SemanticModel(
-        input_dim=input_dim,
-        elements=(),
-        categories={c: _empty_table(c) for c in cat_names},
-        extensions={c: frozenset() for c in cat_names},
-    )
-
-
-# ==============================================================
-# Queries
-# ==============================================================
-
-
-def _resolve_eid(model: SemanticModel, x) -> str:
-    eid = x.eid if isinstance(x, DomainElement) else x
-    model.element(eid)  # existence check
-    return eid
-
-
-def relative_distance(model: SemanticModel, x, category: str) -> float:
-    """rd(x, category); raises InputError for categories without stimuli."""
-    t = model.category(category)
-    if t.empty:
-        raise InputError(
-            f"category {category!r} has no stimuli; relative distance is undefined"
-        )
-    return t.rd[_resolve_eid(model, x)]
-
-
-def prefer(model: SemanticModel, category: str, x, y) -> bool:
-    """True iff x is strictly more typical than y for the category."""
-    return relative_distance(model, x, category) < relative_distance(model, y, category)
-
-
-def typical_elements(model: SemanticModel, category: str) -> frozenset[str]:
-    """Elements at relative distance exactly zero (empty for an empty
-    category).  Always includes the category's BMU elements."""
-    t = model.category(category)
-    if t.empty:
-        return frozenset()
-    return frozenset(eid for eid, v in t.rd.items() if v == 0.0)
+    return _derive(input_dim, (), dict.fromkeys(cat_names, ((), (), ())))
 
 
 # ==============================================================
@@ -383,70 +382,67 @@ def model_snapshot(model: SemanticModel) -> dict:
 
 
 def model_from_snapshot(doc: dict) -> SemanticModel:
+    """The model a snapshot describes, derived again from its element
+    features and reference lists by ``build_model``'s own code.  A stored
+    table (precision, rd_max, rd, extension) or element origin that differs
+    from the derived one is refused with ``InputError``, naming it."""
     try:
         input_dim = int(doc["input_dim"])
-        elements = tuple(
-            DomainElement(
-                eid=str(e["id"]),
-                features=tuple(float(v) for v in e["features"]),
-                origin=str(e["origin"]),
-            )
-            for e in doc["elements"]
-        )
-        tables: dict[str, CategoryTable] = {}
-        extensions: dict[str, frozenset[str]] = {}
+        elements = [(str(e["id"]), tuple(map(float, e["features"]))) for e in doc["elements"]]
+        origins = [e["origin"] for e in doc["elements"]]
+        refs, stored = {}, {}
         for name, c in doc["categories"].items():
-            precision = c["precision"]
-            rd_max = c["rd_max"]
-            tables[name] = CategoryTable(
-                name=name,
-                bmu_units=tuple(int(u) for u in c["bmu_units"]),
-                bmu_element_ids=tuple(str(x) for x in c["bmu_elements"]),
-                stimulus_element_ids=tuple(str(x) for x in c["stimulus_elements"]),
-                precision=None if precision is None else float(precision),
-                rd={str(k): jsonio.decode_float(v) for k, v in c["rd"].items()},
-                rd_max=None if rd_max is None else jsonio.decode_float(rd_max),
+            refs[name] = (
+                tuple(int(u) for u in c["bmu_units"]),
+                tuple(str(x) for x in c["bmu_elements"]),
+                tuple(str(x) for x in c["stimulus_elements"]),
             )
-            extensions[name] = frozenset(str(x) for x in doc["extensions"][name])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
+            ext = frozenset(map(str, doc["extensions"][name]))
+            stored[name] = (c["precision"], c["rd_max"], dict(c["rd"]), ext)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model snapshot: {exc}") from exc
-    model = SemanticModel(
-        input_dim=input_dim,
-        elements=elements,
-        categories=tables,
-        extensions=extensions,
-    )
-    # The invariants build_model establishes, re-checked on what was read.
-    ids = model.element_ids
-    known = set(ids)
-    for t in tables.values():
-        for eid in (*t.bmu_element_ids, *t.stimulus_element_ids):
+
+    # What the derivation reads must be well formed.
+    if input_dim < 1:
+        raise InputError(f"input_dim must be positive, got {input_dim}")
+    for eid, f in elements:
+        if len(f) != input_dim:
+            raise InputError(f"element {eid!r} has {len(f)} features, input_dim is {input_dim}")
+    known = {eid for eid, _ in elements}
+    for name, (bmu_units, bmu, stim) in refs.items():
+        for eid in (*bmu, *stim):
             if eid not in known:
-                raise InputError(f"category {t.name!r} references unknown element {eid!r}")
-        if t.empty:
-            if t != _empty_table(t.name) or extensions[t.name]:
-                raise InputError(
-                    f"category {t.name!r} has no stimuli but a non-empty table or extension"
-                )
-            continue
-        missing = [eid for eid in known if eid not in t.rd]
-        if missing:
-            raise InputError(
-                f"category {t.name!r}: rd table misses elements {sorted(missing)[:3]}"
-            )
-        negative = [eid for eid, v in t.rd.items() if not v >= 0.0]
-        if negative:
-            raise InputError(f"category {t.name!r}: rd is not >= 0 at {sorted(negative)[:3]}")
-        if t.rd_max is None:
-            raise InputError(f"category {t.name!r} has stimuli but no rd_max")
-        try:
-            _check_table(t)
-        except ConsistencyError as exc:
-            raise InputError(f"model snapshot breaks an invariant: {exc}") from None
-        if extensions[t.name] != frozenset(eid for eid in ids if t.rd[eid] <= t.rd_max):
-            raise InputError(f"extension of {t.name!r} is not the elements with rd <= rd_max")
+                raise InputError(f"category {name!r} references unknown element {eid!r}")
+        if not (bool(bmu_units) == bool(bmu) == bool(stim)):
+            raise InputError(f"category {name!r}: bmu_units, bmu_elements and "
+                             f"stimulus_elements must be all empty or all non-empty")
+
+    model = _derive(input_dim, elements, refs)
+
+    # Stored values are compared as read, with what model_snapshot writes.
+    def refuse(where: str, got, want) -> InputError:
+        return InputError(f"model snapshot differs from its re-derivation: {where}: "
+                          f"stored {got!r}, derived {want!r}")
+
+    if origins != [e.origin for e in model.elements]:
+        e, origin = next((e, o) for e, o in zip(model.elements, origins) if o != e.origin)
+        raise refuse(f"element {e.eid!r}, origin", origin, e.origin)
+    for name, t in model.categories.items():
+        precision, rd_max, rd, ext = stored[name]
+        if precision != t.precision:
+            raise refuse(f"category {name!r}, precision", precision, t.precision)
+        if rd_max != t.rd_max:
+            raise refuse(f"category {name!r}, rd_max", rd_max, t.rd_max)
+        if rd != t.rd:  # model_snapshot writes an infinite rd as "inf"
+            want = {eid: jsonio.encode_float(v) for eid, v in t.rd.items()}
+            if rd != want:
+                eid, got = next((k, rd.get(k, "missing")) for k in (*want, *rd)
+                                if rd.get(k, "missing") != want.get(k, "missing"))
+                raise refuse(f"category {name!r}, rd of {eid!r}", got, want.get(eid, "missing"))
+        if ext != model.extensions[name]:
+            diff = ext ^ model.extensions[name]
+            eid = next(e for e in (*model.element_ids, *sorted(diff)) if e in diff)
+            raise refuse(f"category {name!r}, extension has {eid!r}", eid in ext, eid not in ext)
     return model
 
 

@@ -60,8 +60,6 @@ __all__ = [
     "build_preferential",
     "minimal_elements",
     "minima",
-    "typicality_extension",
-    "entails",
     "Violation",
     "PropertyCheck",
     "verify_order_axioms",
@@ -239,20 +237,6 @@ def minimal_elements(pref: PreferentialModel, eids: Iterable[str]) -> frozenset[
     sub = pref.order[np.ix_(idx, idx)]
     dominated = sub.any(axis=0)
     return frozenset(pref.element_ids[i] for i, dom in zip(idx, dominated) if not dom)
-
-
-def typicality_extension(pref: PreferentialModel, expr: ConceptExpr) -> frozenset[str]:
-    """Extension of T(expr): the globally minimal elements of ext(expr)."""
-    return minimal_elements(pref, extension(pref.base, expr))
-
-
-def entails(pref: PreferentialModel, kind: str, lhs: ConceptExpr, rhs: ConceptExpr) -> bool:
-    """Inclusion over possibly complex concepts, evaluated globally."""
-    if kind == "strict":
-        return extension(pref.base, lhs) <= extension(pref.base, rhs)
-    if kind == "defeasible":
-        return typicality_extension(pref, lhs) <= extension(pref.base, rhs)
-    raise InputError(f"unknown inclusion kind {kind!r}")
 
 
 # ==============================================================

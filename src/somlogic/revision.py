@@ -6,9 +6,10 @@ again.  The step records the KB before and after together with the exact
 diff, so a trace shows how learned inclusions appear, strengthen or get
 retracted as evidence arrives.
 
-A step computes only what the KB reads, with the distance kernel
-``som.nearest_units`` and the rule ``checker.kb_rule`` that ``build_model``
-and ``extract_kb`` use, so its KB equals ``extract_kb(build_model(...)).kb``:
+A step computes only what the KB reads, with the distance kernels
+(``som.nearest_units``, ``som.nearest_in_groups``) and the rule
+``checker.kb_rule`` that ``build_model`` and ``extract_kb`` use, so its KB
+equals ``extract_kb(build_model(...)).kb``:
 the BMUs of the N seen stimuli on the new map (O(N*U*d) for U units in d
 dimensions), each category's precision and ``rd_max``, and the relative
 distance of each BMU unit in each category (O(U_bmu^2*d) over the U_bmu
@@ -34,7 +35,7 @@ from . import jsonio
 from .checker import extract_kb, kb_rule
 from .concepts import Inclusion, inclusion_text
 from .errors import InputError
-from .model import SemanticModel, build_model, initial_model
+from .model import SemanticModel, _rd, build_model, initial_model
 from .som import (
     SomMap,
     Stimulus,
@@ -42,6 +43,7 @@ from .som import (
     apply_presentation,
     feature_range,
     init_map,
+    nearest_in_groups,
     nearest_units,
     presentation_schedule,
 )
@@ -143,15 +145,13 @@ def _kb_of(som: SomMap, categories: tuple[str, ...], features: np.ndarray,
     rd_max = np.where(precision > 0.0, 1.0, 0.0)
 
     unit_weights = som.weights[units]
+    ranked = np.flatnonzero(~empty)
+    num = np.sqrt(nearest_in_groups(unit_weights, unit_weights, [rows[j] for j in ranked]))
     rd = np.full((len(units), k), np.nan)  # rd(BMU unit, category)
-    for j in np.flatnonzero(~empty):
-        num = np.sqrt(nearest_units(unit_weights, unit_weights[rows[j]])[1])
-        if precision[j] > 0.0:
-            rd[:, j] = num / precision[j]
-        else:
-            rd[:, j] = np.where(num == 0.0, 0.0, np.inf)
+    for col, j in enumerate(ranked):
+        rd[:, j] = _rd(num[:, col], precision[j])
     val = np.full((k, k), np.nan)
-    for i in np.flatnonzero(~empty):
+    for i in ranked:
         val[i] = rd[rows[i]].max(axis=0)
     return kb_rule(categories, val, rd_max, empty)
 

@@ -29,6 +29,7 @@ __all__ = [
     "feature_range",
     "init_map",
     "nearest_units",
+    "nearest_in_groups",
     "find_bmu",
     "apply_presentation",
     "presentation_schedule",
@@ -245,9 +246,18 @@ def _check_vector(som: SomMap, x) -> np.ndarray:
     return v
 
 
-# Distance-matrix entries per row block of ``nearest_units``: small enough
+# Distance-matrix entries per row block of ``_blocks``: small enough
 # that a block's (rows, units, dim) temporaries stay near 256 KB at dim 8.
 _BLOCK_ENTRIES = 4096
+
+
+def _blocks(x: np.ndarray, weights: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row blocks of ``x``, each with its squared distances to every row of
+    ``weights``; see ``nearest_units``."""
+    rows = max(1, _BLOCK_ENTRIES // len(weights))
+    for start in range(0, len(x), rows):
+        block = slice(start, start + rows)
+        yield block, ((x[block, np.newaxis, :] - weights[np.newaxis, :, :]) ** 2).sum(axis=2)
 
 
 def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,21 +266,35 @@ def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Ties break to the lowest index.  BMU lookups, relative distances (in
     ``model`` and ``revision``) and the quantization error all go through the
-    expression below.  Its sum over the feature axis is numpy's pairwise sum,
-    which fixes each float result, so a distance computed in two places is
-    equal bit for bit.  A feature-by-feature sum would differ from it in the
-    last bit from dimension 8 up, a matrix-product expansion at any
-    dimension.  Rows are taken in blocks so that the temporaries stay small.
+    expression in ``_blocks``.  Its sum over the feature axis is numpy's
+    pairwise sum, which fixes each float result, so a distance computed in
+    two places is equal bit for bit.  A feature-by-feature sum would differ
+    from it in the last bit from dimension 8 up, a matrix-product expansion
+    at any dimension.  Rows are taken in blocks so that the temporaries stay
+    small.
     """
-    n = len(x)
-    nearest = np.empty(n, dtype=np.intp)
-    d2_min = np.empty(n, dtype=np.float64)
-    rows = max(1, _BLOCK_ENTRIES // len(weights))
-    for start in range(0, n, rows):
-        d2 = ((x[start:start + rows, np.newaxis, :] - weights[np.newaxis, :, :]) ** 2).sum(axis=2)
-        nearest[start:start + rows] = d2.argmin(axis=1)
-        d2_min[start:start + rows] = d2.min(axis=1)
+    nearest = np.empty(len(x), dtype=np.intp)
+    d2_min = np.empty(len(x), dtype=np.float64)
+    for block, d2 in _blocks(x, weights):
+        nearest[block] = d2.argmin(axis=1)
+        d2_min[block] = d2.min(axis=1)
     return nearest, d2_min
+
+
+def nearest_in_groups(
+    x: np.ndarray, weights: np.ndarray, groups: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """For each row of ``x`` and each group of row indices of ``weights``,
+    the squared distance to the group's nearest row, as a ``len(x) x
+    len(groups)`` matrix.  No group may be empty.  The distances are those
+    of ``nearest_units``, bit for bit, and each is computed once however
+    many groups share its row."""
+    cols = np.concatenate(groups)
+    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    out = np.empty((len(x), len(groups)), dtype=np.float64)
+    for block, d2 in _blocks(x, weights):
+        out[block] = np.minimum.reduceat(d2[:, cols], starts, axis=1)
+    return out
 
 
 def find_bmu(som: SomMap, x) -> int:

@@ -2,8 +2,9 @@
 
 Everything here is written with plain Python loops and dicts, straight from
 the definitions, sharing no code with the package internals, except that
-``oracle_verify_klm`` takes extensions, minima and the report types from the
-library.  Tests compare library outputs against these.
+``oracle_verify_klm``, ``typicality_extension`` and ``entails`` take
+extensions, minima and the report types from the library.  Tests compare
+library outputs against these.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Sequence
 
 from somlogic.checker import SpecificityRelation
 from somlogic.concepts import ConceptExpr, extension, pretty
+from somlogic.errors import InputError
 from somlogic.model import CategoryTable, DomainElement, SemanticModel
 from somlogic.preferences import (
     PreferentialModel,
@@ -84,6 +86,22 @@ def oracle_minimal(prefers, eids) -> frozenset:
         if not any(prefers(x, y) for x in eids):
             out.add(y)
     return frozenset(out)
+
+
+def typicality_extension(pref: PreferentialModel, expr: ConceptExpr) -> frozenset[str]:
+    """Extension of T(expr): the globally minimal elements of ext(expr),
+    read off the whole materialised order."""
+    return minimal_elements(pref, extension(pref.base, expr))
+
+
+def entails(pref: PreferentialModel, kind: str, lhs: ConceptExpr, rhs: ConceptExpr) -> bool:
+    """Inclusion over possibly complex concepts, evaluated on the whole
+    global preference: the reference route for ``somlogic check``."""
+    if kind == "strict":
+        return extension(pref.base, lhs) <= extension(pref.base, rhs)
+    if kind == "defeasible":
+        return typicality_extension(pref, lhs) <= extension(pref.base, rhs)
+    raise InputError(f"unknown inclusion kind {kind!r}")
 
 
 def oracle_order_violations(ids, order) -> dict[str, list[tuple[str, tuple]]]:

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from oracles import make_model
+from oracles import entails, make_model
+from somlogic import cli
 from somlogic import (
     Bot,
     CheckReport,
@@ -14,7 +15,6 @@ from somlogic import (
     build_preferential,
     default_concept_pool,
     derive_specificity,
-    entails,
     inclusion_text,
     load_map,
     load_model,
@@ -23,6 +23,7 @@ from somlogic import (
 )
 from somlogic.jsonio import canonical_dumps
 from somlogic.cli import main
+from somlogic.model import model_snapshot
 
 DATA = """\
 f0,f1,label
@@ -239,14 +240,18 @@ def _cyclic_model():
     return make_model(rd, stim, bmu_elements=bmu)
 
 
-def test_cyclic_specificity_exit_3(tmp_path, capsys):
-    path = tmp_path / "cyclic.json"
-    save_model(str(path), _cyclic_model())
-    assert main(["verify", "--model", str(path)]) == 3
+def test_cyclic_specificity_exit_3(monkeypatch, capsys):
+    # No map gives these tables, so the model is handed in past the loader,
+    # which refuses its snapshot (see test_broken_snapshot_exit_1).  With
+    # rd_max 0 or 1, a strict inclusion between categories is either a
+    # strict inclusion of BMU sets or goes from a precision-0 category to a
+    # positive one, and neither can close a cycle.
+    monkeypatch.setattr(cli, "load_model", lambda _path: _cyclic_model())
+    assert main(["verify", "--model", "cyclic.json"]) == 3
     assert "cyclic" in capsys.readouterr().err
     # compound queries also need the specificity relation
     for query in ["A & B <= Bot", "T(A & B) <= A", "Top <= A", "T(Top) <= A"]:
-        assert main(["check", "--model", str(path), "--query", query]) == 3, query
+        assert main(["check", "--model", "cyclic.json", "--query", query]) == 3, query
 
 
 def _edit_rd_to_list(doc):
@@ -264,9 +269,64 @@ def _edit_empty_extension(doc):
     doc["extensions"]["X"] = []
 
 
-@pytest.mark.parametrize(
-    "edit", [_edit_rd_to_list, _edit_empty_category, _edit_empty_extension]
-)
+def _edit_stimulus_rd_to_zero(doc):
+    # The edited table still has rd >= 0, rd 0 on the BMUs, rd_max 1 and
+    # the extension {rd <= rd_max}; only the features contradict it.
+    rd = doc["categories"]["X"]["rd"]
+    rd[next(eid for eid in doc["categories"]["X"]["stimulus_elements"] if rd[eid] > 0.0)] = 0.0
+
+
+def _edit_ghost_rd_key(doc):
+    doc["categories"]["X"]["rd"]["ghost"] = 0.5
+
+
+def _edit_precision(doc):
+    doc["categories"]["X"]["precision"] = 123.0
+
+
+def _edit_shifted_features(doc):
+    element = doc["elements"][0]
+    element["features"] = [v + 5.0 for v in element["features"]]
+
+
+def _edit_overflowing_features(doc):
+    element = doc["elements"][0]
+    element["features"] = [1e200] * len(element["features"])
+
+
+def _edit_input_dim(doc):
+    doc["input_dim"] = 7
+
+
+def _edit_extra_feature(doc):
+    doc["elements"][0]["features"].append(0.0)
+
+
+def _edit_origin(doc):
+    doc["elements"][0]["origin"] = "banana"
+
+
+def _edit_unknown_stimulus(doc):
+    doc["categories"]["X"]["stimulus_elements"].append("ghost")
+
+
+def _edit_no_bmu_elements(doc):
+    doc["categories"]["X"]["bmu_elements"] = []
+
+
+def _edit_cyclic_tables(doc):
+    doc.clear()
+    doc.update(model_snapshot(_cyclic_model()))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("edit", [
+    _edit_rd_to_list, _edit_empty_category, _edit_empty_extension,
+    _edit_stimulus_rd_to_zero, _edit_ghost_rd_key, _edit_precision,
+    _edit_shifted_features, _edit_overflowing_features, _edit_input_dim,
+    _edit_extra_feature, _edit_origin, _edit_unknown_stimulus, _edit_no_bmu_elements,
+    _edit_cyclic_tables,
+])
 def test_broken_snapshot_exit_1(tmp_path, data_csv, capsys, edit):
     out = train_and_extract(tmp_path, data_csv)
     path = out / "model.json"
@@ -274,9 +334,10 @@ def test_broken_snapshot_exit_1(tmp_path, data_csv, capsys, edit):
     edit(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
-    assert main(["verify", "--model", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    for argv in (["verify"], ["check", "--query", "X <= Y"], ["check", "--query", "T(X) <= Y"]):
+        assert main(argv + ["--model", str(path)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_usage_errors_exit_1(capsys):

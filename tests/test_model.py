@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 
 import numpy as np
@@ -16,11 +18,8 @@ from somlogic import (
     init_map,
     initial_model,
     load_model,
-    prefer,
-    relative_distance,
     save_model,
     train,
-    typical_elements,
 )
 from somlogic.model import model_from_snapshot, model_snapshot
 
@@ -61,8 +60,7 @@ def test_stimuli_inside_own_extension(cluster_model, clusters):
 
 def test_typical_equals_zero_rd_set(cluster_model):
     for name, t in cluster_model.categories.items():
-        typ = typical_elements(cluster_model, name)
-        assert typ == {eid for eid, v in t.rd.items() if v == 0.0}
+        typ = {eid for eid, v in t.rd.items() if v == 0.0}
         assert set(t.bmu_element_ids) <= typ
         assert typ <= cluster_model.extensions[name]
 
@@ -89,35 +87,11 @@ def test_extension_is_rd_cut(cluster_model):
         assert cluster_model.extensions[name] == cut
 
 
-# ==============================================================
-# Preference queries
-# ==============================================================
-
-
-def test_prefer_is_rd_comparison(cluster_model):
-    m = cluster_model
-    ids = m.element_ids[:12]
-    for name, t in m.categories.items():
-        for x in ids:
-            for y in ids:
-                assert prefer(m, name, x, y) == (t.rd[x] < t.rd[y])
-
-
-def test_relative_distance_lookup(cluster_model):
-    eid = cluster_model.element_ids[0]
-    v = relative_distance(cluster_model, eid, "A")
-    assert v == cluster_model.categories["A"].rd[eid]
-    element = cluster_model.element(eid)
-    assert relative_distance(cluster_model, element, "A") == v
-
-
 def test_unknown_ids_raise(cluster_model):
     with pytest.raises(InputError):
-        relative_distance(cluster_model, "nope", "A")
+        cluster_model.element("nope")
     with pytest.raises(InputError):
-        relative_distance(cluster_model, cluster_model.element_ids[0], "Nope")
-    with pytest.raises(InputError):
-        prefer(cluster_model, "A", "nope", cluster_model.element_ids[0])
+        cluster_model.category("Nope")
 
 
 # ==============================================================
@@ -150,7 +124,6 @@ def test_degenerate_precision_zero():
     assert tp.rd["p1"] == 0.0
     assert tp.rd["q1"] == math.inf  # off the ensemble with zero precision
     assert m.extensions["P"] == {"p1"}
-    assert typical_elements(m, "P") == {"p1"}
 
 
 def test_duplicate_stimuli_share_element():
@@ -186,9 +159,6 @@ def test_category_list_argument(trained_map, clusters):
     m = build_model(trained_map, clusters, categories=["A", "B", "C", "Z"])
     assert m.categories["Z"].empty
     assert m.extensions["Z"] == frozenset()
-    with pytest.raises(InputError):
-        relative_distance(m, m.element_ids[0], "Z")
-    assert typical_elements(m, "Z") == frozenset()
     with pytest.raises(InputError):
         build_model(trained_map, clusters, categories=["A", "B"])  # C missing
 
@@ -254,11 +224,42 @@ def test_model_snapshot_validation(cluster_model):
     # a negative rd on an element that stays inside the extension
     doc = model_snapshot(cluster_model)
     doc["categories"]["A"]["rd"][cluster_model.categories["A"].stimulus_element_ids[0]] = -0.5
-    with pytest.raises(InputError, match="rd is not >= 0"):
+    with pytest.raises(InputError, match="re-derivation: category 'A', rd of 'A00': stored -0.5"):
         model_from_snapshot(doc)
     doc = model_snapshot(cluster_model)
     doc["categories"]["A"]["rd_max"] = None
-    with pytest.raises(InputError, match="no rd_max"):
+    with pytest.raises(InputError, match="re-derivation: category 'A', rd_max: stored None"):
+        model_from_snapshot(doc)
+
+
+@functools.cache
+def _small_snapshot() -> str:
+    data = [Stimulus(f"a{i}", (0.3 * i, 0.1 * i * i), "A") for i in range(5)]
+    data += [Stimulus(f"b{i}", (4.0 - 0.2 * i, 3.0 + 0.3 * i), "B") for i in range(5)]
+    som0 = init_map(2, 2, 2, 0, feature_range(data))
+    trained, _ = train(som0, data, TrainConfig(epochs=3, seed=0))
+    return json.dumps(model_snapshot(build_model(trained, data, probes=[(2.0, 2.0)])))
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_changing_one_derived_leaf_is_refused(data):
+    doc = json.loads(_small_snapshot())
+    model_from_snapshot(doc)  # the saved model itself loads
+    name = data.draw(st.sampled_from(sorted(doc["categories"])))
+    cat, ext = doc["categories"][name], doc["extensions"][name]
+    leaf = data.draw(st.sampled_from(["rd", "precision", "rd_max", "add", "drop"]))
+    if leaf in ("rd", "precision", "rd_max"):
+        table = cat["rd"] if leaf == "rd" else cat
+        key = data.draw(st.sampled_from(sorted(cat["rd"]))) if leaf == "rd" else leaf
+        old = float(table[key])  # the snapshot writes an infinite rd as "inf"
+        table[key] = data.draw(st.floats().filter(lambda v: not v == old))
+    elif leaf == "add":
+        outside = sorted({e["id"] for e in doc["elements"]} - set(ext)) + ["ghost"]
+        ext.append(data.draw(st.sampled_from(outside)))
+    else:
+        ext.remove(data.draw(st.sampled_from(ext)))
+    with pytest.raises(InputError, match="re-derivation"):
         model_from_snapshot(doc)
 
 

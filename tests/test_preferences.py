@@ -14,12 +14,10 @@ from somlogic import (
     Top,
     build_preferential,
     derive_specificity,
-    entails,
     extension,
     global_prefer,
     minima,
     minimal_elements,
-    typicality_extension,
     verify_klm,
     verify_order_axioms,
 )
@@ -27,12 +25,14 @@ from somlogic.checker import SpecificityRelation
 from somlogic.preferences import PreferentialModel, _bool_product, default_concept_pool
 
 from oracles import (
+    entails,
     make_model,
     oracle_global_prefer,
     oracle_minimal,
     oracle_order_violations,
     oracle_verify_klm,
     random_model,
+    typicality_extension,
 )
 
 
