@@ -26,6 +26,7 @@ from .concepts import (
     Name,
     Top,
     extension,
+    extension_mask,
     inclusion_text,
     parse_concept,
     parse_inclusion,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -87,6 +88,10 @@ class CheckReport:
         }
 
 
+def _bmu_cols(model: SemanticModel, name: str) -> list[int]:
+    return [model.col_of[eid] for eid in model.categories[name].bmu_element_ids]
+
+
 def rd_bmu_set(model: SemanticModel, ci: str, cj: str) -> float:
     """max over Ci's BMU elements of rd(., Cj); the relative distance of
     Ci's most typical representatives seen from Cj."""
@@ -96,13 +101,13 @@ def rd_bmu_set(model: SemanticModel, ci: str, cj: str) -> float:
         raise InputError(f"category {ci!r} has no stimuli; no BMU elements to measure")
     if tj.empty:
         raise InputError(f"category {cj!r} has no stimuli; relative distance is undefined")
-    return max(tj.rd[eid] for eid in ti.bmu_element_ids)
+    return float(model.rd[model.row_of[cj], _bmu_cols(model, ci)].max())
 
 
 def _max_rd_witnesses(model: SemanticModel, ci: str, cj: str, bound: float) -> tuple[str, ...]:
-    ti = model.category(ci)
-    tj = model.category(cj)
-    return tuple(eid for eid in ti.bmu_element_ids if not tj.rd[eid] <= bound)
+    rd_j = model.rd[model.row_of[cj]]
+    return tuple(eid for eid in model.categories[ci].bmu_element_ids
+                 if not rd_j[model.col_of[eid]] <= bound)
 
 
 def _criteria(val, rd_max_i, rd_max_j) -> dict:
@@ -143,12 +148,13 @@ def _report(model: SemanticModel, inc: Inclusion, val: float, holds: bool) -> Ch
             plausibility=val,
             witnesses=() if holds else _max_rd_witnesses(model, ci, cj, bound),
         )
-    set_holds = model.extensions[ci] <= model.extensions[cj]
+    outside = model.ext[model.row_of[ci]] & ~model.ext[model.row_of[cj]]
+    set_holds = not outside.any()
     witnesses: tuple[str, ...] = ()
     if not holds:
         witnesses = _max_rd_witnesses(model, ci, cj, bound - model.categories[ci].rd_max)
     elif not set_holds:
-        witnesses = tuple(sorted(model.extensions[ci] - model.extensions[cj]))[:5]
+        witnesses = tuple(sorted(compress(model.element_ids, outside.tolist())))[:5]
     return CheckReport(
         inclusion=inc,
         holds=holds,
@@ -198,13 +204,13 @@ def _rule_inputs(model: SemanticModel, cats) -> tuple[np.ndarray, np.ndarray, np
     """``kb_rule``'s ``val``, ``rd_max`` and ``empty`` read off a model; an
     empty category's ``rd_max`` of None reads as nan."""
     tables = [model.categories[c] for c in cats]
-    val = np.array(
-        [[np.nan if ti.empty or tj.empty else rd_bmu_set(model, ti.name, tj.name)
-          for tj in tables] for ti in tables],
-        dtype=np.float64,
-    )
+    empty = np.array([t.empty for t in tables], dtype=bool)
+    live = model.rd[[model.row_of[c] for c, e in zip(cats, empty) if not e]]
+    val = np.full((len(cats), len(cats)), np.nan)
+    for i in np.flatnonzero(~empty):
+        val[i, ~empty] = live[:, _bmu_cols(model, cats[i])].max(axis=1)
     rd_max = np.array([t.rd_max for t in tables], dtype=np.float64)
-    return val, rd_max, np.array([t.empty for t in tables], dtype=bool)
+    return val, rd_max, empty
 
 
 def extract_kb(model: SemanticModel) -> KbExtraction:

@@ -14,8 +14,9 @@ Exit codes:
 
 * 0: success (for ``check``: the queried inclusion holds).
 * 1: readable input with wrong content: a bad option or query, a malformed
-  CSV, or a ``model.json`` whose stored tables differ from the ones
-  ``build_model``'s derivation gives for its features and prototype lists.
+  CSV, features whose squared distances overflow float64, or a
+  ``model.json`` whose stored tables differ from the ones ``build_model``'s
+  derivation gives for its features and prototype lists.
 * 2: a file cannot be opened, is not UTF-8 text, or is not valid JSON.
 * 3: a specificity cycle, a global preference that is not a strict order
   (for ``check``: on the block of ext(C) it reads), or a failed required
@@ -155,7 +156,7 @@ def cmd_extract(args) -> int:
     n_strict = sum(1 for i in extraction.kb if i.kind == "strict")
     n_def = len(extraction.kb) - n_strict
     print(
-        f"extracted model with {len(model.elements)} elements over "
+        f"extracted model with {len(model.element_ids)} elements over "
         f"{len(model.categories)} categories; KB has {n_strict} strict and "
         f"{n_def} defeasible inclusions, {len(rel.pairs)} specificity pairs"
     )

@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import InputError, ParseError, UnknownCategoryError
 from .model import RESERVED_WORDS as RESERVED
 from .model import SemanticModel
@@ -38,6 +40,7 @@ __all__ = [
     "pretty",
     "inclusion_text",
     "extension",
+    "extension_mask",
     "parse_kb_text",
 ]
 
@@ -260,6 +263,26 @@ def extension(model: SemanticModel, expr: ConceptExpr) -> frozenset[str]:
             ) from None
     if isinstance(expr, And):
         return extension(model, expr.left) & extension(model, expr.right)
+    raise InputError(f"not a concept expression: {expr!r}")
+
+
+def extension_mask(model: SemanticModel, expr: ConceptExpr) -> np.ndarray:
+    """The set ``extension`` gives, as a boolean mask over
+    ``model.element_ids``: a name reads its row of ``model.ext`` (read-only),
+    a conjunction ANDs the masks of its sides."""
+    if isinstance(expr, Top):
+        return np.ones(len(model.element_ids), dtype=bool)
+    if isinstance(expr, Bot):
+        return np.zeros(len(model.element_ids), dtype=bool)
+    if isinstance(expr, Name):
+        try:
+            return model.ext[model.row_of[expr.name]]
+        except KeyError:
+            raise UnknownCategoryError(
+                f"concept name {expr.name!r} is not a learned category"
+            ) from None
+    if isinstance(expr, And):
+        return extension_mask(model, expr.left) & extension_mask(model, expr.right)
     raise InputError(f"not a concept expression: {expr!r}")
 
 

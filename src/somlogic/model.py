@@ -27,13 +27,21 @@ Only the element features and each category's ``bmu_units``,
 computes the rest from them.  ``build_model`` reads those off the map, and
 ``load_model`` off a saved ``model.json``, whose stored tables and origins
 must then equal the derived ones.
+
+The model is dense: one ``categories x elements`` float64 matrix of rd and
+one boolean matrix of extension masks, filled by array operations.  The
+per-element ``DomainElement`` records, the per-category rd dicts and the
+extensions as sets of ids are views of those, built on first read; the
+semantics downstream (specificity, the global preference, the postulates)
+reads the matrices by row and column index.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
@@ -90,13 +98,15 @@ class DomainElement:
     origin: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoryTable:
     """Everything the semantics needs to know about one category.
 
     For a category without stimuli (possible in revision traces before its
     first example arrives) ``precision`` and ``rd_max`` are ``None`` and the
-    ``rd`` table is empty.
+    ``rd`` table is empty.  ``rd`` maps every domain element id to its
+    relative distance, in domain order; it is read off the model's rd
+    matrix on first access.
     """
 
     name: str
@@ -104,29 +114,89 @@ class CategoryTable:
     bmu_element_ids: tuple[str, ...]
     stimulus_element_ids: tuple[str, ...]
     precision: float | None
-    rd: Mapping[str, float]
     rd_max: float | None
+    _ids: tuple[str, ...] = field(repr=False)
+    _rd_row: np.ndarray = field(repr=False)
 
     @property
     def empty(self) -> bool:
         return len(self.stimulus_element_ids) == 0
 
+    @cached_property
+    def rd(self) -> Mapping[str, float]:
+        return {} if self.empty else dict(zip(self._ids, self._rd_row.tolist()))
 
-@dataclass
+
 class SemanticModel:
-    input_dim: int
-    elements: tuple[DomainElement, ...]
-    categories: dict[str, CategoryTable]
-    extensions: dict[str, frozenset[str]]
+    """The model in dense form: one ``categories x elements`` float64 matrix
+    ``rd`` and one boolean matrix ``ext`` of extension masks.
 
-    def __post_init__(self):
-        self._by_id = {e.eid: e for e in self.elements}
-        if len(self._by_id) != len(self.elements):
+    Column ``col_of[eid]`` belongs to element ``eid`` (``element_ids`` is the
+    domain order) and row ``row_of[name]`` to category ``name`` (the order in
+    which the categories were given).  ``rd[row_of[C], col_of[y]]`` is
+    rd(y, C), a row of nan for a category without stimuli, and ``ext`` is
+    ``rd <= rd_max`` row by row.  Both matrices are read-only.
+    ``elements``, ``extensions`` and each ``CategoryTable.rd`` are views of
+    them, built on first read.
+    """
+
+    def __init__(
+        self,
+        input_dim: int,
+        elements: Sequence[tuple[str, tuple[float, ...]]],
+        origins: Sequence[str],
+        refs: Mapping[str, tuple[tuple[int, ...], tuple[str, ...], tuple[str, ...]]],
+        precision: Sequence[float | None],
+        rd: np.ndarray,
+    ):
+        """The model of the (id, features) ``elements`` with their
+        ``origins``, given each category's (bmu_units, bmu_elements,
+        stimulus_elements) in ``refs``, its precision (None without stimuli)
+        and its row of ``rd``, in the order of ``refs``.  Each category's
+        ``rd_max`` is the largest rd over its stimulus elements and its
+        extension every element with rd at most that."""
+        self.input_dim = input_dim
+        self.element_ids = tuple(eid for eid, _ in elements)
+        self.col_of = {eid: i for i, eid in enumerate(self.element_ids)}
+        if len(self.col_of) != len(self.element_ids):
             raise InputError("duplicate element ids in domain")
+        self._features = tuple(f for _, f in elements)
+        self._origins = tuple(origins)
+        self.row_of = {name: i for i, name in enumerate(refs)}
 
-    @property
-    def element_ids(self) -> tuple[str, ...]:
-        return tuple(e.eid for e in self.elements)
+        stim = np.zeros(rd.shape, dtype=bool)
+        for name, (_, _, stim_ids) in refs.items():
+            stim[self.row_of[name], [self.col_of[eid] for eid in stim_ids]] = True
+        rd_max = np.where(stim, rd, -np.inf).max(axis=1, initial=-np.inf)
+        rd_max[~stim.any(axis=1)] = np.nan
+        self.rd = rd
+        self.ext = rd <= rd_max[:, np.newaxis]
+        self.rd.flags.writeable = self.ext.flags.writeable = False
+
+        self.categories = {
+            name: CategoryTable(
+                name=name,
+                bmu_units=bmu_units,
+                bmu_element_ids=bmu_ids,
+                stimulus_element_ids=stim_ids,
+                precision=precision[i],
+                rd_max=None if precision[i] is None else float(rd_max[i]),
+                _ids=self.element_ids,
+                _rd_row=rd[i],
+            )
+            for i, (name, (bmu_units, bmu_ids, stim_ids)) in enumerate(refs.items())
+        }
+
+    @cached_property
+    def elements(self) -> tuple[DomainElement, ...]:
+        return tuple(map(DomainElement, self.element_ids, self._features, self._origins))
+
+    @cached_property
+    def extensions(self) -> dict[str, frozenset[str]]:
+        return {
+            name: frozenset(compress(self.element_ids, self.ext[i].tolist()))
+            for name, i in self.row_of.items()
+        }
 
     @property
     def category_names(self) -> tuple[str, ...]:
@@ -134,7 +204,7 @@ class SemanticModel:
 
     def element(self, eid: str) -> DomainElement:
         try:
-            return self._by_id[eid]
+            return self.elements[self.col_of[eid]]
         except KeyError:
             raise InputError(f"unknown domain element {eid!r}") from None
 
@@ -185,7 +255,11 @@ def build_model(
         seen_sids[s.sid] = s.features
 
     stim_feats = np.array([s.features for s in data], dtype=np.float64)
-    bmu_of = nearest_units(stim_feats.reshape(len(data), som.input_dim), som.weights)[0].tolist()
+    # A stimulus whose squared distances all overflow gets an infinite
+    # own-BMU distance, which _derive refuses as an infinite precision.
+    with np.errstate(over="ignore"):
+        bmu_of = nearest_units(stim_feats.reshape(len(data), som.input_dim), som.weights)[0]
+    bmu_of = bmu_of.tolist()
 
     # Domain: stimuli first, then BMU weight vectors, then probes, all
     # deduplicated on exact feature equality.
@@ -242,104 +316,69 @@ def _derive(
     """The semantic model of the domain ``elements``, (id, features) pairs
     in domain order, given each category's (bmu_units, bmu_elements,
     stimulus_elements) in ``refs``, the BMU elements non-empty whenever the
-    stimulus elements are.  Each category's precision, rd, ``rd_max`` and
-    extension come from the distances to the BMU elements' own feature
-    rows; an element's origin is ``stimulus`` if some category lists it as
-    a stimulus, else ``bmu`` if one lists it as a BMU, else ``probe``.
+    stimulus elements are.  Each category's precision and row of rd come
+    from the distances to the BMU elements' own feature rows; an element's
+    origin is ``stimulus`` if some category lists it as a stimulus, else
+    ``bmu`` if one lists it as a BMU, else ``probe``.
     """
     ids = [eid for eid, _ in elements]
-    row_of = {eid: i for i, eid in enumerate(ids)}
+    col_of = {eid: i for i, eid in enumerate(ids)}
     feats = np.fromiter(chain.from_iterable(f for _, f in elements), np.float64)
     feats = feats.reshape(len(ids), input_dim)
     finite = np.isfinite(feats).all(axis=1)
     if not finite.all():
         raise InputError(f"element {ids[int(finite.argmin())]!r} has non-finite features")
 
-    # One column of distances per category with stimuli, to its nearest BMU
+    # One row of distances per category with stimuli, to its nearest BMU
     # element, each distance computed once.
-    ranked = [cat for cat, (_, _, stim) in refs.items() if stim]
-    bmu_rows = sorted({row_of[eid] for cat in ranked for eid in refs[cat][1]})
-    col_of = {row: j for j, row in enumerate(bmu_rows)}
-    num = {}
+    names = list(refs)
+    ranked = [i for i, name in enumerate(names) if refs[name][2]]
+    bmu_cols = sorted({col_of[eid] for i in ranked for eid in refs[names[i]][1]})
+    pos = {col: j for j, col in enumerate(bmu_cols)}
+    rd = np.full((len(names), len(ids)), np.nan)
+    precision: list[float | None] = [None] * len(names)
     if ranked:
-        groups = [[col_of[row_of[eid]] for eid in refs[cat][1]] for cat in ranked]
-        num = dict(zip(ranked, np.sqrt(nearest_in_groups(feats, feats[bmu_rows], groups).T)))
-
-    tables: dict[str, CategoryTable] = {}
-    extensions: dict[str, frozenset[str]] = {}
-    for cat, (bmu_units, bmu_elem_ids, stim_elem_ids) in refs.items():
-        if not stim_elem_ids:
-            tables[cat] = _empty_table(cat)
-            extensions[cat] = frozenset()
-            continue
-        # A stimulus's own BMU minimises the distance over *all* units, so
-        # its distance to the ensemble is exactly its own-BMU distance; the
-        # precision is therefore their max.
-        precision = float(num[cat][[row_of[eid] for eid in stim_elem_ids]].max())
-        if not math.isfinite(precision):
-            raise InputError(f"category {cat!r}: distances to its BMUs overflow float64")
-        rd_vec = _rd(num[cat], precision)
-        rd = dict(zip(ids, rd_vec.tolist()))
-        rd_max = max(rd[eid] for eid in stim_elem_ids)
-
-        table = CategoryTable(
-            name=cat,
-            bmu_units=bmu_units,
-            bmu_element_ids=bmu_elem_ids,
-            stimulus_element_ids=stim_elem_ids,
-            precision=precision,
-            rd=rd,
-            rd_max=rd_max,
-        )
-        _check_table(table)
-        tables[cat] = table
-        extensions[cat] = frozenset(compress(ids, (rd_vec <= rd_max).tolist()))
+        groups = [[pos[col_of[eid]] for eid in refs[names[i]][1]] for i in ranked]
+        num = np.sqrt(nearest_in_groups(feats, feats[bmu_cols], groups).T)
+        for i, num_i in zip(ranked, num):
+            # A stimulus's own BMU minimises the distance over *all* units,
+            # so its distance to the ensemble is exactly its own-BMU
+            # distance; the precision is therefore their max.
+            p = float(num_i[[col_of[eid] for eid in refs[names[i]][2]]].max())
+            if not math.isfinite(p):
+                raise InputError(f"category {names[i]!r}: distances to its BMUs overflow float64")
+            precision[i] = p
+            rd[i] = _rd(num_i, p)
 
     stimuli = {eid for _, _, stim in refs.values() for eid in stim}
     bmus = {eid for _, bmu, _ in refs.values() for eid in bmu}
-    return SemanticModel(
-        input_dim=input_dim,
-        elements=tuple(
-            DomainElement(
-                eid=eid,
-                features=f,
-                origin="stimulus" if eid in stimuli else "bmu" if eid in bmus else "probe",
-            )
-            for eid, f in elements
-        ),
-        categories=tables,
-        extensions=extensions,
-    )
+    origins = ["stimulus" if eid in stimuli else "bmu" if eid in bmus else "probe" for eid in ids]
+    model = SemanticModel(input_dim, elements, origins, refs, precision, rd)
+    _check_tables(model)
+    return model
 
 
-def _empty_table(name: str) -> CategoryTable:
-    return CategoryTable(
-        name=name,
-        bmu_units=(),
-        bmu_element_ids=(),
-        stimulus_element_ids=(),
-        precision=None,
-        rd={},
-        rd_max=None,
-    )
-
-
-def _check_table(t: CategoryTable) -> None:
+def _check_tables(model: SemanticModel) -> None:
     # Invariants of the construction; violations are implementation bugs.
-    for eid in t.bmu_element_ids:
-        if t.rd[eid] != 0.0:
+    for name, t in model.categories.items():
+        if t.empty:
+            continue
+        row = model.row_of[name]
+        for eid in t.bmu_element_ids:
+            value = float(model.rd[row, model.col_of[eid]])
+            if value != 0.0:
+                raise ConsistencyError(
+                    f"category {name!r}: BMU element {eid!r} has rd {value!r}, expected 0.0"
+                )
+        if t.precision > 0.0 and t.rd_max != 1.0:
             raise ConsistencyError(
-                f"category {t.name!r}: BMU element {eid!r} has rd {t.rd[eid]!r}, expected 0.0"
+                f"category {name!r}: rd_max is {t.rd_max!r} with positive precision, expected 1.0"
             )
-    if t.precision is not None and t.precision > 0.0 and t.rd_max != 1.0:
-        raise ConsistencyError(
-            f"category {t.name!r}: rd_max is {t.rd_max!r} with positive precision, expected 1.0"
-        )
-    for eid in t.stimulus_element_ids:
-        if not t.rd[eid] <= t.rd_max:
-            raise ConsistencyError(
-                f"category {t.name!r}: stimulus element {eid!r} outside its own extension"
-            )
+        for eid in t.stimulus_element_ids:
+            if not model.ext[row, model.col_of[eid]]:
+                raise ConsistencyError(
+                    f"category {name!r}: stimulus element {eid!r} outside its own extension"
+                )
 
 
 def initial_model(categories: Sequence[str], input_dim: int) -> SemanticModel:
@@ -379,6 +418,10 @@ def model_snapshot(model: SemanticModel) -> dict:
         "categories": cats,
         "extensions": {name: sorted(ext) for name, ext in model.extensions.items()},
     }
+
+
+# Stands for a key that a stored or a derived rd table lacks.
+_MISSING = "missing"
 
 
 def model_from_snapshot(doc: dict) -> SemanticModel:
@@ -424,24 +467,32 @@ def model_from_snapshot(doc: dict) -> SemanticModel:
         return InputError(f"model snapshot differs from its re-derivation: {where}: "
                           f"stored {got!r}, derived {want!r}")
 
-    if origins != [e.origin for e in model.elements]:
-        e, origin = next((e, o) for e, o in zip(model.elements, origins) if o != e.origin)
-        raise refuse(f"element {e.eid!r}, origin", origin, e.origin)
+    if origins != list(model._origins):
+        eid, o, want = next(t for t in zip(model.element_ids, origins, model._origins) if t[1] != t[2])
+        raise refuse(f"element {eid!r}, origin", o, want)
+    ids = model.element_ids
     for name, t in model.categories.items():
         precision, rd_max, rd, ext = stored[name]
+        row = model.row_of[name]
         if precision != t.precision:
             raise refuse(f"category {name!r}, precision", precision, t.precision)
         if rd_max != t.rd_max:
             raise refuse(f"category {name!r}, rd_max", rd_max, t.rd_max)
-        if rd != t.rd:  # model_snapshot writes an infinite rd as "inf"
-            want = {eid: jsonio.encode_float(v) for eid, v in t.rd.items()}
-            if rd != want:
-                eid, got = next((k, rd.get(k, "missing")) for k in (*want, *rd)
-                                if rd.get(k, "missing") != want.get(k, "missing"))
-                raise refuse(f"category {name!r}, rd of {eid!r}", got, want.get(eid, "missing"))
-        if ext != model.extensions[name]:
+        derived = [] if t.empty else model.rd[row].tolist()
+        got = [rd.get(eid, _MISSING) for eid in ids] if derived else []
+        # model_snapshot writes an infinite rd as "inf"
+        if len(rd) != len(derived) or (
+            got != derived and got != [jsonio.encode_float(v) for v in derived]
+        ):
+            want = dict(zip(ids, map(jsonio.encode_float, derived)))
+            eid, got = next((k, rd.get(k, _MISSING)) for k in (*want, *rd)
+                            if rd.get(k, _MISSING) != want.get(k, _MISSING))
+            raise refuse(f"category {name!r}, rd of {eid!r}", got, want.get(eid, _MISSING))
+        mask = model.ext[row]
+        cols = [model.col_of.get(eid) for eid in ext]
+        if None in cols or len(cols) != np.count_nonzero(mask) or not mask[cols].all():
             diff = ext ^ model.extensions[name]
-            eid = next(e for e in (*model.element_ids, *sorted(diff)) if e in diff)
+            eid = next(e for e in (*ids, *sorted(diff)) if e in diff)
             raise refuse(f"category {name!r}, extension has {eid!r}", eid in ext, eid not in ext)
     return model
 

@@ -17,8 +17,9 @@ The result is an irreflexive, transitive, well-founded relation on the finite
 domain, i.e. exactly the preference structure of a preferential-semantics
 model; it need not be modular.
 
-The rule is stated once, in ``_global_order``, over any list of elements:
-each pair is decided by the two elements' rd values and specificity alone.
+The rule is stated once, in ``_global_order``, over any list of elements
+(columns of the model's rd matrix): each pair is decided by the two
+elements' rd values and specificity alone.
 It has two callers.  ``build_preferential`` applies it to the whole domain.
 ``minima`` applies it to one set, e.g. ext(C), and reads T(C) off that
 block, which is how ``somlogic check`` answers a defeasible query without
@@ -33,8 +34,12 @@ C |~ D  iff  every globally minimal element of ext(C) lies in ext(D).
 The postulates are checked over the distinct extensions of the concept pool,
 not over every pool concept: entailment depends on a concept only through
 its extension, which is what LLE licenses.  Sets are boolean masks over the
-domain, and minima and inclusions come from boolean matrix products whose
-path counts are summed in float32, exact below 2**24 elements.  Once minima
+domain: each pool concept is evaluated to one by ``extension_mask``, from
+the model's extension masks.  Two masks fall into the same class exactly
+when the bytes of their bit-packed rows are equal; the bytes themselves are
+the dict keys, so no two different sets can share a class.  Minima and
+inclusions come from boolean matrix products whose path counts are summed
+in float32, exact below 2**24 elements.  Once minima
 are computed as sets, Reflexivity, LLE, RW, And and Or hold for *any*
 relation (minima lie inside their set, and min(C | D) is a subset of
 min(C) | min(D)), so of the postulates only CM can be broken by a bad order;
@@ -50,7 +55,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .checker import SpecificityRelation, derive_specificity
-from .concepts import And, Bot, ConceptExpr, Name, Top, extension, pretty
+from .concepts import And, Bot, ConceptExpr, Name, Top, extension_mask, pretty
 from .errors import ConsistencyError, InputError
 from .model import SemanticModel
 
@@ -118,7 +123,9 @@ class PreferentialModel:
     """A semantic model together with the materialised global preference.
 
     ``order[i, j]`` is True iff element ``element_ids[i]`` is globally
-    preferred to ``element_ids[j]``.
+    preferred to ``element_ids[j]``.  ``element_ids`` is the domain order
+    of ``base``, so row and column i of the order are column i of the
+    model's matrices.
     """
 
     base: SemanticModel
@@ -143,20 +150,18 @@ class PreferentialModel:
 
 
 def _global_order(
-    model: SemanticModel, specificity: SpecificityRelation, ids: Sequence[str]
+    model: SemanticModel, specificity: SpecificityRelation, cols: Sequence[int]
 ) -> np.ndarray:
-    """The combination rule over the elements ``ids``: ``order[a, b]`` is
-    True iff ``ids[a]`` is globally preferred to ``ids[b]``.
+    """The combination rule over the elements in columns ``cols`` of the
+    model: ``order[a, b]`` is True iff element ``cols[a]`` is globally
+    preferred to element ``cols[b]``.
 
     A pair is decided by the two elements' rd values and specificity alone,
     so the rule over a subset of the domain is exactly the global preference
     restricted to that subset.
     """
     cats = _ranked_categories(model)
-    n = len(ids)
-    rk = np.array(
-        [[model.categories[c].rd[eid] for eid in ids] for c in cats], dtype=np.float64
-    )
+    rk = model.rd[np.ix_([model.row_of[c] for c in cats], cols)]
     cat_row = {c: i for i, c in enumerate(cats)}
 
     def less(i: int) -> np.ndarray:
@@ -164,12 +169,14 @@ def _global_order(
         # few n x n matrices are alive, never one per category.
         return rk[i][:, np.newaxis] < rk[i][np.newaxis, :]
 
+    n = len(cols)
     order = np.zeros((n, n), dtype=bool)
     for i in range(len(cats)):
         order |= less(i)
     for cj in cats:
         # rd is never NaN, so rd(x) <= rd(y) is exactly not rd(y) < rd(x).
-        ok = ~less(cat_row[cj]).T
+        r = rk[cat_row[cj]]
+        ok = r[:, np.newaxis] <= r[np.newaxis, :]
         for ch in specificity.above(cj):
             if ch in cat_row:
                 ok |= less(cat_row[ch])
@@ -178,13 +185,13 @@ def _global_order(
 
 
 def _strict_order(
-    model: SemanticModel, specificity: SpecificityRelation, ids: Sequence[str]
+    model: SemanticModel, specificity: SpecificityRelation, cols: Sequence[int]
 ) -> np.ndarray:
-    """``_global_order`` over ``ids``, checked to be an irreflexive,
+    """``_global_order`` over ``cols``, checked to be an irreflexive,
     transitive strict order; a failure is a ConsistencyError naming a
     witness, never a silently wrong answer."""
-    order = _global_order(model, specificity, ids)
-    refl, trans = _order_violations(ids, order)
+    order = _global_order(model, specificity, cols)
+    refl, trans = _order_violations([model.element_ids[c] for c in cols], order)
     if refl or trans:
         raise ConsistencyError(
             f"global preference is not a strict order: {(refl + trans)[0].instance}"
@@ -199,8 +206,8 @@ def build_preferential(
     be a strict order (ConsistencyError otherwise)."""
     if specificity is None:
         specificity = derive_specificity(model)
-    ids = model.element_ids
-    return PreferentialModel(model, specificity, ids, _strict_order(model, specificity, ids))
+    order = _strict_order(model, specificity, range(len(model.element_ids)))
+    return PreferentialModel(model, specificity, model.element_ids, order)
 
 
 def minima(
@@ -214,11 +221,12 @@ def minima(
     the restricted block is itself checked to be a strict order.
     """
     wanted = frozenset(eids)
-    ids = [eid for eid in model.element_ids if eid in wanted]
-    if len(ids) != len(wanted):
-        raise InputError(f"unknown domain element {min(wanted.difference(ids))!r}")
-    dominated = _strict_order(model, specificity, ids).any(axis=0)
-    return frozenset(ids[i] for i in np.flatnonzero(~dominated))
+    unknown = wanted.difference(model.col_of)
+    if unknown:
+        raise InputError(f"unknown domain element {min(unknown)!r}")
+    cols = sorted(model.col_of[eid] for eid in wanted)
+    dominated = _strict_order(model, specificity, cols).any(axis=0)
+    return frozenset(model.element_ids[cols[i]] for i in np.flatnonzero(~dominated))
 
 
 def minimal_elements(pref: PreferentialModel, eids: Iterable[str]) -> frozenset[str]:
@@ -393,6 +401,13 @@ def default_concept_pool(names: Sequence[str], max_conjuncts: int = 3) -> list[C
     return pool
 
 
+def _row_keys(packed: np.ndarray) -> list[bytes]:
+    """The bytes of each row of the packed masks ``packed``: equal exactly
+    when the rows are, so two sets share a key only if they are equal."""
+    data, width = packed.tobytes(), packed.shape[1]
+    return [data[i : i + width] for i in range(0, len(data), width)] if width else [b""] * len(packed)
+
+
 def _witnesses(ids: Sequence[str], mask: np.ndarray) -> tuple[str, ...]:
     return tuple(sorted(ids[i] for i in np.flatnonzero(mask)))[:5]
 
@@ -428,9 +443,9 @@ def verify_klm(
     n = len(pool)
     labels = [pretty(c) for c in pool]
     ids = pref.element_ids
-    ext = np.zeros((n, len(ids)), dtype=bool)
+    ext = np.empty((n, len(ids)), dtype=bool)
     for i, c in enumerate(pool):
-        ext[i, [pref._row[e] for e in extension(pref.base, c)]] = True
+        ext[i] = extension_mask(pref.base, c)
     typ = ext & ~_bool_product(ext, pref.order)  # minima: nothing inside beats them
     entail = ~_bool_product(typ, ~ext.T)  # entail[c, d]: T(C) inside ext(D)
 
@@ -439,8 +454,19 @@ def verify_klm(
         for i in np.flatnonzero((typ & ~ext).any(axis=1))
     ]
 
-    classes, first, inv = np.unique(ext, axis=0, return_index=True, return_inverse=True)
-    inv = inv.reshape(-1)
+    # The classes, in order of first occurrence in the pool: inv[c] is the
+    # class of pool concept c and first[a] the first pool concept of class a.
+    packed = np.packbits(ext, axis=1)
+    class_of: dict[bytes, int] = {}
+    first = []
+    inv = np.empty(n, dtype=np.intp)
+    for c, key in enumerate(_row_keys(packed)):
+        if key not in class_of:
+            class_of[key] = len(first)
+            first.append(c)
+        inv[c] = class_of[key]
+    first = np.array(first, dtype=np.intp)
+    classes = ext[first]
     lle: list[Violation] = []
     if (entail != entail[first[inv]]).any():
         later = np.arange(n)
@@ -455,20 +481,26 @@ def verify_klm(
     # The set family: the classes, then every intersection of two classes
     # that is not itself a class.  A union counts only if it is a class.
     k = len(classes)
-    class_of = {m.tobytes(): a for a, m in enumerate(classes)}
+    packed = packed[first]
     extra: dict[bytes, int] = {}
+    extra_rows: list[np.ndarray] = []
     meet = np.empty((k, k), dtype=np.intp)
     join = np.full((k, k), -1, dtype=np.intp)
     for a in range(k):
-        rows = zip(range(a, k), classes[a] & classes[a:], classes[a] | classes[a:])
-        for b, both, either in rows:
-            key = both.tobytes()
-            f = class_of.get(key)
+        both, either = packed[a] & packed[a:], packed[a] | packed[a:]
+        for b, row, key, union in zip(
+            range(a, k), both, _row_keys(both), _row_keys(either)
+        ):
+            f = class_of.get(key, extra.get(key))
             if f is None:
-                f = extra.setdefault(key, k + len(extra))
+                f = extra[key] = k + len(extra_rows)
+                extra_rows.append(row)
             meet[a, b] = meet[b, a] = f
-            join[a, b] = join[b, a] = class_of.get(either.tobytes(), -1)
-    family = np.vstack([classes, *(np.frombuffer(key, dtype=bool) for key in extra)])
+            join[a, b] = join[b, a] = class_of.get(union, -1)
+    unpacked = np.unpackbits(
+        np.array(extra_rows, dtype=np.uint8).reshape(-1, packed.shape[1]), axis=1, count=len(ids)
+    )
+    family = np.vstack([classes, unpacked.view(bool)])
     fam_typ = family & ~_bool_product(family, pref.order)
     fam_entail = ~_bool_product(fam_typ, ~family.T)
 

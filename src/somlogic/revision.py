@@ -40,6 +40,7 @@ from .som import (
     SomMap,
     Stimulus,
     TrainConfig,
+    _refusing_overflow,
     apply_presentation,
     feature_range,
     init_map,
@@ -211,9 +212,10 @@ def run_trace(
     steps: list[RevisionStep] = []
     if cfg.epochs == 0:
         return state, steps
-    for _epoch, i, lr, radius in presentation_schedule(len(data), cfg):
-        state, step = revise(state, data[i], lr, radius)
-        steps.append(step)
+    with _refusing_overflow():  # the data train refuses
+        for _epoch, i, lr, radius in presentation_schedule(len(data), cfg):
+            state, step = revise(state, data[i], lr, radius)
+            steps.append(step)
     state.som.epochs_trained = cfg.epochs
     return state, steps
 

@@ -12,6 +12,7 @@ per-epoch presentation order, and BMU tie-breaking (lowest unit index).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -363,9 +364,25 @@ def presentation_schedule(
             t += 1
 
 
+@contextlib.contextmanager
+def _refusing_overflow():
+    """Raise InputError when a float overflows inside the block.  A squared
+    distance that overflows to inf ties with every other one that does, so
+    the BMU search can no longer rank the units."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise InputError(
+            "squared distances between the stimuli and the map's weights overflow "
+            "float64; rescale the features"
+        ) from exc
+
+
 def train(som: SomMap, data: Sequence[Stimulus], cfg: TrainConfig) -> tuple[SomMap, list[float]]:
     """Train a copy of ``som`` on ``data`` and return it with the per-epoch
-    quantization error log (one entry per completed epoch).
+    quantization error log (one entry per completed epoch).  Data whose
+    distances to the map overflow is refused (``_refusing_overflow``).
     """
     if len(data) == 0:
         raise InputError("cannot train on empty data")
@@ -380,12 +397,13 @@ def train(som: SomMap, data: Sequence[Stimulus], cfg: TrainConfig) -> tuple[SomM
 
     coords = out.grid_coords
     current_epoch = 0
-    for epoch, i, lr, radius in presentation_schedule(len(data), cfg):
-        if epoch != current_epoch:
-            qe_log.append(_qe(out.weights, x))
-            current_epoch = epoch
-        _present(out.weights, coords, x[i], lr, radius)
-    qe_log.append(_qe(out.weights, x))
+    with _refusing_overflow():
+        for epoch, i, lr, radius in presentation_schedule(len(data), cfg):
+            if epoch != current_epoch:
+                qe_log.append(_qe(out.weights, x))
+                current_epoch = epoch
+            _present(out.weights, coords, x[i], lr, radius)
+        qe_log.append(_qe(out.weights, x))
     out.epochs_trained = som.epochs_trained + cfg.epochs
     return out, qe_log
 
@@ -395,13 +413,15 @@ def _qe(weights: np.ndarray, x: np.ndarray) -> float:
 
 
 def quantization_error(som: SomMap, data: Sequence[Stimulus]) -> float:
-    """Mean distance from each stimulus to its BMU's weights."""
+    """Mean distance from each stimulus to its BMU's weights; refused, as in
+    ``train``, when a distance overflows."""
     if len(data) == 0:
         raise InputError("quantization error over empty data is undefined")
     for s in data:
         _check_vector(som, s.features)
     x = np.array([s.features for s in data], dtype=np.float64)
-    return _qe(som.weights, x)
+    with _refusing_overflow():
+        return _qe(som.weights, x)
 
 
 # ==============================================================

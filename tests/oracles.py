@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from somlogic.checker import SpecificityRelation
 from somlogic.concepts import ConceptExpr, extension, pretty
 from somlogic.errors import InputError
-from somlogic.model import CategoryTable, DomainElement, SemanticModel
+from somlogic.model import SemanticModel
 from somlogic.preferences import (
     PreferentialModel,
     PropertyCheck,
@@ -254,12 +256,7 @@ def make_model(rd_tables, stimulus_elements, bmu_elements=None, extra_elements=(
     for eid in extra_elements:
         if eid not in all_ids:
             all_ids.append(eid)
-    elements = tuple(
-        DomainElement(eid=eid, features=(float(i), 0.0), origin="probe")
-        for i, eid in enumerate(all_ids)
-    )
-    tables = {}
-    extensions = {}
+    refs = {}
     for cat, tbl in rd_tables.items():
         missing = [e for e in all_ids if e not in tbl]
         if missing:
@@ -267,28 +264,21 @@ def make_model(rd_tables, stimulus_elements, bmu_elements=None, extra_elements=(
         stim = tuple(stimulus_elements[cat])
         if not stim:
             raise ValueError(f"category {cat} needs stimulus elements")
-        rd_max = max(tbl[e] for e in stim)
         if bmu_elements is not None and cat in bmu_elements:
             bmu = tuple(bmu_elements[cat])
             if any(tbl[e] != 0.0 for e in bmu):
                 raise ValueError(f"BMU elements of {cat} must sit at rd 0")
         else:
             bmu = tuple(e for e in all_ids if tbl[e] == 0.0)
-        tables[cat] = CategoryTable(
-            name=cat,
-            bmu_units=tuple(range(len(bmu))),
-            bmu_element_ids=bmu,
-            stimulus_element_ids=stim,
-            precision=1.0,
-            rd=dict(tbl),
-            rd_max=rd_max,
-        )
-        extensions[cat] = frozenset(e for e in all_ids if tbl[e] <= rd_max)
+        refs[cat] = (tuple(range(len(bmu))), bmu, stim)
+    rd = np.array([[tbl[e] for e in all_ids] for tbl in rd_tables.values()], dtype=np.float64)
     return SemanticModel(
         input_dim=2,
-        elements=elements,
-        categories=tables,
-        extensions=extensions,
+        elements=[(eid, (float(i), 0.0)) for i, eid in enumerate(all_ids)],
+        origins=["probe"] * len(all_ids),
+        refs=refs,
+        precision=[1.0] * len(refs),
+        rd=rd.reshape(len(refs), len(all_ids)),
     )
 
 

@@ -215,6 +215,29 @@ def test_malformed_csv_exit_1(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_features_exit_1(tmp_path, data_csv, capsys):
+    # Squared distances from 1e200 overflow float64: train and trace refuse
+    # the data and write nothing, extract refuses it against a sane map,
+    # and no numpy warning escapes on the way.
+    big = tmp_path / "big.csv"
+    big.write_text(DATA.replace("0.2,0.0,X", "1e200,0.0,X"), encoding="utf-8")
+    for cmd in ("train", "trace"):
+        out = tmp_path / cmd
+        assert main([cmd, "--data", str(big), "--out", str(out)] + SMALL) == 1, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err, cmd
+        assert not out.exists(), cmd
+    run = tmp_path / "run"
+    assert main(["train", "--data", data_csv, "--out", str(run)] + SMALL) == 0
+    capsys.readouterr()
+    code = main(["extract", "--map", str(run / "map.json"), "--data", str(big), "--out", str(run)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow" in err
+    assert not (run / "model.json").exists()
+
+
 def test_verify_passes_on_trained_model(tmp_path, data_csv, capsys):
     out = train_and_extract(tmp_path, data_csv)
     capsys.readouterr()

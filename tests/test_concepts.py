@@ -1,3 +1,6 @@
+from itertools import compress
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from somlogic import (
     Top,
     UnknownCategoryError,
     extension,
+    extension_mask,
     inclusion_text,
     parse_concept,
     parse_inclusion,
@@ -19,7 +23,7 @@ from somlogic import (
 )
 from somlogic.concepts import parse_kb_text
 
-from oracles import make_model
+from oracles import make_model, random_model
 
 
 # ==============================================================
@@ -170,6 +174,34 @@ def test_extension_eval():
 def test_unknown_name():
     with pytest.raises(UnknownCategoryError):
         extension(_tiny_model(), Name("R"))
+
+
+# Names K0..K4 are those random_model may give; K9 never names a category.
+concept_trees = st.recursive(
+    st.one_of(
+        st.just(Top()),
+        st.just(Bot()),
+        st.sampled_from(["K0", "K1", "K2", "K3", "K4", "K9"]).map(Name),
+    ),
+    lambda inner: st.builds(And, inner, inner),
+    max_leaves=6,
+)
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(concept_trees, min_size=1, max_size=6))
+@settings(max_examples=60)
+def test_extension_mask_equals_extension(seed, exprs):
+    model = random_model(np.random.default_rng(seed), max_elements=20, max_categories=5)[0]
+    for expr in exprs:
+        try:
+            want = extension(model, expr)
+        except UnknownCategoryError:
+            with pytest.raises(UnknownCategoryError):
+                extension_mask(model, expr)
+            continue
+        mask = extension_mask(model, expr)
+        assert mask.dtype == bool and mask.shape == (len(model.element_ids),)
+        assert frozenset(compress(model.element_ids, mask)) == want, pretty(expr)
 
 
 # ==============================================================

@@ -202,6 +202,23 @@ def test_model_snapshot_round_trip(cluster_model, tmp_path):
     assert p.read_bytes() == first
 
 
+def test_loaded_views_equal_built(trained_map, clusters, tmp_path):
+    # Probes and an empty category: the views a loaded model reads off its
+    # matrices are those of the model it was saved from.
+    built = build_model(trained_map, clusters, probes=[(3.0, 3.0), (100.0, 100.0)],
+                        categories=["A", "B", "C", "Z"])
+    p = tmp_path / "model.json"
+    save_model(p, built)
+    loaded = load_model(p)
+    assert loaded.elements == built.elements
+    for name, t in built.categories.items():
+        assert loaded.categories[name].rd == t.rd
+    assert loaded.categories["Z"].rd == {}
+    assert loaded.extensions == built.extensions
+    assert loaded.extensions["Z"] == frozenset()
+    assert model_snapshot(loaded) == model_snapshot(built)
+
+
 def test_model_snapshot_encodes_inf():
     som = _pinned_map()
     data = [Stimulus("p1", (0.0, 0.0), "P"), Stimulus("q1", (5.0, 5.0), "Q")]

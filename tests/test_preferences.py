@@ -15,6 +15,7 @@ from somlogic import (
     build_preferential,
     derive_specificity,
     extension,
+    extension_mask,
     global_prefer,
     minima,
     minimal_elements,
@@ -22,7 +23,8 @@ from somlogic import (
     verify_order_axioms,
 )
 from somlogic.checker import SpecificityRelation
-from somlogic.preferences import PreferentialModel, _bool_product, default_concept_pool
+from somlogic import preferences
+from somlogic.preferences import PreferentialModel, _bool_product, _row_keys, default_concept_pool
 
 from oracles import (
     entails,
@@ -443,12 +445,14 @@ def test_klm_zero_violations_on_random_models(seed):
         assert check.status == "pass", f"{check.check}: {check.violations[:2]}"
 
 
-def test_klm_report_matches_oracle():
-    # The built order of each random model, plus two with flipped bits so
-    # that the failure paths are compared too.
+def _klm_report_mismatches() -> tuple[list[int], int]:
+    """The seeded random models whose ``verify_klm`` report differs from
+    the oracle's, and the number of reports with a failing CM.  Each model
+    is checked with its built order and two with flipped bits, so that the
+    failure paths are compared too."""
     rng = np.random.default_rng(11)
     densities = (0.02, 0.1, 0.3)
-    cm_failures = 0
+    mismatches, cm_failures = [], 0
     for i in range(100):
         model, rel, _, _ = random_model(rng, max_elements=20, max_categories=4)
         pref = build_preferential(model, rel)
@@ -458,9 +462,48 @@ def test_klm_report_matches_oracle():
         for order in orders:
             p = PreferentialModel(model, rel, model.element_ids, order)
             got = [c.to_json() for c in verify_klm(p)]
-            assert got == [c.to_json() for c in oracle_verify_klm(p)], i
+            if got != [c.to_json() for c in oracle_verify_klm(p)]:
+                mismatches.append(i)
             cm_failures += {c["check"]: c for c in got}["cautious_monotonicity"]["status"] == "fail"
+    return mismatches, cm_failures
+
+
+def test_klm_report_matches_oracle():
+    mismatches, cm_failures = _klm_report_mismatches()
+    assert mismatches == []
     assert cm_failures > 0
+
+
+def test_klm_class_keys_see_the_last_element():
+    # 11 elements, so the last one sits in a partial byte of the packed
+    # masks; ext(A) and ext(B) differ in it alone.  It is minimal in B and
+    # outside A, so B |~ A fails while A |~ A holds: merging the two
+    # classes would report an LLE violation.
+    ids = [f"e{i}" for i in range(11)]
+    rd = {
+        "A": {**{e: 0.5 for e in ids}, "e0": 0.0, "e10": 2.0},
+        "B": {**{e: 0.5 for e in ids}, "e0": 0.0, "e10": 0.0},
+        "C": {**{e: 1.0 for e in ids}, "e10": 0.0},
+    }
+    m = make_model(rd, {"A": ["e0", "e1"], "B": ["e0", "e1"], "C": ["e1", "e10"]})
+    a, b = extension_mask(m, Name("A")), extension_mask(m, Name("B"))
+    assert np.flatnonzero(a != b).tolist() == [10]
+    assert len(set(_row_keys(np.packbits(np.vstack([a, b]), axis=1)))) == 2
+    pref = build_preferential(m, SpecificityRelation(pairs=frozenset()))
+    assert minima(m, pref.specificity, extension(m, Name("B"))) == {"e0", "e10"}
+    got = [c.to_json() for c in verify_klm(pref)]
+    assert got == [c.to_json() for c in oracle_verify_klm(pref)]
+    assert all(c["status"] == "pass" for c in got)
+
+
+def test_klm_report_comparison_catches_merged_classes(monkeypatch):
+    # A class key without the last packed byte merges extensions that
+    # differ only in their last elements; the oracle comparison sees it.
+    def truncated(packed):
+        return [key[:-1] for key in _row_keys(packed)]
+
+    monkeypatch.setattr(preferences, "_row_keys", truncated)
+    assert _klm_report_mismatches()[0]
 
 
 def test_default_concept_pool_shape():
