@@ -248,17 +248,48 @@ def _check_vector(som: SomMap, x) -> np.ndarray:
 
 
 # Distance-matrix entries per row block of ``_blocks``: small enough
-# that a block's (rows, units, dim) temporaries stay near 256 KB at dim 8.
+# that a block's ``dim`` temporaries, of (rows, units) each, stay near
+# 256 KB together at dim 8.
 _BLOCK_ENTRIES = 4096
+
+
+def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Sum of ``terms`` in the order of numpy's pairwise sum over a
+    contiguous axis: left to right below 8 terms; from 8 to 128, eight
+    running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then
+    the leftover terms in order; above 128, each half, split at a multiple
+    of 8, summed the same way.  Accumulates into the terms themselves."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(terms[:half])
+        total += _pairwise_sum(terms[half:])
+        return total
+    if n < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total += t
+        return total
+    r = terms[:8]
+    full = n - n % 8
+    for i in range(8, full):
+        r[i % 8] += terms[i]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[full:]:
+        total += t
+    return total
 
 
 def _blocks(x: np.ndarray, weights: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """Row blocks of ``x``, each with its squared distances to every row of
     ``weights``; see ``nearest_units``."""
     rows = max(1, _BLOCK_ENTRIES // len(weights))
+    wt = np.ascontiguousarray(weights.T)
     for start in range(0, len(x), rows):
         block = slice(start, start + rows)
-        yield block, ((x[block, np.newaxis, :] - weights[np.newaxis, :, :]) ** 2).sum(axis=2)
+        yield block, _pairwise_sum(
+            [(x[block, k, np.newaxis] - wt[k]) ** 2 for k in range(len(wt))]
+        )
 
 
 def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,13 +297,16 @@ def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     the squared Euclidean distance to it.
 
     Ties break to the lowest index.  BMU lookups, relative distances (in
-    ``model`` and ``revision``) and the quantization error all go through the
-    expression in ``_blocks``.  Its sum over the feature axis is numpy's
-    pairwise sum, which fixes each float result, so a distance computed in
-    two places is equal bit for bit.  A feature-by-feature sum would differ
-    from it in the last bit from dimension 8 up, a matrix-product expansion
-    at any dimension.  Rows are taken in blocks so that the temporaries stay
-    small.
+    ``model`` and ``revision``) and the quantization error all go through
+    ``_blocks``, so a distance computed in two places is equal bit for bit.
+    It squares each feature's differences as one (rows, units) array and
+    adds those arrays in the order numpy's pairwise sum takes over a
+    contiguous feature axis (``_pairwise_sum``), which is plain left to
+    right below 8 features.  Each distance therefore equals, bit for bit,
+    numpy's own sum over the feature axis of the (rows, units, dim) array of
+    squared differences, without building that array or running its
+    short-axis reduce; a matrix-product expansion would differ in the last
+    bit.  Rows are taken in blocks so that the temporaries stay small.
     """
     nearest = np.empty(len(x), dtype=np.intp)
     d2_min = np.empty(len(x), dtype=np.float64)

@@ -42,6 +42,14 @@ def oracle_bmu(weight_rows, x) -> int:
     return best
 
 
+def oracle_sq_dists(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Squared distances from each row of ``x`` to each row of ``w``, as the
+    literal expression whose float results the library reproduces bit for
+    bit: numpy's own sum over the contiguous feature axis of a (rows, units,
+    dim) array."""
+    return ((x[:, np.newaxis, :] - w[np.newaxis, :, :]) ** 2).sum(axis=2)
+
+
 def oracle_qe(weight_rows, vectors) -> float:
     total = 0.0
     for v in vectors:

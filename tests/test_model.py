@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from somlogic import (
     save_model,
     train,
 )
+from somlogic.jsonio import canonical_dumps
 from somlogic.model import model_from_snapshot, model_snapshot
 
 from oracles import dist, oracle_rd
@@ -278,6 +280,38 @@ def test_changing_one_derived_leaf_is_refused(data):
         ext.remove(data.draw(st.sampled_from(ext)))
     with pytest.raises(InputError, match="re-derivation"):
         model_from_snapshot(doc)
+
+
+@pytest.mark.parametrize("dim", [2, 9, 130])
+def test_files_written_before_the_feature_by_feature_kernel_load_unchanged(dim):
+    """``tests/data/model_d{2,9,130}.json`` were written by commit d8a2b87,
+    whose distances were numpy's own sum over the feature axis of a (rows,
+    units, dim) array.  Each must load, so that no stored precision or rd
+    differs from its re-derivation, and save back byte for byte.  At d = 2
+    the sum runs left to right, at d = 9 through eight running sums, at
+    d = 130 through the split above 128 terms.  Recipe, from the root of
+    the repository:
+
+        mkdir /tmp/parent && git archive d8a2b87 | tar -x -C /tmp/parent
+        cd /tmp/parent && PYTHONPATH=src python - "$OLDPWD/tests/data" <<'EOF'
+        import sys
+        import numpy as np
+        from somlogic import (TrainConfig, build_model, feature_range,
+                              gaussian_clusters, init_map, save_model, train)
+        for d, k, n, r in ((2, 3, 8, 4), (9, 3, 5, 3), (130, 2, 4, 2)):
+            centres = np.random.default_rng(d).uniform(0, 20, (k, d)).tolist()
+            data = gaussian_clusters(centres, [f"C{i}" for i in range(k)], n, 1.5, d)
+            som, _ = train(init_map(r, r, d, 0, feature_range(data)), data,
+                           TrainConfig(epochs=5))
+            save_model(f"{sys.argv[1]}/model_d{d}.json", build_model(som, data))
+        EOF
+    """
+    path = Path(__file__).parent / "data" / f"model_d{dim}.json"
+    written = path.read_bytes()
+    assert len(written) < 50_000
+    model = load_model(path)
+    assert model.input_dim == dim
+    assert (canonical_dumps(model_snapshot(model)) + "\n").encode("utf-8") == written
 
 
 # ==============================================================

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from somlogic import (
@@ -21,9 +21,10 @@ from somlogic import (
     three_cluster_dataset,
     train,
 )
-from somlogic.som import map_from_snapshot, map_snapshot
+from somlogic import som as som_module
+from somlogic.som import map_from_snapshot, map_snapshot, nearest_in_groups, nearest_units
 
-from oracles import oracle_bmu, oracle_qe
+from oracles import oracle_bmu, oracle_qe, oracle_sq_dists
 
 
 def small_data():
@@ -115,6 +116,79 @@ def test_bmu_tie_breaks_to_lowest_index():
     assert find_bmu(som, (1.0, 0.0)) == 0
     # (0.5, 0.5) is equidistant from all three units; lowest index wins
     assert find_bmu(som, (0.5, 0.5)) == 0
+
+
+def _kernel_mismatches(x, w, groups) -> list[str]:
+    """Which results of ``nearest_units`` and ``nearest_in_groups`` differ,
+    bit for bit, from those of the pinned expression."""
+    with np.errstate(over="ignore"):
+        want = oracle_sq_dists(x, w)
+        nearest, d2 = nearest_units(x, w)
+        grouped = nearest_in_groups(x, w, groups)
+    out = []
+    if not np.array_equal(nearest, want.argmin(axis=1)):
+        out.append("indices")
+    if d2.tobytes() != want.min(axis=1).tobytes():
+        out.append("distances")
+    if grouped.tobytes() != np.stack([want[:, g].min(axis=1) for g in groups], axis=1).tobytes():
+        out.append("grouped minima")
+    return out
+
+
+def _kernel_case(seed: int, n: int, units: int, dim: int, duplicates: bool, huge: bool):
+    """Stimuli, weights and groups of unit indices.  Magnitudes spread over
+    many binades so that a different summation order shows in the last bit;
+    at ``huge`` they sit near 1e154, where some squares overflow to inf."""
+    rng = np.random.default_rng(seed)
+    if huge:
+        x = rng.normal(size=(n, dim)) * 1e154
+        w = rng.normal(size=(units, dim)) * 1e154
+    else:
+        x = rng.normal(size=(n, dim)) * np.exp(rng.uniform(-8, 8, (n, dim)))
+        w = rng.normal(size=(units, dim)) * np.exp(rng.uniform(-8, 8, (units, dim)))
+    if duplicates:
+        # later copies of earlier rows: ties must go to the lowest index
+        src = rng.integers(0, units, size=units // 2 + 1)
+        dst = rng.integers(0, units, size=src.size)
+        w[np.maximum(src, dst)] = w[np.minimum(src, dst)]
+        x[: n // 2] = w[rng.integers(0, units, size=n // 2)]
+    groups = [
+        rng.choice(units, size=rng.integers(1, units + 1), replace=False)
+        for _ in range(rng.integers(1, 6))
+    ]
+    return x, w, groups
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 70),
+    st.integers(1, 70),
+    st.sampled_from([*range(1, 21), 127, 128, 129, 136, 257]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=200)
+# full blocks at each path of the order, whatever the draws
+@example(0, 70, 70, 8, False, False)
+@example(0, 70, 70, 136, False, False)
+@example(0, 70, 70, 257, False, False)
+def test_kernel_equals_pinned_expression(seed, n, units, dim, duplicates, huge):
+    x, w, groups = _kernel_case(seed, n, units, dim, duplicates, huge)
+    assert _kernel_mismatches(x, w, groups) == []
+
+
+def test_kernel_comparison_catches_left_to_right_sum(monkeypatch):
+    x, w, groups = _kernel_case(0, 70, 70, 8, False, False)
+    assert _kernel_mismatches(x, w, groups) == []
+
+    def left_to_right(terms):
+        total = terms[0]
+        for t in terms[1:]:
+            total += t
+        return total
+
+    monkeypatch.setattr(som_module, "_pairwise_sum", left_to_right)
+    assert "distances" in _kernel_mismatches(x, w, groups)
 
 
 def test_bmu_input_validation():
