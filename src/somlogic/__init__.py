@@ -25,7 +25,6 @@ from .concepts import (
     Inclusion,
     Name,
     Top,
-    extension,
     extension_mask,
     inclusion_text,
     parse_concept,
@@ -63,7 +62,6 @@ from .preferences import (
     default_concept_pool,
     global_prefer,
     minima,
-    minimal_elements,
     verify_klm,
     verify_order_axioms,
 )

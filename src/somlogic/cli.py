@@ -6,9 +6,12 @@ against a saved model, ``verify`` re-checks the order axioms and entailment
 postulates, and ``trace`` replays training as stepwise belief revision.
 
 ``check`` answers a name-to-name query by the pairwise criteria.  Any other
-query first derives specificity.  A strict one then compares extensions
-only; a defeasible ``T(C) <= D`` reads the global preference restricted to
-ext(C), checked to be a strict order on that block, never the whole order.
+query first derives specificity and evaluates both sides to extension
+masks.  A strict one then compares the masks only; a defeasible
+``T(C) <= D`` reads the global preference restricted to ext(C), checked to
+be a strict order on that block, never the whole order.  ``verify``
+builds the whole order unchecked and reports its order axioms once, with
+the postulates.
 
 Exit codes:
 
@@ -18,15 +21,18 @@ Exit codes:
   ``model.json`` whose stored tables differ from the ones ``build_model``'s
   derivation gives for its features and prototype lists.
 * 2: a file cannot be opened, is not UTF-8 text, or is not valid JSON.
-* 3: a specificity cycle, a global preference that is not a strict order
-  (for ``check``: on the block of ext(C) it reads), or a failed required
-  check.
+* 3: a specificity cycle, or a global preference that is not a strict
+  order: for ``check`` on the block of ext(C) it reads (an ``error:``
+  line); for ``verify`` a failed required check, irreflexivity and
+  transitivity among them (the full report on stdout, the failed checks
+  named on stderr).
 * 4: the queried inclusion does not hold.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,7 +47,7 @@ from .checker import (
     kb_file_text,
     specificity_to_json,
 )
-from .concepts import Inclusion, Name, extension, parse_query
+from .concepts import Inclusion, Name, extension_mask, parse_query
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -83,7 +89,9 @@ def _config_from_args(args) -> TrainConfig:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``somlogic`` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="somlogic",
         description="Train self-organising maps and reason over the preferential models they induce.",
@@ -188,10 +196,10 @@ def cmd_check(args) -> int:
         # Specificity first, so that a cycle exits 3 before any unknown name
         # is reported.
         rel = derive_specificity(model)
-        lhs, rhs = extension(model, query.lhs), extension(model, query.rhs)
+        lhs, rhs = extension_mask(model, query.lhs), extension_mask(model, query.rhs)
         if query.kind == "defeasible":
             lhs = minima(model, rel, lhs)
-        holds = lhs <= rhs
+        holds = not (lhs & ~rhs).any()
         method = "global_typicality" if query.kind == "defeasible" else "set_inclusion"
         doc = CheckReport(query, holds, method).to_json()
     print(jsonio.canonical_dumps(doc))

@@ -39,7 +39,6 @@ __all__ = [
     "parse_inclusion",
     "pretty",
     "inclusion_text",
-    "extension",
     "extension_mask",
     "parse_kb_text",
 ]
@@ -248,28 +247,10 @@ def inclusion_text(inc: Inclusion) -> str:
 # ==============================================================
 
 
-def extension(model: SemanticModel, expr: ConceptExpr) -> frozenset[str]:
-    """The set of domain element ids the concept denotes in the model."""
-    if isinstance(expr, Top):
-        return frozenset(model.element_ids)
-    if isinstance(expr, Bot):
-        return frozenset()
-    if isinstance(expr, Name):
-        try:
-            return model.extensions[expr.name]
-        except KeyError:
-            raise UnknownCategoryError(
-                f"concept name {expr.name!r} is not a learned category"
-            ) from None
-    if isinstance(expr, And):
-        return extension(model, expr.left) & extension(model, expr.right)
-    raise InputError(f"not a concept expression: {expr!r}")
-
-
 def extension_mask(model: SemanticModel, expr: ConceptExpr) -> np.ndarray:
-    """The set ``extension`` gives, as a boolean mask over
-    ``model.element_ids``: a name reads its row of ``model.ext`` (read-only),
-    a conjunction ANDs the masks of its sides."""
+    """The set of domain elements the concept denotes in the model, as a
+    boolean mask over ``model.element_ids``: a name reads its row of
+    ``model.ext`` (read-only), a conjunction ANDs the masks of its sides."""
     if isinstance(expr, Top):
         return np.ones(len(model.element_ids), dtype=bool)
     if isinstance(expr, Bot):

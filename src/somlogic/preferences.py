@@ -20,13 +20,15 @@ model; it need not be modular.
 The rule is stated once, in ``_global_order``, over any list of elements
 (columns of the model's rd matrix): each pair is decided by the two
 elements' rd values and specificity alone.
-It has two callers.  ``build_preferential`` applies it to the whole domain.
-``minima`` applies it to one set, e.g. ext(C), and reads T(C) off that
-block, which is how ``somlogic check`` answers a defeasible query without
-the N x N order.  Both check the order they build to be a strict order.
+It has two callers.  ``build_preferential`` applies it to the whole domain
+and checks nothing: ``verify_order_axioms`` then checks the axioms on the
+materialised relation, once.  ``minima`` applies it to one set, e.g.
+ext(C), given as a mask, and reads T(C) off that block, which is how
+``somlogic check`` answers a defeasible query without the N x N order.
+Nothing verifies that block afterwards, so ``minima`` checks it to be a
+strict order itself.
 
-``verify_order_axioms`` checks the axioms on the materialised relation,
-and ``verify_klm`` checks the standard closure postulates (Reflexivity, Left
+``verify_klm`` checks the standard closure postulates (Reflexivity, Left
 Logical Equivalence, Right Weakening, And, Cautious Monotonicity, and Or
 where the union is expressible) for the induced nonmonotonic entailment
 C |~ D  iff  every globally minimal element of ext(C) lies in ext(D).
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,7 +65,6 @@ __all__ = [
     "PreferentialModel",
     "global_prefer",
     "build_preferential",
-    "minimal_elements",
     "minima",
     "Violation",
     "PropertyCheck",
@@ -86,7 +87,7 @@ def global_prefer(
     """Direct evaluation of the combination rule for one element pair.
 
     Kept deliberately close to the definition; ``build_preferential``
-    materialises the same relation in bulk and asserts the order axioms.
+    materialises the same relation in bulk.
     """
     model.element(x_eid)
     model.element(y_eid)
@@ -184,67 +185,39 @@ def _global_order(
     return order
 
 
-def _strict_order(
-    model: SemanticModel, specificity: SpecificityRelation, cols: Sequence[int]
+def build_preferential(
+    model: SemanticModel, specificity: SpecificityRelation | None = None
+) -> PreferentialModel:
+    """Materialise the global preference over the whole domain.  The order
+    is not checked here: ``verify_order_axioms`` reports whether it is a
+    strict order."""
+    if specificity is None:
+        specificity = derive_specificity(model)
+    order = _global_order(model, specificity, range(len(model.element_ids)))
+    return PreferentialModel(model, specificity, model.element_ids, order)
+
+
+def minima(
+    model: SemanticModel, specificity: SpecificityRelation, mask: np.ndarray
 ) -> np.ndarray:
-    """``_global_order`` over ``cols``, checked to be an irreflexive,
-    transitive strict order; a failure is a ConsistencyError naming a
-    witness, never a silently wrong answer."""
+    """The globally minimal elements of the set ``mask`` (T(C) when ``mask``
+    is ext(C)), both boolean masks over ``model.element_ids``, from the
+    order restricted to that set alone: O(k·|set|²) rather than O(k·N²).
+
+    The restricted block is checked to be an irreflexive, transitive strict
+    order; a failure is a ConsistencyError naming a witness, never a
+    silently wrong answer.
+    """
+    cols = np.flatnonzero(mask)
     order = _global_order(model, specificity, cols)
     refl, trans = _order_violations([model.element_ids[c] for c in cols], order)
     if refl or trans:
         raise ConsistencyError(
             f"global preference is not a strict order: {(refl + trans)[0].instance}"
         )
-    return order
-
-
-def build_preferential(
-    model: SemanticModel, specificity: SpecificityRelation | None = None
-) -> PreferentialModel:
-    """Materialise the global preference over the whole domain, checked to
-    be a strict order (ConsistencyError otherwise)."""
-    if specificity is None:
-        specificity = derive_specificity(model)
-    order = _strict_order(model, specificity, range(len(model.element_ids)))
-    return PreferentialModel(model, specificity, model.element_ids, order)
-
-
-def minima(
-    model: SemanticModel, specificity: SpecificityRelation, eids: Iterable[str]
-) -> frozenset[str]:
-    """The globally minimal elements of ``eids`` (T(C) when ``eids`` is
-    ext(C)), from the order restricted to ``eids`` alone.
-
-    Equal to ``minimal_elements(build_preferential(model, specificity), eids)``
-    at a cost of O(k·|eids|²) rather than O(k·N²) plus the full-order check;
-    the restricted block is itself checked to be a strict order.
-    """
-    wanted = frozenset(eids)
-    unknown = wanted.difference(model.col_of)
-    if unknown:
-        raise InputError(f"unknown domain element {min(unknown)!r}")
-    cols = sorted(model.col_of[eid] for eid in wanted)
-    dominated = _strict_order(model, specificity, cols).any(axis=0)
-    return frozenset(model.element_ids[cols[i]] for i in np.flatnonzero(~dominated))
-
-
-def minimal_elements(pref: PreferentialModel, eids: Iterable[str]) -> frozenset[str]:
-    """Subset of ``eids`` with no globally preferred element inside ``eids``.
-    Non-empty whenever ``eids`` is (the order is well-founded on a finite
-    domain)."""
-    idx = []
-    for eid in eids:
-        try:
-            idx.append(pref._row[eid])
-        except KeyError:
-            raise InputError(f"unknown domain element {eid!r}") from None
-    if not idx:
-        return frozenset()
-    idx = sorted(idx)
-    sub = pref.order[np.ix_(idx, idx)]
-    dominated = sub.any(axis=0)
-    return frozenset(pref.element_ids[i] for i, dom in zip(idx, dominated) if not dom)
+    out = np.zeros(len(model.element_ids), dtype=bool)
+    out[cols[~order.any(axis=0)]] = True
+    return out
 
 
 # ==============================================================

@@ -131,16 +131,14 @@ def _kb_of(som: SomMap, categories: tuple[str, ...], features: np.ndarray,
         # that is also a BMU element's id; let it decide on these inputs.
         build_model(som, tuple(seen.values()), categories=categories)
 
-    k = len(categories)
-    empty = np.ones(k, dtype=bool)
+    k, n_units = len(categories), len(units)
+    # Each category's BMU units, as indices into ``units``: the distinct
+    # (category, unit) pairs sort by category, then by unit.
+    pairs = np.unique(labels * n_units + unit_row)
+    rows = np.split(pairs % n_units, np.searchsorted(pairs, np.arange(1, k) * n_units))
+    empty = np.array([len(r) == 0 for r in rows])
     precision = np.zeros(k)
-    rows = []  # each category's BMU units, as indices into ``units``
-    for j in range(k):
-        mine = labels == j
-        rows.append(np.unique(unit_row[mine]))
-        if mine.any():
-            empty[j] = False
-            precision[j] = np.sqrt(d2[mine]).max()
+    np.maximum.at(precision, labels, np.sqrt(d2))
     # The largest rd over a category's own stimuli: precision / precision,
     # or 0.0 when the precision is 0.
     rd_max = np.where(precision > 0.0, 1.0, 0.0)

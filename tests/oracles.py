@@ -2,21 +2,27 @@
 
 Everything here is written with plain Python loops and dicts, straight from
 the definitions, sharing no code with the package internals, except that
-``oracle_verify_klm``, ``typicality_extension`` and ``entails`` take
-extensions, minima and the report types from the library.  Tests compare
-library outputs against these.
+``oracle_verify_klm`` takes the report types from the library.  Tests
+compare library outputs against these.
+
+The set-based routes live here too: ``extension`` evaluates a concept to a
+frozenset of element ids, and ``minimal_elements`` reads the minima of a set
+off the whole materialised order.  ``typicality_extension``, ``entails`` and
+``oracle_verify_klm`` build on them; they are the references for the
+library's mask-based ``extension_mask``, ``minima``, ``somlogic check`` and
+``verify_klm``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from somlogic.checker import SpecificityRelation
-from somlogic.concepts import ConceptExpr, extension, pretty
-from somlogic.errors import InputError
+from somlogic.concepts import And, Bot, ConceptExpr, Name, Top, pretty
+from somlogic.errors import InputError, UnknownCategoryError
 from somlogic.model import SemanticModel
 from somlogic.preferences import (
     PreferentialModel,
@@ -24,7 +30,6 @@ from somlogic.preferences import (
     Violation,
     _check,
     default_concept_pool,
-    minimal_elements,
 )
 
 
@@ -96,6 +101,42 @@ def oracle_minimal(prefers, eids) -> frozenset:
         if not any(prefers(x, y) for x in eids):
             out.add(y)
     return frozenset(out)
+
+
+def extension(model: SemanticModel, expr: ConceptExpr) -> frozenset[str]:
+    """The set of domain element ids the concept denotes in the model."""
+    if isinstance(expr, Top):
+        return frozenset(model.element_ids)
+    if isinstance(expr, Bot):
+        return frozenset()
+    if isinstance(expr, Name):
+        try:
+            return model.extensions[expr.name]
+        except KeyError:
+            raise UnknownCategoryError(
+                f"concept name {expr.name!r} is not a learned category"
+            ) from None
+    if isinstance(expr, And):
+        return extension(model, expr.left) & extension(model, expr.right)
+    raise InputError(f"not a concept expression: {expr!r}")
+
+
+def minimal_elements(pref: PreferentialModel, eids: Iterable[str]) -> frozenset[str]:
+    """Subset of ``eids`` with no globally preferred element inside ``eids``,
+    read off the whole materialised order.  Non-empty whenever ``eids`` is
+    (the order is well-founded on a finite domain)."""
+    idx = []
+    for eid in eids:
+        try:
+            idx.append(pref._row[eid])
+        except KeyError:
+            raise InputError(f"unknown domain element {eid!r}") from None
+    if not idx:
+        return frozenset()
+    idx = sorted(idx)
+    sub = pref.order[np.ix_(idx, idx)]
+    dominated = sub.any(axis=0)
+    return frozenset(pref.element_ids[i] for i, dom in zip(idx, dominated) if not dom)
 
 
 def typicality_extension(pref: PreferentialModel, expr: ConceptExpr) -> frozenset[str]:
@@ -288,6 +329,19 @@ def make_model(rd_tables, stimulus_elements, bmu_elements=None, extra_elements=(
         precision=[1.0] * len(refs),
         rd=rd.reshape(len(refs), len(all_ids)),
     )
+
+
+def two_way_override_model() -> tuple[SemanticModel, SpecificityRelation]:
+    """Two categories that disagree on x and y, with a specificity relation
+    that declares each more specific than the other.  Each overrides the
+    other's objection, so the global preference has x < y < x and is no
+    strict order; no map gives this relation (it is a cycle)."""
+    rd = {
+        "K1": {"x": 0.0, "y": 0.5, "s1": 1.0, "s2": 1.0},
+        "K2": {"x": 0.5, "y": 0.0, "s1": 1.0, "s2": 1.0},
+    }
+    model = make_model(rd, {"K1": ["x", "s1"], "K2": ["y", "s2"]})
+    return model, SpecificityRelation(pairs=frozenset({("K1", "K2"), ("K2", "K1")}))
 
 
 def random_model(rng, max_elements=40, max_categories=5):

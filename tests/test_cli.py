@@ -1,11 +1,13 @@
+import argparse
 import json
 import subprocess
 import sys
+import types
 
 import pytest
 
-from oracles import entails, make_model
-from somlogic import cli
+from oracles import entails, make_model, two_way_override_model
+from somlogic import cli, preferences
 from somlogic import (
     Bot,
     CheckReport,
@@ -275,6 +277,55 @@ def test_cyclic_specificity_exit_3(monkeypatch, capsys):
     # compound queries also need the specificity relation
     for query in ["A & B <= Bot", "T(A & B) <= A", "Top <= A", "T(Top) <= A"]:
         assert main(["check", "--model", "cyclic.json", "--query", query]) == 3, query
+
+
+def test_verify_reports_a_non_strict_order_exit_3(monkeypatch, capsys):
+    # The order is checked once, by the report: it lists the transitivity
+    # failure on stdout and names the failed checks on stderr.
+    model, cyclic = two_way_override_model()
+    monkeypatch.setattr(cli, "load_model", lambda _path: model)
+    monkeypatch.setattr(cli, "derive_specificity", lambda _model: cyclic)
+    assert main(["verify", "--model", "two-way.json"]) == 3
+    out, err = capsys.readouterr()
+    checks = {c["check"]: c for c in json.loads(out)}
+    assert checks["transitivity"]["status"] == "fail"
+    assert checks["transitivity"]["violations"][0]["instance"] == "x < y < x but not x < x"
+    assert err.startswith("required checks failed:") and "transitivity" in err
+
+
+def test_verify_checks_the_order_once(tmp_path, data_csv, monkeypatch, capsys):
+    out = train_and_extract(tmp_path, data_csv)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return order_violations(*args)
+
+    order_violations = preferences._order_violations
+    monkeypatch.setattr(preferences, "_order_violations", counted)
+    assert main(["verify", "--model", str(out / "model.json")]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    built = []
+
+    class Counted(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "somlogic":  # not the subcommands' parsers
+                built.append(self)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=Counted))
+    try:
+        assert main(["--help"]) == 0
+        assert main(["check"]) == 1
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+    capsys.readouterr()
 
 
 def _edit_rd_to_list(doc):

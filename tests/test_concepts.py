@@ -13,7 +13,6 @@ from somlogic import (
     ParseError,
     Top,
     UnknownCategoryError,
-    extension,
     extension_mask,
     inclusion_text,
     parse_concept,
@@ -23,7 +22,7 @@ from somlogic import (
 )
 from somlogic.concepts import parse_kb_text
 
-from oracles import make_model, random_model
+from oracles import extension, make_model, random_model
 
 
 # ==============================================================
@@ -161,19 +160,23 @@ def _tiny_model():
     return make_model(rd, stim)
 
 
+def _extension_ids(model, expr) -> frozenset[str]:
+    return frozenset(compress(model.element_ids, extension_mask(model, expr)))
+
+
 def test_extension_eval():
     m = _tiny_model()
-    assert extension(m, Top()) == {"x", "y", "z"}
-    assert extension(m, Bot()) == frozenset()
-    assert extension(m, Name("P")) == {"x", "y"}   # rd_max(P) = 0.5
-    assert extension(m, Name("Q")) == {"y", "z"}
-    assert extension(m, And(Name("P"), Name("Q"))) == {"y"}
-    assert extension(m, And(Name("P"), Bot())) == frozenset()
+    assert _extension_ids(m, Top()) == {"x", "y", "z"}
+    assert _extension_ids(m, Bot()) == frozenset()
+    assert _extension_ids(m, Name("P")) == {"x", "y"}   # rd_max(P) = 0.5
+    assert _extension_ids(m, Name("Q")) == {"y", "z"}
+    assert _extension_ids(m, And(Name("P"), Name("Q"))) == {"y"}
+    assert _extension_ids(m, And(Name("P"), Bot())) == frozenset()
 
 
 def test_unknown_name():
     with pytest.raises(UnknownCategoryError):
-        extension(_tiny_model(), Name("R"))
+        extension_mask(_tiny_model(), Name("R"))
 
 
 # Names K0..K4 are those random_model may give; K9 never names a category.

@@ -14,11 +14,9 @@ from somlogic import (
     Top,
     build_preferential,
     derive_specificity,
-    extension,
     extension_mask,
     global_prefer,
     minima,
-    minimal_elements,
     verify_klm,
     verify_order_axioms,
 )
@@ -28,12 +26,15 @@ from somlogic.preferences import PreferentialModel, _bool_product, _row_keys, de
 
 from oracles import (
     entails,
+    extension,
     make_model,
+    minimal_elements,
     oracle_global_prefer,
     oracle_minimal,
     oracle_order_violations,
     oracle_verify_klm,
     random_model,
+    two_way_override_model,
     typicality_extension,
 )
 
@@ -90,6 +91,13 @@ def test_minimal_elements_against_oracle(seed):
 # ==============================================================
 
 
+def _minima_ids(model, specificity, eids) -> frozenset[str]:
+    """``minima`` of the set of element ids ``eids``, as element ids."""
+    mask = np.zeros(len(model.element_ids), dtype=bool)
+    mask[[model.col_of[eid] for eid in eids]] = True
+    return frozenset(itertools.compress(model.element_ids, minima(model, specificity, mask)))
+
+
 def _minima_corpus(nested_model):
     """(model, specificity, rd tables, above, sets): the seeded random
     models, then the nested G/S model.  The sets are every pool concept's
@@ -122,7 +130,7 @@ def _minima_mismatches(nested_model) -> list:
             return oracle_global_prefer(rd_tables, above, x, y)
 
         for s in sets:
-            got = minima(model, rel, s)
+            got = _minima_ids(model, rel, s)
             if got != minimal_elements(pref, s) or got != oracle_minimal(prefers, s):
                 out.append((model.category_names, sorted(s)))
     return out
@@ -137,7 +145,7 @@ def test_minima_equal_full_order_and_oracle(nested_model):
         model is nested_model
         for model, rel, _, _, sets in _minima_corpus(nested_model)
         for s in sets
-        if minima(model, rel, s) != minima(model, none, s)
+        if _minima_ids(model, rel, s) != _minima_ids(model, none, s)
     }
     assert decided == {False, True}
 
@@ -156,17 +164,17 @@ def test_minima_rejects_cyclic_specificity():
     }
     m = make_model(rd, {"K1": ["x", "s1"], "K2": ["y", "s2"]})
     cyclic = SpecificityRelation(pairs=frozenset({("K1", "K2"), ("K2", "K1")}))
-    assert minima(m, cyclic, {"s1", "s2"}) == {"s1", "s2"}  # a block without the cycle
+    assert _minima_ids(m, cyclic, {"s1", "s2"}) == {"s1", "s2"}  # a block without the cycle
     with pytest.raises(ConsistencyError) as exc:
-        minima(m, cyclic, {"x", "y", "s1"})
+        _minima_ids(m, cyclic, {"x", "y", "s1"})
     assert "x < y < x" in str(exc.value)
 
 
-def test_minima_of_empty_and_unknown_sets(nested_model):
+def test_minima_of_empty_set(nested_model):
     rel = derive_specificity(nested_model)
-    assert minima(nested_model, rel, ()) == frozenset()
-    with pytest.raises(InputError):
-        minima(nested_model, rel, ["ghost", nested_model.element_ids[0]])
+    empty = np.zeros(len(nested_model.element_ids), dtype=bool)
+    got = minima(nested_model, rel, empty)
+    assert got.dtype == bool and got.shape == empty.shape and not got.any()
 
 
 # ==============================================================
@@ -387,22 +395,19 @@ def test_order_axioms_match_oracle_on_random_relations():
 
 
 def test_builder_rejects_inconsistent_state():
-    # a healthy model builds without complaint
+    # The builder checks nothing; its order's one check is
+    # verify_order_axioms.  A healthy model builds a strict order.
     rd = {"K": {"a": 0.0, "b": 0.5, "s": 1.0}}
     m = make_model(rd, {"K": ["a", "s"]})
-    build_preferential(m, SpecificityRelation(pairs=frozenset()))
+    healthy = verify_order_axioms(build_preferential(m, SpecificityRelation(pairs=frozenset())))
+    assert all(c.status == "pass" for c in healthy if c.required)
 
     # two categories that disagree on x/y, each declared more specific than
     # the other: each overrides the other's objection, so x < y < x
-    rd = {
-        "K1": {"x": 0.0, "y": 0.5, "s1": 1.0, "s2": 1.0},
-        "K2": {"x": 0.5, "y": 0.0, "s1": 1.0, "s2": 1.0},
-    }
-    m = make_model(rd, {"K1": ["x", "s1"], "K2": ["y", "s2"]})
-    cyclic = SpecificityRelation(pairs=frozenset({("K1", "K2"), ("K2", "K1")}))
-    with pytest.raises(ConsistencyError) as exc:
-        build_preferential(m, cyclic)
-    assert "x < y < x" in str(exc.value).replace("'", "")
+    m, cyclic = two_way_override_model()
+    checks = {c.check: c for c in verify_order_axioms(build_preferential(m, cyclic))}
+    assert checks["transitivity"].status == "fail"
+    assert checks["transitivity"].violations[0].instance == "x < y < x but not x < x"
 
 
 @pytest.mark.parametrize("verify", [verify_klm, oracle_verify_klm])
@@ -490,7 +495,7 @@ def test_klm_class_keys_see_the_last_element():
     assert np.flatnonzero(a != b).tolist() == [10]
     assert len(set(_row_keys(np.packbits(np.vstack([a, b]), axis=1)))) == 2
     pref = build_preferential(m, SpecificityRelation(pairs=frozenset()))
-    assert minima(m, pref.specificity, extension(m, Name("B"))) == {"e0", "e10"}
+    assert _minima_ids(m, pref.specificity, extension(m, Name("B"))) == {"e0", "e10"}
     got = [c.to_json() for c in verify_klm(pref)]
     assert got == [c.to_json() for c in oracle_verify_klm(pref)]
     assert all(c["status"] == "pass" for c in got)
