@@ -12,9 +12,10 @@ distance of Ci's best-matching-unit elements measured in Cj:
 Exact extension containment is computed alongside the margin criterion and
 reported separately; the two can disagree and neither overrides the other.
 
-``kb_rule`` states both criteria once, over the ``k x k`` matrix of those
-maxima: ``extract_kb`` and ``derive_specificity`` read the matrix off a
-model, and the revision step computes it from the map alone.
+``kb_criteria`` states both criteria once, over the ``k x k`` matrix of
+those maxima, and ``kb_inclusions`` turns its boolean matrices into the KB:
+``extract_kb`` and ``derive_specificity`` read the maxima off a model, and
+the revision step computes them from the map alone.
 ``extract_kb`` runs every ordered pair of categories through both checks and
 returns the inclusions that hold; categories without any stimulus yield
 ``Ci <= Bot`` instead (their extension is empty) and their pair checks are
@@ -46,7 +47,8 @@ __all__ = [
     "rd_bmu_set",
     "check_typicality",
     "check_strict",
-    "kb_rule",
+    "kb_criteria",
+    "kb_inclusions",
     "extract_kb",
     "kb_file_text",
     "derive_specificity",
@@ -116,21 +118,25 @@ def _criteria(val, rd_max_i, rd_max_j) -> dict:
     return {"defeasible": val <= rd_max_j, "strict": val + rd_max_i <= rd_max_j}
 
 
-def kb_rule(names, val: np.ndarray, rd_max: np.ndarray, empty: np.ndarray) -> frozenset[Inclusion]:
-    """The inclusions that hold among the categories ``names``.
-
-    ``val[i, j]`` is ``rd_bmu_set`` of ``names[i]`` in ``names[j]`` and
-    ``rd_max[i]`` the bound of ``names[i]``; both are read only where neither
-    category is ``empty``.  An empty category contributes ``Ci <= Bot`` and
-    nothing else.  ``extract_kb``, ``derive_specificity`` and the revision
-    step all take their inclusions from here.
-    """
+def kb_criteria(val: np.ndarray, rd_max: np.ndarray, empty: np.ndarray) -> dict[str, np.ndarray]:
+    """For each inclusion kind, the ``k x k`` boolean matrix of the pairs
+    (i, j) whose inclusion holds, false where a category is ``empty``.
+    ``val[i, j]`` is ``rd_bmu_set`` of category i in j and ``rd_max[i]`` the
+    bound of i; both are read only where neither category is empty."""
     live = ~empty[:, np.newaxis] & ~empty[np.newaxis, :]
+    return {kind: holds & live
+            for kind, holds in _criteria(val, rd_max[:, np.newaxis], rd_max[np.newaxis, :]).items()}
+
+
+def kb_inclusions(names, criteria: Mapping[str, np.ndarray], empty: np.ndarray) -> frozenset[Inclusion]:
+    """The inclusions among the categories ``names`` that ``criteria``
+    (from ``kb_criteria``) say hold, and ``Ci <= Bot`` for each ``empty``
+    category: the KB is a function of these arguments alone."""
     kb = [Inclusion(kind="strict", lhs=Name(names[i]), rhs=Bot()) for i in np.flatnonzero(empty)]
-    for kind, holds in _criteria(val, rd_max[:, np.newaxis], rd_max[np.newaxis, :]).items():
+    for kind, holds in criteria.items():
         kb += (
             Inclusion(kind=kind, lhs=Name(names[i]), rhs=Name(names[j]))
-            for i, j in zip(*np.nonzero(holds & live))
+            for i, j in zip(*np.nonzero(holds))
         )
     return frozenset(kb)
 
@@ -201,7 +207,7 @@ class KbExtraction:
 
 
 def _rule_inputs(model: SemanticModel, cats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``kb_rule``'s ``val``, ``rd_max`` and ``empty`` read off a model; an
+    """``kb_criteria``'s ``val``, ``rd_max`` and ``empty`` read off a model; an
     empty category's ``rd_max`` of None reads as nan."""
     tables = [model.categories[c] for c in cats]
     empty = np.array([t.empty for t in tables], dtype=bool)
@@ -219,7 +225,7 @@ def extract_kb(model: SemanticModel) -> KbExtraction:
     stimuli contributes ``Ci <= Bot`` and only vacuous pair reports."""
     cats = model.category_names
     val, rd_max, empty = _rule_inputs(model, cats)
-    kb = kb_rule(cats, val, rd_max, empty)
+    kb = kb_inclusions(cats, kb_criteria(val, rd_max, empty), empty)
     reports: list[CheckReport] = []
     for i, ci in enumerate(cats):
         for j, cj in enumerate(cats):
@@ -324,11 +330,8 @@ def derive_specificity(model: SemanticModel) -> SpecificityRelation:
     silently dropped.
     """
     names = model.category_names
-    strict = {
-        (inc.lhs.name, inc.rhs.name)
-        for inc in kb_rule(names, *_rule_inputs(model, names))
-        if inc.kind == "strict" and isinstance(inc.rhs, Name)
-    }
+    holds = kb_criteria(*_rule_inputs(model, names))["strict"]
+    strict = {(names[i], names[j]) for i, j in zip(*np.nonzero(holds))}
     cats = [c for c in names if not model.categories[c].empty]
     edges = {
         ci: {cj for cj in cats if ci != cj and (ci, cj) in strict and (cj, ci) not in strict}

@@ -296,13 +296,13 @@ def build_model(
     return _derive(som.input_dim, elements, refs)
 
 
-def _rd(num: np.ndarray, precision: float) -> np.ndarray:
-    """Relative distances from the distances ``num`` to a category's BMU
-    ensemble: ``num / precision``, or, when the precision is zero, 0.0 on
-    the ensemble and infinite elsewhere."""
-    if precision > 0.0:
-        return num / precision
-    return np.where(num == 0.0, 0.0, np.inf)
+def _rd(num: np.ndarray, precision: np.ndarray) -> np.ndarray:
+    """Relative distances from the distances ``num`` to each category's BMU
+    ensemble, ``precision`` broadcast against ``num``: ``num / precision``,
+    or, where the precision is zero, 0.0 on the ensemble and infinite
+    elsewhere."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(precision > 0.0, num / precision, np.where(num == 0.0, 0.0, np.inf))
 
 
 # Squared distances may overflow on far-apart features.  An infinite
@@ -338,8 +338,9 @@ def _derive(
     rd = np.full((len(names), len(ids)), np.nan)
     precision: list[float | None] = [None] * len(names)
     if ranked:
-        groups = [[pos[col_of[eid]] for eid in refs[names[i]][1]] for i in ranked]
-        num = np.sqrt(nearest_in_groups(feats, feats[bmu_cols], groups).T)
+        cols = [pos[col_of[eid]] for i in ranked for eid in refs[names[i]][1]]
+        starts = np.cumsum([0] + [len(refs[names[i]][1]) for i in ranked[:-1]])
+        num = np.sqrt(nearest_in_groups(feats, feats[bmu_cols], cols, starts).T)
         for i, num_i in zip(ranked, num):
             # A stimulus's own BMU minimises the distance over *all* units,
             # so its distance to the ensemble is exactly its own-BMU
@@ -348,7 +349,7 @@ def _derive(
             if not math.isfinite(p):
                 raise InputError(f"category {names[i]!r}: distances to its BMUs overflow float64")
             precision[i] = p
-            rd[i] = _rd(num_i, p)
+        rd[ranked] = _rd(num, np.array([precision[i] for i in ranked])[:, np.newaxis])
 
     stimuli = {eid for _, _, stim in refs.values() for eid in stim}
     bmus = {eid for _, bmu, _ in refs.values() for eid in bmu}

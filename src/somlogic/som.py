@@ -13,6 +13,7 @@ per-epoch presentation order, and BMU tie-breaking (lowest unit index).
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -149,6 +150,7 @@ class SomMap:
         self.weights = w
         rr, cc = np.divmod(np.arange(self.rows * self.cols), self.cols)
         self._coords = np.stack([rr, cc], axis=1).astype(np.float64)
+        self._coords.flags.writeable = False
 
     @property
     def n_units(self) -> int:
@@ -174,14 +176,10 @@ class SomMap:
         return [self.unit(i) for i in range(self.n_units)]
 
     def copy(self) -> "SomMap":
-        return SomMap(
-            rows=self.rows,
-            cols=self.cols,
-            input_dim=self.input_dim,
-            seed=self.seed,
-            weights=self.weights.copy(),
-            epochs_trained=self.epochs_trained,
-        )
+        """A map with its own weights; it shares the read-only grid coords."""
+        out = copy.copy(self)
+        out.weights = self.weights.copy()
+        return out
 
 
 # ==============================================================
@@ -316,17 +314,15 @@ def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     return nearest, d2_min
 
 
-def nearest_in_groups(
-    x: np.ndarray, weights: np.ndarray, groups: Sequence[Sequence[int]]
-) -> np.ndarray:
+def nearest_in_groups(x: np.ndarray, weights: np.ndarray, cols, starts) -> np.ndarray:
     """For each row of ``x`` and each group of row indices of ``weights``,
     the squared distance to the group's nearest row, as a ``len(x) x
-    len(groups)`` matrix.  No group may be empty.  The distances are those
-    of ``nearest_units``, bit for bit, and each is computed once however
-    many groups share its row."""
-    cols = np.concatenate(groups)
-    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
-    out = np.empty((len(x), len(groups)), dtype=np.float64)
+    len(starts)`` matrix.  Group ``g`` is ``cols[starts[g]:starts[g + 1]]``,
+    the last one running to the end of ``cols``, as ``np.minimum.reduceat``
+    reads them; no group may be empty.  The distances are those of
+    ``nearest_units``, bit for bit, and each is computed once however many
+    groups share its row."""
+    out = np.empty((len(x), len(starts)), dtype=np.float64)
     for block, d2 in _blocks(x, weights):
         out[block] = np.minimum.reduceat(d2[:, cols], starts, axis=1)
     return out

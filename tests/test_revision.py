@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from somlogic import (
@@ -17,12 +18,13 @@ from somlogic import (
     initial_state,
     revise,
     run_trace,
+    three_cluster_dataset,
     train,
 )
 from somlogic import revision
 from somlogic.model import model_snapshot
 from somlogic.revision import step_to_json, trace_text
-from somlogic.som import presentation_schedule
+from somlogic.som import SomMap, presentation_schedule
 
 
 def two_cluster_stream():
@@ -103,10 +105,74 @@ def test_rebuild_comparison_catches_stale_bmus():
         state, _ = revise(state, data[i], lr, rad)
         fresh = extract_kb(build_model(state.som, state.seen, categories=state.categories)).kb
         stale = revision._kb_of(
-            previous_som, state.categories, state.features, state.labels, state.seen_by_id
-        )
+            previous_som, state.categories, state.features, state.labels, state.seen_by_id,
+            state.named_units, (None, frozenset()),  # no previous KB to reuse
+        )[1]
         stale_steps += stale != fresh
     assert stale_steps > 0
+
+
+def _steps_unlike_rebuild(data, cfg, rows, cols) -> int:
+    """How many steps of a replay of ``data`` end on a KB other than that of
+    a model rebuilt from scratch."""
+    som0 = init_map(rows, cols, data[0].dim, cfg.seed, feature_range(data))
+    state = initial_state(som0, sorted({s.label for s in data}))
+    unlike = 0
+    for _e, i, lr, rad in presentation_schedule(len(data), cfg):
+        state, _ = revise(state, data[i], lr, rad)
+        unlike += extract_kb(build_model(state.som, state.seen, categories=state.categories)).kb != state.kb
+    return unlike
+
+
+@pytest.mark.parametrize("kept", ["defeasible", "strict"])
+def test_rebuild_comparison_catches_a_key_missing_a_criterion(monkeypatch, kept):
+    # A step reuses the previous KB when its key is unchanged.  A key that
+    # leaves out one criterion matrix reuses a stale KB at some step: on
+    # this schedule the strict matrix alone changes at one step, and the
+    # defeasible one alone at many.
+    assert _steps_unlike_rebuild(three_cluster_dataset(), TrainConfig(epochs=1), 4, 4) == 0
+    monkeypatch.setattr(revision, "_kb_key",
+                        lambda criteria, empty: empty.tobytes() + criteria[kept].tobytes())
+    assert _steps_unlike_rebuild(three_cluster_dataset(), TrainConfig(epochs=1), 4, 4) > 0
+
+
+def test_revising_one_state_twice_and_an_older_state():
+    # States are immutable and a step reads only its own state's key and
+    # KB, so branching off any state, old or new, matches a rebuild.
+    data = two_cluster_stream()
+    som0 = init_map(3, 3, 2, CFG.seed, feature_range(data))
+    states = [initial_state(som0, ["X", "Y"])]
+    for _e, i, lr, rad in presentation_schedule(len(data), CFG):
+        states.append(revise(states[-1], data[i], lr, rad)[0])
+    reused = 0
+    for old in (states[3], states[3], states[12], states[1]):
+        for stimulus in (data[0], data[-1]):
+            branch, _ = revise(old, stimulus, 0.3, 1.0)
+            fresh = build_model(branch.som, branch.seen, categories=branch.categories)
+            assert branch.kb == extract_kb(fresh).kb
+            reused += branch.kb is old.kb
+    assert 0 < reused < 8
+
+
+def test_trace_written_before_kb_reuse_unchanged():
+    """``tests/data/trace_three_cluster.jsonl`` was written by commit
+    8968d88, whose steps built every KB anew, and must come out byte for
+    byte.  Recipe, from the root of the repository:
+
+        mkdir /tmp/parent && git archive 8968d88 | tar -x -C /tmp/parent
+        cd /tmp/parent && PYTHONPATH=src python - "$OLDPWD/tests/data" <<'EOF'
+        import sys
+        from somlogic import TrainConfig, run_trace, three_cluster_dataset
+        from somlogic.revision import trace_text
+        _, steps = run_trace(three_cluster_dataset(), TrainConfig(epochs=1), 4, 4)
+        with open(f"{sys.argv[1]}/trace_three_cluster.jsonl", "w", encoding="utf-8") as fh:
+            fh.write(trace_text(steps))
+        EOF
+    """
+    written = (Path(__file__).parent / "data" / "trace_three_cluster.jsonl").read_bytes()
+    assert len(written) < 40_000
+    _, steps = run_trace(three_cluster_dataset(), TrainConfig(epochs=1), 4, 4)
+    assert trace_text(steps).encode("utf-8") == written
 
 
 @st.composite
@@ -141,6 +207,21 @@ def test_step_kb_matches_rebuild_on_random_replays(case):
         assert state.kb == extract_kb(fresh).kb
 
 
+@given(replays())
+def test_key_empty_mask_is_implied_by_the_criteria(case):
+    # The key holds the empty mask, as kb_inclusions reads it, although the
+    # criteria matrices imply it: T(C) <= C and C <= C hold exactly when C
+    # has stimuli, since C's BMU units lie at rd 0 from C.  So a key without
+    # the mask stays exact, and no comparison can show it as a fault.
+    som0, categories, data, schedule = case
+    state = initial_state(som0, categories)
+    for i, lr, radius in schedule:
+        state, _ = revise(state, data[i], lr, radius)
+        texts = {inclusion_text(inc) for inc in state.kb}
+        for c in categories:
+            assert (f"T({c}) <= {c}" in texts) == (f"{c} <= {c}" in texts) == (f"{c} <= Bot" not in texts)
+
+
 def test_step_kb_at_equality_boundaries():
     # Two labels on one point, each presented with lr = 1: the unit lands on
     # the point, both precisions are 0, and T(A) <= B, A <= B and B <= A hold
@@ -172,6 +253,38 @@ def test_step_keeps_build_model_refusals(value_range, stimulus, error, message):
     state = initial_state(init_map(1, 1, 2, 0, value_range), ["A"])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
         revise(state, stimulus, 0.5, 1.0)
+
+
+@given(st.one_of(st.text(max_size=6), st.from_regex(r"[uU][-+0-9٣²]{0,5}", fullmatch=True)),
+       st.integers(1, 1500))
+@example("u05", 10)
+@example("u٣", 10)
+@example("u²", 10)
+@example("u-1", 10)
+@example("u+1", 10)
+@example("u", 10)
+@example("U3", 10)
+@example("u0", 1)
+@example("u9", 10)
+@example("u10", 10)
+@example("u1\n", 10)
+@example("u1_0", 20)
+@example("u" + "1" * 5000, 10)
+def test_named_unit_is_the_unit_whose_id_is_the_sid(sid, n_units):
+    want = next((u for u in range(n_units) if f"u{u}" == sid), None)
+    assert revision._named_unit(sid, n_units) == want
+
+
+def test_step_refuses_a_unit_id_when_its_unit_first_becomes_a_bmu():
+    # "u1" is seen from the first step, near unit 0; unit 1 first becomes a
+    # BMU at the last step, and only then does its element id clash.
+    som0 = SomMap(rows=1, cols=2, input_dim=2, seed=0, weights=np.array([[0.0, 0.0], [10.0, 10.0]]))
+    state = initial_state(som0, ["A", "B"])
+    for s in [Stimulus("u1", (0.5, 0.5), "A")] * 3 + [Stimulus("a", (1.0, 0.0), "A")]:
+        state, _ = revise(state, s, 0.5, 0.3)
+    assert state.named_units.tolist() == [1]
+    with pytest.raises(InputError, match="duplicate element ids in domain"):
+        revise(state, Stimulus("b", (10.0, 9.5), "B"), 0.5, 0.3)
 
 
 def test_trace_final_equals_batch():

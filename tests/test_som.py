@@ -124,7 +124,8 @@ def _kernel_mismatches(x, w, groups) -> list[str]:
     with np.errstate(over="ignore"):
         want = oracle_sq_dists(x, w)
         nearest, d2 = nearest_units(x, w)
-        grouped = nearest_in_groups(x, w, groups)
+        grouped = nearest_in_groups(x, w, np.concatenate(groups),
+                                    np.cumsum([0] + [len(g) for g in groups[:-1]]))
     out = []
     if not np.array_equal(nearest, want.argmin(axis=1)):
         out.append("indices")
