@@ -26,10 +26,14 @@ Only the element features and each category's ``bmu_units``,
 ``bmu_elements`` and ``stimulus_elements`` come from the map; ``_derive``
 computes the rest from them.  ``build_model`` reads those off the map, and
 ``load_model`` off a saved ``model.json``, whose stored tables and origins
-must then equal the derived ones.
+must then equal the derived ones.  The loader checks that a row at a time:
+each stored rd table and extension against its derived row in one list or
+mask comparison, the origins in one; it walks a table's elements only when
+that comparison has failed, to name the first difference.
 
-The model is dense: one ``categories x elements`` float64 matrix of rd and
-one boolean matrix of extension masks, filled by array operations.  The
+The model is dense: one ``elements x input_dim`` float64 matrix of
+features, one ``categories x elements`` float64 matrix of rd and one
+boolean matrix of extension masks, filled by array operations.  The
 per-element ``DomainElement`` records, the per-category rd dicts and the
 extensions as sets of ids are views of those, built on first read; the
 semantics downstream (specificity, the global preference, the postulates)
@@ -38,7 +42,6 @@ reads the matrices by row and column index.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -128,50 +131,57 @@ class CategoryTable:
 
 
 class SemanticModel:
-    """The model in dense form: one ``categories x elements`` float64 matrix
-    ``rd`` and one boolean matrix ``ext`` of extension masks.
+    """The model in dense form: one ``elements x input_dim`` float64 matrix
+    ``features``, one ``categories x elements`` float64 matrix ``rd`` and
+    one boolean matrix ``ext`` of extension masks.
 
     Column ``col_of[eid]`` belongs to element ``eid`` (``element_ids`` is the
-    domain order) and row ``row_of[name]`` to category ``name`` (the order in
-    which the categories were given).  ``rd[row_of[C], col_of[y]]`` is
-    rd(y, C), a row of nan for a category without stimuli, and ``ext`` is
-    ``rd <= rd_max`` row by row.  Both matrices are read-only.
-    ``elements``, ``extensions`` and each ``CategoryTable.rd`` are views of
-    them, built on first read.
+    domain order, and so is ``origins``) and row ``row_of[name]`` to
+    category ``name`` (the order in which the categories were given).  Row
+    ``col_of[y]`` of ``features`` holds y's features, ``rd[row_of[C],
+    col_of[y]]`` is rd(y, C), a row of nan for a category without stimuli,
+    and ``ext`` is ``rd <= rd_max`` row by row.  The three matrices are
+    read-only.  ``elements``, ``extensions`` and each ``CategoryTable.rd``
+    are views of them, built on first read.
     """
 
     def __init__(
         self,
         input_dim: int,
-        elements: Sequence[tuple[str, tuple[float, ...]]],
-        origins: Sequence[str],
+        element_ids: Sequence[str],
+        col_of: dict[str, int],
+        features: np.ndarray,
+        origins: Iterable[str],
         refs: Mapping[str, tuple[tuple[int, ...], tuple[str, ...], tuple[str, ...]]],
         precision: Sequence[float | None],
         rd: np.ndarray,
     ):
-        """The model of the (id, features) ``elements`` with their
+        """The model of the elements ``element_ids``, element ``eid`` in
+        column ``col_of[eid]``, with the rows of ``features`` and their
         ``origins``, given each category's (bmu_units, bmu_elements,
         stimulus_elements) in ``refs``, its precision (None without stimuli)
         and its row of ``rd``, in the order of ``refs``.  Each category's
         ``rd_max`` is the largest rd over its stimulus elements and its
         extension every element with rd at most that."""
         self.input_dim = input_dim
-        self.element_ids = tuple(eid for eid, _ in elements)
-        self.col_of = {eid: i for i, eid in enumerate(self.element_ids)}
-        if len(self.col_of) != len(self.element_ids):
+        self.element_ids = tuple(element_ids)
+        if len(col_of) != len(self.element_ids):
             raise InputError("duplicate element ids in domain")
-        self._features = tuple(f for _, f in elements)
-        self._origins = tuple(origins)
+        self.col_of = col_of
+        self.features = features
+        self.origins = tuple(origins)
         self.row_of = {name: i for i, name in enumerate(refs)}
 
-        stim = np.zeros(rd.shape, dtype=bool)
-        for name, (_, _, stim_ids) in refs.items():
-            stim[self.row_of[name], [self.col_of[eid] for eid in stim_ids]] = True
-        rd_max = np.where(stim, rd, -np.inf).max(axis=1, initial=-np.inf)
-        rd_max[~stim.any(axis=1)] = np.nan
+        stim_rows, stim_cols = _cells(refs, col_of, 2)
+        n_stim = np.bincount(stim_rows, minlength=len(rd))
+        ranked = np.flatnonzero(n_stim)
+        rd_max = np.full(len(rd), np.nan)
+        if ranked.size:
+            rd_max[ranked] = np.maximum.reduceat(rd[stim_rows, stim_cols], _run_starts(n_stim[ranked]))
         self.rd = rd
         self.ext = rd <= rd_max[:, np.newaxis]
-        self.rd.flags.writeable = self.ext.flags.writeable = False
+        for matrix in (features, rd, self.ext):
+            matrix.flags.writeable = False
 
         self.categories = {
             name: CategoryTable(
@@ -179,17 +189,19 @@ class SemanticModel:
                 bmu_units=bmu_units,
                 bmu_element_ids=bmu_ids,
                 stimulus_element_ids=stim_ids,
-                precision=precision[i],
-                rd_max=None if precision[i] is None else float(rd_max[i]),
+                precision=p,
+                rd_max=None if p is None else m,
                 _ids=self.element_ids,
                 _rd_row=rd[i],
             )
-            for i, (name, (bmu_units, bmu_ids, stim_ids)) in enumerate(refs.items())
+            for i, ((name, (bmu_units, bmu_ids, stim_ids)), p, m)
+            in enumerate(zip(refs.items(), precision, rd_max.tolist()))
         }
 
     @cached_property
     def elements(self) -> tuple[DomainElement, ...]:
-        return tuple(map(DomainElement, self.element_ids, self._features, self._origins))
+        features = map(tuple, self.features.tolist())
+        return tuple(map(DomainElement, self.element_ids, features, self.origins))
 
     @cached_property
     def extensions(self) -> dict[str, frozenset[str]]:
@@ -262,27 +274,21 @@ def build_model(
     bmu_of = bmu_of.tolist()
 
     # Domain: stimuli first, then BMU weight vectors, then probes, all
-    # deduplicated on exact feature equality.
-    elements: list[tuple[str, tuple[float, ...]]] = []
+    # deduplicated on exact feature equality; the keys of ``by_feat`` are
+    # the domain's features and its values the element ids, in domain order.
     by_feat: dict[tuple[float, ...], str] = {}
-
-    def add(eid: str, feats: tuple[float, ...]) -> None:
-        if feats not in by_feat:
-            elements.append((eid, feats))
-            by_feat[feats] = eid
-
     for s in data:
-        add(s.sid, s.features)
+        by_feat.setdefault(s.features, s.sid)
     unit_feats = {u: tuple(float(v) for v in som.weights[u]) for u in sorted(set(bmu_of))}
     for u, feats in unit_feats.items():
-        add(f"u{u}", feats)
+        by_feat.setdefault(feats, f"u{u}")
     for j, p in enumerate(probes):
         feats = tuple(float(v) for v in p)
         if len(feats) != som.input_dim:
             raise InputError(
                 f"probe {j} has dimension {len(feats)}, map expects {som.input_dim}"
             )
-        add(f"p{j}", feats)
+        by_feat.setdefault(feats, f"p{j}")
 
     refs = {}
     for cat in cat_names:
@@ -293,7 +299,9 @@ def build_model(
             tuple(dict.fromkeys(by_feat[unit_feats[u]] for u in bmu_units)),
             tuple(dict.fromkeys(by_feat[data[i].features] for i in idxs)),
         )
-    return _derive(som.input_dim, elements, refs)
+    ids = list(by_feat.values())
+    features = np.array(list(by_feat), dtype=np.float64).reshape(len(ids), som.input_dim)
+    return _derive(som.input_dim, ids, dict(zip(ids, range(len(ids)))), features, refs)
 
 
 def _rd(num: np.ndarray, precision: np.ndarray) -> np.ndarray:
@@ -305,62 +313,95 @@ def _rd(num: np.ndarray, precision: np.ndarray) -> np.ndarray:
         return np.where(precision > 0.0, num / precision, np.where(num == 0.0, 0.0, np.inf))
 
 
+def _cells(refs: Mapping[str, tuple], col_of: Mapping[str, int], which: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, column) indices of the elements that each category of
+    ``refs`` lists at place ``which`` of its references (1: BMU elements,
+    2: stimulus elements), category by category, each in list order."""
+    lists = [ref[which] for ref in refs.values()]
+    rows = np.repeat(np.arange(len(lists)), list(map(len, lists)))
+    return rows, np.fromiter(map(col_of.__getitem__, chain.from_iterable(lists)), np.intp, len(rows))
+
+
+# Element origins by code, as an object array so that indexing it with a
+# vector of codes gives the origin strings in one pass.
+_ORIGINS = np.array(["stimulus", "bmu", "probe"], dtype=object)
+
+
 # Squared distances may overflow on far-apart features.  An infinite
 # distance is a valid rd; only an infinite precision is refused.
 @np.errstate(over="ignore")
 def _derive(
     input_dim: int,
-    elements: Sequence[tuple[str, tuple[float, ...]]],
+    element_ids: Sequence[str],
+    col_of: dict[str, int],
+    features: np.ndarray,
     refs: Mapping[str, tuple[tuple[int, ...], tuple[str, ...], tuple[str, ...]]],
 ) -> SemanticModel:
-    """The semantic model of the domain ``elements``, (id, features) pairs
-    in domain order, given each category's (bmu_units, bmu_elements,
-    stimulus_elements) in ``refs``, the BMU elements non-empty whenever the
-    stimulus elements are.  Each category's precision and row of rd come
-    from the distances to the BMU elements' own feature rows; an element's
-    origin is ``stimulus`` if some category lists it as a stimulus, else
-    ``bmu`` if one lists it as a BMU, else ``probe``.
+    """The semantic model of the domain ``element_ids``, in domain order,
+    element ``eid`` in column ``col_of[eid]`` and its features in that row
+    of the ``elements x input_dim`` matrix ``features``, given each
+    category's (bmu_units, bmu_elements, stimulus_elements) in ``refs``,
+    the BMU elements non-empty exactly when the stimulus elements are.  Each
+    category's precision and row of rd come from the distances to the BMU
+    elements' own feature rows; an element's origin is ``stimulus`` if some
+    category lists it as a stimulus, else ``bmu`` if one lists it as a BMU,
+    else ``probe``.
     """
-    ids = [eid for eid, _ in elements]
-    col_of = {eid: i for i, eid in enumerate(ids)}
-    feats = np.fromiter(chain.from_iterable(f for _, f in elements), np.float64)
-    feats = feats.reshape(len(ids), input_dim)
-    finite = np.isfinite(feats).all(axis=1)
-    if not finite.all():
-        raise InputError(f"element {ids[int(finite.argmin())]!r} has non-finite features")
+    if not np.isfinite(features).all():
+        finite = np.isfinite(features).all(axis=1)
+        raise InputError(f"element {element_ids[int(finite.argmin())]!r} has non-finite features")
 
-    # One row of distances per category with stimuli, to its nearest BMU
-    # element, each distance computed once.
     names = list(refs)
-    ranked = [i for i, name in enumerate(names) if refs[name][2]]
-    bmu_cols = sorted({col_of[eid] for i in ranked for eid in refs[names[i]][1]})
-    pos = {col: j for j, col in enumerate(bmu_cols)}
-    rd = np.full((len(names), len(ids)), np.nan)
+    bmu_rows, bmu_cols = bmu_cells = _cells(refs, col_of, 1)
+    stim_rows, stim_cols = stim_cells = _cells(refs, col_of, 2)
+    n_stim = np.bincount(stim_rows, minlength=len(names))
+    ranked = np.flatnonzero(n_stim)
+    rd = np.full((len(names), len(element_ids)), np.nan)
     precision: list[float | None] = [None] * len(names)
-    if ranked:
-        cols = [pos[col_of[eid]] for i in ranked for eid in refs[names[i]][1]]
-        starts = np.cumsum([0] + [len(refs[names[i]][1]) for i in ranked[:-1]])
-        num = np.sqrt(nearest_in_groups(feats, feats[bmu_cols], cols, starts).T)
-        for i, num_i in zip(ranked, num):
-            # A stimulus's own BMU minimises the distance over *all* units,
-            # so its distance to the ensemble is exactly its own-BMU
-            # distance; the precision is therefore their max.
-            p = float(num_i[[col_of[eid] for eid in refs[names[i]][2]]].max())
-            if not math.isfinite(p):
-                raise InputError(f"category {names[i]!r}: distances to its BMUs overflow float64")
-            precision[i] = p
-        rd[ranked] = _rd(num, np.array([precision[i] for i in ranked])[:, np.newaxis])
+    if ranked.size:
+        # One row of distances per category with stimuli, to its nearest BMU
+        # element, each distance computed once: the rows of
+        # ``features[is_bmu]`` are the BMU columns in ascending order.
+        is_bmu = np.zeros(len(element_ids), dtype=bool)
+        is_bmu[bmu_cols] = True
+        num = np.sqrt(nearest_in_groups(
+            features, features[is_bmu], (np.cumsum(is_bmu) - 1)[bmu_cols],
+            _run_starts(np.bincount(bmu_rows)[ranked])).T)
+        # A stimulus's own BMU minimises the distance over *all* units, so
+        # its distance to the ensemble is exactly its own-BMU distance; the
+        # precision is therefore their max.
+        num_rows = np.repeat(np.arange(len(ranked)), n_stim[ranked])
+        p = np.maximum.reduceat(num[num_rows, stim_cols], _run_starts(n_stim[ranked]))
+        overflow = np.flatnonzero(~np.isfinite(p))
+        if overflow.size:
+            raise InputError(f"category {names[ranked[overflow[0]]]!r}: "
+                             f"distances to its BMUs overflow float64")
+        for i, value in zip(ranked.tolist(), p.tolist()):
+            precision[i] = value
+        rd[ranked] = _rd(num, p[:, np.newaxis])
 
-    stimuli = {eid for _, _, stim in refs.values() for eid in stim}
-    bmus = {eid for _, bmu, _ in refs.values() for eid in bmu}
-    origins = ["stimulus" if eid in stimuli else "bmu" if eid in bmus else "probe" for eid in ids]
-    model = SemanticModel(input_dim, elements, origins, refs, precision, rd)
-    _check_tables(model)
+    origin = np.full(len(element_ids), 2)  # probe
+    origin[bmu_cols] = 1  # bmu
+    origin[stim_cols] = 0  # stimulus
+    origins = _ORIGINS[origin].tolist()
+    model = SemanticModel(input_dim, element_ids, col_of, features, origins, refs, precision, rd)
+    _check_tables(model, bmu_cells, stim_cells)
     return model
 
 
-def _check_tables(model: SemanticModel) -> None:
+def _run_starts(lengths: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of the given lengths starts."""
+    return np.concatenate(([0], np.cumsum(lengths[:-1])))
+
+
+def _check_tables(model: SemanticModel, bmu_cells: tuple, stim_cells: tuple) -> None:
     # Invariants of the construction; violations are implementation bugs.
+    # One test over all categories passes a healthy model; only a model
+    # that fails it is walked, to name the first violation.
+    if ((model.rd[bmu_cells] == 0.0).all() and model.ext[stim_cells].all()
+            and all(t.rd_max == 1.0 for t in model.categories.values()
+                    if not t.empty and t.precision > 0.0)):
+        return
     for name, t in model.categories.items():
         if t.empty:
             continue
@@ -390,7 +431,8 @@ def initial_model(categories: Sequence[str], input_dim: int) -> SemanticModel:
     if not cat_names:
         raise InputError("need at least one category")
     _check_category_names(cat_names)
-    return _derive(input_dim, (), dict.fromkeys(cat_names, ((), (), ())))
+    return _derive(input_dim, (), {}, np.empty((0, input_dim)),
+                   dict.fromkeys(cat_names, ((), (), ())))
 
 
 # ==============================================================
@@ -429,19 +471,51 @@ def model_from_snapshot(doc: dict) -> SemanticModel:
     """The model a snapshot describes, derived again from its element
     features and reference lists by ``build_model``'s own code.  A stored
     table (precision, rd_max, rd, extension) or element origin that differs
-    from the derived one is refused with ``InputError``, naming it."""
+    from the derived one is refused with ``InputError``, naming it.
+
+    The features are read into one matrix, and must be lists of JSON
+    numbers, as ``bmu_units`` must be lists of integers and ``input_dim`` an
+    integer; anything else is a malformed snapshot.  The stored tables are
+    compared a row at a time (``_check_stored``)."""
+    model, origins, stored = _derive_snapshot(doc)
+    _check_stored(model, origins, stored)
+    return model
+
+
+def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
+    """The model derived from a snapshot's element features and reference
+    lists, with the element origins and, per category, the (precision,
+    rd_max, rd, extension) the snapshot stores, as read."""
     try:
-        input_dim = int(doc["input_dim"])
-        elements = [(str(e["id"]), tuple(map(float, e["features"]))) for e in doc["elements"]]
+        input_dim = doc["input_dim"]
+        if type(input_dim) is not int:
+            raise TypeError(f"input_dim must be an integer, got {input_dim!r}")
+        ids = [e["id"] for e in doc["elements"]]
+        if set(map(type, ids)) - {str}:
+            ids = list(map(str, ids))
+        rows = [e["features"] for e in doc["elements"]]
+        # A row that is not a list either fails to iterate, or yields
+        # something that is not a number ("12" yields "1" and "2"), or
+        # yields nothing and fails the length check below.
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, flat)) - {float, int}:
+            eid, f = next((eid, f) for eid, f in zip(ids, rows) if type(f) is not list
+                          or any(type(v) not in (float, int) for v in f))
+            raise TypeError(f"element {eid!r}: features must be a list of numbers, got {f!r}")
+        flat = np.fromiter(flat, np.float64, len(flat))
         origins = [e["origin"] for e in doc["elements"]]
         refs, stored = {}, {}
         for name, c in doc["categories"].items():
+            units = c["bmu_units"]
+            if type(units) is not list or any(type(u) is not int for u in units):
+                raise TypeError(f"category {name!r}: bmu_units must be a list of integers, got {units!r}")
             refs[name] = (
-                tuple(int(u) for u in c["bmu_units"]),
-                tuple(str(x) for x in c["bmu_elements"]),
-                tuple(str(x) for x in c["stimulus_elements"]),
+                tuple(units),
+                tuple(map(str, c["bmu_elements"])),
+                tuple(map(str, c["stimulus_elements"])),
             )
-            ext = frozenset(map(str, doc["extensions"][name]))
+            ext = doc["extensions"][name]
+            iter(ext)  # a set of ids; _check_stored reads the entries
             stored[name] = (c["precision"], c["rd_max"], dict(c["rd"]), ext)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model snapshot: {exc}") from exc
@@ -449,29 +523,40 @@ def model_from_snapshot(doc: dict) -> SemanticModel:
     # What the derivation reads must be well formed.
     if input_dim < 1:
         raise InputError(f"input_dim must be positive, got {input_dim}")
-    for eid, f in elements:
-        if len(f) != input_dim:
-            raise InputError(f"element {eid!r} has {len(f)} features, input_dim is {input_dim}")
-    known = {eid for eid, _ in elements}
+    if set(map(len, rows)) - {input_dim}:
+        eid, f = next((eid, f) for eid, f in zip(ids, rows) if len(f) != input_dim)
+        raise InputError(f"element {eid!r} has {len(f)} features, input_dim is {input_dim}")
+    col_of = dict(zip(ids, range(len(ids))))
     for name, (bmu_units, bmu, stim) in refs.items():
         for eid in (*bmu, *stim):
-            if eid not in known:
+            if eid not in col_of:
                 raise InputError(f"category {name!r} references unknown element {eid!r}")
         if not (bool(bmu_units) == bool(bmu) == bool(stim)):
             raise InputError(f"category {name!r}: bmu_units, bmu_elements and "
                              f"stimulus_elements must be all empty or all non-empty")
 
-    model = _derive(input_dim, elements, refs)
+    features = flat.reshape(len(ids), input_dim)
+    return _derive(input_dim, ids, col_of, features, refs), origins, stored
 
-    # Stored values are compared as read, with what model_snapshot writes.
+
+def _check_stored(model: SemanticModel, origins: list, stored: Mapping[str, tuple]) -> None:
+    """Refuse stored ``origins`` and (precision, rd_max, rd, extension)
+    tables that differ from ``model``'s, naming the first difference.
+
+    Stored values are compared as read, with what ``model_snapshot``
+    writes, so nothing is decoded.  Each origin list, rd table and
+    extension is compared as a whole, an extension as a set of ids; only
+    one that differs is walked, to find the element to name."""
+
     def refuse(where: str, got, want) -> InputError:
         return InputError(f"model snapshot differs from its re-derivation: {where}: "
                           f"stored {got!r}, derived {want!r}")
 
-    if origins != list(model._origins):
-        eid, o, want = next(t for t in zip(model.element_ids, origins, model._origins) if t[1] != t[2])
+    if tuple(origins) != model.origins:
+        eid, o, want = next(t for t in zip(model.element_ids, origins, model.origins) if t[1] != t[2])
         raise refuse(f"element {eid!r}, origin", o, want)
     ids = model.element_ids
+    keys = cols = None  # the last stored rd keys and their columns
     for name, t in model.categories.items():
         precision, rd_max, rd, ext = stored[name]
         row = model.row_of[name]
@@ -479,23 +564,62 @@ def model_from_snapshot(doc: dict) -> SemanticModel:
             raise refuse(f"category {name!r}, precision", precision, t.precision)
         if rd_max != t.rd_max:
             raise refuse(f"category {name!r}, rd_max", rd_max, t.rd_max)
-        derived = [] if t.empty else model.rd[row].tolist()
-        got = [rd.get(eid, _MISSING) for eid in ids] if derived else []
-        # model_snapshot writes an infinite rd as "inf"
-        if len(rd) != len(derived) or (
-            got != derived and got != [jsonio.encode_float(v) for v in derived]
-        ):
+        if t.empty:
+            same = not rd
+        else:
+            # Each category's table normally has the same keys in the same
+            # order, so their columns are looked up once.
+            if list(rd) != keys:
+                keys = list(rd)
+                cols = _rd_columns(keys, model.col_of)
+            same = cols is not None and _stored_rd_matches(list(rd.values()), model.rd[row, cols])
+        if not same:
+            derived = [] if t.empty else model.rd[row].tolist()
             want = dict(zip(ids, map(jsonio.encode_float, derived)))
             eid, got = next((k, rd.get(k, _MISSING)) for k in (*want, *rd)
                             if rd.get(k, _MISSING) != want.get(k, _MISSING))
             raise refuse(f"category {name!r}, rd of {eid!r}", got, want.get(eid, _MISSING))
-        mask = model.ext[row]
-        cols = [model.col_of.get(eid) for eid in ext]
-        if None in cols or len(cols) != np.count_nonzero(mask) or not mask[cols].all():
+        if not _stored_ext_matches(ext, model.col_of, model.ext[row]):
+            ext = frozenset(map(str, ext))
             diff = ext ^ model.extensions[name]
-            eid = next(e for e in (*ids, *sorted(diff)) if e in diff)
-            raise refuse(f"category {name!r}, extension has {eid!r}", eid in ext, eid not in ext)
-    return model
+            if diff:
+                eid = next(e for e in (*ids, *sorted(diff)) if e in diff)
+                raise refuse(f"category {name!r}, extension has {eid!r}", eid in ext, eid not in ext)
+
+
+def _rd_columns(keys: list, col_of: Mapping[str, int]) -> np.ndarray | None:
+    """The column of each of the stored rd ``keys``, or None unless they
+    are exactly the element ids."""
+    if len(keys) != len(col_of):
+        return None
+    try:
+        return np.fromiter(map(col_of.__getitem__, keys), np.intp, len(keys))
+    except KeyError:
+        return None
+
+
+def _stored_rd_matches(values: list, row: np.ndarray) -> bool:
+    """Whether the stored rd ``values`` are those of ``row``, all as floats
+    or as ``model_snapshot`` writes them (an infinite one as ``"inf"``)."""
+    want = row.tolist()
+    if values == want:
+        return True
+    for i in np.flatnonzero(np.isinf(row)).tolist():
+        want[i] = jsonio.encode_float(want[i])
+    return values == want
+
+
+def _stored_ext_matches(ext, col_of: Mapping[str, int], mask: np.ndarray) -> bool:
+    """Whether the stored extension ``ext`` holds the ids of the columns
+    ``mask`` marks, and no other entry.  False also where it holds entries
+    that are not ids, although ``str`` could make some of them ids."""
+    try:
+        cols = np.fromiter(map(col_of.__getitem__, ext), np.intp, len(ext))
+    except (KeyError, TypeError):
+        return False
+    got = np.zeros_like(mask)
+    got[cols] = True
+    return bool((got == mask).all())
 
 
 def save_model(path, model: SemanticModel) -> None:

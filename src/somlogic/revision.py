@@ -155,7 +155,9 @@ def _kb_of(som: SomMap, categories: tuple[str, ...], features: np.ndarray, label
     ``labels`` and ``named_units`` describe ``seen``.  ``reuse`` is a (key,
     KB) pair whose KB is returned as it is when the key is the same."""
     bmu, d2 = nearest_units(features, som.weights)
-    units, unit_row = np.unique(bmu, return_inverse=True)
+    # np.unique(bmu, return_inverse=True), by counting over the unit indices
+    hit = np.bincount(bmu, minlength=som.n_units) > 0
+    units, unit_row = np.flatnonzero(hit), (np.cumsum(hit) - 1)[bmu]
     if not np.isfinite(d2).all() or (named_units.size and np.isin(units, named_units).any()):
         # build_model refuses a precision that overflowed and a stimulus id
         # that is also a BMU element's id; let it decide on these inputs.
@@ -164,7 +166,7 @@ def _kb_of(som: SomMap, categories: tuple[str, ...], features: np.ndarray, label
     k, n_units = len(categories), len(units)
     # The distinct (category, unit) pairs, sorted by category, then by unit
     # (an index into ``units``); each category with stimuli is one run.
-    cat, unit = np.divmod(np.unique(labels * n_units + unit_row), n_units)
+    cat, unit = np.divmod(np.flatnonzero(np.bincount(labels * n_units + unit_row)), n_units)
     starts = np.concatenate(([0], np.flatnonzero(cat[1:] != cat[:-1]) + 1))
     ranked = cat[starts]
     empty = np.bincount(labels, minlength=k) == 0

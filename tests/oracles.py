@@ -2,8 +2,10 @@
 
 Everything here is written with plain Python loops and dicts, straight from
 the definitions, sharing no code with the package internals, except that
-``oracle_verify_klm`` takes the report types from the library.  Tests
-compare library outputs against these.
+``oracle_verify_klm`` takes the report types from the library and
+``oracle_model_from_snapshot`` the snapshot reading and the derivation,
+since what it is the reference for is the comparison that follows them.
+Tests compare library outputs against these.
 
 The set-based routes live here too: ``extension`` evaluates a concept to a
 frozenset of element ids, and ``minimal_elements`` reads the minima of a set
@@ -20,10 +22,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from somlogic import jsonio
 from somlogic.checker import SpecificityRelation
 from somlogic.concepts import And, Bot, ConceptExpr, Name, Top, pretty
 from somlogic.errors import InputError, UnknownCategoryError
-from somlogic.model import SemanticModel
+from somlogic.model import SemanticModel, _derive_snapshot
 from somlogic.preferences import (
     PreferentialModel,
     PropertyCheck,
@@ -287,6 +290,46 @@ def oracle_verify_klm(
 # ==============================================================
 
 
+def oracle_model_from_snapshot(doc: dict) -> SemanticModel:
+    """``model_from_snapshot`` with every stored table compared element by
+    element: the loader's slow reference.  It reads and derives the model
+    with the library's own ``_derive_snapshot`` and refuses, in the same
+    order and with the same ``InputError`` message, an origin, precision,
+    ``rd_max``, rd entry or extension entry that differs from the derived
+    one; an extension is compared as a set of ids."""
+    model, origins, stored = _derive_snapshot(doc)
+    missing = "missing"
+
+    def refuse(where: str, got, want) -> InputError:
+        return InputError(f"model snapshot differs from its re-derivation: {where}: "
+                          f"stored {got!r}, derived {want!r}")
+
+    for eid, got, want in zip(model.element_ids, origins, model.origins):
+        if got != want:
+            raise refuse(f"element {eid!r}, origin", got, want)
+    for name, t in model.categories.items():
+        precision, rd_max, rd, ext = stored[name]
+        if precision != t.precision:
+            raise refuse(f"category {name!r}, precision", precision, t.precision)
+        if rd_max != t.rd_max:
+            raise refuse(f"category {name!r}, rd_max", rd_max, t.rd_max)
+        derived = dict(t.rd)
+        # every value as read, or every value as model_snapshot writes it
+        encoded = {eid: jsonio.encode_float(v) for eid, v in derived.items()}
+        if rd != derived and rd != encoded:
+            for eid in [*derived, *rd]:
+                got, want = rd.get(eid, missing), encoded.get(eid, missing)
+                if got != want:
+                    raise refuse(f"category {name!r}, rd of {eid!r}", got, want)
+        ext = frozenset(map(str, ext))
+        derived_ext = model.extensions[name]
+        if ext != derived_ext:
+            diff = ext ^ derived_ext
+            eid = next(e for e in [*model.element_ids, *sorted(diff)] if e in diff)
+            raise refuse(f"category {name!r}, extension has {eid!r}", eid in ext, eid not in ext)
+    return model
+
+
 def make_model(rd_tables, stimulus_elements, bmu_elements=None, extra_elements=()) -> SemanticModel:
     """Build a SemanticModel directly from prescribed rd tables.
 
@@ -323,7 +366,9 @@ def make_model(rd_tables, stimulus_elements, bmu_elements=None, extra_elements=(
     rd = np.array([[tbl[e] for e in all_ids] for tbl in rd_tables.values()], dtype=np.float64)
     return SemanticModel(
         input_dim=2,
-        elements=[(eid, (float(i), 0.0)) for i, eid in enumerate(all_ids)],
+        element_ids=all_ids,
+        col_of={eid: i for i, eid in enumerate(all_ids)},
+        features=np.array([(float(i), 0.0) for i in range(len(all_ids))]).reshape(-1, 2),
         origins=["probe"] * len(all_ids),
         refs=refs,
         precision=[1.0] * len(refs),

@@ -393,13 +393,27 @@ def _edit_cyclic_tables(doc):
     doc.update(model_snapshot(_cyclic_model()))
 
 
+def _edit_features_to_string(doc):
+    doc["elements"][0]["features"] = "0" * len(doc["elements"][0]["features"])
+
+
+def _edit_boolean_feature(doc):
+    doc["elements"][0]["features"][0] = False
+
+
+def _edit_bmu_units_to_strings(doc):
+    cat = doc["categories"]["X"]
+    cat["bmu_units"] = [str(u) for u in cat["bmu_units"]]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("edit", [
     _edit_rd_to_list, _edit_empty_category, _edit_empty_extension,
     _edit_stimulus_rd_to_zero, _edit_ghost_rd_key, _edit_precision,
     _edit_shifted_features, _edit_overflowing_features, _edit_input_dim,
     _edit_extra_feature, _edit_origin, _edit_unknown_stimulus, _edit_no_bmu_elements,
-    _edit_cyclic_tables,
+    _edit_cyclic_tables, _edit_features_to_string, _edit_boolean_feature,
+    _edit_bmu_units_to_strings,
 ])
 def test_broken_snapshot_exit_1(tmp_path, data_csv, capsys, edit):
     out = train_and_extract(tmp_path, data_csv)

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from somlogic import (
+    ConsistencyError,
     InputError,
     SomMap,
     Stimulus,
@@ -22,10 +24,11 @@ from somlogic import (
     save_model,
     train,
 )
+from somlogic import model as model_module
 from somlogic.jsonio import canonical_dumps
-from somlogic.model import model_from_snapshot, model_snapshot
+from somlogic.model import SemanticModel, model_from_snapshot, model_snapshot
 
-from oracles import dist, oracle_rd
+from oracles import dist, oracle_model_from_snapshot, oracle_rd
 
 
 # ==============================================================
@@ -173,6 +176,30 @@ def test_reserved_labels_rejected(trained_map):
         initial_model(["A", "not a name"], 2)
 
 
+@pytest.mark.parametrize("rd, precision, message", [
+    ([[0.0, 1.0, 2.0], [1.5, 0.0, np.inf]], [1.0, 0.0], None),
+    ([[0.0, 1.0, 2.0], [1.5, 0.5, np.inf]], [1.0, 0.0],
+     "category 'B': BMU element 'y' has rd 0.5, expected 0.0"),
+    ([[0.0, 0.5, 2.0], [1.5, 0.0, np.inf]], [1.0, 0.0],
+     "category 'A': rd_max is 0.5 with positive precision, expected 1.0"),
+    ([[0.0, np.nan, np.inf], [1.5, 0.0, np.inf]], [0.0, 0.0],
+     "category 'A': stimulus element 'x' outside its own extension"),
+])
+def test_table_invariants_name_the_first_violation(rd, precision, message):
+    # The derivation's post-condition, on hand-set rd rows no map gives.
+    ids = ["x", "y", "z"]
+    col_of = {eid: i for i, eid in enumerate(ids)}
+    refs = {"A": ((0,), ("x",), ("x", "y")), "B": ((1,), ("y",), ("y",))}
+    m = SemanticModel(2, ids, col_of, np.zeros((3, 2)), ["stimulus", "stimulus", "probe"],
+                      refs, precision, np.array(rd))
+    cells = (model_module._cells(refs, col_of, 1), model_module._cells(refs, col_of, 2))
+    if message is None:
+        model_module._check_tables(m, *cells)
+    else:
+        with pytest.raises(ConsistencyError, match=message):
+            model_module._check_tables(m, *cells)
+
+
 def test_initial_model_is_empty():
     m = initial_model(["A", "B"], 2)
     assert m.elements == ()
@@ -278,8 +305,195 @@ def test_changing_one_derived_leaf_is_refused(data):
         ext.append(data.draw(st.sampled_from(outside)))
     else:
         ext.remove(data.draw(st.sampled_from(ext)))
-    with pytest.raises(InputError, match="re-derivation"):
+    with pytest.raises(InputError, match="re-derivation") as refused:
         model_from_snapshot(doc)
+    assert str(refused.value) == _load_outcome(oracle_model_from_snapshot, doc)
+
+
+def _load_outcome(load, doc) -> str | None:
+    """None if ``load`` accepts the snapshot, else its refusal message, or
+    the repr of any other exception it raises."""
+    try:
+        load(json.loads(json.dumps(doc)))
+    except Exception as exc:
+        return str(exc) if isinstance(exc, InputError) else repr(exc)
+    return None
+
+
+@functools.cache
+def _inf_snapshot() -> str:
+    # Both precisions are zero, so every element off a BMU has rd "inf".
+    data = [Stimulus("a1", (0.0, 0.0), "P"), Stimulus("b1", (5.0, 5.0), "Q")]
+    return json.dumps(model_snapshot(build_model(_pinned_map(), data, probes=[(1.0, 1.0), (0.0, 5.0)])))
+
+
+def _some_rd(doc, rng):
+    name = rng.choice(sorted(doc["categories"]))
+    return doc["categories"][name], doc["categories"][name]["rd"]
+
+
+def _mutate_rd_value(doc, rng):
+    _, rd = _some_rd(doc, rng)
+    key = rng.choice(sorted(rd))
+    rd[key] = 0.5 if rd[key] == "inf" else rd[key] + rng.choice([1e-12, 0.25, -3.0])
+
+
+def _mutate_rd_inf(doc, rng):
+    _, rd = _some_rd(doc, rng)
+    key = rng.choice(sorted(rd))
+    rd[key] = float("inf") if rd[key] == "inf" else "inf"
+
+
+def _mutate_rd_missing_key(doc, rng):
+    _, rd = _some_rd(doc, rng)
+    del rd[rng.choice(sorted(rd))]
+
+
+def _mutate_rd_extra_key(doc, rng):
+    _some_rd(doc, rng)[1]["ghost"] = 0.5
+
+
+def _mutate_rd_shuffled(doc, rng):
+    cat, rd = _some_rd(doc, rng)
+    keys = list(rd)
+    rng.shuffle(keys)
+    cat["rd"] = {k: rd[k] for k in keys}
+
+
+def _mutate_rd_swapped(doc, rng):
+    _, rd = _some_rd(doc, rng)
+    a = min(rd)
+    b = rng.choice([k for k in sorted(rd) if rd[k] != rd[a]])
+    rd[a], rd[b] = rd[b], rd[a]
+
+
+def _mutate_precision(doc, rng):
+    cat, _ = _some_rd(doc, rng)
+    cat["precision"] = cat["precision"] * 2 + rng.choice([0.5, 1e-9])
+
+
+def _mutate_rd_max(doc, rng):
+    cat, _ = _some_rd(doc, rng)
+    cat["rd_max"] = rng.choice([0.5, 2.0, None])
+
+
+def _mutate_origin(doc, rng):
+    element = rng.choice(doc["elements"])
+    element["origin"] = rng.choice(sorted({"stimulus", "bmu", "probe"} - {element["origin"]}))
+
+
+def _mutate_extension_add(doc, rng):
+    name = rng.choice(sorted(doc["extensions"]))
+    ext = doc["extensions"][name]
+    ext.append(rng.choice(sorted({e["id"] for e in doc["elements"]} - set(ext)) + ["ghost"]))
+
+
+def _mutate_extension_drop(doc, rng):
+    ext = doc["extensions"][rng.choice(sorted(doc["extensions"]))]
+    ext.remove(rng.choice(ext))
+
+
+def _mutate_extension_duplicate(doc, rng):
+    ext = doc["extensions"][rng.choice(sorted(doc["extensions"]))]
+    ext.insert(rng.randrange(len(ext) + 1), rng.choice(ext))
+
+
+def _mutate_feature(doc, rng):
+    features = rng.choice(doc["elements"])["features"]
+    k = rng.randrange(len(features))
+    features[k] += rng.choice([1e-12, 0.01, -0.5, 3.0])
+
+
+# Each mutation of a saved snapshot, with whether the loader must accept
+# it (None: either way).  An extension is a set, so a duplicate entry
+# changes nothing; an rd table is a mapping, so neither does its key order.
+_MUTATIONS = {
+    "rd-value": (_mutate_rd_value, False),
+    "rd-inf": (_mutate_rd_inf, False),
+    "rd-missing-key": (_mutate_rd_missing_key, False),
+    "rd-extra-key": (_mutate_rd_extra_key, False),
+    "rd-shuffled": (_mutate_rd_shuffled, True),
+    "rd-swapped": (_mutate_rd_swapped, False),
+    "precision": (_mutate_precision, False),
+    "rd_max": (_mutate_rd_max, False),
+    "origin": (_mutate_origin, False),
+    "extension-add": (_mutate_extension_add, False),
+    "extension-drop": (_mutate_extension_drop, False),
+    "extension-duplicate": (_mutate_extension_duplicate, True),
+    "feature-nudged": (_mutate_feature, None),
+}
+
+
+def _mutation_mismatches(names=tuple(_MUTATIONS)) -> list[str]:
+    """Each mutated snapshot whose load outcome (accepted, or the refusal
+    message) differs from the element-by-element oracle's or from the
+    decision the mutation fixes."""
+    mismatches = []
+    for snapshot in (_small_snapshot(), _inf_snapshot()):
+        for name in names:
+            mutate, loads = _MUTATIONS[name]
+            for seed in range(8):
+                doc = json.loads(snapshot)
+                mutate(doc, random.Random(seed))
+                got = _load_outcome(model_from_snapshot, doc)
+                want = _load_outcome(oracle_model_from_snapshot, doc)
+                if got != want or (loads is not None and (got is None) != loads):
+                    mismatches.append(f"{name} seed {seed}: {got!r} != {want!r}")
+    return mismatches
+
+
+@pytest.mark.parametrize("name", _MUTATIONS)
+def test_load_matches_the_element_by_element_oracle(name):
+    assert _load_outcome(model_from_snapshot, json.loads(_inf_snapshot())) is None
+    assert _mutation_mismatches([name]) == []
+
+
+def _rd_in_stored_key_order(keys, col_of):
+    return np.arange(len(keys)) if len(keys) == len(col_of) else None
+
+
+_real_check_stored = model_module._check_stored
+
+
+def _check_stored_without_origins(model, origins, stored):
+    _real_check_stored(model, model.origins, stored)
+
+
+@pytest.mark.parametrize("attr, fault", [
+    ("_rd_columns", _rd_in_stored_key_order),
+    ("_check_stored", _check_stored_without_origins),
+])
+def test_oracle_comparison_catches_a_broken_loader(monkeypatch, attr, fault):
+    # Fault injection: rd read in the order the file stores its keys, and
+    # no origin check.  Each makes some mutated snapshot load differently
+    # from the oracle.
+    monkeypatch.setattr(model_module, attr, fault)
+    assert _mutation_mismatches()
+
+
+@pytest.mark.parametrize("edit, message", [
+    # p0 sits at (2.0, 2.0), so "22" was read as its features
+    (lambda doc: doc["elements"][-1].update(features="22"),
+     "element 'p0': features must be a list of numbers, got '22'"),
+    (lambda doc: doc["elements"][0].update(features=[False, 0.0]),
+     "element 'a0': features must be a list of numbers, got [False, 0.0]"),
+    (lambda doc: doc["categories"]["A"].update(bmu_units=["1"]),
+     "category 'A': bmu_units must be a list of integers, got ['1']"),
+    (lambda doc: doc["categories"]["A"].update(bmu_units=[True]),
+     "category 'A': bmu_units must be a list of integers, got [True]"),
+    (lambda doc: doc["categories"]["A"].update(bmu_units=[1.0]),
+     "category 'A': bmu_units must be a list of integers, got [1.0]"),
+    (lambda doc: doc.update(input_dim="2"), "input_dim must be an integer, got '2'"),
+    (lambda doc: doc.update(input_dim=2.0), "input_dim must be an integer, got 2.0"),
+])
+def test_snapshot_json_types_are_read_strictly(edit, message):
+    # Each edit denotes the saved model under float() or int(), which
+    # accepted it; the loader refuses it as malformed instead.
+    doc = json.loads(_small_snapshot())
+    edit(doc)
+    with pytest.raises(InputError) as refused:
+        model_from_snapshot(doc)
+    assert str(refused.value) == f"malformed model snapshot: {message}"
 
 
 @pytest.mark.parametrize("dim", [2, 9, 130])
