@@ -70,10 +70,8 @@ from .som import (
     SomMap,
     Stimulus,
     TrainConfig,
-    Unit,
     apply_presentation,
     feature_range,
-    find_bmu,
     init_map,
     load_map,
     presentation_schedule,

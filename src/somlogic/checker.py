@@ -16,10 +16,10 @@ reported separately; the two can disagree and neither overrides the other.
 those maxima, and ``kb_inclusions`` turns its boolean matrices into the KB:
 ``extract_kb`` and ``derive_specificity`` read the maxima off a model, and
 the revision step computes them from the map alone.
-``extract_kb`` runs every ordered pair of categories through both checks and
-returns the inclusions that hold; categories without any stimulus yield
-``Ci <= Bot`` instead (their extension is empty) and their pair checks are
-reported as vacuous.
+``extract_kb`` returns the inclusions that hold between every ordered pair
+of categories with stimuli, and ``Ci <= Bot`` for each category without any
+stimulus (its extension is empty).  ``check_typicality`` and
+``check_strict`` report on one pair, with witnesses.
 
 ``derive_specificity`` turns the strict checks into the relation used by the
 combined preference: Ci is more specific than Cj iff ``Ci <= Cj`` holds and
@@ -31,14 +31,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import Mapping
 
 import numpy as np
 
 from .concepts import Bot, Inclusion, Name, inclusion_text
 from .errors import InputError, SpecificityCycleError
-from .model import SemanticModel
+from .model import SemanticModel, _run_starts
 
 __all__ = [
     "CheckReport",
@@ -62,8 +62,6 @@ class CheckReport:
 
     ``method`` names the criterion that produced ``holds``; ``set_holds`` is
     the parallel exact-extension result for strict checks (informational).
-    ``status`` is "vacuous" when a side has no stimuli, in which case
-    ``holds`` is False and the report never contributes to the KB.
     """
 
     inclusion: Inclusion
@@ -71,7 +69,6 @@ class CheckReport:
     method: str
     plausibility: float | None = None
     set_holds: bool | None = None
-    status: str = "checked"
     witnesses: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
@@ -85,7 +82,7 @@ class CheckReport:
             if self.plausibility is None
             else jsonio.encode_float(self.plausibility),
             "set_holds": self.set_holds,
-            "status": self.status,
+            "status": "checked",
             "witnesses": list(self.witnesses),
         }
 
@@ -188,20 +185,11 @@ def check_strict(model: SemanticModel, ci: str, cj: str) -> CheckReport:
     return _check(model, "strict", ci, cj)
 
 
-def _vacuous(kind: str, ci: str, cj: str) -> CheckReport:
-    return CheckReport(
-        inclusion=Inclusion(kind=kind, lhs=Name(ci), rhs=Name(cj)),
-        holds=False,
-        method="bmu_rd_bound" if kind == "defeasible" else "rd_margin",
-        status="vacuous",
-    )
-
-
 @dataclass(frozen=True)
 class KbExtraction:
-    """All pairwise reports plus the knowledge base they induce."""
+    """The knowledge base and its defeasible inclusions, each with its
+    plausibility, most plausible first (ties by text)."""
 
-    reports: tuple[CheckReport, ...]
     kb: frozenset[Inclusion]
     ranked_defeasible: tuple[tuple[Inclusion, float], ...]
 
@@ -211,50 +199,33 @@ def _rule_inputs(model: SemanticModel, cats) -> tuple[np.ndarray, np.ndarray, np
     empty category's ``rd_max`` of None reads as nan."""
     tables = [model.categories[c] for c in cats]
     empty = np.array([t.empty for t in tables], dtype=bool)
-    live = model.rd[[model.row_of[c] for c, e in zip(cats, empty) if not e]]
+    live = np.flatnonzero(~empty)
     val = np.full((len(cats), len(cats)), np.nan)
-    for i in np.flatnonzero(~empty):
-        val[i, ~empty] = live[:, _bmu_cols(model, cats[i])].max(axis=1)
+    if live.size:
+        # The BMU columns of the live categories, one run per category: the
+        # rd of each in every live category, maximised run by run.
+        bmu = [tables[i].bmu_element_ids for i in live]
+        cols = [model.col_of[eid] for eid in chain.from_iterable(bmu)]
+        rd = model.rd[np.ix_([model.row_of[cats[i]] for i in live], cols)]
+        val[live[:, np.newaxis], live] = np.maximum.reduceat(
+            rd.T, _run_starts(np.array(list(map(len, bmu)))), axis=0)
     rd_max = np.array([t.rd_max for t in tables], dtype=np.float64)
     return val, rd_max, empty
 
 
 def extract_kb(model: SemanticModel) -> KbExtraction:
-    """Check every ordered category pair (defeasible and strict, diagonal
-    included) and collect the inclusions that hold.  A category without
-    stimuli contributes ``Ci <= Bot`` and only vacuous pair reports."""
+    """The inclusions that hold between every ordered category pair
+    (defeasible and strict, diagonal included), and ``Ci <= Bot`` for each
+    category without stimuli."""
     cats = model.category_names
     val, rd_max, empty = _rule_inputs(model, cats)
-    kb = kb_inclusions(cats, kb_criteria(val, rd_max, empty), empty)
-    reports: list[CheckReport] = []
-    for i, ci in enumerate(cats):
-        for j, cj in enumerate(cats):
-            for kind in ("defeasible", "strict"):
-                if empty[i] or empty[j]:
-                    reports.append(_vacuous(kind, ci, cj))
-                else:
-                    inc = Inclusion(kind=kind, lhs=Name(ci), rhs=Name(cj))
-                    reports.append(_report(model, inc, float(val[i, j]), inc in kb))
-    for ci in cats:
-        if model.categories[ci].empty:
-            reports.append(
-                CheckReport(
-                    inclusion=Inclusion(kind="strict", lhs=Name(ci), rhs=Bot()),
-                    holds=True,
-                    method="empty_extension",
-                )
-            )
-    ranked = tuple(
-        sorted(
-            (
-                (r.inclusion, r.plausibility)
-                for r in reports
-                if r.holds and r.inclusion.kind == "defeasible"
-            ),
-            key=lambda pair: (pair[1], inclusion_text(pair[0])),
-        )
+    criteria = kb_criteria(val, rd_max, empty)
+    ranked = sorted(
+        ((Inclusion(kind="defeasible", lhs=Name(cats[i]), rhs=Name(cats[j])), float(val[i, j]))
+         for i, j in zip(*np.nonzero(criteria["defeasible"]))),
+        key=lambda pair: (pair[1], inclusion_text(pair[0])),
     )
-    return KbExtraction(reports=tuple(reports), kb=kb, ranked_defeasible=ranked)
+    return KbExtraction(kb=kb_inclusions(cats, criteria, empty), ranked_defeasible=tuple(ranked))
 
 
 def kb_file_text(extraction: KbExtraction) -> str:

@@ -34,16 +34,14 @@ that comparison has failed, to name the first difference.
 The model is dense: one ``elements x input_dim`` float64 matrix of
 features, one ``categories x elements`` float64 matrix of rd and one
 boolean matrix of extension masks, filled by array operations.  The
-per-element ``DomainElement`` records, the per-category rd dicts and the
-extensions as sets of ids are views of those, built on first read; the
 semantics downstream (specificity, the global preference, the postulates)
-reads the matrices by row and column index.
+and the snapshot read the matrices by row and column index.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
@@ -106,10 +104,9 @@ class CategoryTable:
     """Everything the semantics needs to know about one category.
 
     For a category without stimuli (possible in revision traces before its
-    first example arrives) ``precision`` and ``rd_max`` are ``None`` and the
-    ``rd`` table is empty.  ``rd`` maps every domain element id to its
-    relative distance, in domain order; it is read off the model's rd
-    matrix on first access.
+    first example arrives) ``precision`` and ``rd_max`` are ``None``.  Its
+    relative distances and extension are its rows of the model's ``rd`` and
+    ``ext`` matrices.
     """
 
     name: str
@@ -118,16 +115,10 @@ class CategoryTable:
     stimulus_element_ids: tuple[str, ...]
     precision: float | None
     rd_max: float | None
-    _ids: tuple[str, ...] = field(repr=False)
-    _rd_row: np.ndarray = field(repr=False)
 
     @property
     def empty(self) -> bool:
         return len(self.stimulus_element_ids) == 0
-
-    @cached_property
-    def rd(self) -> Mapping[str, float]:
-        return {} if self.empty else dict(zip(self._ids, self._rd_row.tolist()))
 
 
 class SemanticModel:
@@ -141,8 +132,8 @@ class SemanticModel:
     ``col_of[y]`` of ``features`` holds y's features, ``rd[row_of[C],
     col_of[y]]`` is rd(y, C), a row of nan for a category without stimuli,
     and ``ext`` is ``rd <= rd_max`` row by row.  The three matrices are
-    read-only.  ``elements``, ``extensions`` and each ``CategoryTable.rd``
-    are views of them, built on first read.
+    read-only.  ``elements`` holds the same features as ``DomainElement``
+    records, built on first read.
     """
 
     def __init__(
@@ -191,24 +182,15 @@ class SemanticModel:
                 stimulus_element_ids=stim_ids,
                 precision=p,
                 rd_max=None if p is None else m,
-                _ids=self.element_ids,
-                _rd_row=rd[i],
             )
-            for i, ((name, (bmu_units, bmu_ids, stim_ids)), p, m)
-            in enumerate(zip(refs.items(), precision, rd_max.tolist()))
+            for (name, (bmu_units, bmu_ids, stim_ids)), p, m
+            in zip(refs.items(), precision, rd_max.tolist())
         }
 
     @cached_property
     def elements(self) -> tuple[DomainElement, ...]:
         features = map(tuple, self.features.tolist())
         return tuple(map(DomainElement, self.element_ids, features, self.origins))
-
-    @cached_property
-    def extensions(self) -> dict[str, frozenset[str]]:
-        return {
-            name: frozenset(compress(self.element_ids, self.ext[i].tolist()))
-            for name, i in self.row_of.items()
-        }
 
     @property
     def category_names(self) -> tuple[str, ...]:
@@ -441,25 +423,28 @@ def initial_model(categories: Sequence[str], input_dim: int) -> SemanticModel:
 
 
 def model_snapshot(model: SemanticModel) -> dict:
+    ids = model.element_ids
     cats = {}
     for name in model.category_names:
         t = model.categories[name]
+        rd = [] if t.empty else model.rd[model.row_of[name]].tolist()
         cats[name] = {
             "bmu_units": list(t.bmu_units),
             "bmu_elements": list(t.bmu_element_ids),
             "stimulus_elements": list(t.stimulus_element_ids),
             "precision": t.precision,
             "rd_max": None if t.rd_max is None else jsonio.encode_float(t.rd_max),
-            "rd": {eid: jsonio.encode_float(v) for eid, v in t.rd.items()},
+            "rd": dict(zip(ids, map(jsonio.encode_float, rd))),
         }
     return {
         "input_dim": model.input_dim,
         "elements": [
-            {"id": e.eid, "features": list(e.features), "origin": e.origin}
-            for e in model.elements
+            {"id": eid, "features": f, "origin": o}
+            for eid, f, o in zip(ids, model.features.tolist(), model.origins)
         ],
         "categories": cats,
-        "extensions": {name: sorted(ext) for name, ext in model.extensions.items()},
+        "extensions": {name: sorted(compress(ids, model.ext[i].tolist()))
+                       for name, i in model.row_of.items()},
     }
 
 
@@ -474,8 +459,9 @@ def model_from_snapshot(doc: dict) -> SemanticModel:
     from the derived one is refused with ``InputError``, naming it.
 
     The features are read into one matrix, and must be lists of JSON
-    numbers, as ``bmu_units`` must be lists of integers and ``input_dim`` an
-    integer; anything else is a malformed snapshot.  The stored tables are
+    numbers, as ``bmu_units`` must be strictly increasing lists of
+    non-negative integers, as ``build_model`` writes them, and ``input_dim``
+    an integer; anything else is a malformed snapshot.  The stored tables are
     compared a row at a time (``_check_stored``)."""
     model, origins, stored = _derive_snapshot(doc)
     _check_stored(model, origins, stored)
@@ -509,6 +495,9 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
             units = c["bmu_units"]
             if type(units) is not list or any(type(u) is not int for u in units):
                 raise TypeError(f"category {name!r}: bmu_units must be a list of integers, got {units!r}")
+            if units != sorted(set(units)) or (units and units[0] < 0):
+                raise ValueError(f"category {name!r}: bmu_units must be strictly increasing "
+                                 f"and non-negative, got {units!r}")
             refs[name] = (
                 tuple(units),
                 tuple(map(str, c["bmu_elements"])),
@@ -581,7 +570,7 @@ def _check_stored(model: SemanticModel, origins: list, stored: Mapping[str, tupl
             raise refuse(f"category {name!r}, rd of {eid!r}", got, want.get(eid, _MISSING))
         if not _stored_ext_matches(ext, model.col_of, model.ext[row]):
             ext = frozenset(map(str, ext))
-            diff = ext ^ model.extensions[name]
+            diff = ext ^ frozenset(compress(ids, model.ext[row].tolist()))
             if diff:
                 eid = next(e for e in (*ids, *sorted(diff)) if e in diff)
                 raise refuse(f"category {name!r}, extension has {eid!r}", eid in ext, eid not in ext)

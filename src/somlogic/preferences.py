@@ -92,26 +92,26 @@ def global_prefer(
     model.element(x_eid)
     model.element(y_eid)
     cats = _ranked_categories(model)
+    # rd(x, C) and rd(y, C) by category
+    rd_x = dict(zip(model.row_of, model.rd[:, model.col_of[x_eid]].tolist()))
+    rd_y = dict(zip(model.row_of, model.rd[:, model.col_of[y_eid]].tolist()))
 
     strict_somewhere = False
     for c in cats:
-        rd_c = model.categories[c].rd
-        if rd_c[x_eid] < rd_c[y_eid]:
+        if rd_x[c] < rd_y[c]:
             strict_somewhere = True
             break
     if not strict_somewhere:
         return False
 
     for cj in cats:
-        rd_j = model.categories[cj].rd
-        if rd_j[x_eid] <= rd_j[y_eid]:
+        if rd_x[cj] <= rd_y[cj]:
             continue
         overridden = False
         for ch in specificity.above(cj):
             if ch not in model.categories or model.categories[ch].empty:
                 continue
-            rd_h = model.categories[ch].rd
-            if rd_h[x_eid] < rd_h[y_eid]:
+            if rd_x[ch] < rd_y[ch]:
                 overridden = True
                 break
         if not overridden:

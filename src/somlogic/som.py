@@ -16,7 +16,7 @@ import contextlib
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,14 +25,12 @@ from .errors import ConfigError, InputError
 
 __all__ = [
     "Stimulus",
-    "Unit",
     "TrainConfig",
     "SomMap",
     "feature_range",
     "init_map",
     "nearest_units",
     "nearest_in_groups",
-    "find_bmu",
     "apply_presentation",
     "presentation_schedule",
     "train",
@@ -75,16 +73,6 @@ class Stimulus:
     @property
     def dim(self) -> int:
         return len(self.features)
-
-
-@dataclass(frozen=True)
-class Unit:
-    """Read-only view of one map unit."""
-
-    index: int
-    row: int
-    col: int
-    weights: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -160,20 +148,6 @@ class SomMap:
     def grid_coords(self) -> np.ndarray:
         """(n_units, 2) array of (row, col) positions."""
         return self._coords
-
-    def unit(self, index: int) -> Unit:
-        if not (0 <= index < self.n_units):
-            raise InputError(f"unit index {index} out of range for {self.n_units} units")
-        return Unit(
-            index=index,
-            row=index // self.cols,
-            col=index % self.cols,
-            weights=tuple(float(v) for v in self.weights[index]),
-        )
-
-    @property
-    def units(self) -> list[Unit]:
-        return [self.unit(i) for i in range(self.n_units)]
 
     def copy(self) -> "SomMap":
         """A map with its own weights; it shares the read-only grid coords."""
@@ -328,16 +302,6 @@ def nearest_in_groups(x: np.ndarray, weights: np.ndarray, cols, starts) -> np.nd
     return out
 
 
-def find_bmu(som: SomMap, x) -> int:
-    """Index of the unit whose weights are closest to ``x`` (Euclidean).
-
-    Ties break to the lowest unit index; argmin over squared distance gives
-    the same winner as over distance.
-    """
-    v = _check_vector(som, x)
-    return int(nearest_units(v[np.newaxis, :], som.weights)[0][0])
-
-
 def _present(weights: np.ndarray, coords: np.ndarray, x: np.ndarray, lr: float, radius: float) -> None:
     """One stimulus presentation, updating ``weights`` in place.
 
@@ -467,13 +431,8 @@ def map_snapshot(som: SomMap) -> dict:
         "seed": som.seed,
         "epochs_trained": som.epochs_trained,
         "units": [
-            {
-                "index": u.index,
-                "row": u.row,
-                "col": u.col,
-                "weights": list(u.weights),
-            }
-            for u in som.units
+            {"index": i, "row": i // som.cols, "col": i % som.cols, "weights": w}
+            for i, w in enumerate(som.weights.tolist())
         ],
     }
 

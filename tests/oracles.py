@@ -18,6 +18,7 @@ library's mask-based ``extension_mask``, ``minima``, ``somlogic check`` and
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +35,20 @@ from somlogic.preferences import (
     _check,
     default_concept_pool,
 )
+
+
+def rd_table(model: SemanticModel, name: str) -> dict[str, float]:
+    """Category ``name``'s rd by element id, in domain order, read off its
+    row of ``model.rd``; empty for a category without stimuli."""
+    if model.categories[name].empty:
+        return {}
+    return dict(zip(model.element_ids, model.rd[model.row_of[name]].tolist()))
+
+
+def extension_ids(model: SemanticModel, name: str) -> frozenset[str]:
+    """The ids of category ``name``'s extension, read off its row of
+    ``model.ext``."""
+    return frozenset(compress(model.element_ids, model.ext[model.row_of[name]].tolist()))
 
 
 def dist(a, b) -> float:
@@ -114,7 +129,7 @@ def extension(model: SemanticModel, expr: ConceptExpr) -> frozenset[str]:
         return frozenset()
     if isinstance(expr, Name):
         try:
-            return model.extensions[expr.name]
+            return extension_ids(model, expr.name)
         except KeyError:
             raise UnknownCategoryError(
                 f"concept name {expr.name!r} is not a learned category"
@@ -313,7 +328,7 @@ def oracle_model_from_snapshot(doc: dict) -> SemanticModel:
             raise refuse(f"category {name!r}, precision", precision, t.precision)
         if rd_max != t.rd_max:
             raise refuse(f"category {name!r}, rd_max", rd_max, t.rd_max)
-        derived = dict(t.rd)
+        derived = rd_table(model, name)
         # every value as read, or every value as model_snapshot writes it
         encoded = {eid: jsonio.encode_float(v) for eid, v in derived.items()}
         if rd != derived and rd != encoded:
@@ -322,7 +337,7 @@ def oracle_model_from_snapshot(doc: dict) -> SemanticModel:
                 if got != want:
                     raise refuse(f"category {name!r}, rd of {eid!r}", got, want)
         ext = frozenset(map(str, ext))
-        derived_ext = model.extensions[name]
+        derived_ext = extension_ids(model, name)
         if ext != derived_ext:
             diff = ext ^ derived_ext
             eid = next(e for e in [*model.element_ids, *sorted(diff)] if e in diff)

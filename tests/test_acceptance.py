@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import REF_CFG, REF_MAP
-from oracles import make_model, oracle_global_prefer, random_model
+from oracles import extension_ids, make_model, oracle_global_prefer, random_model, rd_table
 from somlogic import (
     SpecificityRelation,
     TrainConfig,
@@ -29,7 +29,6 @@ from somlogic import (
     derive_specificity,
     extract_kb,
     feature_range,
-    find_bmu,
     inclusion_text,
     init_map,
     load_map,
@@ -44,6 +43,7 @@ from somlogic import (
 from somlogic.cli import main as cli_main
 from somlogic.dataset import write_csv
 from somlogic.preferences import global_prefer
+from somlogic.som import nearest_units
 
 # Reference quantization errors for the seeded 3-cluster run (6x6 map, 50
 # epochs, seed 0).  Recorded once from this configuration and pinned; the
@@ -89,10 +89,10 @@ def test_criterion_01_bmu_distance_zero(capsys, clusters, trained_map):
         model = build_model(trained_map, clusters)
         by_feats = {e.features: e.eid for e in model.elements}
         assert len(clusters) == 60 and clusters[0].dim == 2
-        for s in clusters:
-            unit = find_bmu(trained_map, s.features)
+        units = nearest_units(np.array([s.features for s in clusters]), trained_map.weights)[0]
+        for s, unit in zip(clusters, units.tolist()):
             eid = by_feats[tuple(trained_map.weights[unit])]
-            assert model.categories[s.label].rd[eid] == 0.0
+            assert rd_table(model, s.label)[eid] == 0.0
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
         c["detail"] = f"60 stimuli exact, {elapsed:.3f}s"
@@ -105,10 +105,11 @@ def test_criterion_02_bmus_are_minimal(capsys, cluster_model, random_models):
         n_cats = 0
         for m in models:
             for name, tbl in m.categories.items():
-                members = sorted(m.extensions[name])
+                members = sorted(extension_ids(m, name))
+                rd = rd_table(m, name)
                 minimal = {
                     y for y in members
-                    if not any(tbl.rd[x] < tbl.rd[y] for x in members)
+                    if not any(rd[x] < rd[y] for x in members)
                 }
                 assert set(tbl.bmu_element_ids) <= minimal
                 n_cats += 1

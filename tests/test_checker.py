@@ -25,7 +25,7 @@ from somlogic.checker import (
 )
 from somlogic.concepts import Inclusion, inclusion_text, parse_kb_text
 
-from oracles import make_model
+from oracles import make_model, random_model, rd_table
 
 
 # ==============================================================
@@ -37,7 +37,7 @@ def test_rd_bmu_set_is_max_over_bmu_elements(cluster_model):
     m = cluster_model
     for ci in m.category_names:
         for cj in m.category_names:
-            want = max(m.categories[cj].rd[e] for e in m.categories[ci].bmu_element_ids)
+            want = max(rd_table(m, cj)[e] for e in m.categories[ci].bmu_element_ids)
             assert rd_bmu_set(m, ci, cj) == want
 
 
@@ -70,9 +70,9 @@ def test_separated_clusters_do_not_include(cluster_model):
 
 def test_failing_check_reports_witnesses(cluster_model):
     r = check_typicality(cluster_model, "A", "B")
-    t = cluster_model.categories["B"]
+    rd_max = cluster_model.categories["B"].rd_max
     for eid in r.witnesses:
-        assert t.rd[eid] > t.rd_max
+        assert rd_table(cluster_model, "B")[eid] > rd_max
 
 
 def test_empty_category_raises(trained_map, clusters):
@@ -120,7 +120,7 @@ def test_nested_strict_inclusion_holds():
     assert not back.holds
     assert not back.set_holds
     # the degenerate category marks off-ensemble points as infinitely far
-    assert m.categories["Spec"].rd["g1"] == math.inf
+    assert rd_table(m, "Spec")["g1"] == math.inf
 
 
 def test_nested_specificity_derived():
@@ -137,13 +137,31 @@ def test_nested_specificity_derived():
 # ==============================================================
 
 
-def test_extract_report_inventory(cluster_model):
-    ex = extract_kb(cluster_model)
-    k = len(cluster_model.categories)
-    assert len(ex.reports) == 2 * k * k  # no empty categories, no Bot reports
-    kinds = {(inclusion_text(r.inclusion), r.method) for r in ex.reports}
-    assert ("T(A) <= B", "bmu_rd_bound") in kinds
-    assert ("A <= B", "rd_margin") in kinds
+def test_extract_kb_agrees_with_pairwise_checks(cluster_model, trained_map, clusters):
+    # extract_kb reads the criteria matrices; check_typicality and
+    # check_strict test one pair at a time.  They must agree on every pair
+    # of categories with stimuli, and an empty category adds only Ci <= Bot.
+    models = [
+        cluster_model,
+        build_model(trained_map, clusters, categories=["A", "B", "C", "Z"]),
+        initial_model(["A", "B"], 2),
+        *(random_model(np.random.default_rng([11, s]))[0] for s in range(30)),
+    ]
+    for m in models:
+        ex = extract_kb(m)
+        empty = [c for c in m.category_names if m.categories[c].empty]
+        live = [c for c in m.category_names if c not in empty]
+        holding, ranked = set(), []
+        for ci in live:
+            for cj in live:
+                for r in (check_typicality(m, ci, cj), check_strict(m, ci, cj)):
+                    if r.holds:
+                        holding.add(r.inclusion)
+                        if r.inclusion.kind == "defeasible":
+                            ranked.append((r.inclusion, r.plausibility))
+        assert ex.kb == holding | {Inclusion("strict", Name(c), Bot()) for c in empty}
+        ranked.sort(key=lambda pair: (pair[1], inclusion_text(pair[0])))
+        assert list(ex.ranked_defeasible) == ranked
 
 
 def test_extract_kb_contents(cluster_model):
@@ -160,22 +178,15 @@ def test_extract_kb_contents(cluster_model):
 def test_extract_with_empty_category(trained_map, clusters):
     m = build_model(trained_map, clusters, categories=["A", "B", "C", "Z"])
     ex = extract_kb(m)
-    k = 4
-    bot_reports = [r for r in ex.reports if isinstance(r.inclusion.rhs, Bot)]
-    assert len(ex.reports) == 2 * k * k + len(bot_reports)
-    assert len(bot_reports) == 1 and bot_reports[0].holds
-    assert Inclusion("strict", Name("Z"), Bot()) in ex.kb
-    vac = [r for r in ex.reports if r.status == "vacuous"]
-    # every pair touching Z, both kinds and both directions, diagonal included
-    assert len(vac) == 2 * (2 * 3 + 1)
-    assert all(not r.holds for r in vac)
+    # no pair touching Z holds, of either kind or direction, diagonal included
+    assert {i for i in ex.kb if "Z" in inclusion_text(i)} == {Inclusion("strict", Name("Z"), Bot())}
 
 
 def test_initial_model_kb():
     m = initial_model(["A", "B"], 2)
     ex = extract_kb(m)
     assert {inclusion_text(i) for i in ex.kb} == {"A <= Bot", "B <= Bot"}
-    assert len(ex.reports) == 2 * 4 + 2
+    assert ex.ranked_defeasible == ()
 
 
 def test_kb_file_text_reparses(cluster_model):

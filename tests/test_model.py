@@ -17,7 +17,6 @@ from somlogic import (
     TrainConfig,
     build_model,
     feature_range,
-    find_bmu,
     init_map,
     initial_model,
     load_model,
@@ -27,8 +26,9 @@ from somlogic import (
 from somlogic import model as model_module
 from somlogic.jsonio import canonical_dumps
 from somlogic.model import SemanticModel, model_from_snapshot, model_snapshot
+from somlogic.som import nearest_units
 
-from oracles import dist, oracle_model_from_snapshot, oracle_rd
+from oracles import dist, extension_ids, oracle_model_from_snapshot, oracle_rd, rd_table
 
 
 # ==============================================================
@@ -41,7 +41,7 @@ def test_domain_composition(cluster_model, clusters, trained_map):
     stim_ids = {e.eid for e in m.elements if e.origin == "stimulus"}
     bmu_ids = {e.eid for e in m.elements if e.origin == "bmu"}
     assert stim_ids == {s.sid for s in clusters}
-    all_bmus = {find_bmu(trained_map, s.features) for s in clusters}
+    all_bmus = set(nearest_units(np.array([s.features for s in clusters]), trained_map.weights)[0].tolist())
     assert len(bmu_ids) == len(all_bmus)  # none collided with a stimulus here
     assert len(m.elements) == len(stim_ids) + len(bmu_ids)
 
@@ -49,7 +49,7 @@ def test_domain_composition(cluster_model, clusters, trained_map):
 def test_bmu_elements_have_zero_rd(cluster_model):
     for name, t in cluster_model.categories.items():
         for eid in t.bmu_element_ids:
-            assert t.rd[eid] == 0.0
+            assert rd_table(cluster_model, name)[eid] == 0.0
 
 
 def test_rd_max_exactly_one(cluster_model):
@@ -60,14 +60,14 @@ def test_rd_max_exactly_one(cluster_model):
 
 def test_stimuli_inside_own_extension(cluster_model, clusters):
     for s in clusters:
-        assert s.sid in cluster_model.extensions[s.label]
+        assert s.sid in extension_ids(cluster_model, s.label)
 
 
 def test_typical_equals_zero_rd_set(cluster_model):
     for name, t in cluster_model.categories.items():
-        typ = {eid for eid, v in t.rd.items() if v == 0.0}
+        typ = {eid for eid, v in rd_table(cluster_model, name).items() if v == 0.0}
         assert set(t.bmu_element_ids) <= typ
-        assert typ <= cluster_model.extensions[name]
+        assert typ <= extension_ids(cluster_model, name)
 
 
 def test_rd_matches_oracle(cluster_model, trained_map):
@@ -83,13 +83,13 @@ def test_rd_matches_oracle(cluster_model, trained_map):
         assert precision == pytest.approx(t.precision, rel=1e-12)
         for eid in m.element_ids:
             want = oracle_rd(feats[eid], ensemble, precision)
-            assert t.rd[eid] == pytest.approx(want, rel=1e-9)
+            assert rd_table(m, name)[eid] == pytest.approx(want, rel=1e-9)
 
 
 def test_extension_is_rd_cut(cluster_model):
     for name, t in cluster_model.categories.items():
-        cut = {eid for eid, v in t.rd.items() if v <= t.rd_max}
-        assert cluster_model.extensions[name] == cut
+        cut = {eid for eid, v in rd_table(cluster_model, name).items() if v <= t.rd_max}
+        assert extension_ids(cluster_model, name) == cut
 
 
 def test_unknown_ids_raise(cluster_model):
@@ -126,9 +126,9 @@ def test_degenerate_precision_zero():
     tp = m.categories["P"]
     assert tp.precision == 0.0
     assert tp.rd_max == 0.0
-    assert tp.rd["p1"] == 0.0
-    assert tp.rd["q1"] == math.inf  # off the ensemble with zero precision
-    assert m.extensions["P"] == {"p1"}
+    assert rd_table(m, "P")["p1"] == 0.0
+    assert rd_table(m, "P")["q1"] == math.inf  # off the ensemble with zero precision
+    assert extension_ids(m, "P") == {"p1"}
 
 
 def test_duplicate_stimuli_share_element():
@@ -154,16 +154,15 @@ def test_probes_join_the_domain(trained_map, clusters):
     m = build_model(trained_map, clusters, probes=[(3.0, 3.0), (100.0, 100.0)])
     assert "p0" in m.element_ids and "p1" in m.element_ids
     assert m.element("p0").origin == "probe"
-    for t in m.categories.values():
-        assert "p0" in t.rd and "p1" in t.rd
+    assert not np.isnan(m.rd[:, [m.col_of["p0"], m.col_of["p1"]]]).any()
     # the far probe is outside every extension
-    assert all("p1" not in ext for ext in m.extensions.values())
+    assert not m.ext[:, m.col_of["p1"]].any()
 
 
 def test_category_list_argument(trained_map, clusters):
     m = build_model(trained_map, clusters, categories=["A", "B", "C", "Z"])
     assert m.categories["Z"].empty
-    assert m.extensions["Z"] == frozenset()
+    assert not m.ext[m.row_of["Z"]].any()
     with pytest.raises(InputError):
         build_model(trained_map, clusters, categories=["A", "B"])  # C missing
 
@@ -204,7 +203,7 @@ def test_initial_model_is_empty():
     m = initial_model(["A", "B"], 2)
     assert m.elements == ()
     assert all(t.empty for t in m.categories.values())
-    assert all(ext == frozenset() for ext in m.extensions.values())
+    assert m.ext.shape == (2, 0)
 
 
 # ==============================================================
@@ -219,20 +218,20 @@ def test_model_snapshot_round_trip(cluster_model, tmp_path):
     assert loaded.element_ids == cluster_model.element_ids
     for name, t in cluster_model.categories.items():
         lt = loaded.categories[name]
-        assert lt.rd == t.rd
+        assert rd_table(loaded, name) == rd_table(cluster_model, name)
         assert lt.rd_max == t.rd_max
         assert lt.precision == t.precision
         assert lt.bmu_units == t.bmu_units
         assert lt.bmu_element_ids == t.bmu_element_ids
         assert lt.stimulus_element_ids == t.stimulus_element_ids
-    assert loaded.extensions == cluster_model.extensions
+    assert np.array_equal(loaded.ext, cluster_model.ext)
     first = p.read_bytes()
     save_model(p, loaded)
     assert p.read_bytes() == first
 
 
 def test_loaded_views_equal_built(trained_map, clusters, tmp_path):
-    # Probes and an empty category: the views a loaded model reads off its
+    # Probes and an empty category: a loaded model's element records and
     # matrices are those of the model it was saved from.
     built = build_model(trained_map, clusters, probes=[(3.0, 3.0), (100.0, 100.0)],
                         categories=["A", "B", "C", "Z"])
@@ -240,11 +239,11 @@ def test_loaded_views_equal_built(trained_map, clusters, tmp_path):
     save_model(p, built)
     loaded = load_model(p)
     assert loaded.elements == built.elements
-    for name, t in built.categories.items():
-        assert loaded.categories[name].rd == t.rd
-    assert loaded.categories["Z"].rd == {}
-    assert loaded.extensions == built.extensions
-    assert loaded.extensions["Z"] == frozenset()
+    assert loaded.row_of == built.row_of
+    assert np.array_equal(loaded.rd, built.rd, equal_nan=True)
+    assert np.isnan(loaded.rd[loaded.row_of["Z"]]).all()
+    assert np.array_equal(loaded.ext, built.ext)
+    assert not loaded.ext[loaded.row_of["Z"]].any()
     assert model_snapshot(loaded) == model_snapshot(built)
 
 
@@ -255,7 +254,7 @@ def test_model_snapshot_encodes_inf():
     doc = model_snapshot(m)
     assert doc["categories"]["P"]["rd"]["q1"] == "inf"
     back = model_from_snapshot(doc)
-    assert back.categories["P"].rd["q1"] == math.inf
+    assert rd_table(back, "P")["q1"] == math.inf
 
 
 def test_model_snapshot_validation(cluster_model):
@@ -483,6 +482,12 @@ def test_oracle_comparison_catches_a_broken_loader(monkeypatch, attr, fault):
      "category 'A': bmu_units must be a list of integers, got [True]"),
     (lambda doc: doc["categories"]["A"].update(bmu_units=[1.0]),
      "category 'A': bmu_units must be a list of integers, got [1.0]"),
+    (lambda doc: doc["categories"]["A"].update(bmu_units=[3, 3]),
+     "category 'A': bmu_units must be strictly increasing and non-negative, got [3, 3]"),
+    (lambda doc: doc["categories"]["A"].update(bmu_units=[-1]),
+     "category 'A': bmu_units must be strictly increasing and non-negative, got [-1]"),
+    (lambda doc: doc["categories"]["A"].update(bmu_units=[3, 1]),
+     "category 'A': bmu_units must be strictly increasing and non-negative, got [3, 1]"),
     (lambda doc: doc.update(input_dim="2"), "input_dim must be an integer, got '2'"),
     (lambda doc: doc.update(input_dim=2.0), "input_dim must be an integer, got 2.0"),
 ])
@@ -549,10 +554,11 @@ def test_invariants_on_random_runs(seed):
     m = build_model(trained, data)
     for name, t in m.categories.items():
         assert t.rd_max == (1.0 if t.precision > 0.0 else 0.0)
+        rd = rd_table(m, name)
         for eid in t.bmu_element_ids:
-            assert t.rd[eid] == 0.0
+            assert rd[eid] == 0.0
         for eid in t.stimulus_element_ids:
-            assert t.rd[eid] <= t.rd_max
-        assert m.extensions[name] == frozenset(
-            eid for eid, v in t.rd.items() if v <= t.rd_max
+            assert rd[eid] <= t.rd_max
+        assert extension_ids(m, name) == frozenset(
+            eid for eid, v in rd.items() if v <= t.rd_max
         )

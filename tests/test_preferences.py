@@ -34,6 +34,7 @@ from oracles import (
     oracle_order_violations,
     oracle_verify_klm,
     random_model,
+    rd_table,
     two_way_override_model,
     typicality_extension,
 )
@@ -106,7 +107,7 @@ def _minima_corpus(nested_model):
     rng = np.random.default_rng(13)
     models = [random_model(rng, max_elements=14, max_categories=4)[:3] for _ in range(40)]
     rel = derive_specificity(nested_model)
-    tables = {c: dict(t.rd) for c, t in nested_model.categories.items()}
+    tables = {c: rd_table(nested_model, c) for c in nested_model.categories}
     models.append((nested_model, rel, tables))
     for model, rel, rd_tables in models:
         above = {c: {a for a, b in rel.pairs if b == c} for c in rd_tables}
@@ -213,8 +214,9 @@ def test_conflict_resolved_by_specificity():
     rel = derive_specificity(m)
     pref = build_preferential(m, rel)
     # per-category orders disagree on bob vs mary
-    assert m.categories["Student"].rd["mary"] < m.categories["Student"].rd["bob"]
-    assert m.categories["PhdStudent"].rd["bob"] < m.categories["PhdStudent"].rd["mary"]
+    student, phd = rd_table(m, "Student"), rd_table(m, "PhdStudent")
+    assert student["mary"] < student["bob"]
+    assert phd["bob"] < phd["mary"]
     # globally the more specific category wins
     assert pref.prefers("bob", "mary")
     assert not pref.prefers("mary", "bob")
@@ -243,7 +245,7 @@ def test_typicality_extension_on_trained_model(cluster_pref):
         # anything at positive rd is beaten by a BMU element unless another
         # category intervenes, and the global winners always include some
         # rd-0 element
-        zero = {eid for eid, v in m.categories[c].rd.items() if v == 0.0}
+        zero = {eid for eid, v in rd_table(m, c).items() if v == 0.0}
         assert typ & zero
     assert typicality_extension(cluster_pref, Bot()) == frozenset()
     top_typ = typicality_extension(cluster_pref, Top())

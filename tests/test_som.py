@@ -11,7 +11,6 @@ from somlogic import (
     TrainConfig,
     apply_presentation,
     feature_range,
-    find_bmu,
     gaussian_clusters,
     init_map,
     load_map,
@@ -90,9 +89,11 @@ def test_init_bad_range():
 
 def test_grid_coordinates():
     som = init_map(2, 3, 2, seed=0, value_range=(0.0, 1.0))
-    units = som.units
-    assert [(u.row, u.col) for u in units] == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert units[4].index == 4
+    cells = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert [tuple(c) for c in som.grid_coords.tolist()] == cells
+    units = map_snapshot(som)["units"]
+    assert [(u["row"], u["col"]) for u in units] == cells
+    assert [u["index"] for u in units] == list(range(6))
 
 
 # ==============================================================
@@ -106,16 +107,14 @@ def test_bmu_matches_oracle(seed):
     rng = np.random.default_rng(seed)
     som = SomMap(rows=4, cols=4, input_dim=3, seed=0, weights=rng.normal(size=(16, 3)))
     x = rng.normal(size=3)
-    assert find_bmu(som, x) == oracle_bmu([tuple(w) for w in som.weights], tuple(x))
+    assert nearest_units(x[np.newaxis], som.weights)[0][0] == oracle_bmu([tuple(w) for w in som.weights], tuple(x))
 
 
 def test_bmu_tie_breaks_to_lowest_index():
     w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    som = SomMap(rows=1, cols=3, input_dim=2, seed=0, weights=w)
-    # units 0 and 2 coincide; 0 wins
-    assert find_bmu(som, (1.0, 0.0)) == 0
-    # (0.5, 0.5) is equidistant from all three units; lowest index wins
-    assert find_bmu(som, (0.5, 0.5)) == 0
+    # units 0 and 2 coincide; 0 wins.  (0.5, 0.5) is equidistant from all
+    # three units; lowest index wins.
+    assert nearest_units(np.array([[1.0, 0.0], [0.5, 0.5]]), w)[0].tolist() == [0, 0]
 
 
 def _kernel_mismatches(x, w, groups) -> list[str]:
@@ -195,9 +194,9 @@ def test_kernel_comparison_catches_left_to_right_sum(monkeypatch):
 def test_bmu_input_validation():
     som = init_map(2, 2, 2, seed=0, value_range=(0.0, 1.0))
     with pytest.raises(InputError):
-        find_bmu(som, (1.0,))
+        apply_presentation(som, (1.0,), lr=0.5, radius=1.0)
     with pytest.raises(InputError):
-        find_bmu(som, (float("nan"), 0.0))
+        apply_presentation(som, (float("nan"), 0.0), lr=0.5, radius=1.0)
 
 
 # ==============================================================
@@ -280,7 +279,7 @@ def test_single_presentation_pulls_bmu_onto_stimulus():
     # lr = 1 with a vanishing radius moves exactly the BMU, exactly onto x
     som = init_map(3, 3, 2, seed=0, value_range=(0.0, 1.0))
     x = (0.3, 0.4)
-    b = find_bmu(som, x)
+    b = nearest_units(np.array([x]), som.weights)[0][0]
     out = apply_presentation(som, x, lr=1.0, radius=1e-9)
     assert tuple(out.weights[b]) == x
     others = [i for i in range(9) if i != b]
