@@ -19,14 +19,20 @@ model; it need not be modular.
 
 The rule is stated once, in ``_global_order``, over any list of elements
 (columns of the model's rd matrix): each pair is decided by the two
-elements' rd values and specificity alone.
-It has two callers.  ``build_preferential`` applies it to the whole domain
-and checks nothing: ``verify_order_axioms`` then checks the axioms on the
-materialised relation, once.  ``minima`` applies it to one set, e.g.
-ext(C), given as a mask, and reads T(C) off that block, which is how
-``somlogic check`` answers a defeasible query without the N x N order.
+elements' rd values and specificity alone.  It compares each category's
+dense integer ranks of rd, which order the elements exactly as the rd
+values do.  It has two callers.  ``build_preferential`` applies it to the
+whole domain and checks nothing: ``verify_order_axioms`` then checks the
+axioms on the materialised relation, once.  ``minima`` applies it to one
+set, e.g. ext(C), given as a mask, and reads T(C) off that block, which is
+how ``somlogic check`` answers a defeasible query without the N x N order.
 Nothing verifies that block afterwards, so ``minima`` checks it to be a
 strict order itself.
+
+The order checks take no matrix product.  Transitivity ORs, for each
+element, the bit-packed rows of its successors and compares the result
+with its own row.  Modularity is walked pair by pair on bit rows.  Both
+walks stop at the last violation a report lists.
 
 ``verify_klm`` checks the standard closure postulates (Reflexivity, Left
 Logical Equivalence, Right Weakening, And, Cautious Monotonicity, and Or
@@ -38,14 +44,16 @@ not over every pool concept: entailment depends on a concept only through
 its extension, which is what LLE licenses.  Sets are boolean masks over the
 domain: each pool concept is evaluated to one by ``extension_mask``, from
 the model's extension masks.  Two masks fall into the same class exactly
-when the bytes of their bit-packed rows are equal; the bytes themselves are
-the dict keys, so no two different sets can share a class.  Minima and
-inclusions come from boolean matrix products whose path counts are summed
-in float32, exact below 2**24 elements.  Once minima
-are computed as sets, Reflexivity, LLE, RW, And and Or hold for *any*
-relation (minima lie inside their set, and min(C | D) is a subset of
-min(C) | min(D)), so of the postulates only CM can be broken by a bad order;
-the others are still checked, as guards on the computation itself.
+when the bytes of their bit-packed rows are equal: each row is one void
+scalar, compared bytewise by ``np.unique``, so no two different sets can
+share a class.  Intersections and unions of classes are keyed the same way
+and looked up among the sorted class keys.  Minima and inclusions come from
+boolean matrix products whose path counts are summed in float32, exact
+below 2**24 elements.  Once minima are computed as sets, Reflexivity, LLE,
+RW, And and Or hold for *any* relation (minima lie inside their set, and
+min(C | D) is a subset of min(C) | min(D)), so of the postulates only CM can
+be broken by a bad order; the others are still checked, as guards on the
+computation itself.
 """
 
 from __future__ import annotations
@@ -89,8 +97,9 @@ def global_prefer(
     Kept deliberately close to the definition; ``build_preferential``
     materialises the same relation in bulk.
     """
-    model.element(x_eid)
-    model.element(y_eid)
+    for eid in (x_eid, y_eid):
+        if eid not in model.col_of:
+            raise InputError(f"unknown domain element {eid!r}")
     cats = _ranked_categories(model)
     # rd(x, C) and rd(y, C) by category
     rd_x = dict(zip(model.row_of, model.rd[:, model.col_of[x_eid]].tolist()))
@@ -162,25 +171,37 @@ def _global_order(
     restricted to that subset.
     """
     cats = _ranked_categories(model)
-    rk = model.rd[np.ix_([model.row_of[c] for c in cats], cols)]
+    rd = model.rd[np.ix_([model.row_of[c] for c in cats], cols)]
+    n = rd.shape[1]
+    # Dense ranks in the narrowest unsigned type that holds n - 1.  Equal rd
+    # values (inf included) get equal ranks and rd is never NaN, so ranks
+    # compare exactly as the rd values do.
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    by_rd = np.argsort(rd, axis=1)
+    sorted_rd = np.take_along_axis(rd, by_rd, axis=1)
+    dense = np.zeros(rd.shape, dtype=dtype)
+    np.cumsum(sorted_rd[:, 1:] != sorted_rd[:, :-1], axis=1, dtype=dtype, out=dense[:, 1:])
+    rank = np.empty_like(dense)
+    np.put_along_axis(rank, by_rd, dense, axis=1)
     cat_row = {c: i for i, c in enumerate(cats)}
 
-    def less(i: int) -> np.ndarray:
-        # Category i's strict preference, built on demand so that at most a
-        # few n x n matrices are alive, never one per category.
-        return rk[i][:, np.newaxis] < rk[i][np.newaxis, :]
-
-    n = len(cols)
+    # At most three n x n matrices are alive, never one per category.
     order = np.zeros((n, n), dtype=bool)
+    less = np.empty((n, n), dtype=bool)
+    ok = np.empty((n, n), dtype=bool)
+
+    def strict(i: int) -> np.ndarray:
+        # Category i's strict preference, into ``less``.
+        return np.less(rank[i][:, np.newaxis], rank[i][np.newaxis, :], out=less)
+
     for i in range(len(cats)):
-        order |= less(i)
+        order |= strict(i)
     for cj in cats:
-        # rd is never NaN, so rd(x) <= rd(y) is exactly not rd(y) < rd(x).
-        r = rk[cat_row[cj]]
-        ok = r[:, np.newaxis] <= r[np.newaxis, :]
+        r = rank[cat_row[cj]]
+        np.less_equal(r[:, np.newaxis], r[np.newaxis, :], out=ok)
         for ch in specificity.above(cj):
             if ch in cat_row:
-                ok |= less(cat_row[ch])
+                ok |= strict(cat_row[ch])
         order &= ok
     return order
 
@@ -279,6 +300,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``(a @ b) > 0`` for boolean matrices: is some k with a[i, k] and b[k, j]?
+    ``verify_klm`` reads its minima and inclusions off such products.
 
     The path counts are summed in float32, which is exact while they stay
     below 2**24, so the product runs in BLAS and cannot wrap the way a
@@ -293,71 +315,139 @@ def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# uint64 words gathered per chunk of the bit-row walks (256 KB).
+_CHUNK_WORDS = 1 << 15
+
+
+def _bit_rows(m: np.ndarray, complement: bool = False) -> np.ndarray:
+    """The rows of the boolean matrix ``m`` (of ``~m`` if ``complement``) as
+    uint64 words: entry j of a row is bit j % 64 of word j // 64, and the
+    padding bits past the last column are 0."""
+    rows, n = m.shape
+    words = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
+    words[:, : -(-n // 8)] = np.packbits(m, axis=1, bitorder="little")
+    words = words.view("<u8")
+    if complement:
+        words = ~words & _bit_rows(np.ones((1, n), dtype=bool))
+    return words
+
+
+def _unpacked(words: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` bits of one ``_bit_rows`` row, as a boolean mask."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little", count=n).view(bool)
+
+
+def _pair_chunks(m: np.ndarray, width: int):
+    """The pairs (i, j) with ``m[i, j]``, in row-major order, in chunks of
+    whole rows of about ``_CHUNK_WORDS`` words when each pair gathers
+    ``width`` words; a row with more pairs than that is a chunk of its own.
+    Yields (i, j, starts) per chunk, where ``starts`` indexes the first pair
+    of each row that has one."""
+    if not m.size:
+        return
+    i, j = np.divmod(np.flatnonzero(m), m.shape[1])
+    ends = np.cumsum(np.bincount(i, minlength=len(m)))
+    lo, step = 0, max(1, _CHUNK_WORDS // max(1, width))
+    while lo < len(i):
+        last_fitting = np.searchsorted(ends, lo + step, "right") - 1
+        hi = ends[max(last_fitting, np.searchsorted(ends, lo, "right"))]
+        ci = i[lo:hi]
+        yield ci, j[lo:hi], np.flatnonzero(np.r_[True, ci[1:] != ci[:-1]])
+        lo = hi
+
+
 def _order_violations(
     ids: Sequence[str], m: np.ndarray
 ) -> tuple[list[Violation], list[Violation]]:
     """Irreflexivity and transitivity violations of the relation ``m`` over
-    ``ids``, at most ``_MAX_VIOLATIONS`` of each."""
+    ``ids``, at most ``_MAX_VIOLATIONS`` of each, pairs in row-major order.
+
+    Transitivity runs on bit rows: row i fails exactly when the OR of its
+    successors' rows (``np.bitwise_or.reduceat`` over its pairs) has a bit
+    that row i lacks.  Only a failing row is unpacked to list its (i, k, j),
+    each with the first middle k; the walk stops at the last one reported.
+    A diagonal gap is a 2-cycle x < z < x.
+    """
+    n = len(ids)
     refl = [
         Violation(instance=f"{ids[i]} < {ids[i]}", witnesses=(ids[i],))
         for i in np.nonzero(m.diagonal())[0][:_MAX_VIOLATIONS]
     ]
-    gap = _bool_product(m, m) & ~m  # a diagonal gap here is a 2-cycle x < z < x
-    trans = []
-    for i, j in itertools.islice(zip(*np.nonzero(gap)), _MAX_VIOLATIONS):
-        k = int(np.nonzero(m[i] & m[:, j])[0][0])
-        trans.append(
-            Violation(
-                instance=f"{ids[i]} < {ids[k]} < {ids[j]} but not {ids[i]} < {ids[j]}",
-                witnesses=(ids[i], ids[k], ids[j]),
-            )
-        )
+    bits = _bit_rows(m)
+    trans: list[Violation] = []
+    for i, succ, starts in _pair_chunks(m, bits.shape[1]):
+        rows = i[starts]
+        reach = np.bitwise_or.reduceat(bits[succ], starts, axis=0)
+        bad = (reach & ~bits[rows]).any(axis=1)
+        for r, words in zip(rows[bad], reach[bad]):
+            for j in np.flatnonzero(_unpacked(words, n) & ~m[r]):
+                k = int(np.argmax(m[r] & m[:, j]))
+                trans.append(
+                    Violation(
+                        instance=f"{ids[r]} < {ids[k]} < {ids[j]} but not {ids[r]} < {ids[j]}",
+                        witnesses=(ids[r], ids[k], ids[j]),
+                    )
+                )
+                if len(trans) == _MAX_VIOLATIONS:
+                    return refl, trans
     return refl, trans
+
+
+def _modularity_violations(ids: Sequence[str], m: np.ndarray) -> list[Violation]:
+    """The first ``_MAX_VIOLATIONS`` pairs x < y of ``m`` in row-major
+    order with some z unordered against both (not x < z and not z < y),
+    each with the first such z.  The pairs are walked on bit rows, the
+    complement of row x against that of column y, until the last one
+    reported."""
+    n = len(ids)
+    rows = _bit_rows(m, complement=True)
+    cols = _bit_rows(np.ascontiguousarray(m.T), complement=True)
+    mod: list[Violation] = []
+    for x, y, _ in _pair_chunks(m, 2 * rows.shape[1]):
+        both = rows[x] & cols[y]
+        bad = both.any(axis=1)
+        for i, j, words in zip(x[bad], y[bad], both[bad]):
+            z = int(np.argmax(_unpacked(words, n)))
+            mod.append(
+                Violation(
+                    instance=f"{ids[i]} < {ids[j]} but {ids[z]} is unordered against both",
+                    witnesses=(ids[i], ids[j], ids[z]),
+                )
+            )
+            if len(mod) == _MAX_VIOLATIONS:
+                return mod
+    return mod
 
 
 def verify_order_axioms(pref: PreferentialModel) -> list[PropertyCheck]:
     """Check irreflexivity, transitivity, well-foundedness and (informational
-    only) modularity of the materialised global preference."""
-    ids = pref.element_ids
-    m = pref.order
-    refl, trans = _order_violations(ids, m)
-    out = [_check("irreflexivity", refl), _check("transitivity", trans)]
+    only) modularity of the materialised global preference.
 
+    ``_order_violations`` and ``_modularity_violations`` walk bit rows and
+    stop at the last violation a report lists; no matrix product is taken.
+    """
+    ids, m = pref.element_ids, pref.order
+    refl, trans = _order_violations(ids, m)
+    mod = _modularity_violations(ids, m)
     # An irreflexive transitive relation on a finite set has no infinite
     # descending chain; report a failure only if the axioms above failed.
     wf_ok = not refl and not trans
-    out.append(
+    return [
+        _check("irreflexivity", refl),
+        _check("transitivity", trans),
         PropertyCheck(
             check="well_foundedness",
             status="pass" if wf_ok else "fail",
             violations=(),
             notes="finite domain; follows from irreflexivity and transitivity",
-        )
-    )
-
-    mod: list[Violation] = []
-    if len(ids):
-        comp = ~m
-        bad = m & _bool_product(comp, comp)  # some z with not x<z and not z<y
-        for i, j in itertools.islice(zip(*np.nonzero(bad)), _MAX_VIOLATIONS):
-            z = int(np.nonzero(~m[i] & ~m[:, j])[0][0])
-            mod.append(
-                Violation(
-                    instance=(
-                        f"{ids[i]} < {ids[j]} but {ids[z]} is unordered against both"
-                    ),
-                    witnesses=(ids[i], ids[j], ids[z]),
-                )
-            )
-    out.append(
+        ),
         _check(
             "modularity",
             mod,
             required=False,
             notes="the combined preference is not required to be modular",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def default_concept_pool(names: Sequence[str], max_conjuncts: int = 3) -> list[ConceptExpr]:
@@ -374,11 +464,11 @@ def default_concept_pool(names: Sequence[str], max_conjuncts: int = 3) -> list[C
     return pool
 
 
-def _row_keys(packed: np.ndarray) -> list[bytes]:
-    """The bytes of each row of the packed masks ``packed``: equal exactly
-    when the rows are, so two sets share a key only if they are equal."""
-    data, width = packed.tobytes(), packed.shape[1]
-    return [data[i : i + width] for i in range(0, len(data), width)] if width else [b""] * len(packed)
+def _void_keys(rows: np.ndarray) -> np.ndarray:
+    """One void scalar per row of the uint8 matrix ``rows``, compared
+    bytewise, so two keys are equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows if rows.shape[1] else np.zeros((len(rows), 1), np.uint8))
+    return rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
 
 
 def _witnesses(ids: Sequence[str], mask: np.ndarray) -> tuple[str, ...]:
@@ -427,18 +517,11 @@ def verify_klm(
         for i in np.flatnonzero((typ & ~ext).any(axis=1))
     ]
 
-    # The classes, in order of first occurrence in the pool: inv[c] is the
-    # class of pool concept c and first[a] the first pool concept of class a.
+    # The classes, one per distinct packed row in the order of their sorted
+    # keys: inv[c] is the class of pool concept c and first[a] the first pool
+    # concept of class a.
     packed = np.packbits(ext, axis=1)
-    class_of: dict[bytes, int] = {}
-    first = []
-    inv = np.empty(n, dtype=np.intp)
-    for c, key in enumerate(_row_keys(packed)):
-        if key not in class_of:
-            class_of[key] = len(first)
-            first.append(c)
-        inv[c] = class_of[key]
-    first = np.array(first, dtype=np.intp)
+    keys, first, inv = np.unique(_void_keys(packed), return_index=True, return_inverse=True)
     classes = ext[first]
     lle: list[Violation] = []
     if (entail != entail[first[inv]]).any():
@@ -451,28 +534,29 @@ def verify_klm(
             ),
         )
 
-    # The set family: the classes, then every intersection of two classes
-    # that is not itself a class.  A union counts only if it is a class.
+    # The set family: the classes, then every distinct intersection of two
+    # classes that is not itself a class.  A union counts only if it is a
+    # class.  Unions and distinct intersections are looked up among the
+    # sorted class keys; only the intersections go through ``np.unique``.
     k = len(classes)
     packed = packed[first]
-    extra: dict[bytes, int] = {}
-    extra_rows: list[np.ndarray] = []
-    meet = np.empty((k, k), dtype=np.intp)
+    a, b = np.triu_indices(k)
+
+    def class_of(rows: np.ndarray) -> np.ndarray:
+        """The class whose packed mask each row is, or -1."""
+        found = _void_keys(rows)
+        at = np.minimum(np.searchsorted(keys, found), k - 1)
+        return np.where(keys[at] == found, at, -1)
+
     join = np.full((k, k), -1, dtype=np.intp)
-    for a in range(k):
-        both, either = packed[a] & packed[a:], packed[a] | packed[a:]
-        for b, row, key, union in zip(
-            range(a, k), both, _row_keys(both), _row_keys(either)
-        ):
-            f = class_of.get(key, extra.get(key))
-            if f is None:
-                f = extra[key] = k + len(extra_rows)
-                extra_rows.append(row)
-            meet[a, b] = meet[b, a] = f
-            join[a, b] = join[b, a] = class_of.get(union, -1)
-    unpacked = np.unpackbits(
-        np.array(extra_rows, dtype=np.uint8).reshape(-1, packed.shape[1]), axis=1, count=len(ids)
-    )
+    join[a, b] = join[b, a] = class_of(packed[a] | packed[b])
+    met = packed[a] & packed[b]
+    _, distinct, which = np.unique(_void_keys(met), return_index=True, return_inverse=True)
+    known = class_of(met[distinct])
+    extra = known < 0
+    meet = np.empty((k, k), dtype=np.intp)
+    meet[a, b] = meet[b, a] = np.where(extra, k + np.cumsum(extra) - 1, known)[which]
+    unpacked = np.unpackbits(met[distinct[extra]], axis=1, count=len(ids))
     family = np.vstack([classes, unpacked.view(bool)])
     fam_typ = family & ~_bool_product(family, pref.order)
     fam_entail = ~_bool_product(fam_typ, ~family.T)

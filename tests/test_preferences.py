@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -16,13 +17,16 @@ from somlogic import (
     derive_specificity,
     extension_mask,
     global_prefer,
+    initial_model,
     minima,
+    model_from_snapshot,
+    model_snapshot,
     verify_klm,
     verify_order_axioms,
 )
 from somlogic.checker import SpecificityRelation
 from somlogic import preferences
-from somlogic.preferences import PreferentialModel, _bool_product, _row_keys, default_concept_pool
+from somlogic.preferences import PreferentialModel, _bool_product, _void_keys, default_concept_pool
 
 from oracles import (
     entails,
@@ -396,6 +400,217 @@ def test_order_axioms_match_oracle_on_random_relations():
             )
 
 
+# Domain sizes on both sides of one and two 64-bit words.
+_BOUNDARY_SIZES = (63, 64, 65, 127, 128, 129)
+
+
+def _boundary_relations(rng, n):
+    """(name, relation) pairs over n elements: a random relation, a strict
+    weak order (modular, so both walks run to the end), that order with one
+    bit flipped, the same order with one bit moved within its column (so
+    the column sums still look like a weak order's), and a Pareto order
+    (transitive, not modular)."""
+    yield "random", rng.random((n, n)) < (0.02, 0.1, 0.5)[n % 3]
+    level = rng.integers(0, 5, n)
+    weak = level[:, np.newaxis] < level[np.newaxis, :]
+    yield "weak", weak
+    flipped = weak.copy()
+    flipped[tuple(rng.integers(0, n, 2))] ^= True
+    yield "flipped", flipped
+    moved = weak.copy()
+    j = int(np.argmax(level))
+    moved[int(np.flatnonzero(weak[:, j])[0]), j] = False
+    moved[int(np.flatnonzero(~weak[:, j])[0]), j] = True
+    yield "moved", moved
+    point = rng.random((n, 2))
+    yield "pareto", (point[:, np.newaxis] < point[np.newaxis, :]).all(axis=2)
+
+
+@functools.cache
+def _boundary_cases() -> tuple:
+    """(n, name, ids, relation, oracle report) for every size and relation,
+    the oracle run once per test run."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for n in _BOUNDARY_SIZES:
+        ids = tuple(f"e{i:03d}" for i in range(n))
+        for name, m in _boundary_relations(rng, n):
+            cases.append((n, name, ids, m, oracle_order_violations(ids, m.tolist())))
+    return tuple(cases)
+
+
+def _boundary_mismatches() -> list[tuple[int, str]]:
+    """The (size, relation) cases where ``verify_order_axioms``, or the
+    ``_order_violations`` that ``minima`` calls, differs from the oracle."""
+    out = []
+    for n, name, ids, m, want in _boundary_cases():
+        pref = PreferentialModel(None, SpecificityRelation(pairs=frozenset()), ids, m)
+        checks = {c.check: c for c in verify_order_axioms(pref)}
+        got = {k: [(v.instance, v.witnesses) for v in checks[k].violations] for k in want}
+        got["well_foundedness"] = checks["well_foundedness"].status
+        got["statuses"] = [checks[k].status for k in want]
+        refl, trans = preferences._order_violations(ids, m)
+        expected = {k: violations[:10] for k, violations in want.items()}
+        expected["well_foundedness"] = (
+            "fail" if want["irreflexivity"] or want["transitivity"] else "pass"
+        )
+        expected["statuses"] = ["fail" if want[k] else "pass" for k in want]
+        direct = [[(v.instance, v.witnesses) for v in vs] for vs in (refl, trans)]
+        if got != expected or direct != [expected["irreflexivity"], expected["transitivity"]]:
+            out.append((n, name))
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 1, 40])
+def test_order_axioms_match_oracle_across_word_and_chunk_boundaries(budget, monkeypatch):
+    # A budget of 1 word makes every row a chunk of its own, however many
+    # successors it has; 40 words puts chunk ends at scattered rows.
+    if budget is not None:
+        monkeypatch.setattr(preferences, "_CHUNK_WORDS", budget)
+    assert _boundary_mismatches() == []
+
+
+def test_boundary_comparison_catches_unmasked_padding(monkeypatch):
+    bit_rows = preferences._bit_rows
+
+    def unmasked(m, complement=False):
+        words = bit_rows(m)
+        return ~words if complement else words
+
+    monkeypatch.setattr(preferences, "_bit_rows", unmasked)
+    sizes = {n for n, _name in _boundary_mismatches()}
+    assert 65 in sizes and not sizes & {64, 128}  # no padding bits at 64 and 128
+
+
+def test_boundary_comparison_catches_off_by_one_segments(monkeypatch):
+    pair_chunks = preferences._pair_chunks
+
+    def late(m, width):
+        for i, j, starts in pair_chunks(m, width):
+            yield i, j, np.r_[starts[:1], np.minimum(starts[1:] + 1, len(i) - 1)]
+
+    monkeypatch.setattr(preferences, "_pair_chunks", late)
+    assert _boundary_mismatches()
+
+
+def _rank_model(n: int):
+    """A model over n elements whose category D has n distinct rd values,
+    W ties on a grid and holds one infinite rd, and S, more specific than
+    W, can override it; with its specificity, rd tables and ``above``."""
+    rng = np.random.default_rng(n)
+    ids = [f"e{i:03d}" for i in range(n)]
+    distinct = [0.0, *np.sort(rng.random(n - 1) * 4 + 0.001).tolist()]
+    rd = {
+        "D": dict(zip(ids, rng.permutation(distinct).tolist())),
+        "S": {e: [0.0, 0.5, 1.0, 2.0][int(rng.integers(0, 4))] for e in ids},
+        "W": {e: [0.0, 0.25, 0.5][int(rng.integers(0, 3))] for e in ids},
+    }
+    rd["S"][ids[0]] = rd["W"][ids[0]] = 0.0
+    rd["W"][ids[-1]] = float("inf")
+    stim = {c: [e for e in ids if np.isfinite(tbl[e])][:5] + [ids[0]] for c, tbl in rd.items()}
+    model = make_model(rd, {c: sorted(set(s)) for c, s in stim.items()})
+    rel = SpecificityRelation(pairs=frozenset({("S", "W")}))
+    return model, rel, rd, {"W": {"S"}}
+
+
+def _rank_rule_mismatches(n: int) -> int:
+    """Pairs where ``build_preferential`` differs from the oracle on
+    ``_rank_model(n)``, plus subsets whose ``minima`` differ."""
+    model, rel, rd, above = _rank_model(n)
+    ids = model.element_ids
+    assert len(set(rd["D"].values())) == n
+    order = build_preferential(model, rel).order
+    want = np.array([[oracle_global_prefer(rd, above, x, y) for y in ids] for x in ids])
+    bad = int((order != want).sum())
+    rng = np.random.default_rng(1)
+    for mask in [np.ones(n, dtype=bool)] + [rng.random(n) < 0.5 for _ in range(3)]:
+        sub = np.flatnonzero(mask)
+        dominated = want[np.ix_(sub, sub)].any(axis=0)
+        expected = np.zeros(n, dtype=bool)
+        expected[sub[~dominated]] = True
+        bad += not np.array_equal(minima(model, rel, mask), expected)
+    return bad
+
+
+@pytest.mark.parametrize("n", [9, 256, 257])
+def test_rule_on_ranks_matches_oracle(n):
+    # 256 distinct values fill uint8 ranks, 257 need uint16.
+    assert _rank_rule_mismatches(n) == 0
+
+
+def test_rank_comparison_catches_ranks_forced_into_uint8(monkeypatch):
+    monkeypatch.setattr(np, "min_scalar_type", lambda value: np.dtype(np.uint8))
+    assert _rank_rule_mismatches(256) == 0
+    assert _rank_rule_mismatches(257) > 0
+
+
+@pytest.mark.parametrize("n", [0, 8, 9])
+def test_klm_report_matches_oracle_at_byte_edges(n):
+    # Packed masks 0 bytes wide, exactly one byte, and one byte plus a bit.
+    rng = np.random.default_rng(n)
+    if n == 0:
+        models = [(initial_model(["A", "B", "C"], 2), None)]
+    else:
+        models = []
+        while len(models) < 6:
+            model, rel, _, _ = random_model(rng, max_elements=n, max_categories=4)
+            if len(model.element_ids) == n:
+                models.append((model, rel))
+    for model, rel in models:
+        pref = build_preferential(model, rel)
+        flipped = [pref.order ^ (rng.random(pref.order.shape) < 0.2) for _ in range(3)]
+        for order in [pref.order, *flipped]:
+            p = PreferentialModel(model, pref.specificity, model.element_ids, order)
+            assert [c.to_json() for c in verify_klm(p)] == [
+                c.to_json() for c in oracle_verify_klm(p)
+            ]
+
+
+def _cube_model(rng, k: int = 5):
+    """2**k elements, element i in category Kc exactly when bit c of i is
+    set, at a random rd in [0, 0.4] (1.0 outside): every conjunction of
+    names has its own extension, so the intersections of two classes with
+    four or five names between them are no class."""
+    ids = [f"e{i:02d}" for i in range(2**k)]
+    rd = {}
+    for c in range(k):
+        members = [e for i, e in enumerate(ids) if i >> c & 1]
+        tbl = {e: 1.0 for e in ids}
+        tbl.update(zip(members, rng.choice([0.0, 0.1, 0.2, 0.3, 0.4], len(members)).tolist()))
+        tbl[members[0]] = 0.0
+        rd[f"K{c}"] = tbl
+    return make_model(rd, {c: [e for e in ids if tbl[e] < 1.0] for c, tbl in rd.items()})
+
+
+def test_klm_report_matches_oracle_with_extra_intersections():
+    # The meet table numbers six extra sets here; a meet that points at
+    # the wrong one changes the And and CM reports.
+    rng = np.random.default_rng(0)
+    cm_failures = 0
+    for _ in range(6):
+        model = _cube_model(rng)
+        pref = build_preferential(model, SpecificityRelation(pairs=frozenset()))
+        flipped = [pref.order ^ (rng.random(pref.order.shape) < d) for d in (0.02, 0.1)]
+        for order in [pref.order, *flipped]:
+            p = PreferentialModel(model, pref.specificity, model.element_ids, order)
+            got = [c.to_json() for c in verify_klm(p)]
+            assert got == [c.to_json() for c in oracle_verify_klm(p)]
+            cm_failures += got[4]["status"] == "fail"
+    assert cm_failures > 0
+
+
+def test_global_prefer_reads_ids_without_element_records(nested_model):
+    # A fresh model from its snapshot, so no view is built yet.
+    model = model_from_snapshot(model_snapshot(nested_model))
+    rel = derive_specificity(model)
+    x, y = model.element_ids[:2]
+    assert global_prefer(model, rel, x, y) in (True, False)
+    assert "elements" not in vars(model)
+    for pair in ((x, "zz"), ("zz", y)):
+        with pytest.raises(InputError, match=r"^unknown domain element 'zz'$"):
+            global_prefer(model, rel, *pair)
+
+
 def test_builder_rejects_inconsistent_state():
     # The builder checks nothing; its order's one check is
     # verify_order_axioms.  A healthy model builds a strict order.
@@ -495,7 +710,7 @@ def test_klm_class_keys_see_the_last_element():
     m = make_model(rd, {"A": ["e0", "e1"], "B": ["e0", "e1"], "C": ["e1", "e10"]})
     a, b = extension_mask(m, Name("A")), extension_mask(m, Name("B"))
     assert np.flatnonzero(a != b).tolist() == [10]
-    assert len(set(_row_keys(np.packbits(np.vstack([a, b]), axis=1)))) == 2
+    assert len(set(_void_keys(np.packbits(np.vstack([a, b]), axis=1)).tolist())) == 2
     pref = build_preferential(m, SpecificityRelation(pairs=frozenset()))
     assert _minima_ids(m, pref.specificity, extension(m, Name("B"))) == {"e0", "e10"}
     got = [c.to_json() for c in verify_klm(pref)]
@@ -506,10 +721,10 @@ def test_klm_class_keys_see_the_last_element():
 def test_klm_report_comparison_catches_merged_classes(monkeypatch):
     # A class key without the last packed byte merges extensions that
     # differ only in their last elements; the oracle comparison sees it.
-    def truncated(packed):
-        return [key[:-1] for key in _row_keys(packed)]
+    def truncated(rows):
+        return _void_keys(rows[:, :-1])
 
-    monkeypatch.setattr(preferences, "_row_keys", truncated)
+    monkeypatch.setattr(preferences, "_void_keys", truncated)
     assert _klm_report_mismatches()[0]
 
 
