@@ -1,9 +1,13 @@
-"""Time the `verify` stages on the S, M and L rungs of the scale ladder.
+"""Time the `verify` stages on the S, M and L rungs of the scale ladder and
+on the dense-overlap rung O.
 
 Each rung is rebuilt from the recipe in ROADMAP.md's baseline: k Gaussian
-clusters labelled C0.. with centres from default_rng(0).uniform(0, 20,
+clusters labelled C0.. with centres from default_rng(0).uniform(0, s,
 (k, d)), std 1.5, sample seed 1, on an r x r map from
 init_map(r, r, d, 0, feature_range(data)) trained with TrainConfig(epochs=E).
+The centre spread s is 20 on S, M and L, where the clusters lie apart, and
+3 on O, where they overlap so densely that almost every conjunction in the
+concept pool has its own extension.
 The script prints, per rung, the median of three calls in milliseconds of
 build_model, build_preferential, verify_order_axioms, verify_klm, and
 `somlogic verify` run in-process on the saved model.json (stdout captured).
@@ -36,11 +40,13 @@ from somlogic import (
 )
 from somlogic.cli import main as cli_main
 
-# name: (clusters k, stimuli per cluster, map side r, dimension d, epochs E)
+# name: (clusters k, stimuli per cluster, map side r, dimension d, epochs E,
+#        centre spread s)
 RUNGS = {
-    "S": (3, 20, 6, 2, 50),
-    "M": (8, 50, 12, 4, 20),
-    "L": (16, 60, 20, 8, 10),
+    "S": (3, 20, 6, 2, 50, 20),
+    "M": (8, 50, 12, 4, 20, 20),
+    "L": (16, 60, 20, 8, 10, 20),
+    "O": (12, 60, 20, 8, 10, 3),
 }
 
 
@@ -62,9 +68,9 @@ STAGES = (
 )
 
 
-def rung_times(k, per_cluster, side, dim, epochs, tmp):
+def rung_times(k, per_cluster, side, dim, epochs, spread, tmp):
     """The rung's element count and the median time of each of STAGES."""
-    centres = np.random.default_rng(0).uniform(0, 20, (k, dim))
+    centres = np.random.default_rng(0).uniform(0, spread, (k, dim))
     data = gaussian_clusters(centres.tolist(), [f"C{i}" for i in range(k)], per_cluster, 1.5, 1)
     som0 = init_map(side, side, dim, 0, feature_range(data))
     som, _ = train(som0, data, TrainConfig(epochs=epochs))

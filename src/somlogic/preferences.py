@@ -42,14 +42,18 @@ C |~ D  iff  every globally minimal element of ext(C) lies in ext(D).
 The postulates are checked over the distinct extensions of the concept pool,
 not over every pool concept: entailment depends on a concept only through
 its extension, which is what LLE licenses.  Sets are boolean masks over the
-domain: each pool concept is evaluated to one by ``extension_mask``, from
-the model's extension masks.  Two masks fall into the same class exactly
-when the bytes of their bit-packed rows are equal: each row is one void
-scalar, compared bytewise by ``np.unique``, so no two different sets can
-share a class.  Intersections and unions of classes are keyed the same way
-and looked up among the sorted class keys.  Minima and inclusions come from
-boolean matrix products whose path counts are summed in float32, exact
-below 2**24 elements.  Once minima are computed as sets, Reflexivity, LLE,
+domain.  The default pool is built by index: a conjunction's mask ANDs the
+model's extension rows of its names, and its label is printed only when a
+report lists it; an explicit pool is evaluated by ``extension_mask``.  Two
+masks fall into the same class exactly when the bytes of their bit-packed
+rows are equal: each row is one void scalar, compared bytewise by
+``np.unique``, so no two different sets can share a class.  Intersections
+and unions of classes are keyed the same way and looked up among the
+sorted class keys.  ``verify`` takes no matrix product: minima and
+inclusions work on uint64 bit rows.  T(C) is ext(C) minus the
+``np.bitwise_or.reduceat`` of the order's rows over the members of ext(C),
+and C |~ D holds when T(C) has no bit outside ext(D), tested one word
+column at a time.  Once minima are computed as sets, Reflexivity, LLE,
 RW, And and Or hold for *any* relation (minima lie inside their set, and
 min(C | D) is a subset of min(C) | min(D)), so of the postulates only CM can
 be broken by a bad order; the others are still checked, as guards on the
@@ -60,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -294,27 +298,6 @@ def _check(
     )
 
 
-# float32 entries of one row block of a boolean product (256 KB).
-_BLOCK_ENTRIES = 1 << 16
-
-
-def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(a @ b) > 0`` for boolean matrices: is some k with a[i, k] and b[k, j]?
-    ``verify_klm`` reads its minima and inclusions off such products.
-
-    The path counts are summed in float32, which is exact while they stay
-    below 2**24, so the product runs in BLAS and cannot wrap the way a
-    uint8 product does at 256.  Rows of ``a`` go through in blocks, so no
-    full float32 result is held.
-    """
-    bf = b.astype(np.float32)
-    out = np.empty((a.shape[0], b.shape[1]), dtype=bool)
-    step = max(1, _BLOCK_ENTRIES // max(1, b.shape[1]))
-    for i in range(0, a.shape[0], step):
-        np.greater(a[i : i + step].astype(np.float32) @ bf, 0, out=out[i : i + step])
-    return out
-
-
 # uint64 words gathered per chunk of the bit-row walks (256 KB).
 _CHUNK_WORDS = 1 << 15
 
@@ -354,6 +337,29 @@ def _pair_chunks(m: np.ndarray, width: int):
         ci = i[lo:hi]
         yield ci, j[lo:hi], np.flatnonzero(np.r_[True, ci[1:] != ci[:-1]])
         lo = hi
+
+
+def _bit_minima(order_bits: np.ndarray, masks: np.ndarray, mask_bits: np.ndarray) -> np.ndarray:
+    """The minima of each set in the rows of the boolean matrix ``masks``
+    under the order whose ``_bit_rows`` are ``order_bits``, as bit rows: a
+    set's row of ``mask_bits`` minus the OR of its members' order rows.  A
+    set without members is its own (empty) row; ``_pair_chunks`` gives it
+    no segment."""
+    typ = mask_bits.copy()
+    for i, members, starts in _pair_chunks(masks, order_bits.shape[1]):
+        typ[i[starts]] &= ~np.bitwise_or.reduceat(order_bits[members], starts, axis=0)
+    return typ
+
+
+def _inside(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[i, j]``: row i of the bit rows ``a`` has no bit outside row j
+    of ``b``.  The rows are ANDed one word column at a time, so no
+    ``len(a) x len(b) x words`` block is held; the complement of ``b`` is
+    read only against ``a``, whose padding is 0."""
+    out = np.zeros((len(a), len(b)), dtype=np.uint64)
+    for w in range(a.shape[1]):
+        out |= a[:, w, np.newaxis] & ~b[np.newaxis, :, w]
+    return out == 0
 
 
 def _order_violations(
@@ -464,6 +470,34 @@ def default_concept_pool(names: Sequence[str], max_conjuncts: int = 3) -> list[C
     return pool
 
 
+def _pool_masks(
+    model: SemanticModel, pool: Sequence[ConceptExpr] | None
+) -> tuple[np.ndarray, Callable[[int], str]]:
+    """The extension masks of the pool's concepts, one row each, and the
+    label of concept i, ``pretty`` of its expression.  An explicit ``pool``
+    is evaluated by ``extension_mask``.  The default pool, that of
+    ``default_concept_pool``, is built by index: the mask of a conjunction
+    ANDs the model's ``ext`` rows of its names, and its label joins them."""
+    if pool is not None:
+        pool = list(pool)
+        masks = np.empty((len(pool), len(model.element_ids)), dtype=bool)
+        for i, c in enumerate(pool):
+            masks[i] = extension_mask(model, c)
+        return masks, lambda i: pretty(pool[i])
+    names = sorted(model.category_names)
+    rows = model.ext[[model.row_of[nm] for nm in names]]
+    n = len(model.element_ids)
+    by_size = [list(itertools.combinations(range(len(names)), r)) for r in (1, 2, 3)]
+    combos = [c for group in by_size for c in group]
+    masks = [np.ones((1, n), dtype=bool), np.zeros((1, n), dtype=bool)]
+    for r, group in enumerate(by_size, 1):
+        masks.append(rows[np.array(group, dtype=np.intp).reshape(-1, r)].all(axis=1))
+    fixed = ("Top", "Bot")
+    return np.vstack(masks), lambda i: (
+        fixed[i] if i < 2 else " & ".join(names[j] for j in combos[i - 2])
+    )
+
+
 def _void_keys(rows: np.ndarray) -> np.ndarray:
     """One void scalar per row of the uint8 matrix ``rows``, compared
     bytewise, so two keys are equal exactly when the rows are."""
@@ -495,26 +529,31 @@ def verify_klm(
     plus Top and Bot).  All of them must hold in this semantics; a violation
     is an implementation bug surfacing, not an interesting phenomenon.
 
-    Reflexivity and LLE are checked per pool concept.  RW, And, CM and Or
-    are checked over the distinct extensions of the pool ("classes"), which
-    LLE licenses, as class x class x class boolean tensors; only a tensor
+    No matrix product is taken.  Sets are ``_bit_rows``: T(C) is ext(C)
+    minus the OR of the order's rows over the members of ext(C)
+    (``_bit_minima``), and C |~ D holds when T(C) has no bit outside ext(D)
+    (``_inside``).  Reflexivity and LLE are checked per pool concept, with
+    one entailment row per concept over the distinct extensions of the pool
+    ("classes"), which LLE licenses.  RW, And, CM and Or are checked over
+    the classes as class x class x class boolean tensors; only a tensor
     with a violation is walked again in pool order to list instances.
+    And and CM read entailment from a class to an intersection of two
+    classes and back, so only those two blocks are computed for the
+    intersections that are no class.
     """
-    if pool is None:
-        pool = default_concept_pool(pref.base.category_names)
-    pool = list(pool)
-    n = len(pool)
-    labels = [pretty(c) for c in pool]
     ids = pref.element_ids
-    ext = np.empty((n, len(ids)), dtype=bool)
-    for i, c in enumerate(pool):
-        ext[i] = extension_mask(pref.base, c)
-    typ = ext & ~_bool_product(ext, pref.order)  # minima: nothing inside beats them
-    entail = ~_bool_product(typ, ~ext.T)  # entail[c, d]: T(C) inside ext(D)
+    ext, label = _pool_masks(pref.base, pool)
+    n, width = len(ext), len(ids)
+    order_bits = _bit_rows(pref.order)
+    ext_bits = _bit_rows(ext)
+    typ = _bit_minima(order_bits, ext, ext_bits)
 
     refl = [
-        Violation(instance=f"C={labels[i]}", witnesses=_witnesses(ids, typ[i] & ~ext[i]))
-        for i in np.flatnonzero((typ & ~ext).any(axis=1))
+        Violation(
+            instance=f"C={label(i)}",
+            witnesses=_witnesses(ids, _unpacked(typ[i], width) & ~ext[i]),
+        )
+        for i in np.flatnonzero((typ & ~ext_bits).any(axis=1))
     ]
 
     # The classes, one per distinct packed row in the order of their sorted
@@ -522,23 +561,23 @@ def verify_klm(
     # concept of class a.
     packed = np.packbits(ext, axis=1)
     keys, first, inv = np.unique(_void_keys(packed), return_index=True, return_inverse=True)
-    classes = ext[first]
+    cls_bits = ext_bits[first]
+    entail = _inside(typ, cls_bits)  # entail[c, a]: T(C) inside class a
     lle: list[Violation] = []
     if (entail != entail[first[inv]]).any():
         later = np.arange(n)
+        full = entail[:, inv]
         lle = _first_violations(
             n,
-            lambda i: ((inv == inv[i]) & (later > i))[:, np.newaxis] & (entail != entail[i]),
-            lambda i, j, d: Violation(
-                instance=f"C1={labels[i]}, C2={labels[j]}, D={labels[d]}"
-            ),
+            lambda i: ((inv == inv[i]) & (later > i))[:, np.newaxis] & (full != full[i]),
+            lambda i, j, d: Violation(instance=f"C1={label(i)}, C2={label(j)}, D={label(d)}"),
         )
 
     # The set family: the classes, then every distinct intersection of two
     # classes that is not itself a class.  A union counts only if it is a
     # class.  Unions and distinct intersections are looked up among the
     # sorted class keys; only the intersections go through ``np.unique``.
-    k = len(classes)
+    k = len(first)
     packed = packed[first]
     a, b = np.triu_indices(k)
 
@@ -556,14 +595,19 @@ def verify_klm(
     extra = known < 0
     meet = np.empty((k, k), dtype=np.intp)
     meet[a, b] = meet[b, a] = np.where(extra, k + np.cumsum(extra) - 1, known)[which]
-    unpacked = np.unpackbits(met[distinct[extra]], axis=1, count=len(ids))
-    family = np.vstack([classes, unpacked.view(bool)])
-    fam_typ = family & ~_bool_product(family, pref.order)
-    fam_entail = ~_bool_product(fam_typ, ~family.T)
+    extras = np.unpackbits(met[distinct[extra]], axis=1, count=width).view(bool)
+    extra_bits = _bit_rows(extras)
+    # The first k family rows are the classes, whose minima are known.
+    ent = entail[first]
+    cls_typ = typ[first]
+    fam_typ = np.vstack([cls_typ, _bit_minima(order_bits, extras, extra_bits)])
+    # The two blocks of entailment between classes and the family that And
+    # and CM read: from each class into each set, and back.
+    into = np.hstack([ent, _inside(cls_typ, extra_bits)])
+    back = np.vstack([ent, _inside(fam_typ[k:], cls_bits)])
 
-    ent = fam_entail[:k, :k]
     entailed = ent[:, :, np.newaxis] & ent[:, np.newaxis, :]  # C |~ D and C |~ E
-    subset = ~_bool_product(classes, ~classes.T)
+    subset = _inside(cls_bits, cls_bits)
     expressible = join >= 0
 
     def triples(tensor: np.ndarray, witness, unordered: bool = False) -> list[Violation]:
@@ -582,7 +626,7 @@ def verify_klm(
             n,
             bad_at,
             lambda c, d, e: Violation(
-                instance=f"C={labels[c]}, D={labels[d]}, E={labels[e]}",
+                instance=f"C={label(c)}, D={label(d)}, E={label(e)}",
                 witnesses=_witnesses(ids, witness(c, d, e)),
             ),
         )
@@ -599,23 +643,23 @@ def verify_klm(
             triples(
                 # C |~ D and ext(D) inside ext(E), but not C |~ E
                 ent[:, :, np.newaxis] & ~ent[:, np.newaxis, :] & subset,
-                lambda c, d, e: typ[c] & ~ext[e],
+                lambda c, d, e: _unpacked(typ[c], width) & ~ext[e],
             ),
         ),
         _check(
             "and",
             triples(
                 # C |~ D and C |~ E, but not C |~ D & E
-                entailed & ~fam_entail[:k][:, meet],
-                lambda c, d, e: typ[c] & ~(ext[d] & ext[e]),
+                entailed & ~into[:, meet],
+                lambda c, d, e: _unpacked(typ[c], width) & ~(ext[d] & ext[e]),
             ),
         ),
         _check(
             "cautious_monotonicity",
             triples(
                 # C |~ D and C |~ E, but not C & D |~ E
-                entailed & ~fam_entail[meet, :k],
-                lambda c, d, e: fam_typ[meet[inv[c], inv[d]]] & ~ext[e],
+                entailed & ~back[meet],
+                lambda c, d, e: _unpacked(fam_typ[meet[inv[c], inv[d]]], width) & ~ext[e],
             ),
         ),
         _check(
@@ -626,7 +670,7 @@ def verify_klm(
                 & ent[:, np.newaxis, :]
                 & ent[np.newaxis, :, :]
                 & ~ent[np.where(expressible, join, 0)],
-                lambda c, d, e: fam_typ[join[inv[c], inv[d]]] & ~ext[e],
+                lambda c, d, e: _unpacked(fam_typ[join[inv[c], inv[d]]], width) & ~ext[e],
                 unordered=True,
             ),
             notes=(

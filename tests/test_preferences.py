@@ -1,5 +1,6 @@
 import functools
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,20 +14,27 @@ from somlogic import (
     InputError,
     Name,
     Top,
+    TrainConfig,
+    build_model,
     build_preferential,
     derive_specificity,
     extension_mask,
+    feature_range,
+    gaussian_clusters,
     global_prefer,
+    init_map,
     initial_model,
     minima,
     model_from_snapshot,
     model_snapshot,
+    pretty,
+    train,
     verify_klm,
     verify_order_axioms,
 )
 from somlogic.checker import SpecificityRelation
 from somlogic import preferences
-from somlogic.preferences import PreferentialModel, _bool_product, _void_keys, default_concept_pool
+from somlogic.preferences import PreferentialModel, _void_keys, default_concept_pool
 
 from oracles import (
     entails,
@@ -375,13 +383,6 @@ def test_path_counts_do_not_wrap(middles):
     ]
 
 
-def test_bool_product_spans_row_blocks():
-    rng = np.random.default_rng(3)
-    a = rng.random((700, 300)) < 0.01
-    b = rng.random((300, 200)) < 0.01
-    assert np.array_equal(_bool_product(a, b), a.astype(int) @ b.astype(int) > 0)
-
-
 def test_order_axioms_match_oracle_on_random_relations():
     rng = np.random.default_rng(7)
     for n in range(1, 16):
@@ -493,6 +494,103 @@ def test_boundary_comparison_catches_off_by_one_segments(monkeypatch):
     assert _boundary_mismatches()
 
 
+# ==============================================================
+# verify_klm's minima and inclusions on bit rows
+# ==============================================================
+
+
+def _pool_model(names, ext):
+    """What ``extension_mask`` and the pool builder read of a model whose
+    categories ``names`` have the extension rows ``ext``."""
+    return SimpleNamespace(
+        category_names=tuple(names),
+        row_of={c: i for i, c in enumerate(names)},
+        ext=ext,
+        element_ids=tuple(f"e{i:03d}" for i in range(ext.shape[1])),
+    )
+
+
+def _words(m: np.ndarray) -> np.ndarray:
+    """The rows of ``m`` as uint64 words with zero padding, packed without
+    ``_bit_rows``."""
+    padded = np.zeros((len(m), -(-m.shape[1] // 64) * 64), dtype=bool)
+    padded[:, : m.shape[1]] = m
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+@functools.cache
+def _minima_cases() -> tuple:
+    """(n, relation name, relation, pool masks, oracle minima, oracle
+    T(C) inside ext(D), oracle ext(C) inside ext(D)) for every boundary size
+    and relation.  The pool is the default one over four unsorted names,
+    one of them an empty category, so it holds Bot and other empty sets."""
+    rng = np.random.default_rng(29)
+    names = ("K2", "K0", "K3", "K1")
+    cases = []
+    for n in _BOUNDARY_SIZES:
+        ext = rng.random((4, n)) < np.array([[0.5], [0.1], [0.0], [0.9]])
+        model = _pool_model(names, ext)
+        masks = np.array([extension_mask(model, c) for c in default_concept_pool(names)])
+        sets = [frozenset(np.flatnonzero(row).tolist()) for row in masks]
+        for name, m in _boundary_relations(rng, n):
+            rel = m.tolist()
+            typ = [oracle_minimal(lambda x, y: rel[x][y], s) for s in sets]
+            want = np.zeros_like(masks)
+            for row, t in zip(want, typ):
+                row[list(t)] = True
+            entail = np.array([[t <= s for s in sets] for t in typ])
+            subset = np.array([[s0 <= s for s in sets] for s0 in sets])
+            cases.append((n, name, m, masks, want, entail, subset))
+    return tuple(cases)
+
+
+def _bit_minima_mismatches() -> list[tuple[int, str]]:
+    """The (size, relation) cases where the bit-row minima (word for word,
+    padding included) or inclusions differ from the oracle's."""
+    out = []
+    for n, name, m, masks, want, entail, subset in _minima_cases():
+        mask_bits = preferences._bit_rows(masks)
+        typ = preferences._bit_minima(preferences._bit_rows(m), masks, mask_bits)
+        if not (
+            np.array_equal(typ, _words(want))
+            and np.array_equal(preferences._inside(typ, mask_bits), entail)
+            and np.array_equal(preferences._inside(mask_bits, mask_bits), subset)
+        ):
+            out.append((n, name))
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 1, 40])
+def test_bit_minima_and_inclusions_match_oracle_across_boundaries(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(preferences, "_CHUNK_WORDS", budget)
+    assert _bit_minima_mismatches() == []
+
+
+def test_minima_comparison_catches_padding_left_set(monkeypatch):
+    # Padding set in every bit row survives in the minima of the empty sets
+    # (Bot, the empty category), which have no members to clear it.
+    bit_rows = preferences._bit_rows
+
+    def padded(m, complement=False):
+        return bit_rows(m, complement) | ~bit_rows(np.ones((1, m.shape[1]), dtype=bool))
+
+    monkeypatch.setattr(preferences, "_bit_rows", padded)
+    sizes = {n for n, _name in _bit_minima_mismatches()}
+    assert 65 in sizes and not sizes & {64, 128}  # no padding bits at 64 and 128
+
+
+def test_minima_comparison_catches_off_by_one_segments(monkeypatch):
+    pair_chunks = preferences._pair_chunks
+
+    def late(m, width):
+        for i, j, starts in pair_chunks(m, width):
+            yield i, j, np.r_[starts[:1], np.minimum(starts[1:] + 1, len(i) - 1)]
+
+    monkeypatch.setattr(preferences, "_pair_chunks", late)
+    assert _bit_minima_mismatches()
+
+
 def _rank_model(n: int):
     """A model over n elements whose category D has n distinct rd values,
     W ties on a grid and holds one infinite rd, and S, more specific than
@@ -597,6 +695,42 @@ def test_klm_report_matches_oracle_with_extra_intersections():
             assert got == [c.to_json() for c in oracle_verify_klm(p)]
             cm_failures += got[4]["status"] == "fail"
     assert cm_failures > 0
+
+
+def _overlap_model():
+    """Seven clusters with centres in [0, 3)**8 and std 1.5, 10 stimuli
+    each on a 6 x 6 map, so categories overlap densely: 47 distinct default
+    pool extensions and 4 intersections of two of them that are none."""
+    centres = np.random.default_rng(0).uniform(0, 3, (7, 8))
+    data = gaussian_clusters(centres.tolist(), [f"C{i}" for i in range(7)], 10, 1.5, 1)
+    som, _ = train(init_map(6, 6, 8, 0, feature_range(data)), data, TrainConfig(epochs=10))
+    return build_model(som, data)
+
+
+def test_klm_report_matches_oracle_when_family_exceeds_classes():
+    # CM reads the minima of intersections that are no class.  With the
+    # pool of two-name conjunctions, the first CM failures of a flipped
+    # order already have such a C & D, so they come from the family rows
+    # past the classes.
+    model = _overlap_model()
+    names = model.category_names
+    pairs = [And(Name(a), Name(b)) for a, b in itertools.combinations(names, 2)]
+    past_classes = 0
+    pref = build_preferential(model)
+    rng = np.random.default_rng(3)
+    flipped = [pref.order ^ (rng.random(pref.order.shape) < d) for d in (0.02, 0.05)]
+    for pool in (default_concept_pool(names), pairs):
+        ext_of = {pretty(c): frozenset(extension(model, c)) for c in pool}
+        exts = set(ext_of.values())
+        assert len({a & b for a in exts for b in exts} | exts) > len(exts)
+        for order in [pref.order, *flipped]:
+            p = PreferentialModel(model, pref.specificity, model.element_ids, order)
+            got = [c.to_json() for c in verify_klm(p, pool)]
+            assert got == [c.to_json() for c in oracle_verify_klm(p, pool)]
+            for v in got[4]["violations"]:
+                c, d, _e = (part.split("=", 1)[1] for part in v["instance"].split(", "))
+                past_classes += ext_of[c] & ext_of[d] not in exts
+    assert past_classes > 0
 
 
 def test_global_prefer_reads_ids_without_element_records(nested_model):
@@ -738,6 +872,47 @@ def test_default_concept_pool_shape():
     assert "A & B & C" in rendered
     assert "A & B" in rendered
     assert "Top" in rendered and "Bot" in rendered
+
+
+@pytest.mark.parametrize(
+    "names",
+    [(), ("A",), ("B", "A"), ("A", "B", "C"), ("D", "B", "A", "C"), ("E", "C", "A", "D", "B")],
+)
+def test_index_built_pool_matches_expression_pool(names):
+    # The last category is empty; the names come unsorted.
+    rng = np.random.default_rng(len(names))
+    ext = rng.random((len(names), 70)) < 0.6
+    ext[-1:] = False
+    model = _pool_model(names, ext)
+    masks, label = preferences._pool_masks(model, None)
+    pool = default_concept_pool(names)
+    assert np.array_equal(masks, np.array([extension_mask(model, c) for c in pool]))
+    assert [label(i) for i in range(len(masks))] == [pretty(c) for c in pool]
+
+
+def test_index_built_pool_on_empty_domain():
+    model = initial_model(["C", "A", "B"], 2)
+    masks, label = preferences._pool_masks(model, None)
+    pool = default_concept_pool(model.category_names)
+    assert masks.shape == (len(pool), 0)
+    assert [label(i) for i in range(len(masks))] == [pretty(c) for c in pool]
+
+
+def test_default_pool_reports_print_expression_labels():
+    # The CM fault-injection models: orders with flipped bits, whose
+    # reports list violations by the labels of pool concepts.
+    rng = np.random.default_rng(11)
+    listed = 0
+    for _ in range(30):
+        model, rel, _, _ = random_model(rng, max_elements=20, max_categories=4)
+        pref = build_preferential(model, rel)
+        order = pref.order ^ (rng.random(pref.order.shape) < 0.1)
+        p = PreferentialModel(model, rel, model.element_ids, order)
+        got = [c.to_json() for c in verify_klm(p)]
+        pool = default_concept_pool(model.category_names)
+        assert got == [c.to_json() for c in verify_klm(p, pool)]
+        listed += sum(len(c["violations"]) for c in got)
+    assert listed > 0
 
 
 def test_property_check_json_shape(cluster_pref):
