@@ -27,9 +27,6 @@ from .concepts import (
     Top,
     extension_mask,
     inclusion_text,
-    parse_concept,
-    parse_inclusion,
-    parse_kb_text,
     parse_query,
     pretty,
 )
@@ -60,7 +57,6 @@ from .preferences import (
     PropertyCheck,
     build_preferential,
     default_concept_pool,
-    global_prefer,
     minima,
     verify_klm,
     verify_order_axioms,

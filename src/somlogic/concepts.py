@@ -12,7 +12,6 @@ Grammar (ASCII, whitespace-insensitive)::
 ``T`` marks typicality and may wrap exactly the whole left-hand side of a
 defeasible inclusion, nowhere else.  ``Top``, ``Bot`` and ``T`` are reserved
 words, so category labels must be ordinary identifiers distinct from them.
-Comments run from ``#`` to end of line in knowledge-base files.
 """
 
 from __future__ import annotations
@@ -35,12 +34,9 @@ __all__ = [
     "And",
     "Inclusion",
     "parse_query",
-    "parse_concept",
-    "parse_inclusion",
     "pretty",
     "inclusion_text",
     "extension_mask",
-    "parse_kb_text",
 ]
 
 
@@ -199,20 +195,6 @@ def parse_query(text: str) -> Union[ConceptExpr, Inclusion]:
     return _Parser(text).query()
 
 
-def parse_concept(text: str) -> ConceptExpr:
-    out = parse_query(text)
-    if isinstance(out, Inclusion):
-        raise ParseError("expected a concept, got an inclusion", pos=0)
-    return out
-
-
-def parse_inclusion(text: str) -> Inclusion:
-    out = parse_query(text)
-    if not isinstance(out, Inclusion):
-        raise ParseError("expected an inclusion with '<='", pos=len(text))
-    return out
-
-
 # ==============================================================
 # Printing
 # ==============================================================
@@ -265,23 +247,3 @@ def extension_mask(model: SemanticModel, expr: ConceptExpr) -> np.ndarray:
     if isinstance(expr, And):
         return extension_mask(model, expr.left) & extension_mask(model, expr.right)
     raise InputError(f"not a concept expression: {expr!r}")
-
-
-# ==============================================================
-# Knowledge-base files
-# ==============================================================
-
-
-def parse_kb_text(text: str) -> list[Inclusion]:
-    """One inclusion per line; ``#`` starts a comment, blank lines ignored.
-    Parse errors report the line number."""
-    out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            out.append(parse_inclusion(line))
-        except ParseError as exc:
-            raise ParseError(f"line {line_no}: {exc.args[0]}") from exc
-    return out

@@ -132,8 +132,9 @@ class SemanticModel:
     ``col_of[y]`` of ``features`` holds y's features, ``rd[row_of[C],
     col_of[y]]`` is rd(y, C), a row of nan for a category without stimuli,
     and ``ext`` is ``rd <= rd_max`` row by row.  The three matrices are
-    read-only.  ``elements`` holds the same features as ``DomainElement``
-    records, built on first read.
+    read-only.  An element is looked up by ``col_of``.  ``elements`` holds
+    the same features as ``DomainElement`` records, built on first read;
+    nothing that ``check`` or ``verify`` runs reads it.
     """
 
     def __init__(
@@ -196,12 +197,6 @@ class SemanticModel:
     def category_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.categories))
 
-    def element(self, eid: str) -> DomainElement:
-        try:
-            return self.elements[self.col_of[eid]]
-        except KeyError:
-            raise InputError(f"unknown domain element {eid!r}") from None
-
     def category(self, name: str) -> CategoryTable:
         try:
             return self.categories[name]
@@ -236,7 +231,6 @@ def build_model(
         unknown = sorted(set(labels) - set(cat_names))
         if unknown:
             raise InputError(f"data labels not in the category list: {unknown}")
-    _check_category_names(cat_names)
 
     seen_sids: dict[str, tuple[float, ...]] = {}
     for s in data:
@@ -327,8 +321,10 @@ def _derive(
     category's precision and row of rd come from the distances to the BMU
     elements' own feature rows; an element's origin is ``stimulus`` if some
     category lists it as a stimulus, else ``bmu`` if one lists it as a BMU,
-    else ``probe``.
+    else ``probe``.  The category names must be identifiers distinct from
+    the reserved words, whichever path the model comes from.
     """
+    _check_category_names(refs)
     if not np.isfinite(features).all():
         finite = np.isfinite(features).all(axis=1)
         raise InputError(f"element {element_ids[int(finite.argmin())]!r} has non-finite features")
@@ -412,7 +408,6 @@ def initial_model(categories: Sequence[str], input_dim: int) -> SemanticModel:
     cat_names = list(dict.fromkeys(categories))
     if not cat_names:
         raise InputError("need at least one category")
-    _check_category_names(cat_names)
     return _derive(input_dim, (), {}, np.empty((0, input_dim)),
                    dict.fromkeys(cat_names, ((), (), ())))
 

@@ -75,7 +75,6 @@ from .model import SemanticModel
 
 __all__ = [
     "PreferentialModel",
-    "global_prefer",
     "build_preferential",
     "minima",
     "Violation",
@@ -84,52 +83,6 @@ __all__ = [
     "verify_klm",
     "default_concept_pool",
 ]
-
-
-def _ranked_categories(model: SemanticModel) -> list[str]:
-    return [c for c in model.category_names if not model.categories[c].empty]
-
-
-def global_prefer(
-    model: SemanticModel,
-    specificity: SpecificityRelation,
-    x_eid: str,
-    y_eid: str,
-) -> bool:
-    """Direct evaluation of the combination rule for one element pair.
-
-    Kept deliberately close to the definition; ``build_preferential``
-    materialises the same relation in bulk.
-    """
-    for eid in (x_eid, y_eid):
-        if eid not in model.col_of:
-            raise InputError(f"unknown domain element {eid!r}")
-    cats = _ranked_categories(model)
-    # rd(x, C) and rd(y, C) by category
-    rd_x = dict(zip(model.row_of, model.rd[:, model.col_of[x_eid]].tolist()))
-    rd_y = dict(zip(model.row_of, model.rd[:, model.col_of[y_eid]].tolist()))
-
-    strict_somewhere = False
-    for c in cats:
-        if rd_x[c] < rd_y[c]:
-            strict_somewhere = True
-            break
-    if not strict_somewhere:
-        return False
-
-    for cj in cats:
-        if rd_x[cj] <= rd_y[cj]:
-            continue
-        overridden = False
-        for ch in specificity.above(cj):
-            if ch not in model.categories or model.categories[ch].empty:
-                continue
-            if rd_x[ch] < rd_y[ch]:
-                overridden = True
-                break
-        if not overridden:
-            return False
-    return True
 
 
 @dataclass
@@ -174,7 +127,7 @@ def _global_order(
     so the rule over a subset of the domain is exactly the global preference
     restricted to that subset.
     """
-    cats = _ranked_categories(model)
+    cats = [c for c in model.category_names if not model.categories[c].empty]
     rd = model.rd[np.ix_([model.row_of[c] for c in cats], cols)]
     n = rd.shape[1]
     # Dense ranks in the narrowest unsigned type that holds n - 1.  Equal rd

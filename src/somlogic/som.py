@@ -437,27 +437,42 @@ def map_snapshot(som: SomMap) -> dict:
     }
 
 
+def _json_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def map_from_snapshot(doc: dict) -> SomMap:
+    """The map a snapshot describes, read as strictly as ``model.json``:
+    the geometry, seed, epoch count and each unit's ``index``, ``row`` and
+    ``col`` are JSON integers, each index appears once with ``(row, col)``
+    equal to ``divmod(index, cols)``, and each unit's ``weights`` is a list
+    of ``input_dim`` JSON numbers.  Anything else is a malformed
+    snapshot."""
     try:
-        rows = int(doc["rows"])
-        cols = int(doc["cols"])
-        dim = int(doc["input_dim"])
-        seed = int(doc["seed"])
-        epochs_trained = int(doc.get("epochs_trained", 0))
+        rows, cols, dim, seed = (_json_int(doc, k) for k in ("rows", "cols", "input_dim", "seed"))
+        epochs_trained = _json_int(doc, "epochs_trained") if "epochs_trained" in doc else 0
         units = doc["units"]
         if len(units) != rows * cols:
-            raise InputError(
-                f"snapshot holds {len(units)} units, expected {rows * cols}"
-            )
-        weights = np.empty((rows * cols, dim), dtype=np.float64)
+            raise ValueError(f"snapshot holds {len(units)} units, expected {rows * cols}")
+        by_index = [None] * len(units)
         for u in units:
-            idx = int(u["index"])
-            if not (0 <= idx < rows * cols):
-                raise InputError(f"snapshot unit index {idx} out of range")
-            weights[idx] = np.asarray(u["weights"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
+            idx = _json_int(u, "index")
+            if not 0 <= idx < len(units):
+                raise ValueError(f"unit index {idx} out of range")
+            if by_index[idx] is not None:
+                raise ValueError(f"unit index {idx} appears twice")
+            if (_json_int(u, "row"), _json_int(u, "col")) != divmod(idx, cols):
+                raise ValueError(f"unit {idx}: row and col must be {divmod(idx, cols)}, "
+                                 f"got {(u['row'], u['col'])}")
+            w = u["weights"]
+            if type(w) is not list or len(w) != dim or any(type(v) not in (float, int) for v in w):
+                raise TypeError(f"unit {idx}: weights must be a list of {dim} numbers, got {w!r}")
+            by_index[idx] = w
+        weights = np.array(by_index, dtype=np.float64).reshape(len(units), dim)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed map snapshot: {exc}") from exc
     return SomMap(
         rows=rows,

@@ -25,8 +25,8 @@ import numpy as np
 
 from somlogic import jsonio
 from somlogic.checker import SpecificityRelation
-from somlogic.concepts import And, Bot, ConceptExpr, Name, Top, pretty
-from somlogic.errors import InputError, UnknownCategoryError
+from somlogic.concepts import And, Bot, ConceptExpr, Inclusion, Name, Top, parse_query, pretty
+from somlogic.errors import InputError, ParseError, UnknownCategoryError
 from somlogic.model import SemanticModel, _derive_snapshot
 from somlogic.preferences import (
     PreferentialModel,
@@ -85,6 +85,26 @@ def oracle_rd(y_feats, ensemble_feats, precision) -> float:
     if precision > 0.0:
         return num / precision
     return 0.0 if num == 0.0 else math.inf
+
+
+def parse_kb_text(text: str) -> list[Inclusion]:
+    """The inclusions of a knowledge-base file as ``kb_file_text`` writes
+    it: one per line, ``#`` starting a comment that runs to the end of the
+    line, blank lines ignored.  A line that does not parse, or parses to a
+    bare concept, raises ParseError naming its line number."""
+    out = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            inc = parse_query(line)
+        except ParseError as exc:
+            raise ParseError(f"line {line_no}: {exc.args[0]}") from exc
+        if not isinstance(inc, Inclusion):
+            raise ParseError(f"line {line_no}: expected an inclusion with '<='")
+        out.append(inc)
+    return out
 
 
 def oracle_global_prefer(rd_tables, above, x, y) -> bool:

@@ -33,6 +33,7 @@ from somlogic import (
     init_map,
     load_map,
     load_model,
+    minima,
     quantization_error,
     run_trace,
     save_map,
@@ -42,7 +43,6 @@ from somlogic import (
 )
 from somlogic.cli import main as cli_main
 from somlogic.dataset import write_csv
-from somlogic.preferences import global_prefer
 from somlogic.som import nearest_units
 
 # Reference quantization errors for the seeded 3-cluster run (6x6 map, 50
@@ -136,21 +136,33 @@ def test_criterion_03_reflexive_and_strict_implies_typicality(capsys, cluster_mo
 
 
 def test_criterion_04_global_preference_three_routes(capsys, random_models, random_prefs):
-    with criterion(capsys, 4, "materialized global preference matches the direct rule and an independent oracle") as c:
+    with criterion(capsys, 4, "materialized global preference matches an independent oracle and two-element minima") as c:
         t0 = time.perf_counter()
-        n_pairs = 0
+        rng = np.random.default_rng(4)
+        n_pairs = n_sampled = 0
         for (m, rel, rd_tables, above), pref in zip(random_models, random_prefs):
-            ids = [e.eid for e in m.elements]
+            ids = m.element_ids
             for x in ids:
                 for y in ids:
                     a = pref.prefers(x, y)
-                    b = global_prefer(m, rel, x, y)
                     o = oracle_global_prefer(rd_tables, above, x, y)
-                    assert a == b == o, (x, y, a, b, o)
+                    assert a == o, (x, y, a, o)
                     n_pairs += 1
+            # For x != y, x < y exactly when y is not minimal in {x, y}.
+            n = len(ids)
+            if n < 2:
+                continue
+            xs = rng.integers(0, n, 20)
+            ys = (xs + rng.integers(1, n, 20)) % n
+            for i, j in zip(xs.tolist(), ys.tolist()):
+                pair = np.zeros(n, dtype=bool)
+                pair[[i, j]] = True
+                b = not minima(m, rel, pair)[j]
+                assert pref.prefers(ids[i], ids[j]) == b, (ids[i], ids[j], b)
+                n_sampled += 1
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
-        c["detail"] = f"100 models, {n_pairs} pairs, {elapsed:.2f}s"
+        c["detail"] = f"100 models, {n_pairs} pairs, {n_sampled} through minima, {elapsed:.2f}s"
 
 
 def test_criterion_05_order_axioms_exhaustive(capsys, random_models, random_prefs):

@@ -23,9 +23,9 @@ from somlogic.checker import (
     SpecificityRelation,
     specificity_to_json,
 )
-from somlogic.concepts import Inclusion, inclusion_text, parse_kb_text
+from somlogic.concepts import Inclusion, inclusion_text
 
-from oracles import make_model, random_model, rd_table
+from oracles import make_model, parse_kb_text, random_model, rd_table
 
 
 # ==============================================================

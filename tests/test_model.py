@@ -93,8 +93,7 @@ def test_extension_is_rd_cut(cluster_model):
 
 
 def test_unknown_ids_raise(cluster_model):
-    with pytest.raises(InputError):
-        cluster_model.element("nope")
+    assert "nope" not in cluster_model.col_of
     with pytest.raises(InputError):
         cluster_model.category("Nope")
 
@@ -153,7 +152,7 @@ def test_duplicate_sid_different_features_rejected():
 def test_probes_join_the_domain(trained_map, clusters):
     m = build_model(trained_map, clusters, probes=[(3.0, 3.0), (100.0, 100.0)])
     assert "p0" in m.element_ids and "p1" in m.element_ids
-    assert m.element("p0").origin == "probe"
+    assert m.origins[m.col_of["p0"]] == "probe"
     assert not np.isnan(m.rd[:, [m.col_of["p0"], m.col_of["p1"]]]).any()
     # the far probe is outside every extension
     assert not m.ext[:, m.col_of["p1"]].any()
@@ -275,6 +274,19 @@ def test_model_snapshot_validation(cluster_model):
     doc["categories"]["A"]["rd_max"] = None
     with pytest.raises(InputError, match="re-derivation: category 'A', rd_max: stored None"):
         model_from_snapshot(doc)
+
+
+@pytest.mark.parametrize("name", ["Top", "1x", "a b"])
+def test_loaded_category_names_are_checked_as_built(name):
+    # A label build_model refuses is refused on load with the same message.
+    with pytest.raises(InputError) as built:
+        build_model(_pinned_map(), [Stimulus("s1", (0.0, 0.0), name)])
+    doc = json.loads(_small_snapshot())
+    doc["categories"][name] = doc["categories"].pop("A")
+    doc["extensions"][name] = doc["extensions"].pop("A")
+    with pytest.raises(InputError) as loaded:
+        model_from_snapshot(doc)
+    assert str(loaded.value) == str(built.value)
 
 
 @functools.cache

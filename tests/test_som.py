@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -349,6 +351,32 @@ def test_snapshot_malformed():
     doc["units"] = doc["units"][:-1]
     with pytest.raises(InputError):
         map_from_snapshot(doc)
+
+    # Each field is read as strictly as model.json's: one fault per case,
+    # on a 1x2 map whose snapshot loads as it stands.
+    base = map_snapshot(init_map(1, 2, 2, seed=7, value_range=(0.0, 1.0)))
+    map_from_snapshot(base)
+    faults = {
+        "duplicated index": lambda d: d["units"][1].update(index=0),
+        "weights a string": lambda d: d["units"][0].update(weights="12"),
+        "weights too short": lambda d: d["units"][0].update(weights=[1.0]),
+        "weights booleans": lambda d: d["units"][0].update(weights=[True, False]),
+        "weight past float64": lambda d: d["units"][0].update(weights=[10**400, 1.0]),
+        "rows a float": lambda d: d.update(rows=1.7),
+        "seed a string": lambda d: d.update(seed="7"),
+        "index a boolean": lambda d: d["units"][1].update(index=True),
+        "row not index // cols": lambda d: d["units"][1].update(row=1),
+        "col not index % cols": lambda d: d["units"][1].update(col=0),
+    }
+    for fault, mutate in faults.items():
+        doc = copy.deepcopy(base)
+        mutate(doc)
+        try:
+            map_from_snapshot(doc)
+        except InputError as exc:
+            assert str(exc).startswith("malformed map snapshot: "), (fault, exc)
+        else:
+            pytest.fail(f"{fault}: the snapshot loaded")
 
 
 def test_stimulus_validation():
