@@ -9,8 +9,10 @@ The centre spread s is 20 on S, M and L, where the clusters lie apart, and
 3 on O, where they overlap so densely that almost every conjunction in the
 concept pool has its own extension.
 The script prints, per rung, the median of three calls in milliseconds of
-build_model, build_preferential, verify_order_axioms, verify_klm, and
-`somlogic verify` run in-process on the saved model.json (stdout captured).
+build_model, build_preferential, verify_order_axioms, verify_klm, minima
+over the whole domain (T(Top), with its strict-order guard), and
+`somlogic verify` and `somlogic check "T(Top) <= C0"` run in-process on the
+saved model.json (stdout captured).
 It takes no options; run it from the repository root as
 
     PYTHONPATH=src python scripts/ladder.py
@@ -33,6 +35,7 @@ from somlogic import (
     feature_range,
     gaussian_clusters,
     init_map,
+    minima,
     save_model,
     train,
     verify_klm,
@@ -64,7 +67,9 @@ STAGES = (
     "build_preferential",
     "verify_order_axioms",
     "verify_klm",
+    "minima, whole domain",
     "CLI `verify`, in-process",
+    'CLI `check "T(Top) <= C0"`, in-process',
 )
 
 
@@ -80,16 +85,19 @@ def rung_times(k, per_cluster, side, dim, epochs, spread, tmp):
     rel = derive_specificity(model)
     pref = build_preferential(model, rel)
 
-    def cli_verify():
+    def cli(*argv):
         with contextlib.redirect_stdout(io.StringIO()):
-            cli_main(["verify", "--model", path])
+            cli_main([*argv, "--model", path])
 
+    domain = np.ones(len(model.element_ids), dtype=bool)
     return len(model.element_ids), [
         median_ms(lambda: build_model(som, data)),
         median_ms(lambda: build_preferential(model, rel)),
         median_ms(lambda: verify_order_axioms(pref)),
         median_ms(lambda: verify_klm(pref)),
-        median_ms(cli_verify),
+        median_ms(lambda: minima(model, rel, domain)),
+        median_ms(lambda: cli("verify")),
+        median_ms(lambda: cli("check", "--query", "T(Top) <= C0")),
     ]
 
 

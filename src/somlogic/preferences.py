@@ -19,20 +19,21 @@ model; it need not be modular.
 
 The rule is stated once, in ``_global_order``, over any list of elements
 (columns of the model's rd matrix): each pair is decided by the two
-elements' rd values and specificity alone.  It compares each category's
-dense integer ranks of rd, which order the elements exactly as the rd
-values do.  It has two callers.  ``build_preferential`` applies it to the
-whole domain and checks nothing: ``verify_order_axioms`` then checks the
-axioms on the materialised relation, once.  ``minima`` applies it to one
-set, e.g. ext(C), given as a mask, and reads T(C) off that block, which is
-how ``somlogic check`` answers a defeasible query without the N x N order.
-Nothing verifies that block afterwards, so ``minima`` checks it to be a
-strict order itself.
+elements' rd values and specificity alone.  It builds the order as uint64
+bit rows from each category's dense ranks of rd, which order the elements
+exactly as the rd values do, through a suffix table of the elements at
+each rank or above.  It has two callers.  ``build_preferential`` applies
+it to the whole domain and checks nothing: ``verify_order_axioms`` then
+checks the axioms on the materialised relation, once.  ``minima`` applies
+it to one set, e.g. ext(C), given as a mask, and reads T(C) off that
+block, which is how ``somlogic check`` answers a defeasible query without
+the N x N order.  Nothing verifies that block afterwards, so ``minima``
+checks it to be a strict order itself.
 
 The order checks take no matrix product.  Transitivity ORs, for each
-element, the bit-packed rows of its successors and compares the result
-with its own row.  Modularity is walked pair by pair on bit rows.  Both
-walks stop at the last violation a report lists.
+element, the bit rows of its successors (``_or_rows``) and compares the
+result with its own row.  Modularity is walked pair by pair on bit rows
+and stops at the last violation its report lists.
 
 ``verify_klm`` checks the standard closure postulates (Reflexivity, Left
 Logical Equivalence, Right Weakening, And, Cautious Monotonicity, and Or
@@ -50,14 +51,14 @@ rows are equal: each row is one void scalar, compared bytewise by
 ``np.unique``, so no two different sets can share a class.  Intersections
 and unions of classes are keyed the same way and looked up among the
 sorted class keys.  ``verify`` takes no matrix product: minima and
-inclusions work on uint64 bit rows.  T(C) is ext(C) minus the
-``np.bitwise_or.reduceat`` of the order's rows over the members of ext(C),
-and C |~ D holds when T(C) has no bit outside ext(D), tested one word
-column at a time.  Once minima are computed as sets, Reflexivity, LLE,
-RW, And and Or hold for *any* relation (minima lie inside their set, and
-min(C | D) is a subset of min(C) | min(D)), so of the postulates only CM can
-be broken by a bad order; the others are still checked, as guards on the
-computation itself.
+inclusions work on uint64 bit rows.  T(C) is ext(C) minus the OR of the
+order's rows over the members of ext(C) (``_or_rows`` again), and C |~ D
+holds when T(C) has no bit outside ext(D), tested one word column at a
+time.  Once minima are computed as sets, Reflexivity, LLE, RW, And and Or
+hold for *any* relation (minima lie inside their set, and min(C | D) is a
+subset of min(C) | min(D)), so of the postulates only CM can be broken by
+a bad order; the others are still checked, as guards on the computation
+itself.
 """
 
 from __future__ import annotations
@@ -120,42 +121,50 @@ def _global_order(
     model: SemanticModel, specificity: SpecificityRelation, cols: Sequence[int]
 ) -> np.ndarray:
     """The combination rule over the elements in columns ``cols`` of the
-    model: ``order[a, b]`` is True iff element ``cols[a]`` is globally
-    preferred to element ``cols[b]``.
+    model, as ``_bit_rows``: bit b of row a is set iff element ``cols[a]``
+    is globally preferred to element ``cols[b]``.
 
     A pair is decided by the two elements' rd values and specificity alone,
     so the rule over a subset of the domain is exactly the global preference
-    restricted to that subset.
+    restricted to that subset.  Each category ranks the elements densely by
+    rd and keeps the suffix table ``ge[t]``, the elements of rank >= t: an
+    element's strict row (the elements it strictly beats) is
+    ``ge[rank + 1]`` and its weak row ``ge[rank]``.  The rule then ORs and
+    ANDs those rows, ``len(cols)`` x words at a time.
     """
     cats = [c for c in model.category_names if not model.categories[c].empty]
     rd = model.rd[np.ix_([model.row_of[c] for c in cats], cols)]
-    n = rd.shape[1]
-    # Dense ranks in the narrowest unsigned type that holds n - 1.  Equal rd
-    # values (inf included) get equal ranks and rd is never NaN, so ranks
-    # compare exactly as the rd values do.
-    dtype = np.min_scalar_type(max(n - 1, 0))
+    k, n = rd.shape
+    # Dense ranks: equal rd values (inf included) share a rank and rd is
+    # never NaN, so ranks compare exactly as the rd values do.
     by_rd = np.argsort(rd, axis=1)
     sorted_rd = np.take_along_axis(rd, by_rd, axis=1)
-    dense = np.zeros(rd.shape, dtype=dtype)
-    np.cumsum(sorted_rd[:, 1:] != sorted_rd[:, :-1], axis=1, dtype=dtype, out=dense[:, 1:])
-    rank = np.empty_like(dense)
-    np.put_along_axis(rank, by_rd, dense, axis=1)
+    new_rank = np.ones(rd.shape, dtype=bool)
+    np.not_equal(sorted_rd[:, 1:], sorted_rd[:, :-1], out=new_rank[:, 1:])
+    rank = np.empty(rd.shape, dtype=np.intp)
+    np.put_along_axis(rank, by_rd, np.cumsum(new_rank, axis=1) - 1, axis=1)
+
+    # ge[c, t]: first each element's bit at its own rank, then the suffix
+    # OR over t.  Row n lies past every rank and stays empty.
+    words = -(-n // 64)
+    ge = np.zeros((k, n + 1, words), dtype=np.uint64)
+    e = np.arange(n)
+    one = np.left_shift(np.uint64(1), (e & 63).astype(np.uint64))
+    np.bitwise_or.at(ge, (np.arange(k)[:, np.newaxis], rank, e >> 6), one)
+    np.bitwise_or.accumulate(ge[:, ::-1], axis=1, out=ge[:, ::-1])
     cat_row = {c: i for i, c in enumerate(cats)}
 
-    # At most three n x n matrices are alive, never one per category.
-    order = np.zeros((n, n), dtype=bool)
-    less = np.empty((n, n), dtype=bool)
-    ok = np.empty((n, n), dtype=bool)
-
     def strict(i: int) -> np.ndarray:
-        # Category i's strict preference, into ``less``.
-        return np.less(rank[i][:, np.newaxis], rank[i][np.newaxis, :], out=less)
+        # Category i's strict rows: the elements ranked past each element.
+        return ge[i, rank[i] + 1]
 
-    for i in range(len(cats)):
+    # Each category's rows are gathered where they are read, so no
+    # k x n x words copy of the table is held.
+    order = np.zeros((n, words), dtype=np.uint64)
+    for i in range(k):
         order |= strict(i)
-    for cj in cats:
-        r = rank[cat_row[cj]]
-        np.less_equal(r[:, np.newaxis], r[np.newaxis, :], out=ok)
+    for j, cj in enumerate(cats):
+        ok = ge[j, rank[j]]
         for ch in specificity.above(cj):
             if ch in cat_row:
                 ok |= strict(cat_row[ch])
@@ -171,7 +180,8 @@ def build_preferential(
     strict order."""
     if specificity is None:
         specificity = derive_specificity(model)
-    order = _global_order(model, specificity, range(len(model.element_ids)))
+    n = len(model.element_ids)
+    order = _unpacked(_global_order(model, specificity, np.arange(n)), n)
     return PreferentialModel(model, specificity, model.element_ids, order)
 
 
@@ -184,17 +194,23 @@ def minima(
 
     The restricted block is checked to be an irreflexive, transitive strict
     order; a failure is a ConsistencyError naming a witness, never a
-    silently wrong answer.
+    silently wrong answer.  The set's minima are its elements outside the
+    OR of all the block's rows.  An empty set has no block to check and no
+    minima.
     """
+    out = np.zeros(len(model.element_ids), dtype=bool)
     cols = np.flatnonzero(mask)
-    order = _global_order(model, specificity, cols)
-    refl, trans = _order_violations([model.element_ids[c] for c in cols], order)
+    if not len(cols):
+        return out
+    bits = _global_order(model, specificity, cols)
+    refl, trans = _order_violations(
+        [model.element_ids[c] for c in cols], _unpacked(bits, len(cols)), bits
+    )
     if refl or trans:
         raise ConsistencyError(
             f"global preference is not a strict order: {(refl + trans)[0].instance}"
         )
-    out = np.zeros(len(model.element_ids), dtype=bool)
-    out[cols[~order.any(axis=0)]] = True
+    out[cols[~_unpacked(np.bitwise_or.reduce(bits, axis=0), len(cols))]] = True
     return out
 
 
@@ -251,57 +267,66 @@ def _check(
     )
 
 
-# uint64 words gathered per chunk of the bit-row walks (256 KB).
+# uint64 words gathered per chunk of the modularity walk (256 KB).
 _CHUNK_WORDS = 1 << 15
 
 
-def _bit_rows(m: np.ndarray, complement: bool = False) -> np.ndarray:
-    """The rows of the boolean matrix ``m`` (of ``~m`` if ``complement``) as
-    uint64 words: entry j of a row is bit j % 64 of word j // 64, and the
-    padding bits past the last column are 0."""
+def _bit_rows(m: np.ndarray) -> np.ndarray:
+    """The rows of the boolean matrix ``m`` as uint64 words: entry j of a
+    row is bit j % 64 of word j // 64, and the padding bits past the last
+    column are 0."""
     rows, n = m.shape
     words = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
     words[:, : -(-n // 8)] = np.packbits(m, axis=1, bitorder="little")
-    words = words.view("<u8")
-    if complement:
-        words = ~words & _bit_rows(np.ones((1, n), dtype=bool))
-    return words
+    return words.view("<u8")
+
+
+def _complement(words: np.ndarray, n: int) -> np.ndarray:
+    """The complement of the ``_bit_rows`` ``words`` over ``n`` columns,
+    its padding bits kept 0."""
+    return ~words & _bit_rows(np.ones((1, n), dtype=bool))
 
 
 def _unpacked(words: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` bits of one ``_bit_rows`` row, as a boolean mask."""
-    return np.unpackbits(words.view(np.uint8), bitorder="little", count=n).view(bool)
+    """The first ``n`` bits of each ``_bit_rows`` row (or of one row), as
+    booleans."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
 
 
-def _pair_chunks(m: np.ndarray, width: int):
-    """The pairs (i, j) with ``m[i, j]``, in row-major order, in chunks of
-    whole rows of about ``_CHUNK_WORDS`` words when each pair gathers
-    ``width`` words; a row with more pairs than that is a chunk of its own.
-    Yields (i, j, starts) per chunk, where ``starts`` indexes the first pair
-    of each row that has one."""
-    if not m.size:
-        return
-    i, j = np.divmod(np.flatnonzero(m), m.shape[1])
-    ends = np.cumsum(np.bincount(i, minlength=len(m)))
-    lo, step = 0, max(1, _CHUNK_WORDS // max(1, width))
-    while lo < len(i):
-        last_fitting = np.searchsorted(ends, lo + step, "right") - 1
-        hi = ends[max(last_fitting, np.searchsorted(ends, lo, "right"))]
-        ci = i[lo:hi]
-        yield ci, j[lo:hi], np.flatnonzero(np.r_[True, ci[1:] != ci[:-1]])
-        lo = hi
+def _pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The True entries of the boolean matrix ``m``, from one
+    ``flatnonzero``: their columns ``j`` in row-major order, and ``bounds``,
+    where the entries of row i are ``j[bounds[i]:bounds[i + 1]]``."""
+    rows, n = m.shape
+    j = np.flatnonzero(m)
+    row_start = np.arange(rows + 1) * n
+    bounds = np.searchsorted(j, row_start)
+    j -= np.repeat(row_start[:-1], np.diff(bounds))
+    return j, bounds
+
+
+def _or_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``out[i]``: the OR of the uint64 rows ``rows[j]`` over the True
+    ``m[i, j]``, 0 for a row of ``m`` with none.  The rows are gathered and
+    ORed one word column at a time, each a ``reduceat`` over the segments
+    of ``_pairs``."""
+    out = np.zeros((len(m), rows.shape[1]), dtype=np.uint64)
+    j, bounds = _pairs(m)
+    nonempty = np.flatnonzero(np.diff(bounds))
+    if not len(nonempty):
+        return out
+    starts = bounds[nonempty]
+    for w, col in enumerate(rows.T.copy()):
+        out[nonempty, w] = np.bitwise_or.reduceat(col[j], starts)
+    return out
 
 
 def _bit_minima(order_bits: np.ndarray, masks: np.ndarray, mask_bits: np.ndarray) -> np.ndarray:
     """The minima of each set in the rows of the boolean matrix ``masks``
     under the order whose ``_bit_rows`` are ``order_bits``, as bit rows: a
-    set's row of ``mask_bits`` minus the OR of its members' order rows.  A
-    set without members is its own (empty) row; ``_pair_chunks`` gives it
-    no segment."""
-    typ = mask_bits.copy()
-    for i, members, starts in _pair_chunks(masks, order_bits.shape[1]):
-        typ[i[starts]] &= ~np.bitwise_or.reduceat(order_bits[members], starts, axis=0)
-    return typ
+    set's row of ``mask_bits`` minus ``_or_rows`` of its members' order
+    rows, which is 0 for a set without members."""
+    return mask_bits & ~_or_rows(masks, order_bits)
 
 
 def _inside(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -316,56 +341,58 @@ def _inside(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _order_violations(
-    ids: Sequence[str], m: np.ndarray
+    ids: Sequence[str], m: np.ndarray, bits: np.ndarray
 ) -> tuple[list[Violation], list[Violation]]:
     """Irreflexivity and transitivity violations of the relation ``m`` over
-    ``ids``, at most ``_MAX_VIOLATIONS`` of each, pairs in row-major order.
+    ``ids``, whose ``_bit_rows`` are ``bits``, at most ``_MAX_VIOLATIONS``
+    of each, pairs in row-major order.
 
-    Transitivity runs on bit rows: row i fails exactly when the OR of its
-    successors' rows (``np.bitwise_or.reduceat`` over its pairs) has a bit
-    that row i lacks.  Only a failing row is unpacked to list its (i, k, j),
-    each with the first middle k; the walk stops at the last one reported.
-    A diagonal gap is a 2-cycle x < z < x.
+    Row i fails transitivity exactly when the OR of its successors' rows
+    (``_or_rows``) has a bit that row i lacks.  Only a failing row is
+    unpacked to list its (i, k, j), each with the first middle k.  A
+    diagonal gap is a 2-cycle x < z < x.
     """
     n = len(ids)
     refl = [
         Violation(instance=f"{ids[i]} < {ids[i]}", witnesses=(ids[i],))
         for i in np.nonzero(m.diagonal())[0][:_MAX_VIOLATIONS]
     ]
-    bits = _bit_rows(m)
+    reach = _or_rows(m, bits)
     trans: list[Violation] = []
-    for i, succ, starts in _pair_chunks(m, bits.shape[1]):
-        rows = i[starts]
-        reach = np.bitwise_or.reduceat(bits[succ], starts, axis=0)
-        bad = (reach & ~bits[rows]).any(axis=1)
-        for r, words in zip(rows[bad], reach[bad]):
-            for j in np.flatnonzero(_unpacked(words, n) & ~m[r]):
-                k = int(np.argmax(m[r] & m[:, j]))
-                trans.append(
-                    Violation(
-                        instance=f"{ids[r]} < {ids[k]} < {ids[j]} but not {ids[r]} < {ids[j]}",
-                        witnesses=(ids[r], ids[k], ids[j]),
-                    )
+    for r in np.flatnonzero((reach & ~bits).any(axis=1)):
+        for j in np.flatnonzero(_unpacked(reach[r], n) & ~m[r]):
+            k = int(np.argmax(m[r] & m[:, j]))
+            trans.append(
+                Violation(
+                    instance=f"{ids[r]} < {ids[k]} < {ids[j]} but not {ids[r]} < {ids[j]}",
+                    witnesses=(ids[r], ids[k], ids[j]),
                 )
-                if len(trans) == _MAX_VIOLATIONS:
-                    return refl, trans
+            )
+            if len(trans) == _MAX_VIOLATIONS:
+                return refl, trans
     return refl, trans
 
 
-def _modularity_violations(ids: Sequence[str], m: np.ndarray) -> list[Violation]:
-    """The first ``_MAX_VIOLATIONS`` pairs x < y of ``m`` in row-major
-    order with some z unordered against both (not x < z and not z < y),
-    each with the first such z.  The pairs are walked on bit rows, the
-    complement of row x against that of column y, until the last one
-    reported."""
+def _modularity_violations(
+    ids: Sequence[str], m: np.ndarray, bits: np.ndarray
+) -> list[Violation]:
+    """The first ``_MAX_VIOLATIONS`` pairs x < y of ``m`` (whose
+    ``_bit_rows`` are ``bits``) in row-major order with some z unordered
+    against both (not x < z and not z < y), each with the first such z.
+    The pairs are walked in chunks on bit rows, the complement of row x
+    against that of column y, until the last one reported."""
     n = len(ids)
-    rows = _bit_rows(m, complement=True)
-    cols = _bit_rows(np.ascontiguousarray(m.T), complement=True)
+    rows = _complement(bits, n)
+    cols = _complement(_bit_rows(np.ascontiguousarray(m.T)), n)
+    y, bounds = _pairs(m)
+    x = np.repeat(np.arange(n), np.diff(bounds))
+    step = max(1, _CHUNK_WORDS // max(1, 2 * rows.shape[1]))
     mod: list[Violation] = []
-    for x, y, _ in _pair_chunks(m, 2 * rows.shape[1]):
-        both = rows[x] & cols[y]
+    for lo in range(0, len(y), step):
+        xs, ys = x[lo : lo + step], y[lo : lo + step]
+        both = rows[xs] & cols[ys]
         bad = both.any(axis=1)
-        for i, j, words in zip(x[bad], y[bad], both[bad]):
+        for i, j, words in zip(xs[bad], ys[bad], both[bad]):
             z = int(np.argmax(_unpacked(words, n)))
             mod.append(
                 Violation(
@@ -382,12 +409,14 @@ def verify_order_axioms(pref: PreferentialModel) -> list[PropertyCheck]:
     """Check irreflexivity, transitivity, well-foundedness and (informational
     only) modularity of the materialised global preference.
 
-    ``_order_violations`` and ``_modularity_violations`` walk bit rows and
-    stop at the last violation a report lists; no matrix product is taken.
+    Both walks run on one packing of ``pref.order`` into bit rows;
+    modularity packs the transpose for its columns.  No matrix product is
+    taken.
     """
     ids, m = pref.element_ids, pref.order
-    refl, trans = _order_violations(ids, m)
-    mod = _modularity_violations(ids, m)
+    bits = _bit_rows(m)
+    refl, trans = _order_violations(ids, m, bits)
+    mod = _modularity_violations(ids, m, bits)
     # An irreflexive transitive relation on a finite set has no infinite
     # descending chain; report a failure only if the axioms above failed.
     wf_ok = not refl and not trans
@@ -482,17 +511,18 @@ def verify_klm(
     plus Top and Bot).  All of them must hold in this semantics; a violation
     is an implementation bug surfacing, not an interesting phenomenon.
 
-    No matrix product is taken.  Sets are ``_bit_rows``: T(C) is ext(C)
-    minus the OR of the order's rows over the members of ext(C)
-    (``_bit_minima``), and C |~ D holds when T(C) has no bit outside ext(D)
-    (``_inside``).  Reflexivity and LLE are checked per pool concept, with
-    one entailment row per concept over the distinct extensions of the pool
-    ("classes"), which LLE licenses.  RW, And, CM and Or are checked over
-    the classes as class x class x class boolean tensors; only a tensor
-    with a violation is walked again in pool order to list instances.
-    And and CM read entailment from a class to an intersection of two
-    classes and back, so only those two blocks are computed for the
-    intersections that are no class.
+    No matrix product is taken.  Sets are ``_bit_rows``, and so is the
+    order, packed once from ``pref.order``.  T(C) is ext(C) minus the OR
+    of the order's rows over the members of ext(C) (``_bit_minima``, one
+    ``_or_rows`` over all the pool's sets), and C |~ D holds when T(C) has
+    no bit outside ext(D) (``_inside``).  Reflexivity and LLE are checked
+    per pool concept, with one entailment row per concept over the
+    distinct extensions of the pool ("classes"), which LLE licenses.  RW,
+    And, CM and Or are checked over the classes as class x class x class
+    boolean tensors; only a tensor with a violation is walked again in pool
+    order to list instances.  And and CM read entailment from a class to an
+    intersection of two classes and back, so only those two blocks are
+    computed for the intersections that are no class.
     """
     ids = pref.element_ids
     ext, label = _pool_masks(pref.base, pool)
