@@ -12,7 +12,9 @@ The script prints, per rung, the median of three calls in milliseconds of
 build_model, build_preferential, verify_order_axioms, verify_klm, minima
 over the whole domain (T(Top), with its strict-order guard), and
 `somlogic verify` and `somlogic check "T(Top) <= C0"` run in-process on the
-saved model.json (stdout captured).
+saved model.json (stdout captured).  It also prints the tracemalloc peak in
+MB of one call each of verify_order_axioms and of minima over the whole
+domain.
 It takes no options; run it from the repository root as
 
     PYTHONPATH=src python scripts/ladder.py
@@ -24,6 +26,7 @@ import os
 import statistics
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -62,6 +65,16 @@ def median_ms(fn, repeats=3):
     return 1000 * statistics.median(times)
 
 
+def peak_mb(fn):
+    """The most memory one call of ``fn`` holds allocated at one time."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 STAGES = (
     "build_model",
     "build_preferential",
@@ -71,10 +84,12 @@ STAGES = (
     "CLI `verify`, in-process",
     'CLI `check "T(Top) <= C0"`, in-process',
 )
+PEAKS = ("verify_order_axioms", "minima, whole domain")
 
 
 def rung_times(k, per_cluster, side, dim, epochs, spread, tmp):
-    """The rung's element count and the median time of each of STAGES."""
+    """The rung's element count, the median time of each of STAGES and the
+    peak memory of each of PEAKS."""
     centres = np.random.default_rng(0).uniform(0, spread, (k, dim))
     data = gaussian_clusters(centres.tolist(), [f"C{i}" for i in range(k)], per_cluster, 1.5, 1)
     som0 = init_map(side, side, dim, 0, feature_range(data))
@@ -98,6 +113,9 @@ def rung_times(k, per_cluster, side, dim, epochs, spread, tmp):
         median_ms(lambda: minima(model, rel, domain)),
         median_ms(lambda: cli("verify")),
         median_ms(lambda: cli("check", "--query", "T(Top) <= C0")),
+    ], [
+        peak_mb(lambda: verify_order_axioms(pref)),
+        peak_mb(lambda: minima(model, rel, domain)),
     ]
 
 
@@ -106,10 +124,13 @@ def main() -> None:
         results = {name: rung_times(*rung, tmp) for name, rung in RUNGS.items()}
     print("| stage (ms, median of 3) | " + " | ".join(results) + " |")
     print("|---|" + "---:|" * len(results))
-    print("| elements | " + " | ".join(str(n) for n, _ in results.values()) + " |")
+    print("| elements | " + " | ".join(str(n) for n, _, _ in results.values()) + " |")
     for i, stage in enumerate(STAGES):
-        cells = [f"{times[i]:.1f}" for _, times in results.values()]
+        cells = [f"{times[i]:.1f}" for _, times, _ in results.values()]
         print(f"| {stage} | " + " | ".join(cells) + " |")
+    for i, stage in enumerate(PEAKS):
+        cells = [f"{peaks[i]:.2f}" for _, _, peaks in results.values()]
+        print(f"| {stage}, tracemalloc peak (MB) | " + " | ".join(cells) + " |")
 
 
 if __name__ == "__main__":

@@ -28,12 +28,18 @@ checks the axioms on the materialised relation, once.  ``minima`` applies
 it to one set, e.g. ext(C), given as a mask, and reads T(C) off that
 block, which is how ``somlogic check`` answers a defeasible query without
 the N x N order.  Nothing verifies that block afterwards, so ``minima``
-checks it to be a strict order itself.
+checks it to be a strict order itself, on its bit rows: irreflexivity on
+the diagonal bits, transitivity as the OR of each element's successors'
+rows lying inside its own row.
 
-The order checks take no matrix product.  Transitivity ORs, for each
-element, the bit rows of its successors (``_or_rows``) and compares the
-result with its own row.  Modularity is walked pair by pair on bit rows
-and stops at the last violation its report lists.
+The order checks take no matrix product, and no pair walk holds an N x N
+matrix or a list of all pairs.  Every walk (``_chunks``) reads its sets as
+bit rows, counts each row's pairs, and unpacks and lists the pairs of one
+block of rows at a time, blocks that fit the one budget ``_CHUNK_ITEMS``.
+Transitivity ORs, for each element, the bit rows of its successors
+(``_or_rows``) and compares the result with its own row; in ``verify``
+the same blocks also serve modularity, whose listing stops at the last
+violation its report lists.
 
 ``verify_klm`` checks the standard closure postulates (Reflexivity, Left
 Logical Equivalence, Right Weakening, And, Cautious Monotonicity, and Or
@@ -193,20 +199,21 @@ def minima(
     order restricted to that set alone: O(k·|set|²) rather than O(k·N²).
 
     The restricted block is checked to be an irreflexive, transitive strict
-    order; a failure is a ConsistencyError naming a witness, never a
-    silently wrong answer.  The set's minima are its elements outside the
-    OR of all the block's rows.  An empty set has no block to check and no
-    minima.
+    order without unpacking it: no diagonal bit may be set, and the OR of
+    each element's successors' rows (``_or_rows``, in blocks within
+    ``_CHUNK_ITEMS``) must lie inside its own row.  Only a block that fails
+    is listed by ``_order_violations``, whose first violation the
+    ConsistencyError names: never a silently wrong answer.  The set's
+    minima are its elements outside the OR of all the block's rows.  An
+    empty set has no block to check and no minima.
     """
     out = np.zeros(len(model.element_ids), dtype=bool)
     cols = np.flatnonzero(mask)
     if not len(cols):
         return out
     bits = _global_order(model, specificity, cols)
-    refl, trans = _order_violations(
-        [model.element_ids[c] for c in cols], _unpacked(bits, len(cols)), bits
-    )
-    if refl or trans:
+    if _diagonal(bits).any() or (_or_rows(bits, bits) & ~bits).any():
+        refl, trans, _ = _order_violations([model.element_ids[c] for c in cols], bits)
         raise ConsistencyError(
             f"global preference is not a strict order: {(refl + trans)[0].instance}"
         )
@@ -267,8 +274,43 @@ def _check(
     )
 
 
-# uint64 words gathered per chunk of the modularity walk (256 KB).
-_CHUNK_WORDS = 1 << 15
+# 8-byte items one block of a pair walk holds at a time (128 KB): a pair's
+# column index and each word gathered for it, and 8 per word of the block's
+# rows unpacked to booleans.
+_CHUNK_ITEMS = 1 << 14
+
+# The SWAR bit count's masks: every other bit, every other bit pair, the
+# low nibble of each byte, and the low bit of each byte.
+_EVERY_2, _EVERY_4, _EVERY_8, _BYTE_ONES = (
+    np.uint64(v)
+    for v in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+
+
+def _row_counts(bits: np.ndarray) -> np.ndarray:
+    """The set bits of each ``_bit_rows`` row, counted in place on as many
+    rows at a time as fit ``_CHUNK_ITEMS`` in two scratch copies.  Each
+    word is counted SWAR style: the bits of every 2-, 4- and 8-bit field
+    are summed into that field, and one multiplication sums the word's
+    eight byte counts into its top byte."""
+    counts = np.empty(len(bits), dtype=np.intp)
+    step = max(1, _CHUNK_ITEMS // (2 * max(1, bits.shape[1])))
+    for lo in range(0, len(bits), step):
+        block = bits[lo : lo + step]
+        c = block >> np.uint64(1)
+        c &= _EVERY_2
+        np.subtract(block, c, out=c)
+        t = c >> np.uint64(2)
+        t &= _EVERY_4
+        c &= _EVERY_4
+        c += t
+        np.right_shift(c, np.uint64(4), out=t)
+        c += t
+        c &= _EVERY_8
+        c *= _BYTE_ONES
+        c >>= np.uint64(56)
+        counts[lo : lo + step] = c.sum(axis=1)
+    return counts
 
 
 def _bit_rows(m: np.ndarray) -> np.ndarray:
@@ -284,7 +326,10 @@ def _bit_rows(m: np.ndarray) -> np.ndarray:
 def _complement(words: np.ndarray, n: int) -> np.ndarray:
     """The complement of the ``_bit_rows`` ``words`` over ``n`` columns,
     its padding bits kept 0."""
-    return ~words & _bit_rows(np.ones((1, n), dtype=bool))
+    out = ~words
+    if n % 64:
+        out[..., -1] &= np.uint64((1 << n % 64) - 1)
+    return out
 
 
 def _unpacked(words: np.ndarray, n: int) -> np.ndarray:
@@ -293,40 +338,95 @@ def _unpacked(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
 
 
-def _pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The True entries of the boolean matrix ``m``, from one
-    ``flatnonzero``: their columns ``j`` in row-major order, and ``bounds``,
-    where the entries of row i are ``j[bounds[i]:bounds[i + 1]]``."""
-    rows, n = m.shape
-    j = np.flatnonzero(m)
-    row_start = np.arange(rows + 1) * n
-    bounds = np.searchsorted(j, row_start)
-    j -= np.repeat(row_start[:-1], np.diff(bounds))
-    return j, bounds
+def _diagonal(bits: np.ndarray) -> np.ndarray:
+    """Bit i of row i of the square ``_bit_rows`` ``bits``, as booleans."""
+    e = np.arange(len(bits))
+    return (bits[e, e >> 6] >> (e & 63).astype(np.uint64)) & np.uint64(1) != 0
 
 
-def _or_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``out[i]``: the OR of the uint64 rows ``rows[j]`` over the True
-    ``m[i, j]``, 0 for a row of ``m`` with none.  The rows are gathered and
-    ORed one word column at a time, each a ``reduceat`` over the segments
-    of ``_pairs``."""
-    out = np.zeros((len(m), rows.shape[1]), dtype=np.uint64)
-    j, bounds = _pairs(m)
+def _column(bits: np.ndarray, j: int) -> np.ndarray:
+    """Bit j of every ``_bit_rows`` row of ``bits``, as booleans."""
+    return (bits[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1) != 0
+
+
+def _transposed(bits: np.ndarray, n: int) -> np.ndarray:
+    """The ``_bit_rows`` of the transpose of the n x n relation whose rows
+    are ``bits``.  Blocks of whole words of rows, as many as fit
+    ``_CHUNK_ITEMS`` once unpacked and at least one, are unpacked, copied
+    transposed and packed into those words of every column."""
+    out = np.zeros((n, bits.shape[1] * 8), dtype=np.uint8)
+    step = 64 * max(1, _CHUNK_ITEMS * 8 // (64 * max(n, 1)))
+    for lo in range(0, n, step):
+        block = np.ascontiguousarray(_unpacked(bits[lo : lo + step], n).T)
+        out[:, lo // 8 : lo // 8 + -(-block.shape[1] // 8)] = np.packbits(
+            block, axis=1, bitorder="little"
+        )
+    return out.view("<u8")
+
+
+def _chunks(sel_bits: np.ndarray, n: int):
+    """The pairs (i, j), the set bits j of each row i of the ``_bit_rows``
+    ``sel_bits`` over ``n`` columns, one block of rows at a time:
+    ``(lo, j, bounds)``, where the pairs of row ``lo + i`` are
+    ``j[bounds[i]:bounds[i + 1]]``, in row-major order.
+
+    A block takes rows while their pairs plus 8 per word of each row (the
+    row unpacked) fit ``_CHUNK_ITEMS``, and at least one row; only its rows
+    are unpacked, so no list of all pairs and no unpacked matrix is held.
+    Each row's pairs are counted first (``_row_counts``), unless the rows
+    would fit one block even with all n bits set.  The pairs come from one
+    ``flatnonzero`` of the unpacked block, which reads only the first ``n``
+    bits of each row."""
+    rows, words = sel_bits.shape
+    if rows * (n + 8 * words) <= _CHUNK_ITEMS:
+        ends = np.arange(1, rows + 1) * (n + 8 * words)
+    else:
+        ends = np.cumsum(_row_counts(sel_bits) + 8 * words)
+    lo = 0
+    while lo < rows:
+        spent = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, spent + _CHUNK_ITEMS, side="right")))
+        j = np.flatnonzero(_unpacked(sel_bits[lo:hi], n))
+        row_start = np.arange(hi - lo + 1) * n
+        bounds = np.searchsorted(j, row_start)
+        j -= np.repeat(row_start[:-1], np.diff(bounds))
+        yield lo, j, bounds
+        lo = hi
+
+
+def _or_chunk(out: np.ndarray, cols: np.ndarray, lo: int, j: np.ndarray, bounds: np.ndarray) -> None:
+    """For each nonempty segment i of one ``_chunks`` block, set column
+    ``lo + i`` of the word rows ``out`` to the OR of the rows
+    ``j[bounds[i]:bounds[i + 1]]`` of the relation whose word columns are
+    ``cols``.  The rows are gathered and ORed one word column at a time,
+    each a ``reduceat`` over the segments."""
     nonempty = np.flatnonzero(np.diff(bounds))
     if not len(nonempty):
-        return out
+        return
     starts = bounds[nonempty]
-    for w, col in enumerate(rows.T.copy()):
-        out[nonempty, w] = np.bitwise_or.reduceat(col[j], starts)
-    return out
+    at = lo + nonempty
+    for col, word in zip(cols, out):
+        word[at] = np.bitwise_or.reduceat(col[j], starts)
 
 
-def _bit_minima(order_bits: np.ndarray, masks: np.ndarray, mask_bits: np.ndarray) -> np.ndarray:
-    """The minima of each set in the rows of the boolean matrix ``masks``
-    under the order whose ``_bit_rows`` are ``order_bits``, as bit rows: a
-    set's row of ``mask_bits`` minus ``_or_rows`` of its members' order
-    rows, which is 0 for a set without members."""
-    return mask_bits & ~_or_rows(masks, order_bits)
+def _or_rows(sel_bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``out[i]``: the OR of the uint64 rows ``rows[j]`` over the set bits
+    j of row i of the ``_bit_rows`` ``sel_bits``, 0 for a row with none.
+    The pairs are walked in ``_chunks`` blocks, each ORed by
+    ``_or_chunk``, so the temporaries stay within ``_CHUNK_ITEMS``."""
+    out = np.zeros((rows.shape[1], len(sel_bits)), dtype=np.uint64)
+    cols = rows.T.copy()
+    for lo, j, bounds in _chunks(sel_bits, len(rows)):
+        _or_chunk(out, cols, lo, j, bounds)
+    return out.T
+
+
+def _bit_minima(order_bits: np.ndarray, set_bits: np.ndarray) -> np.ndarray:
+    """The minima of each set in the ``_bit_rows`` ``set_bits`` under the
+    order whose ``_bit_rows`` are ``order_bits``, as bit rows: the set
+    minus ``_or_rows`` of its members' order rows, which is 0 for a set
+    without members."""
+    return set_bits & ~_or_rows(set_bits, order_bits)
 
 
 def _inside(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -340,28 +440,75 @@ def _inside(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out == 0
 
 
-def _order_violations(
-    ids: Sequence[str], m: np.ndarray, bits: np.ndarray
-) -> tuple[list[Violation], list[Violation]]:
-    """Irreflexivity and transitivity violations of the relation ``m`` over
-    ``ids``, whose ``_bit_rows`` are ``bits``, at most ``_MAX_VIOLATIONS``
-    of each, pairs in row-major order.
+def _unmodular(
+    ids: Sequence[str], not_after: np.ndarray, not_before: np.ndarray, lo: int,
+    j: np.ndarray, bounds: np.ndarray, limit: int,
+) -> list[Violation]:
+    """The first ``limit`` pairs x < y of one ``_chunks`` block of the order
+    with some z unordered against both, each with the first such z.
+    ``not_after`` and ``not_before`` are the ``_complement`` of the order's
+    rows (not x < z) and of its columns (not z < y).  Their rows are
+    gathered and ANDed in slices of ``_CHUNK_ITEMS`` words for the two,
+    until ``limit`` are found."""
+    x = lo + np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    step = max(1, _CHUNK_ITEMS // (2 * not_after.shape[1]))
+    out: list[Violation] = []
+    for s in range(0, len(j), step):
+        xs, ys = x[s : s + step], j[s : s + step]
+        both = not_after[xs]
+        both &= not_before[ys]
+        bad = np.flatnonzero(both.any(axis=1))[: limit - len(out)]
+        for i, y, words in zip(xs[bad], ys[bad], both[bad]):
+            z = int(np.argmax(_unpacked(words, len(ids))))
+            out.append(
+                Violation(
+                    instance=f"{ids[i]} < {ids[y]} but {ids[z]} is unordered against both",
+                    witnesses=(ids[i], ids[y], ids[z]),
+                )
+            )
+        if len(out) == limit:
+            break
+    return out
 
-    Row i fails transitivity exactly when the OR of its successors' rows
-    (``_or_rows``) has a bit that row i lacks.  Only a failing row is
-    unpacked to list its (i, k, j), each with the first middle k.  A
-    diagonal gap is a 2-cycle x < z < x.
+
+def _order_violations(
+    ids: Sequence[str], bits: np.ndarray, modular: bool = False
+) -> tuple[list[Violation], list[Violation], list[Violation]]:
+    """Irreflexivity, transitivity and, if ``modular``, modularity
+    violations of the relation over ``ids`` whose ``_bit_rows`` are
+    ``bits``, at most ``_MAX_VIOLATIONS`` of each, pairs in row-major order.
+
+    Irreflexivity reads the diagonal bits.  One ``_chunks`` walk over the
+    relation's pairs serves the other two checks.  Each block ORs its rows'
+    successor rows (``_or_chunk``); row i fails transitivity exactly when
+    that OR has a bit that row i lacks, and only a failing row is unpacked
+    to list its (i, k, j), each with the first middle k.  A diagonal gap is
+    a 2-cycle x < z < x.  Modularity (``_unmodular``) is read from the same
+    blocks until its last reported violation.
     """
     n = len(ids)
     refl = [
         Violation(instance=f"{ids[i]} < {ids[i]}", witnesses=(ids[i],))
-        for i in np.nonzero(m.diagonal())[0][:_MAX_VIOLATIONS]
+        for i in np.flatnonzero(_diagonal(bits))[:_MAX_VIOLATIONS]
     ]
-    reach = _or_rows(m, bits)
+    cols = bits.T.copy()
+    reach = np.zeros_like(cols)
+    if modular:
+        not_after = _complement(bits, n)
+        not_before = _complement(_transposed(bits, n), n)
+    mod: list[Violation] = []
+    for lo, j, bounds in _chunks(bits, n):
+        _or_chunk(reach, cols, lo, j, bounds)
+        if modular and len(mod) < _MAX_VIOLATIONS:
+            mod += _unmodular(
+                ids, not_after, not_before, lo, j, bounds, _MAX_VIOLATIONS - len(mod)
+            )
+    reach = reach.T
     trans: list[Violation] = []
     for r in np.flatnonzero((reach & ~bits).any(axis=1)):
-        for j in np.flatnonzero(_unpacked(reach[r], n) & ~m[r]):
-            k = int(np.argmax(m[r] & m[:, j]))
+        row = _unpacked(bits[r], n)
+        for j in np.flatnonzero(_unpacked(reach[r] & ~bits[r], n)):
+            k = int(np.argmax(row & _column(bits, j)))
             trans.append(
                 Violation(
                     instance=f"{ids[r]} < {ids[k]} < {ids[j]} but not {ids[r]} < {ids[j]}",
@@ -369,54 +516,21 @@ def _order_violations(
                 )
             )
             if len(trans) == _MAX_VIOLATIONS:
-                return refl, trans
-    return refl, trans
-
-
-def _modularity_violations(
-    ids: Sequence[str], m: np.ndarray, bits: np.ndarray
-) -> list[Violation]:
-    """The first ``_MAX_VIOLATIONS`` pairs x < y of ``m`` (whose
-    ``_bit_rows`` are ``bits``) in row-major order with some z unordered
-    against both (not x < z and not z < y), each with the first such z.
-    The pairs are walked in chunks on bit rows, the complement of row x
-    against that of column y, until the last one reported."""
-    n = len(ids)
-    rows = _complement(bits, n)
-    cols = _complement(_bit_rows(np.ascontiguousarray(m.T)), n)
-    y, bounds = _pairs(m)
-    x = np.repeat(np.arange(n), np.diff(bounds))
-    step = max(1, _CHUNK_WORDS // max(1, 2 * rows.shape[1]))
-    mod: list[Violation] = []
-    for lo in range(0, len(y), step):
-        xs, ys = x[lo : lo + step], y[lo : lo + step]
-        both = rows[xs] & cols[ys]
-        bad = both.any(axis=1)
-        for i, j, words in zip(xs[bad], ys[bad], both[bad]):
-            z = int(np.argmax(_unpacked(words, n)))
-            mod.append(
-                Violation(
-                    instance=f"{ids[i]} < {ids[j]} but {ids[z]} is unordered against both",
-                    witnesses=(ids[i], ids[j], ids[z]),
-                )
-            )
-            if len(mod) == _MAX_VIOLATIONS:
-                return mod
-    return mod
+                return refl, trans, mod
+    return refl, trans, mod
 
 
 def verify_order_axioms(pref: PreferentialModel) -> list[PropertyCheck]:
     """Check irreflexivity, transitivity, well-foundedness and (informational
     only) modularity of the materialised global preference.
 
-    Both walks run on one packing of ``pref.order`` into bit rows;
-    modularity packs the transpose for its columns.  No matrix product is
+    ``pref.order`` is packed into bit rows once, and one ``_order_violations``
+    walk over its pairs, in blocks within ``_CHUNK_ITEMS``, serves both
+    transitivity and modularity; modularity's columns are the transpose of
+    the bit rows, packed a block of rows at a time.  No matrix product is
     taken.
     """
-    ids, m = pref.element_ids, pref.order
-    bits = _bit_rows(m)
-    refl, trans = _order_violations(ids, m, bits)
-    mod = _modularity_violations(ids, m, bits)
+    refl, trans, mod = _order_violations(pref.element_ids, _bit_rows(pref.order), modular=True)
     # An irreflexive transitive relation on a finite set has no infinite
     # descending chain; report a failure only if the axioms above failed.
     wf_ok = not refl and not trans
@@ -514,7 +628,8 @@ def verify_klm(
     No matrix product is taken.  Sets are ``_bit_rows``, and so is the
     order, packed once from ``pref.order``.  T(C) is ext(C) minus the OR
     of the order's rows over the members of ext(C) (``_bit_minima``, one
-    ``_or_rows`` over all the pool's sets), and C |~ D holds when T(C) has
+    ``_or_rows`` over all the pool's sets, whose pairs it walks in blocks
+    within ``_CHUNK_ITEMS``), and C |~ D holds when T(C) has
     no bit outside ext(D) (``_inside``).  Reflexivity and LLE are checked
     per pool concept, with one entailment row per concept over the
     distinct extensions of the pool ("classes"), which LLE licenses.  RW,
@@ -529,7 +644,7 @@ def verify_klm(
     n, width = len(ext), len(ids)
     order_bits = _bit_rows(pref.order)
     ext_bits = _bit_rows(ext)
-    typ = _bit_minima(order_bits, ext, ext_bits)
+    typ = _bit_minima(order_bits, ext_bits)
 
     refl = [
         Violation(
@@ -583,7 +698,7 @@ def verify_klm(
     # The first k family rows are the classes, whose minima are known.
     ent = entail[first]
     cls_typ = typ[first]
-    fam_typ = np.vstack([cls_typ, _bit_minima(order_bits, extras, extra_bits)])
+    fam_typ = np.vstack([cls_typ, _bit_minima(order_bits, extra_bits)])
     # The two blocks of entailment between classes and the family that And
     # and CM read: from each class into each set, and back.
     into = np.hstack([ent, _inside(cls_typ, extra_bits)])

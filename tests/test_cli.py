@@ -323,14 +323,15 @@ def test_verify_checks_the_order_once(tmp_path, data_csv, monkeypatch, capsys):
     out = train_and_extract(tmp_path, data_csv)
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return order_violations(*args)
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return order_violations(*args, **kwargs)
 
     order_violations = preferences._order_violations
     monkeypatch.setattr(preferences, "_order_violations", counted)
     assert main(["verify", "--model", str(out / "model.json")]) == 0
-    assert len(calls) == 1
+    # One walk over the order's pairs serves transitivity and modularity.
+    assert calls == [{"modular": True}]
     capsys.readouterr()
 
 

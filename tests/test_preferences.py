@@ -3,6 +3,7 @@ import functools
 import inspect
 import itertools
 import textwrap
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -188,6 +189,68 @@ def test_minima_of_empty_set(nested_model):
     empty = np.zeros(len(nested_model.element_ids), dtype=bool)
     got = minima(nested_model, rel, empty)
     assert got.dtype == bool and got.shape == empty.shape and not got.any()
+
+
+def _pareto_block(cycle: bool):
+    """A model over 534 elements, as many as the nested G/S model with
+    probes of the query benchmark, and its specificity.  Categories A and B
+    give them seeded rd on a grid and no specificity relates them, so the
+    global preference is their Pareto order, about a quarter of all pairs.
+    With ``cycle``, elements x and y tie on A and B, C prefers x alone, D
+    prefers y alone, and C and D are each more specific than the other: a
+    2-cycle x < y < x injected into the dense block."""
+    n = 534
+    rng = np.random.default_rng(n)
+    ids = [f"e{i:03d}" for i in range(n)]
+    rd = {c: dict(zip(ids, (rng.integers(0, 1000, n) / 1000).tolist())) for c in "AB"}
+    pairs = set()
+    if cycle:
+        x, y = ids[n // 2], ids[n // 3]
+        rd["A"][y], rd["B"][y] = rd["A"][x], rd["B"][x]
+        for c, best in (("C", x), ("D", y)):
+            rd[c] = {e: 0.5 for e in ids}
+            rd[c][best] = 0.0
+        pairs = {("C", "D"), ("D", "C")}
+    model = make_model(rd, {c: [min(t, key=t.get)] for c, t in rd.items()})
+    return model, SpecificityRelation(pairs=frozenset(pairs))
+
+
+def test_minima_of_a_dense_block_stay_in_a_fixed_memory_budget():
+    # About 73 000 pairs.  Unpacking the block or listing all its pairs at
+    # once peaks at about 1.5 MB here; walking its bit rows in blocks of
+    # ``_CHUNK_ITEMS`` stays near 0.4 MB.
+    model, rel = _pareto_block(cycle=False)
+    domain = np.ones(len(model.element_ids), dtype=bool)
+    tracemalloc.start()
+    try:
+        got = minima(model, rel, domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 2**20
+    order = build_preferential(model, rel).order
+    assert order.sum() > 70_000
+    assert np.array_equal(got, ~order.any(axis=0))
+
+
+def test_minima_of_a_dense_block_name_the_first_violation_of_a_two_cycle():
+    # The reference is the first pair (i, j) in row-major order that the
+    # square of the order reaches but the order lacks, with its first
+    # middle k; the order is irreflexive, so that is the first witness.
+    model, rel = _pareto_block(cycle=True)
+    ids = model.element_ids
+    order = build_preferential(model, rel).order
+    assert not order.diagonal().any()
+    as_float = order.astype(np.float32)
+    i, j = np.argwhere((as_float @ as_float > 0) & ~order)[0]
+    k = int(np.argmax(order[i] & order[:, j]))
+    assert ids[i] == ids[j] == "e178" and ids[k] == "e267"  # y < x < y, y first
+    with pytest.raises(ConsistencyError) as exc:
+        minima(model, rel, np.ones(len(ids), dtype=bool))
+    assert str(exc.value) == (
+        "global preference is not a strict order: "
+        f"{ids[i]} < {ids[k]} < {ids[j]} but not {ids[i]} < {ids[j]}"
+    )
 
 
 # ==============================================================
@@ -472,7 +535,7 @@ def _boundary_mismatches() -> list[tuple[int, str]]:
         got = {k: [(v.instance, v.witnesses) for v in checks[k].violations] for k in want}
         got["well_foundedness"] = checks["well_foundedness"].status
         got["statuses"] = [checks[k].status for k in want]
-        refl, trans = preferences._order_violations(ids, m, preferences._bit_rows(m))
+        refl, trans, _ = preferences._order_violations(ids, preferences._bit_rows(m))
         expected = {k: violations[:10] for k, violations in want.items()}
         expected["well_foundedness"] = (
             "fail" if want["irreflexivity"] or want["transitivity"] else "pass"
@@ -486,10 +549,11 @@ def _boundary_mismatches() -> list[tuple[int, str]]:
 
 @pytest.mark.parametrize("budget", [None, 1, 40])
 def test_order_axioms_match_oracle_across_word_and_chunk_boundaries(budget, monkeypatch):
-    # The budget chunks the modularity walk: 1 word makes every pair a chunk
-    # of its own, 40 words puts chunk ends at scattered pairs.
+    # The budget splits every pair walk into row blocks: 1 makes every row
+    # a block of its own, 40 puts block ends at scattered rows, and the
+    # default splits the denser relations over 127 elements in two.
     if budget is not None:
-        monkeypatch.setattr(preferences, "_CHUNK_WORDS", budget)
+        monkeypatch.setattr(preferences, "_CHUNK_ITEMS", budget)
     assert _boundary_mismatches() == []
 
 
@@ -504,10 +568,11 @@ def _inject(monkeypatch, name: str, old: str, new: str) -> None:
 
 
 def _late_kernel_segments(monkeypatch) -> None:
-    """Start every segment of the OR kernel but the first one pair late."""
+    """Start every segment of the OR kernel's blocks but the first one pair
+    late."""
     _inject(
         monkeypatch,
-        "_or_rows",
+        "_or_chunk",
         "starts = bounds[nonempty]",
         "starts = np.r_[bounds[nonempty][:1], np.minimum(bounds[nonempty][1:] + 1, len(j) - 1)]",
     )
@@ -521,6 +586,19 @@ def test_boundary_comparison_catches_unmasked_padding(monkeypatch):
 
 def test_boundary_comparison_catches_off_by_one_segments(monkeypatch):
     _late_kernel_segments(monkeypatch)
+    assert _boundary_mismatches()
+
+
+def _late_chunks(monkeypatch, budget: int) -> None:
+    """Start every row block of the pair walk but the first one row late,
+    at the budget ``budget``."""
+    monkeypatch.setattr(preferences, "_CHUNK_ITEMS", budget)
+    _inject(monkeypatch, "_chunks", "lo = hi", "lo = hi + 1")
+
+
+@pytest.mark.parametrize("budget", [1, 40])
+def test_boundary_comparison_catches_late_chunks(budget, monkeypatch):
+    _late_chunks(monkeypatch, budget)
     assert _boundary_mismatches()
 
 
@@ -580,7 +658,7 @@ def _bit_minima_mismatches() -> list[tuple[int, str]]:
     out = []
     for n, name, m, masks, want, entail, subset in _minima_cases():
         mask_bits = preferences._bit_rows(masks)
-        typ = preferences._bit_minima(preferences._bit_rows(m), masks, mask_bits)
+        typ = preferences._bit_minima(preferences._bit_rows(m), mask_bits)
         if not (
             np.array_equal(typ, _words(want))
             and np.array_equal(preferences._inside(typ, mask_bits), entail)
@@ -593,7 +671,7 @@ def _bit_minima_mismatches() -> list[tuple[int, str]]:
 @pytest.mark.parametrize("budget", [None, 1, 40])
 def test_bit_minima_and_inclusions_match_oracle_across_boundaries(budget, monkeypatch):
     if budget is not None:
-        monkeypatch.setattr(preferences, "_CHUNK_WORDS", budget)
+        monkeypatch.setattr(preferences, "_CHUNK_ITEMS", budget)
     assert _bit_minima_mismatches() == []
 
 
@@ -615,12 +693,20 @@ def test_minima_comparison_catches_off_by_one_segments(monkeypatch):
     assert _bit_minima_mismatches()
 
 
+@pytest.mark.parametrize("budget", [1, 40])
+def test_minima_comparison_catches_late_chunks(budget, monkeypatch):
+    # At the default budget each pool of these cases is a single block.
+    _late_chunks(monkeypatch, budget)
+    assert _bit_minima_mismatches()
+
+
 @pytest.mark.parametrize(
     "shape", [(0, 0), (3, 0), (0, 5), (5, 1), (7, 63), (9, 64), (11, 65), (40, 129)]
 )
-def test_or_kernel_matches_set_oracle(shape):
+def test_or_kernel_matches_set_oracle(shape, monkeypatch):
     # Every third row of m has no entry, so its OR is 0; the ORed rows have
-    # zero padding, which the result keeps.
+    # zero padding, which the result keeps.  Each case runs at the default
+    # budget and at 1 and 40 items, where the rows split into many blocks.
     r, c = shape
     rng = np.random.default_rng(list(shape))
     for density in (0.0, 0.1, 0.5, 1.0):
@@ -633,8 +719,14 @@ def test_or_kernel_matches_set_oracle(shape):
             for j in np.flatnonzero(m[i]):
                 union |= set(np.flatnonzero(members[j]).tolist())
             want[i, sorted(union)] = True
-        got = preferences._or_rows(m, preferences._bit_rows(members))
-        assert np.array_equal(got, _words(want)), (shape, density)
+        bits = preferences._bit_rows(m)
+        for budget in (preferences._CHUNK_ITEMS, 1, 40):
+            with monkeypatch.context() as patch:
+                patch.setattr(preferences, "_CHUNK_ITEMS", budget)
+                got = preferences._or_rows(bits, preferences._bit_rows(members))
+                assert np.array_equal(got, _words(want)), (shape, density, budget)
+                counts = preferences._row_counts(bits)
+                assert np.array_equal(counts, m.sum(axis=1)), (shape, density, budget)
 
 
 def _rank_model(n: int):
@@ -690,6 +782,16 @@ def test_rank_comparison_catches_strict_rows_read_as_weak(monkeypatch):
     # next one: the order turns reflexive and ties count as wins.
     _inject(monkeypatch, "_global_order", "ge[i, rank[i] + 1]", "ge[i, rank[i]]")
     assert _rank_rule_mismatches(9) > 0
+
+
+def test_minima_refuse_a_reflexive_block(monkeypatch):
+    # Strict rows read as weak turn one category's order into rd(x) <=
+    # rd(y): transitive, so only the block's diagonal bits can refuse it.
+    _inject(monkeypatch, "_global_order", "ge[i, rank[i] + 1]", "ge[i, rank[i]]")
+    model = make_model({"K": {"a": 0.0, "b": 0.5, "c": 1.0}}, {"K": ["a", "b"]})
+    with pytest.raises(ConsistencyError) as exc:
+        minima(model, SpecificityRelation(pairs=frozenset()), np.ones(3, dtype=bool))
+    assert str(exc.value) == "global preference is not a strict order: a < a"
 
 
 def _sized_model(rng, n: int):
