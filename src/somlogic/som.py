@@ -101,9 +101,16 @@ class TrainConfig:
             if not (0.0 < v <= 1.0):
                 raise ConfigError(f"{name} must be in (0, 1], got {v!r}")
         for name in ("radius_start", "radius_end"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ConfigError(f"{name} must be positive and finite, got {v!r}")
+            _check_radius(name, getattr(self, name), ConfigError)
+
+
+def _check_radius(name: str, v: float, error: type[Exception]) -> None:
+    """Raise ``error`` unless radius ``v`` is positive, finite and large
+    enough that 2 * v**2, the neighbourhood's denominator, is not 0.0."""
+    if not (v > 0.0 and math.isfinite(v)):
+        raise error(f"{name} must be positive and finite, got {v!r}")
+    if 2.0 * v * v == 0.0:
+        raise error(f"{name} {v!r} is too small: 2 * {name}**2 underflows to 0.0")
 
 
 @dataclass
@@ -112,6 +119,14 @@ class SomMap:
 
     ``weights`` has shape ``(rows * cols, input_dim)``; unit ``i`` sits at
     grid position ``(i // cols, i % cols)``.
+
+    Two read-only tables, built once here, give the presentation step
+    (``_present``) each unit's negated squared grid offset from a BMU's row
+    and column: ``_row_gd2[r, u] = -(r_u - r)**2`` for each of the ``rows``
+    rows and ``_col_gd2[c, u] = -(c_u - c)**2`` for each of the ``cols``
+    columns.  The offsets are small integers, so ``_row_gd2[r] +
+    _col_gd2[c]`` is the negated squared grid distance to unit ``r * cols +
+    c`` exactly.  Together they hold ``(rows + cols) * n_units`` floats.
     """
 
     rows: int
@@ -121,6 +136,8 @@ class SomMap:
     weights: np.ndarray
     epochs_trained: int = 0
     _coords: np.ndarray = field(init=False, repr=False)
+    _row_gd2: np.ndarray = field(init=False, repr=False)
+    _col_gd2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -139,6 +156,8 @@ class SomMap:
         rr, cc = np.divmod(np.arange(self.rows * self.cols), self.cols)
         self._coords = np.stack([rr, cc], axis=1).astype(np.float64)
         self._coords.flags.writeable = False
+        self._row_gd2 = _negated_square_offsets(self._coords[:, 0], self.rows)
+        self._col_gd2 = _negated_square_offsets(self._coords[:, 1], self.cols)
 
     @property
     def n_units(self) -> int:
@@ -150,10 +169,20 @@ class SomMap:
         return self._coords
 
     def copy(self) -> "SomMap":
-        """A map with its own weights; it shares the read-only grid coords."""
+        """A map with its own weights; it shares the read-only grid coords
+        and offset tables."""
         out = copy.copy(self)
         out.weights = self.weights.copy()
         return out
+
+
+def _negated_square_offsets(pos: np.ndarray, n: int) -> np.ndarray:
+    """``-(pos - p)**2`` for each grid line ``p < n`` (rows) and each entry
+    of ``pos`` (columns), read-only; computed in float64 like the distance
+    it stands for, so a zero offset is -0.0."""
+    table = -((pos - np.arange(n, dtype=np.float64)[:, np.newaxis]) ** 2)
+    table.flags.writeable = False
+    return table
 
 
 # ==============================================================
@@ -302,31 +331,52 @@ def nearest_in_groups(x: np.ndarray, weights: np.ndarray, cols, starts) -> np.nd
     return out
 
 
-def _present(weights: np.ndarray, coords: np.ndarray, x: np.ndarray, lr: float, radius: float) -> None:
-    """One stimulus presentation, updating ``weights`` in place.
+# The least 2 * radius**2 that ``_present`` divides by.  A unit off the BMU
+# lies at grid distance 1 or more, and exp(-1 / 1e-3) is already 0.0 in
+# float64, so below this every h is 0.0 off the BMU and 1.0 on it whatever
+# the radius: the floor changes no h and keeps the exponent finite, where
+# dividing by a subnormal 2 * radius**2 can overflow it.
+_MIN_TWO_R2 = 1e-3
+
+
+def _present(som: SomMap, x: np.ndarray, lr: float, radius: float, scratch: np.ndarray) -> None:
+    """One stimulus presentation, updating ``som.weights`` in place.
 
     Each unit moves as w <- (1 - a) * w + a * x with a = lr * h and Gaussian
     neighbourhood h = exp(-grid_dist^2 / (2 * radius^2)) around the BMU.  The
     convex-combination form makes lr = 1, h = 1 land exactly on ``x``.
+
+    The step costs only that arithmetic.  The squared differences from
+    ``x`` are formed in ``scratch``, a buffer of the weights' shape that the
+    caller keeps across steps.  -grid_dist^2 is the sum of the BMU's rows
+    of the map's two offset tables (``SomMap``), and the neighbourhood is
+    divided by 2 * radius^2 (at least ``_MIN_TWO_R2``), exponentiated and
+    scaled by lr in place on that one units-long vector.  Each float
+    equals, bit for bit, the one the formula gives from the units' grid
+    coordinates; where the formula's exponent would overflow, h is 0.0, its
+    limit.
     """
-    d2 = ((weights - x) ** 2).sum(axis=1)
-    bmu = int(np.argmin(d2))
-    gd2 = ((coords - coords[bmu]) ** 2).sum(axis=1)
-    h = np.exp(-gd2 / (2.0 * radius * radius))
-    a = (lr * h)[:, np.newaxis]
-    weights *= 1.0 - a
-    weights += a * x
+    w = som.weights
+    diff = np.subtract(w, x, out=scratch)
+    diff *= diff
+    r, c = divmod(int(diff.sum(axis=1).argmin()), som.cols)
+    h = np.add(som._row_gd2[r], som._col_gd2[c])
+    h /= max(2.0 * radius * radius, _MIN_TWO_R2)
+    np.exp(h, out=h)
+    h *= lr
+    a = h[:, np.newaxis]
+    w *= 1.0 - a
+    w += np.multiply(a, x, out=scratch)
 
 
 def apply_presentation(som: SomMap, x, lr: float, radius: float) -> SomMap:
     """Return a new map after presenting a single stimulus vector."""
     if not (0.0 < lr <= 1.0):
         raise InputError(f"learning rate must be in (0, 1], got {lr!r}")
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise InputError(f"radius must be positive and finite, got {radius!r}")
+    _check_radius("radius", radius, InputError)
     v = _check_vector(som, x)
     out = som.copy()
-    _present(out.weights, out.grid_coords, v, float(lr), float(radius))
+    _present(out, v, float(lr), float(radius), np.empty_like(out.weights))
     return out
 
 
@@ -389,14 +439,14 @@ def train(som: SomMap, data: Sequence[Stimulus], cfg: TrainConfig) -> tuple[SomM
     if cfg.epochs == 0:
         return out, qe_log
 
-    coords = out.grid_coords
+    scratch = np.empty_like(out.weights)
     current_epoch = 0
     with _refusing_overflow():
         for epoch, i, lr, radius in presentation_schedule(len(data), cfg):
             if epoch != current_epoch:
                 qe_log.append(_qe(out.weights, x))
                 current_epoch = epoch
-            _present(out.weights, coords, x[i], lr, radius)
+            _present(out, x[i], lr, radius, scratch)
         qe_log.append(_qe(out.weights, x))
     out.epochs_trained = som.epochs_trained + cfg.epochs
     return out, qe_log

@@ -4,8 +4,10 @@ Everything here is written with plain Python loops and dicts, straight from
 the definitions, sharing no code with the package internals, except that
 ``oracle_verify_klm`` takes the report types from the library and
 ``oracle_model_from_snapshot`` the snapshot reading and the derivation,
-since what it is the reference for is the comparison that follows them.
-Tests compare library outputs against these.
+since what it is the reference for is the comparison that follows them,
+and ``oracle_train`` takes the presentation schedule from the library,
+since what it is the reference for is the step.  Tests compare library
+outputs against these.
 
 The set-based routes live here too: ``extension`` evaluates a concept to a
 frozenset of element ids, and ``minimal_elements`` reads the minima of a set
@@ -35,6 +37,7 @@ from somlogic.preferences import (
     _check,
     default_concept_pool,
 )
+from somlogic.som import presentation_schedule
 
 
 def rd_table(model: SemanticModel, name: str) -> dict[str, float]:
@@ -78,6 +81,40 @@ def oracle_qe(weight_rows, vectors) -> float:
     for v in vectors:
         total += min(dist(w, v) for w in weight_rows)
     return total / len(vectors)
+
+
+def oracle_present(weights: np.ndarray, cols: int, x: np.ndarray, lr: float, radius: float) -> np.ndarray:
+    """The weights after one presentation, by the formula from each unit's
+    grid coordinates: the BMU is the first unit nearest ``x``, h =
+    exp(-grid_dist^2 / (2 * radius^2)) around it, and each unit moves to
+    (1 - a) * w + a * x with a = lr * h."""
+    bmu = int(np.argmin(((weights - x) ** 2).sum(axis=1)))
+    coords = np.array([divmod(u, cols) for u in range(len(weights))], dtype=np.float64)
+    gd2 = ((coords - coords[bmu]) ** 2).sum(axis=1)
+    a = (lr * np.exp(-gd2 / (2.0 * radius * radius)))[:, np.newaxis]
+    return (1.0 - a) * weights + a * x
+
+
+def oracle_train(som, data, cfg) -> tuple[np.ndarray, list[float]]:
+    """The weights ``train`` reaches and its per-epoch quantization errors,
+    one ``oracle_present`` per step of the library's presentation
+    schedule."""
+    x = np.array([s.features for s in data], dtype=np.float64)
+    w = som.weights.copy()
+    qe_log: list[float] = []
+
+    def qe() -> float:
+        return float(np.sqrt(oracle_sq_dists(x, w).min(axis=1)).mean())
+
+    current_epoch = 0
+    for epoch, i, lr, radius in presentation_schedule(len(data), cfg):
+        if epoch != current_epoch:
+            qe_log.append(qe())
+            current_epoch = epoch
+        w = oracle_present(w, som.cols, x[i], lr, radius)
+    if cfg.epochs:
+        qe_log.append(qe())
+    return w, qe_log
 
 
 def oracle_rd(y_feats, ensemble_feats, precision) -> float:

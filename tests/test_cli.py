@@ -266,6 +266,30 @@ def test_overflowing_features_exit_1(tmp_path, data_csv, capsys):
     assert not (run / "model.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_vanishing_radius(tmp_path, data_csv, capsys):
+    # At 1e-200, 2 * radius**2 underflows to 0.0: train and trace refuse the
+    # radius by name and write nothing.  At 1e-160 it is a subnormal: each
+    # step moves the BMU alone, exactly as at radius 0.01, and the run
+    # succeeds.
+    def run(cmd, radius, out):
+        radii = ["--radius-start", radius, "--radius-end", radius]
+        code = main([cmd, "--data", data_csv, "--out", str(out)] + radii + SMALL)
+        return code, capsys.readouterr().err
+
+    for cmd in ("train", "trace"):
+        out = tmp_path / f"{cmd}-1e-200"
+        code, err = run(cmd, "1e-200", out)
+        assert code == 1, cmd
+        assert err.startswith("error: radius_start 1e-200 is too small"), (cmd, err)
+        assert "Traceback" not in err
+        assert not out.exists(), cmd
+        tiny, small = tmp_path / f"{cmd}-1e-160", tmp_path / f"{cmd}-0.01"
+        assert run(cmd, "1e-160", tiny) == (0, ""), cmd
+        assert run(cmd, "0.01", small) == (0, ""), cmd
+        assert (tiny / "map.json").read_bytes() == (small / "map.json").read_bytes(), cmd
+
+
 def test_verify_passes_on_trained_model(tmp_path, data_csv, capsys):
     out = train_and_extract(tmp_path, data_csv)
     capsys.readouterr()

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ def test_scalar_forms():
     assert jsonio.canonical_dumps(0.1) == "0.10000000000000001"
     assert jsonio.canonical_dumps(1.0) == "1.0"
     assert jsonio.canonical_dumps(-0.0) == "-0.0"
+    assert jsonio.canonical_dumps(1e17) == "1e+17"
 
 
 def test_nonfinite_rejected():
@@ -59,3 +61,50 @@ def test_unserialisable_type():
         jsonio.canonical_dumps({"x": {1, 2}})
     with pytest.raises(TypeError):
         jsonio.canonical_dumps({3: "non-string key"})
+
+
+class _Str(str):
+    pass
+
+
+def _via_general_chain(obj):
+    """``obj`` with every str, float, list and dict key rewritten as a
+    subclass or sibling type (a str subclass, numpy's float64, a tuple), so
+    the writer reaches each value through its general chain rather than the
+    exact-type dispatch."""
+    if type(obj) is str:
+        return _Str(obj)
+    if type(obj) is float:
+        return np.float64(obj)
+    if type(obj) is list:
+        return tuple(_via_general_chain(v) for v in obj)
+    if type(obj) is dict:
+        return {_Str(k): _via_general_chain(v) for k, v in obj.items()}
+    return obj
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+def test_exact_types_write_the_bytes_of_the_general_chain(obj):
+    assert jsonio.canonical_dumps(obj) == jsonio.canonical_dumps(_via_general_chain(obj))
+
+
+def test_strings_are_escaped_as_by_json_dumps():
+    s = 'é\n"\\\x00\U0001f600'
+    assert jsonio.canonical_dumps([s, {s: 0}]) == f"[{json.dumps(s)},{{{json.dumps(s)}:0}}]"
+
+
+def test_refused_value_leaves_no_file(tmp_path):
+    p = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="non-finite float"):
+        jsonio.dump_file(p, {"w": [1.0, math.nan]})
+    with pytest.raises(TypeError, match="cannot serialise set"):
+        jsonio.dump_file(p, {"w": {1}})
+    assert not p.exists()

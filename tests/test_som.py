@@ -1,4 +1,6 @@
 import copy
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from somlogic import (
 from somlogic import som as som_module
 from somlogic.som import map_from_snapshot, map_snapshot, nearest_in_groups, nearest_units
 
-from oracles import oracle_bmu, oracle_qe, oracle_sq_dists
+from oracles import oracle_bmu, oracle_present, oracle_qe, oracle_sq_dists, oracle_train
 
 
 def small_data():
@@ -288,12 +290,112 @@ def test_single_presentation_pulls_bmu_onto_stimulus():
     assert np.array_equal(out.weights[others], som.weights[others])
 
 
+def _train_case(seed: int, rows: int, cols: int, dim: int, n: int, epochs: int):
+    """A map, stimuli and a config.  Later units copy earlier ones and some
+    stimuli sit on a copied unit, so BMU ties must go to the lowest index;
+    some stimuli repeat; lr is 1 at either end half the time, and radii run
+    from 1e-6, where every h off the BMU is 0.0, to 10."""
+    rng = np.random.default_rng(seed)
+    units = rows * cols
+    w = rng.normal(size=(units, dim)) * np.exp(rng.uniform(-2, 2, (units, dim)))
+    src = rng.integers(0, units, size=units // 3 + 1)
+    dst = rng.integers(0, units, size=src.size)
+    w[np.maximum(src, dst)] = w[np.minimum(src, dst)]
+    x = rng.normal(size=(n, dim)) * 2
+    x[: n // 3] = w[np.minimum(src, dst)[: n // 3]]
+    x[n // 3: n // 2] = x[rng.integers(0, n, size=n // 2 - n // 3)]
+    data = [Stimulus(f"s{i}", tuple(v), "A") for i, v in enumerate(x.tolist())]
+    lr_start, lr_end = (1.0 if rng.random() < 0.5 else float(rng.uniform(0.01, 1.0)) for _ in range(2))
+    radius_start, radius_end = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), 2)).tolist()
+    cfg = TrainConfig(epochs=epochs, lr_start=lr_start, lr_end=lr_end, radius_start=radius_start,
+                      radius_end=radius_end, seed=seed, shuffle=bool(rng.random() < 0.8))
+    som = SomMap(rows=rows, cols=cols, input_dim=dim, seed=seed, weights=w)
+    return som, data, cfg
+
+
+def _step_mismatches(som, data, cfg) -> list[str]:
+    """Which of ``train`` (weights, QE log) and ``apply_presentation`` on
+    the untrained map differ, bit for bit, from the oracle's step."""
+    out = []
+    weights, qe_log = oracle_train(som, data, cfg)
+    x = np.array(data[-1].features)
+    trained, log = train(som, data, cfg)
+    stepped = apply_presentation(som, x, cfg.lr_start, cfg.radius_start)
+    if trained.weights.tobytes() != weights.tobytes():
+        out.append("train weights")
+    if log != qe_log:
+        out.append("QE log")
+    want = oracle_present(som.weights, som.cols, x, cfg.lr_start, cfg.radius_start)
+    if stepped.weights.tobytes() != want.tobytes():
+        out.append("apply_presentation")
+    return out
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(1, 3),
+)
+@settings(max_examples=60)
+@example(0, 2, 5, 8, 8, 3)
+@example(1, 5, 3, 1, 8, 2)
+def test_presentation_step_equals_oracle(seed, rows, cols, dim, n, epochs):
+    som, data, cfg = _train_case(seed, rows, cols, dim, n, epochs)
+    assert _step_mismatches(som, data, cfg) == []
+
+
+def test_step_comparison_catches_swapped_tables():
+    som, data, cfg = _train_case(3, 4, 4, 3, 8, 2)
+    assert _step_mismatches(som, data, cfg) == []
+    som._row_gd2, som._col_gd2 = som._col_gd2, som._row_gd2
+    assert _step_mismatches(som, data, cfg)
+
+
+def test_step_comparison_catches_bmu_decoded_by_rows(monkeypatch):
+    # On this 3x4 case every BMU decodes to a row and column in range.
+    som, data, cfg = _train_case(9, 3, 4, 2, 8, 2)
+    assert _step_mismatches(som, data, cfg) == []
+    src = textwrap.dedent(inspect.getsource(som_module._present))
+    assert src.count("som.cols)") == 1
+    namespace = dict(vars(som_module))
+    exec(compile(src.replace("som.cols)", "som.rows)"), som_module.__file__, "exec"), namespace)
+    monkeypatch.setattr(som_module, "_present", namespace["_present"])
+    assert _step_mismatches(som, data, cfg)
+
+
+def test_offset_tables_are_shared_and_read_only():
+    som = init_map(2, 3, 2, seed=0, value_range=(0.0, 1.0))
+    assert som._row_gd2.shape == (2, 6) and som._col_gd2.shape == (3, 6)
+    twin = som.copy()
+    assert twin._row_gd2 is som._row_gd2 and twin._col_gd2 is som._col_gd2
+    with pytest.raises(ValueError):
+        som._row_gd2[0, 0] = 1.0
+
+
+def test_vanishing_radius_is_winner_take_all():
+    # At 1e-160, 2 * radius**2 is a subnormal and -grid_dist^2 divided by
+    # it overflows; every h off the BMU is 0.0, as it already is at 0.01.
+    data = small_data()
+    som0 = init_map(3, 4, 2, seed=0, value_range=feature_range(data))
+    tiny, _ = train(som0, data, TrainConfig(epochs=3, radius_start=1e-160, radius_end=1e-160))
+    small, _ = train(som0, data, TrainConfig(epochs=3, radius_start=0.01, radius_end=0.01))
+    assert tiny.weights.tobytes() == small.weights.tobytes()
+    x = data[0].features
+    assert (apply_presentation(som0, x, 0.5, 1e-160).weights.tobytes()
+            == apply_presentation(som0, x, 0.5, 0.01).weights.tobytes())
+
+
 def test_apply_presentation_validation():
     som = init_map(2, 2, 2, seed=0, value_range=(0.0, 1.0))
     with pytest.raises(InputError):
         apply_presentation(som, (0.1, 0.2), lr=0.0, radius=1.0)
     with pytest.raises(InputError):
         apply_presentation(som, (0.1, 0.2), lr=0.5, radius=0.0)
+    with pytest.raises(InputError, match="radius 1e-200 is too small"):
+        apply_presentation(som, (0.1, 0.2), lr=0.5, radius=1e-200)
 
 
 def test_config_validation():
@@ -305,6 +407,10 @@ def test_config_validation():
         TrainConfig(epochs=1, lr_start=1.5)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, radius_end=-2.0)
+    # 2 * radius**2 underflows to 0.0
+    for name in ("radius_start", "radius_end"):
+        with pytest.raises(ConfigError, match=f"{name} 1e-200 is too small"):
+            TrainConfig(epochs=1, **{name: 1e-200})
 
 
 def test_train_empty_data():
