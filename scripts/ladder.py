@@ -9,7 +9,9 @@ The centre spread s is 20 on S, M and L, where the clusters lie apart, and
 3 on O, where they overlap so densely that almost every conjunction in the
 concept pool has its own extension.
 The script prints, per rung, in milliseconds, the time of the one train
-call that builds the rung's map, and the median of three calls of
+call that builds the rung's map, the mean revision step of one one-epoch
+run_trace over the rung's data (its time divided by its steps), and the
+median of three calls of
 build_model, build_preferential, verify_order_axioms, verify_klm, minima
 over the whole domain (T(Top), with its strict-order guard), and
 `somlogic verify` and `somlogic check "T(Top) <= C0"` run in-process on the
@@ -40,6 +42,7 @@ from somlogic import (
     gaussian_clusters,
     init_map,
     minima,
+    run_trace,
     save_model,
     train,
     verify_klm,
@@ -78,6 +81,7 @@ def peak_mb(fn):
 
 STAGES = (
     "train, one call",
+    "revise, mean step over one epoch",
     "build_model",
     "build_preferential",
     "verify_order_axioms",
@@ -98,6 +102,9 @@ def rung_times(k, per_cluster, side, dim, epochs, spread, tmp):
     t0 = time.perf_counter()
     som, _ = train(som0, data, TrainConfig(epochs=epochs))
     train_ms = 1000 * (time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    _, steps = run_trace(data, TrainConfig(epochs=1), side, side)
+    step_ms = 1000 * (time.perf_counter() - t0) / len(steps)
     model = build_model(som, data)
     path = os.path.join(tmp, "model.json")
     save_model(path, model)
@@ -111,6 +118,7 @@ def rung_times(k, per_cluster, side, dim, epochs, spread, tmp):
     domain = np.ones(len(model.element_ids), dtype=bool)
     return len(model.element_ids), [
         train_ms,
+        step_ms,
         median_ms(lambda: build_model(som, data)),
         median_ms(lambda: build_preferential(model, rel)),
         median_ms(lambda: verify_order_axioms(pref)),

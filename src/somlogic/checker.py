@@ -13,9 +13,11 @@ Exact extension containment is computed alongside the margin criterion and
 reported separately; the two can disagree and neither overrides the other.
 
 ``kb_criteria`` states both criteria once, over the ``k x k`` matrix of
-those maxima, and ``kb_inclusions`` turns its boolean matrices into the KB:
+those maxima, and ``kb_inclusions`` turns its boolean matrices into the KB
+by picking from ``inclusion_table``, every inclusion the KB can hold:
 ``extract_kb`` and ``derive_specificity`` read the maxima off a model, and
-the revision step computes them from the map alone.
+the revision step computes them from the map alone, with one table for the
+whole trace.
 ``extract_kb`` returns the inclusions that hold between every ordered pair
 of categories with stimuli, and ``Ci <= Bot`` for each category without any
 stimulus (its extension is empty).  ``check_typicality`` and
@@ -48,6 +50,7 @@ __all__ = [
     "check_typicality",
     "check_strict",
     "kb_criteria",
+    "inclusion_table",
     "kb_inclusions",
     "extract_kb",
     "kb_file_text",
@@ -109,6 +112,10 @@ def _max_rd_witnesses(model: SemanticModel, ci: str, cj: str, bound: float) -> t
                  if not rd_j[model.col_of[eid]] <= bound)
 
 
+# The inclusion kinds, in the order of their blocks in ``inclusion_table``.
+_KINDS = ("defeasible", "strict")
+
+
 def _criteria(val, rd_max_i, rd_max_j) -> dict:
     """Whether ``T(Ci) <= Cj`` and ``Ci <= Cj`` hold, by inclusion kind, for
     ``val = rd_bmu_set(Ci, Cj)``; elementwise on arrays as on floats."""
@@ -120,22 +127,30 @@ def kb_criteria(val: np.ndarray, rd_max: np.ndarray, empty: np.ndarray) -> dict[
     (i, j) whose inclusion holds, false where a category is ``empty``.
     ``val[i, j]`` is ``rd_bmu_set`` of category i in j and ``rd_max[i]`` the
     bound of i; both are read only where neither category is empty."""
+    criteria = _criteria(val, rd_max[:, np.newaxis], rd_max[np.newaxis, :])
+    if not empty.any():
+        return criteria
     live = ~empty[:, np.newaxis] & ~empty[np.newaxis, :]
-    return {kind: holds & live
-            for kind, holds in _criteria(val, rd_max[:, np.newaxis], rd_max[np.newaxis, :]).items()}
+    return {kind: holds & live for kind, holds in criteria.items()}
 
 
-def kb_inclusions(names, criteria: Mapping[str, np.ndarray], empty: np.ndarray) -> frozenset[Inclusion]:
-    """The inclusions among the categories ``names`` that ``criteria``
+def inclusion_table(names) -> np.ndarray:
+    """Every inclusion of a KB over the categories ``names``, as a flat
+    object array of ``k + 2 * k * k`` entries for k names: ``Ci <= Bot`` for
+    each i, then, for each kind of ``_KINDS``, the inclusion between each
+    (i, j), in row-major order."""
+    cats = [Name(n) for n in names]
+    table = [Inclusion(kind="strict", lhs=c, rhs=Bot()) for c in cats]
+    table += (Inclusion(kind=kind, lhs=ci, rhs=cj) for kind in _KINDS for ci in cats for cj in cats)
+    return np.array(table, dtype=object)
+
+
+def kb_inclusions(table: np.ndarray, criteria: Mapping[str, np.ndarray], empty: np.ndarray) -> frozenset[Inclusion]:
+    """The inclusions of ``table`` (``inclusion_table``) that ``criteria``
     (from ``kb_criteria``) say hold, and ``Ci <= Bot`` for each ``empty``
     category: the KB is a function of these arguments alone."""
-    kb = [Inclusion(kind="strict", lhs=Name(names[i]), rhs=Bot()) for i in np.flatnonzero(empty)]
-    for kind, holds in criteria.items():
-        kb += (
-            Inclusion(kind=kind, lhs=Name(names[i]), rhs=Name(names[j]))
-            for i, j in zip(*np.nonzero(holds))
-        )
-    return frozenset(kb)
+    picks = np.concatenate((empty, *(criteria[kind].ravel() for kind in _KINDS)))
+    return frozenset(table[picks].tolist())
 
 
 def _report(model: SemanticModel, inc: Inclusion, val: float, holds: bool) -> CheckReport:
@@ -225,7 +240,8 @@ def extract_kb(model: SemanticModel) -> KbExtraction:
          for i, j in zip(*np.nonzero(criteria["defeasible"]))),
         key=lambda pair: (pair[1], inclusion_text(pair[0])),
     )
-    return KbExtraction(kb=kb_inclusions(cats, criteria, empty), ranked_defeasible=tuple(ranked))
+    return KbExtraction(kb=kb_inclusions(inclusion_table(cats), criteria, empty),
+                        ranked_defeasible=tuple(ranked))
 
 
 def kb_file_text(extraction: KbExtraction) -> str:

@@ -284,7 +284,10 @@ def _rd(num: np.ndarray, precision: np.ndarray) -> np.ndarray:
     """Relative distances from the distances ``num`` to each category's BMU
     ensemble, ``precision`` broadcast against ``num``: ``num / precision``,
     or, where the precision is zero, 0.0 on the ensemble and infinite
-    elsewhere."""
+    elsewhere.  The zero-precision branch runs only when some precision is
+    not positive."""
+    if (precision > 0.0).all():
+        return num / precision
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(precision > 0.0, num / precision, np.where(num == 0.0, 0.0, np.inf))
 

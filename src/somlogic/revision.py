@@ -11,13 +11,16 @@ A step computes only what the KB reads, with the distance kernels
 (``checker.kb_criteria``, ``checker.kb_inclusions``) that ``build_model``
 and ``extract_kb`` use, so its KB equals ``extract_kb(build_model(...)).kb``:
 the BMUs of the N seen stimuli on the new map (O(N*U*d) for U units in d
-dimensions), each category's precision and ``rd_max``, and the relative
-distance of each BMU unit in each category (O(U_bmu^2*d) over the U_bmu
-units that are some stimulus's BMU).  The KB is a function of the k x k
-criteria matrices and the empty mask alone, so a step materialises its
-inclusions only when those differ from the previous state's; otherwise the
-new state shares the previous KB object.  The full semantic model,
-``RevisionState.model``, is built when it is first read, and then kept.
+dimensions), each with its distance read at its argmin, each category's
+precision and ``rd_max``, and the relative distance of each BMU unit in
+each category (O(U_bmu^2*d) over the U_bmu units that are some stimulus's
+BMU).  The KB is a function of the k x k criteria matrices and the empty
+mask alone.  ``initial_state`` builds the 2*k^2 + k inclusions that a KB
+over the k categories can hold once, as the trace's ``inclusion_table``; a
+step picks its KB from that table by index, and only when the matrices and
+the mask differ from the previous state's; otherwise the new state shares
+the previous KB object.  The full semantic model, ``RevisionState.model``,
+is built when it is first read, and then kept.
 
 Before anything is seen every category is empty, so the initial knowledge
 base is exactly ``{Ci <= Bot}`` for every category.  A full trace over the
@@ -36,7 +39,7 @@ from typing import Mapping
 import numpy as np
 
 from . import jsonio
-from .checker import extract_kb, kb_criteria, kb_inclusions
+from .checker import extract_kb, inclusion_table, kb_criteria, kb_inclusions
 from .concepts import Inclusion, inclusion_text
 from .errors import InputError
 from .model import SemanticModel, _rd, build_model, initial_model
@@ -90,8 +93,10 @@ class RevisionState:
     order of first presentation.  ``features`` and ``labels`` hold the same
     stimuli as rows of features and indices into ``categories``; a step that
     presents a new stimulus adds one row.  ``named_units`` holds each unit
-    ``u`` with ``f"u{u}"`` a seen id.  ``kb_key`` is ``kb``'s ``_kb_key``,
-    None before the first step.
+    ``u`` with ``f"u{u}"`` a seen id.  ``inclusions`` is the categories'
+    ``inclusion_table``, built once per trace, from which each step picks
+    its KB.  ``kb_key`` is ``kb``'s ``_kb_key``, None before the first
+    step.
     """
 
     som: SomMap
@@ -100,6 +105,7 @@ class RevisionState:
     features: np.ndarray
     labels: np.ndarray
     named_units: np.ndarray
+    inclusions: np.ndarray
     kb: frozenset[Inclusion]
     kb_key: bytes | None
     steps_done: int
@@ -124,6 +130,7 @@ def initial_state(som: SomMap, categories) -> RevisionState:
         features=np.empty((0, som.input_dim)),
         labels=np.empty(0, dtype=np.intp),
         named_units=np.empty(0, dtype=np.intp),
+        inclusions=inclusion_table(cats),
         kb=extract_kb(initial_model(cats, som.input_dim)).kb,
         kb_key=None,
         steps_done=0,
@@ -143,40 +150,42 @@ def _named_unit(sid: str, n_units: int) -> int | None:
 
 
 def _kb_key(criteria: Mapping[str, np.ndarray], empty: np.ndarray) -> bytes:
-    """Everything ``kb_inclusions`` reads besides the category names."""
+    """Everything ``kb_inclusions`` reads besides the inclusion table."""
     return empty.tobytes() + b"".join(m.tobytes() for m in criteria.values())
 
 
 def _kb_of(som: SomMap, categories: tuple[str, ...], features: np.ndarray, labels: np.ndarray,
-           seen: Mapping[str, Stimulus], named_units: np.ndarray,
+           seen: Mapping[str, Stimulus], named_units: np.ndarray, table: np.ndarray,
            reuse: tuple[bytes | None, frozenset[Inclusion]]) -> tuple[bytes, frozenset[Inclusion]]:
     """``extract_kb(build_model(som, seen, categories=categories)).kb`` from
     the BMU geometry alone, with its key (``_kb_key``); ``features``,
-    ``labels`` and ``named_units`` describe ``seen``.  ``reuse`` is a (key,
-    KB) pair whose KB is returned as it is when the key is the same."""
+    ``labels`` and ``named_units`` describe ``seen``, and ``table`` is the
+    categories' ``inclusion_table``.  ``reuse`` is a (key, KB) pair whose KB
+    is returned as it is when the key is the same."""
     bmu, d2 = nearest_units(features, som.weights)
-    # np.unique(bmu, return_inverse=True), by counting over the unit indices
-    hit = np.bincount(bmu, minlength=som.n_units) > 0
-    units, unit_row = np.flatnonzero(hit), (np.cumsum(hit) - 1)[bmu]
-    if not np.isfinite(d2).all() or (named_units.size and np.isin(units, named_units).any()):
+    k = len(categories)
+    # pairs[c, u]: some stimulus of category c has BMU u
+    pairs = np.zeros((k, som.n_units), dtype=bool)
+    pairs[labels, bmu] = True
+    hit = pairs.any(axis=0)
+    if not np.isfinite(d2).all() or (named_units.size and hit[named_units].any()):
         # build_model refuses a precision that overflowed and a stimulus id
         # that is also a BMU element's id; let it decide on these inputs.
         build_model(som, tuple(seen.values()), categories=categories)
 
-    k, n_units = len(categories), len(units)
-    # The distinct (category, unit) pairs, sorted by category, then by unit
-    # (an index into ``units``); each category with stimuli is one run.
-    cat, unit = np.divmod(np.flatnonzero(np.bincount(labels * n_units + unit_row)), n_units)
-    starts = np.concatenate(([0], np.flatnonzero(cat[1:] != cat[:-1]) + 1))
-    ranked = cat[starts]
-    empty = np.bincount(labels, minlength=k) == 0
+    # The (category, BMU unit) pairs, by category, then by unit (an index
+    # among the BMU units); each category with stimuli is one run.
+    cat, unit = np.nonzero(pairs[:, hit])
+    empty = np.bincount(cat, minlength=k) == 0
+    ranked = np.flatnonzero(~empty)
+    starts = np.searchsorted(cat, ranked)
     precision = np.zeros(k)
     np.maximum.at(precision, labels, np.sqrt(d2))
     # The largest rd over a category's own stimuli: precision / precision,
     # or 0.0 when the precision is 0.
     rd_max = np.where(precision > 0.0, 1.0, 0.0)
 
-    unit_weights = som.weights[units]
+    unit_weights = som.weights[hit]
     num = np.sqrt(nearest_in_groups(unit_weights, unit_weights, unit, starts))
     rd = _rd(num, precision[ranked])  # rd(BMU unit, ranked category)
     val = np.full((k, k), np.nan)
@@ -185,7 +194,7 @@ def _kb_of(som: SomMap, categories: tuple[str, ...], features: np.ndarray, label
     key = _kb_key(criteria, empty)
     if key == reuse[0]:
         return key, reuse[1]
-    return key, kb_inclusions(categories, criteria, empty)
+    return key, kb_inclusions(table, criteria, empty)
 
 
 def revise(state: RevisionState, stimulus: Stimulus, lr: float, radius: float) -> tuple[RevisionState, RevisionStep]:
@@ -212,7 +221,7 @@ def revise(state: RevisionState, stimulus: Stimulus, lr: float, radius: float) -
         if u is not None:
             named_units = np.append(named_units, u)
     kb_key, kb = _kb_of(new_som, state.categories, features, labels, seen, named_units,
-                        (state.kb_key, state.kb))
+                        state.inclusions, (state.kb_key, state.kb))
 
     step = RevisionStep(
         step_index=state.steps_done,
@@ -229,6 +238,7 @@ def revise(state: RevisionState, stimulus: Stimulus, lr: float, radius: float) -
         features=features,
         labels=labels,
         named_units=named_units,
+        inclusions=state.inclusions,
         kb=kb,
         kb_key=kb_key,
         steps_done=state.steps_done + 1,

@@ -13,7 +13,6 @@ per-epoch presentation order, and BMU tie-breaking (lowest unit index).
 from __future__ import annotations
 
 import contextlib
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -135,7 +134,6 @@ class SomMap:
     seed: int
     weights: np.ndarray
     epochs_trained: int = 0
-    _coords: np.ndarray = field(init=False, repr=False)
     _row_gd2: np.ndarray = field(init=False, repr=False)
     _col_gd2: np.ndarray = field(init=False, repr=False)
 
@@ -153,25 +151,19 @@ class SomMap:
         if not np.all(np.isfinite(w)):
             raise ConfigError("map weights must be finite")
         self.weights = w
-        rr, cc = np.divmod(np.arange(self.rows * self.cols), self.cols)
-        self._coords = np.stack([rr, cc], axis=1).astype(np.float64)
-        self._coords.flags.writeable = False
-        self._row_gd2 = _negated_square_offsets(self._coords[:, 0], self.rows)
-        self._col_gd2 = _negated_square_offsets(self._coords[:, 1], self.cols)
+        row, col = np.divmod(np.arange(self.rows * self.cols), self.cols)
+        self._row_gd2 = _negated_square_offsets(row, self.rows)
+        self._col_gd2 = _negated_square_offsets(col, self.cols)
 
     @property
     def n_units(self) -> int:
         return self.rows * self.cols
 
-    @property
-    def grid_coords(self) -> np.ndarray:
-        """(n_units, 2) array of (row, col) positions."""
-        return self._coords
-
     def copy(self) -> "SomMap":
-        """A map with its own weights; it shares the read-only grid coords
-        and offset tables."""
-        out = copy.copy(self)
+        """A map with its own weights; it shares the read-only offset tables
+        and skips ``__post_init__``'s checks, which this map passed."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
         out.weights = self.weights.copy()
         return out
 
@@ -307,13 +299,15 @@ def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     numpy's own sum over the feature axis of the (rows, units, dim) array of
     squared differences, without building that array or running its
     short-axis reduce; a matrix-product expansion would differ in the last
-    bit.  Rows are taken in blocks so that the temporaries stay small.
+    bit.  Rows are taken in blocks so that the temporaries stay small.  Each
+    row's distance is read at its argmin, which is its minimum, inf
+    included.
     """
     nearest = np.empty(len(x), dtype=np.intp)
     d2_min = np.empty(len(x), dtype=np.float64)
     for block, d2 in _blocks(x, weights):
         nearest[block] = d2.argmin(axis=1)
-        d2_min[block] = d2.min(axis=1)
+        d2_min[block] = d2[np.arange(len(d2)), nearest[block]]
     return nearest, d2_min
 
 

@@ -124,6 +124,26 @@ def oracle_rd(y_feats, ensemble_feats, precision) -> float:
     return 0.0 if num == 0.0 else math.inf
 
 
+def oracle_kb_inclusions(names, criteria, empty) -> frozenset[Inclusion]:
+    """The KB that ``kb_inclusions`` picks, built afresh from its
+    definition: the inclusion of each kind between each (i, j) whose
+    ``criteria[kind][i][j]`` holds, and ``Ci <= Bot`` for each ``empty[i]``."""
+    kb = {Inclusion("strict", Name(names[i]), Bot()) for i in range(len(names)) if empty[i]}
+    for kind, holds in criteria.items():
+        kb |= {Inclusion(kind, Name(names[i]), Name(names[j]))
+               for i in range(len(names)) for j in range(len(names)) if holds[i][j]}
+    return frozenset(kb)
+
+
+def faulty_inclusion_table(table: np.ndarray, k: int, fault: str) -> np.ndarray:
+    """``table``, an ``inclusion_table`` over k names, with one fault for the
+    comparisons to catch: each kind's k x k block ``"transposed"``, or the
+    two kinds' blocks swapped (``"kinds-swapped"``)."""
+    blocks = table[k:].reshape(2, k, k)
+    blocks = blocks.transpose(0, 2, 1) if fault == "transposed" else blocks[::-1]
+    return np.concatenate((table[:k], blocks.ravel()))
+
+
 def parse_kb_text(text: str) -> list[Inclusion]:
     """The inclusions of a knowledge-base file as ``kb_file_text`` writes
     it: one per line, ``#`` starting a comment that runs to the end of the

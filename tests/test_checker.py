@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from somlogic import (
     Bot,
@@ -19,13 +21,22 @@ from somlogic import (
     kb_file_text,
     rd_bmu_set,
 )
+from somlogic import checker
 from somlogic.checker import (
     SpecificityRelation,
+    kb_inclusions,
     specificity_to_json,
 )
 from somlogic.concepts import Inclusion, inclusion_text
 
-from oracles import make_model, parse_kb_text, random_model, rd_table
+from oracles import (
+    faulty_inclusion_table,
+    make_model,
+    oracle_kb_inclusions,
+    parse_kb_text,
+    random_model,
+    rd_table,
+)
 
 
 # ==============================================================
@@ -187,6 +198,50 @@ def test_initial_model_kb():
     ex = extract_kb(m)
     assert {inclusion_text(i) for i in ex.kb} == {"A <= Bot", "B <= Bot"}
     assert ex.ranked_defeasible == ()
+
+
+# ==============================================================
+# The inclusion table
+# ==============================================================
+
+
+@st.composite
+def rule_outcomes(draw):
+    """Category names and what ``kb_criteria`` could say of them: a boolean
+    k x k matrix per kind and an empty mask, drawn independently."""
+    k = draw(st.integers(1, 8))
+    names = draw(st.lists(st.from_regex(r"[A-Z][a-z0-9]{0,3}", fullmatch=True),
+                          min_size=k, max_size=k, unique=True))
+    bits = st.lists(st.booleans(), min_size=k * k, max_size=k * k)
+    criteria = {kind: np.array(draw(bits), dtype=bool).reshape(k, k)
+                for kind in ("defeasible", "strict")}
+    empty = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)
+    return names, criteria, empty
+
+
+def _outcome(names, defeasible, strict, empty):
+    return (names, {"defeasible": np.array(defeasible, dtype=bool),
+                    "strict": np.array(strict, dtype=bool)}, np.array(empty, dtype=bool))
+
+
+@given(rule_outcomes())
+# every category empty, and none: T(A) <= B holds without T(B) <= A or A <= B
+@example(_outcome(["A", "B", "C"], np.zeros((3, 3)), np.zeros((3, 3)), [True] * 3))
+@example(_outcome(["A", "B"], [[1, 1], [0, 1]], [[1, 0], [0, 1]], [False, False]))
+def test_picked_kb_equals_structural_construction(case):
+    names, criteria, empty = case
+    table = checker.inclusion_table(names)
+    assert len(table) == len(names) + 2 * len(names) ** 2
+    assert kb_inclusions(table, criteria, empty) == oracle_kb_inclusions(names, criteria, empty)
+
+
+@pytest.mark.parametrize("fault", ["transposed", "kinds-swapped"])
+def test_table_comparison_catches_a_faulty_table(monkeypatch, fault):
+    table = checker.inclusion_table
+    monkeypatch.setattr(checker, "inclusion_table",
+                        lambda names: faulty_inclusion_table(table(names), len(names), fault))
+    with pytest.raises(AssertionError):
+        test_picked_kb_equals_structural_construction()
 
 
 def test_kb_file_text_reparses(cluster_model):

@@ -26,6 +26,8 @@ from somlogic.model import model_snapshot
 from somlogic.revision import step_to_json, trace_text
 from somlogic.som import SomMap, presentation_schedule
 
+from oracles import faulty_inclusion_table
+
 
 def two_cluster_stream():
     pts = [
@@ -106,7 +108,7 @@ def test_rebuild_comparison_catches_stale_bmus():
         fresh = extract_kb(build_model(state.som, state.seen, categories=state.categories)).kb
         stale = revision._kb_of(
             previous_som, state.categories, state.features, state.labels, state.seen_by_id,
-            state.named_units, (None, frozenset()),  # no previous KB to reuse
+            state.named_units, state.inclusions, (None, frozenset()),  # no previous KB to reuse
         )[1]
         stale_steps += stale != fresh
     assert stale_steps > 0
@@ -198,6 +200,10 @@ def replays(draw):
 
 
 @given(replays())
+# One unit lands on C0's stimulus, then on C1's: C1 <= C0 holds but not
+# C0 <= C1, and T(C0) <= C1 holds without C0 <= C1.
+@example((init_map(1, 1, 1, 0, ((0.0,), (0.5,))), ["C0", "C1", "C2"],
+          [Stimulus("s0", (0.0,), "C0"), Stimulus("s1", (0.5,), "C1")], [(0, 1.0, 0.3), (1, 1.0, 0.3)]))
 def test_step_kb_matches_rebuild_on_random_replays(case):
     som0, categories, data, schedule = case
     state = initial_state(som0, categories)
@@ -205,6 +211,16 @@ def test_step_kb_matches_rebuild_on_random_replays(case):
         state, _ = revise(state, data[i], lr, radius)
         fresh = build_model(state.som, state.seen, categories=state.categories)
         assert state.kb == extract_kb(fresh).kb
+
+
+@pytest.mark.parametrize("fault", ["transposed", "kinds-swapped"])
+def test_rebuild_comparison_catches_a_faulty_table(monkeypatch, fault):
+    # The trace's table alone is faulty; extract_kb builds its own.
+    table = revision.inclusion_table
+    monkeypatch.setattr(revision, "inclusion_table",
+                        lambda names: faulty_inclusion_table(table(names), len(names), fault))
+    with pytest.raises(AssertionError):
+        test_step_kb_matches_rebuild_on_random_replays()
 
 
 @given(replays())

@@ -94,7 +94,9 @@ def test_init_bad_range():
 def test_grid_coordinates():
     som = init_map(2, 3, 2, seed=0, value_range=(0.0, 1.0))
     cells = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert [tuple(c) for c in som.grid_coords.tolist()] == cells
+    # the offset tables place unit u at (u // cols, u % cols)
+    assert som._row_gd2.tolist() == [[-(u // 3 - r) ** 2 for u in range(6)] for r in range(2)]
+    assert som._col_gd2.tolist() == [[-(u % 3 - c) ** 2 for u in range(6)] for c in range(3)]
     units = map_snapshot(som)["units"]
     assert [(u["row"], u["col"]) for u in units] == cells
     assert [u["index"] for u in units] == list(range(6))
@@ -367,12 +369,24 @@ def test_step_comparison_catches_bmu_decoded_by_rows(monkeypatch):
 
 
 def test_offset_tables_are_shared_and_read_only():
-    som = init_map(2, 3, 2, seed=0, value_range=(0.0, 1.0))
+    som = init_map(2, 3, 2, seed=7, value_range=(0.0, 1.0))
+    som.epochs_trained = 4
     assert som._row_gd2.shape == (2, 6) and som._col_gd2.shape == (3, 6)
     twin = som.copy()
+    assert type(twin) is SomMap
+    for name in ("rows", "cols", "input_dim", "seed", "epochs_trained"):
+        assert getattr(twin, name) == getattr(som, name)
+    assert twin.weights.tobytes() == som.weights.tobytes()
+    assert map_snapshot(twin) == map_snapshot(som)
+    # the copy owns its weights
+    before = som.weights.copy()
+    assert twin.weights is not som.weights and not np.shares_memory(twin.weights, som.weights)
+    twin.weights += 1.0
+    assert som.weights.tobytes() == before.tobytes()
     assert twin._row_gd2 is som._row_gd2 and twin._col_gd2 is som._col_gd2
-    with pytest.raises(ValueError):
-        som._row_gd2[0, 0] = 1.0
+    for table in (som._row_gd2, som._col_gd2):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
 
 def test_vanishing_radius_is_winner_take_all():
