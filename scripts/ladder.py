@@ -1,23 +1,25 @@
-"""Time training and the `verify` stages on the S, M and L rungs of the
-scale ladder and on the dense-overlap rung O.
+"""Time training and the `verify` stages on the S, M, L and XL rungs of
+the scale ladder and on the dense-overlap rung O.
 
 Each rung is rebuilt from the recipe in ROADMAP.md's baseline: k Gaussian
 clusters labelled C0.. with centres from default_rng(0).uniform(0, s,
 (k, d)), std 1.5, sample seed 1, on an r x r map from
 init_map(r, r, d, 0, feature_range(data)) trained with TrainConfig(epochs=E).
-The centre spread s is 20 on S, M and L, where the clusters lie apart, and
-3 on O, where they overlap so densely that almost every conjunction in the
-concept pool has its own extension.
+The centre spread s is 20 on S, M, L and XL, where the clusters lie apart,
+and 3 on O, where they overlap so densely that almost every conjunction in
+the concept pool has its own extension.  XL is L with 600 stimuli per
+cluster on a 30 x 30 map trained for 2 epochs.
 The script prints, per rung, in milliseconds, the time of the one train
 call that builds the rung's map, the mean revision step of one one-epoch
-run_trace over the rung's data (its time divided by its steps), and the
-median of three calls of
+run_trace over the rung's data (its time divided by its steps; not on XL,
+whose one-epoch trace is 9600 steps), and the median of three calls of
 build_model, build_preferential, verify_order_axioms, verify_klm, minima
 over the whole domain (T(Top), with its strict-order guard), and
 `somlogic verify` and `somlogic check "T(Top) <= C0"` run in-process on the
 saved model.json (stdout captured).  It also prints the tracemalloc peak in
-MB of one call each of verify_order_axioms and of minima over the whole
-domain.
+MB of one call each of build_preferential, verify_order_axioms and minima
+over the whole domain, and the max RSS in MB of one `somlogic verify` run
+in a child process, read from its own resource usage (``os.wait4``).
 It takes no options; run it from the repository root as
 
     PYTHONPATH=src python scripts/ladder.py
@@ -27,6 +29,7 @@ import contextlib
 import io
 import os
 import statistics
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -57,7 +60,10 @@ RUNGS = {
     "M": (8, 50, 12, 4, 20, 20),
     "L": (16, 60, 20, 8, 10, 20),
     "O": (12, 60, 20, 8, 10, 3),
+    "XL": (16, 600, 30, 8, 2, 20),
 }
+# Rungs whose one-epoch trace is too long to time.
+NO_REVISE = {"XL"}
 
 
 def median_ms(fn, repeats=3):
@@ -90,21 +96,39 @@ STAGES = (
     "CLI `verify`, in-process",
     'CLI `check "T(Top) <= C0"`, in-process',
 )
-PEAKS = ("verify_order_axioms", "minima, whole domain")
+PEAKS = ("build_preferential", "verify_order_axioms", "minima, whole domain")
 
 
-def rung_times(k, per_cluster, side, dim, epochs, spread, tmp):
-    """The rung's element count, the median time of each of STAGES and the
-    peak memory of each of PEAKS."""
+def child_max_rss_mb(argv):
+    """The max RSS of one run of the CLI with ``argv`` in a child process,
+    from the child's own resource usage; stdout goes to /dev/null."""
+    pid = os.posix_spawn(
+        sys.executable,
+        [sys.executable, "-m", "somlogic", *argv],
+        os.environ,
+        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)],
+    )
+    _, status, usage = os.wait4(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"somlogic {' '.join(argv)} failed")
+    return usage.ru_maxrss / 1024  # kB on Linux
+
+
+def rung_times(k, per_cluster, side, dim, epochs, spread, tmp, revise=True):
+    """The rung's element count, the median time of each of STAGES (None
+    for the revise step unless ``revise``), the peak memory of each of
+    PEAKS and the max RSS of a CLI `verify` run."""
     centres = np.random.default_rng(0).uniform(0, spread, (k, dim))
     data = gaussian_clusters(centres.tolist(), [f"C{i}" for i in range(k)], per_cluster, 1.5, 1)
     som0 = init_map(side, side, dim, 0, feature_range(data))
     t0 = time.perf_counter()
     som, _ = train(som0, data, TrainConfig(epochs=epochs))
     train_ms = 1000 * (time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    _, steps = run_trace(data, TrainConfig(epochs=1), side, side)
-    step_ms = 1000 * (time.perf_counter() - t0) / len(steps)
+    step_ms = None
+    if revise:
+        t0 = time.perf_counter()
+        _, steps = run_trace(data, TrainConfig(epochs=1), side, side)
+        step_ms = 1000 * (time.perf_counter() - t0) / len(steps)
     model = build_model(som, data)
     path = os.path.join(tmp, "model.json")
     save_model(path, model)
@@ -127,23 +151,29 @@ def rung_times(k, per_cluster, side, dim, epochs, spread, tmp):
         median_ms(lambda: cli("verify")),
         median_ms(lambda: cli("check", "--query", "T(Top) <= C0")),
     ], [
+        peak_mb(lambda: build_preferential(model, rel)),
         peak_mb(lambda: verify_order_axioms(pref)),
         peak_mb(lambda: minima(model, rel, domain)),
-    ]
+    ], child_max_rss_mb(["verify", "--model", path])
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        results = {name: rung_times(*rung, tmp) for name, rung in RUNGS.items()}
+        results = {
+            name: rung_times(*rung, tmp, revise=name not in NO_REVISE)
+            for name, rung in RUNGS.items()
+        }
     print("| stage (ms, median of 3 unless one call) | " + " | ".join(results) + " |")
     print("|---|" + "---:|" * len(results))
-    print("| elements | " + " | ".join(str(n) for n, _, _ in results.values()) + " |")
+    print("| elements | " + " | ".join(str(n) for n, *_ in results.values()) + " |")
     for i, stage in enumerate(STAGES):
-        cells = [f"{times[i]:.1f}" for _, times, _ in results.values()]
+        cells = ["–" if t[i] is None else f"{t[i]:.1f}" for _, t, _, _ in results.values()]
         print(f"| {stage} | " + " | ".join(cells) + " |")
     for i, stage in enumerate(PEAKS):
-        cells = [f"{peaks[i]:.2f}" for _, _, peaks in results.values()]
+        cells = [f"{peaks[i]:.2f}" for _, _, peaks, _ in results.values()]
         print(f"| {stage}, tracemalloc peak (MB) | " + " | ".join(cells) + " |")
+    cells = [f"{rss:.0f}" for *_, rss in results.values()]
+    print("| CLI `verify`, max RSS (MB) | " + " | ".join(cells) + " |")
 
 
 if __name__ == "__main__":

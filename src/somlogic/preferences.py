@@ -19,18 +19,25 @@ model; it need not be modular.
 
 The rule is stated once, in ``_global_order``, over any list of elements
 (columns of the model's rd matrix): each pair is decided by the two
-elements' rd values and specificity alone.  It builds the order as uint64
-bit rows from each category's dense ranks of rd, which order the elements
+elements' rd values and specificity alone.  The order has one form, from
+its build to its checks: uint64 bit rows (``_bit_rows``), bit j of row i
+set iff element i is preferred to element j.  ``_global_order`` builds
+them from each category's dense ranks of rd, which order the elements
 exactly as the rd values do, through a suffix table of the elements at
-each rank or above.  It has two callers.  ``build_preferential`` applies
-it to the whole domain and checks nothing: ``verify_order_axioms`` then
-checks the axioms on the materialised relation, once.  ``minima`` applies
-it to one set, e.g. ext(C), given as a mask, and reads T(C) off that
-block, which is how ``somlogic check`` answers a defeasible query without
-the N x N order.  Nothing verifies that block afterwards, so ``minima``
-checks it to be a strict order itself, on its bit rows: irreflexivity on
-the diagonal bits, transitivity as the OR of each element's successors'
-rows lying inside its own row.
+each rank or above.  The tables come a group of categories at a time
+(``_suffix_tables``), as many as fit ``_CHUNK_ITEMS`` and at least one,
+and each category's rows are folded into a few accumulators of bit rows,
+so the build holds one group's tables, never all k of them.  It has two
+callers.  ``build_preferential`` applies it to the whole domain and keeps
+the bit rows as ``PreferentialModel.bits``, checking nothing:
+``verify_order_axioms`` and ``verify_klm`` then read those rows as they
+are, and the former checks the axioms once.  ``minima`` applies it to one
+set, e.g. ext(C), given as a mask, and reads T(C) off that block, which is
+how ``somlogic check`` answers a defeasible query without the whole order.
+Nothing verifies that block afterwards, so ``minima`` checks it to be a
+strict order itself, on its bit rows: irreflexivity on the diagonal bits,
+transitivity as the OR of each element's successors' rows lying inside its
+own row.
 
 The order checks take no matrix product, and no pair walk holds an N x N
 matrix or a list of all pairs.  Every walk (``_chunks``) reads its sets as
@@ -94,33 +101,85 @@ __all__ = [
 
 @dataclass
 class PreferentialModel:
-    """A semantic model together with the materialised global preference.
-
-    ``order[i, j]`` is True iff element ``element_ids[i]`` is globally
-    preferred to ``element_ids[j]``.  ``element_ids`` is the domain order
-    of ``base``, so row and column i of the order are column i of the
-    model's matrices.
+    """A semantic model together with the global preference, which it holds
+    in one form: ``bits``, the order's ``_bit_rows``.  Bit j of row i is
+    set iff element ``element_ids[i]`` is globally preferred to
+    ``element_ids[j]``.  ``element_ids`` is the domain order of ``base``,
+    so row and bit i are column i of the model's matrices.
     """
 
     base: SemanticModel
     specificity: SpecificityRelation
     element_ids: tuple[str, ...]
-    order: np.ndarray
+    bits: np.ndarray
 
     def __post_init__(self):
         self._row = {eid: i for i, eid in enumerate(self.element_ids)}
 
     def prefers(self, x_eid: str, y_eid: str) -> bool:
         try:
-            return bool(self.order[self._row[x_eid], self._row[y_eid]])
+            i, j = self._row[x_eid], self._row[y_eid]
         except KeyError as exc:
             raise InputError(f"unknown domain element {exc.args[0]!r}") from None
+        return bool(self.bits[i, j >> 6] >> np.uint64(j & 63) & np.uint64(1))
 
     def pairs(self) -> frozenset[tuple[str, str]]:
-        xs, ys = np.nonzero(self.order)
+        ids = self.element_ids
         return frozenset(
-            (self.element_ids[i], self.element_ids[j]) for i, j in zip(xs, ys)
+            (ids[lo + i], ids[y])
+            for lo, j, bounds in _chunks(self.bits, len(ids))
+            for i in range(len(bounds) - 1)
+            for y in j[bounds[i] : bounds[i + 1]].tolist()
         )
+
+
+def _suffix_tables(rd: np.ndarray):
+    """Each category's dense ranks of its row of ``rd`` (categories x
+    elements) and its suffix table, a group of categories at a time:
+    ``(lo, rank, ge)`` for rows ``lo, lo + 1, ...`` of ``rd``, where bit
+    row ``ge[i, t]`` holds the elements that category ``lo + i`` ranks t or
+    above.  Row n of a table lies past every rank and stays empty.  A group
+    takes as many categories as their tables fit ``_CHUNK_ITEMS``, and at
+    least one.  Every group's tables are built in one buffer, cleared
+    first, so one group's tables are all that is held at a time, and each
+    is valid only until the next group is drawn."""
+    k, n = rd.shape
+    # Dense ranks: equal rd values (inf included) share a rank and rd is
+    # never NaN, so ranks compare exactly as the rd values do.
+    by_rd = np.argsort(rd, axis=1)
+    sorted_rd = np.take_along_axis(rd, by_rd, axis=1)
+    new_rank = np.ones(rd.shape, dtype=bool)
+    np.not_equal(sorted_rd[:, 1:], sorted_rd[:, :-1], out=new_rank[:, 1:])
+    # The generator's frame outlives the ranking, so its temporaries are
+    # dropped as soon as they are read.
+    del sorted_rd
+    dense = np.cumsum(new_rank, axis=1)
+    dense -= 1
+    rank = np.empty(rd.shape, dtype=np.intp)
+    np.put_along_axis(rank, by_rd, dense, axis=1)
+    del by_rd, new_rank, dense
+
+    words = -(-n // 64)
+    step = max(1, _CHUNK_ITEMS // max(1, (n + 1) * words))
+    buf = np.empty((min(step, k), n + 1, words), dtype=np.uint64)
+    e = np.arange(n)
+    one = np.left_shift(np.uint64(1), (e & 63).astype(np.uint64))
+    for lo in range(0, k, step):
+        group = rank[lo : lo + step]
+        # First each element's bit at its own rank, then the suffix OR.
+        ge = buf[: len(group)]
+        ge.fill(0)
+        np.bitwise_or.at(ge, (np.arange(len(group))[:, np.newaxis], group, e >> 6), one)
+        np.bitwise_or.accumulate(ge[:, ::-1], axis=1, out=ge[:, ::-1])
+        yield lo, group, ge
+
+
+def _overriders(cats: Sequence[str], specificity: SpecificityRelation) -> dict[int, list[int]]:
+    """For each category of ``cats`` that a more specific one of them
+    overrides, by index, the indices of those that override it."""
+    at = {c: i for i, c in enumerate(cats)}
+    out = {j: sorted(at[h] for h in specificity.above(c) if h in at) for j, c in enumerate(cats)}
+    return {j: hs for j, hs in out.items() if hs}
 
 
 def _global_order(
@@ -132,63 +191,53 @@ def _global_order(
 
     A pair is decided by the two elements' rd values and specificity alone,
     so the rule over a subset of the domain is exactly the global preference
-    restricted to that subset.  Each category ranks the elements densely by
-    rd and keeps the suffix table ``ge[t]``, the elements of rank >= t: an
-    element's strict row (the elements it strictly beats) is
-    ``ge[rank + 1]`` and its weak row ``ge[rank]``.  The rule then ORs and
-    ANDs those rows, ``len(cols)`` x words at a time.
+    restricted to that subset.  An element's strict row under a category
+    (the elements it strictly beats) is ``ge[rank + 1]`` of that category's
+    ``_suffix_tables`` and its weak row ``ge[rank]``.  The tables come a
+    group at a time, and each category's rows go into three kinds of
+    accumulator: one ORs every strict row; one ANDs the weak rows of every
+    category that nothing overrides; and each overridden category has its
+    own, which ORs its weak rows with the strict rows of its
+    ``_overriders``.  The order is the AND of them all, so besides one
+    group's tables only (3 + overridden categories) x ``len(cols)`` x words
+    are held.
     """
     cats = [c for c in model.category_names if not model.categories[c].empty]
     rd = model.rd[np.ix_([model.row_of[c] for c in cats], cols)]
-    k, n = rd.shape
-    # Dense ranks: equal rd values (inf included) share a rank and rd is
-    # never NaN, so ranks compare exactly as the rd values do.
-    by_rd = np.argsort(rd, axis=1)
-    sorted_rd = np.take_along_axis(rd, by_rd, axis=1)
-    new_rank = np.ones(rd.shape, dtype=bool)
-    np.not_equal(sorted_rd[:, 1:], sorted_rd[:, :-1], out=new_rank[:, 1:])
-    rank = np.empty(rd.shape, dtype=np.intp)
-    np.put_along_axis(rank, by_rd, np.cumsum(new_rank, axis=1) - 1, axis=1)
-
-    # ge[c, t]: first each element's bit at its own rank, then the suffix
-    # OR over t.  Row n lies past every rank and stays empty.
-    words = -(-n // 64)
-    ge = np.zeros((k, n + 1, words), dtype=np.uint64)
-    e = np.arange(n)
-    one = np.left_shift(np.uint64(1), (e & 63).astype(np.uint64))
-    np.bitwise_or.at(ge, (np.arange(k)[:, np.newaxis], rank, e >> 6), one)
-    np.bitwise_or.accumulate(ge[:, ::-1], axis=1, out=ge[:, ::-1])
-    cat_row = {c: i for i, c in enumerate(cats)}
-
-    def strict(i: int) -> np.ndarray:
-        # Category i's strict rows: the elements ranked past each element.
-        return ge[i, rank[i] + 1]
-
-    # Each category's rows are gathered where they are read, so no
-    # k x n x words copy of the table is held.
-    order = np.zeros((n, words), dtype=np.uint64)
-    for i in range(k):
-        order |= strict(i)
-    for j, cj in enumerate(cats):
-        ok = ge[j, rank[j]]
-        for ch in specificity.above(cj):
-            if ch in cat_row:
-                ok |= strict(cat_row[ch])
-        order &= ok
+    n = len(cols)
+    shape = (n, -(-n // 64))
+    over = _overriders(cats, specificity)
+    feeds = {h: [j for j, hs in over.items() if h in hs] for h in range(len(cats))}
+    order = np.zeros(shape, dtype=np.uint64)
+    weak = np.full(shape, ~np.uint64(0))
+    ok = {j: np.zeros(shape, dtype=np.uint64) for j in over}
+    # Each row is gathered where it is read, so one n x words temporary
+    # at a time is all the gathers hold.
+    for lo, rank, ge in _suffix_tables(rd):
+        for i, r in enumerate(rank):
+            c = lo + i
+            for acc in [order, *(ok[j] for j in feeds[c])]:
+                acc |= ge[i, r + 1]
+            if c in ok:
+                ok[c] |= ge[i, r]
+            else:
+                weak &= ge[i, r]
+    order &= weak
+    for acc in ok.values():
+        order &= acc
     return order
 
 
 def build_preferential(
     model: SemanticModel, specificity: SpecificityRelation | None = None
 ) -> PreferentialModel:
-    """Materialise the global preference over the whole domain.  The order
-    is not checked here: ``verify_order_axioms`` reports whether it is a
-    strict order."""
+    """The global preference over the whole domain, as the bit rows
+    ``_global_order`` returns.  The order is not checked here:
+    ``verify_order_axioms`` reports whether it is a strict order."""
     if specificity is None:
         specificity = derive_specificity(model)
-    n = len(model.element_ids)
-    order = _unpacked(_global_order(model, specificity, np.arange(n)), n)
-    return PreferentialModel(model, specificity, model.element_ids, order)
+    bits = _global_order(model, specificity, np.arange(len(model.element_ids)))
+    return PreferentialModel(model, specificity, model.element_ids, bits)
 
 
 def minima(
@@ -522,15 +571,14 @@ def _order_violations(
 
 def verify_order_axioms(pref: PreferentialModel) -> list[PropertyCheck]:
     """Check irreflexivity, transitivity, well-foundedness and (informational
-    only) modularity of the materialised global preference.
+    only) modularity of the global preference, ``pref.bits``.
 
-    ``pref.order`` is packed into bit rows once, and one ``_order_violations``
-    walk over its pairs, in blocks within ``_CHUNK_ITEMS``, serves both
-    transitivity and modularity; modularity's columns are the transpose of
-    the bit rows, packed a block of rows at a time.  No matrix product is
-    taken.
+    One ``_order_violations`` walk over the pairs of ``pref.bits``, in
+    blocks within ``_CHUNK_ITEMS``, serves both transitivity and
+    modularity; modularity's columns are the transpose of the bit rows,
+    packed a block of rows at a time.  No matrix product is taken.
     """
-    refl, trans, mod = _order_violations(pref.element_ids, _bit_rows(pref.order), modular=True)
+    refl, trans, mod = _order_violations(pref.element_ids, pref.bits, modular=True)
     # An irreflexive transitive relation on a finite set has no infinite
     # descending chain; report a failure only if the axioms above failed.
     wf_ok = not refl and not trans
@@ -626,11 +674,11 @@ def verify_klm(
     is an implementation bug surfacing, not an interesting phenomenon.
 
     No matrix product is taken.  Sets are ``_bit_rows``, and so is the
-    order, packed once from ``pref.order``.  T(C) is ext(C) minus the OR
-    of the order's rows over the members of ext(C) (``_bit_minima``, one
-    ``_or_rows`` over all the pool's sets, whose pairs it walks in blocks
-    within ``_CHUNK_ITEMS``), and C |~ D holds when T(C) has
-    no bit outside ext(D) (``_inside``).  Reflexivity and LLE are checked
+    order, ``pref.bits``.  T(C) is ext(C) minus the OR of the order's rows
+    over the members of ext(C) (``_bit_minima``, one ``_or_rows`` over all
+    the pool's sets, whose pairs it walks in blocks within
+    ``_CHUNK_ITEMS``), and C |~ D holds when T(C) has no bit outside
+    ext(D) (``_inside``).  Reflexivity and LLE are checked
     per pool concept, with one entailment row per concept over the
     distinct extensions of the pool ("classes"), which LLE licenses.  RW,
     And, CM and Or are checked over the classes as class x class x class
@@ -642,9 +690,8 @@ def verify_klm(
     ids = pref.element_ids
     ext, label = _pool_masks(pref.base, pool)
     n, width = len(ext), len(ids)
-    order_bits = _bit_rows(pref.order)
     ext_bits = _bit_rows(ext)
-    typ = _bit_minima(order_bits, ext_bits)
+    typ = _bit_minima(pref.bits, ext_bits)
 
     refl = [
         Violation(
@@ -698,7 +745,7 @@ def verify_klm(
     # The first k family rows are the classes, whose minima are known.
     ent = entail[first]
     cls_typ = typ[first]
-    fam_typ = np.vstack([cls_typ, _bit_minima(order_bits, extra_bits)])
+    fam_typ = np.vstack([cls_typ, _bit_minima(pref.bits, extra_bits)])
     # The two blocks of entailment between classes and the family that And
     # and CM read: from each class into each set, and back.
     into = np.hstack([ent, _inside(cls_typ, extra_bits)])

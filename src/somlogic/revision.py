@@ -212,7 +212,7 @@ def revise(state: RevisionState, stimulus: Stimulus, lr: float, radius: float) -
     if known is not None and (known.features != stimulus.features or known.label != stimulus.label):
         raise InputError(f"stimulus id {stimulus.sid!r} reused with different content")
 
-    new_som = apply_presentation(state.som, stimulus.features, lr, radius)
+    new_som = apply_presentation(state.som, stimulus, lr, radius)
     if known is None:
         seen = {**seen, stimulus.sid: stimulus}
         features = np.vstack((features, stimulus.features))

@@ -229,12 +229,16 @@ def init_map(
 # ==============================================================
 
 
+def _check_shape(som: SomMap, shape: tuple[int, ...]) -> None:
+    if shape != (som.input_dim,):
+        raise InputError(
+            f"input vector has shape {shape}, map expects ({som.input_dim},)"
+        )
+
+
 def _check_vector(som: SomMap, x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
-    if v.shape != (som.input_dim,):
-        raise InputError(
-            f"input vector has shape {v.shape}, map expects ({som.input_dim},)"
-        )
+    _check_shape(som, v.shape)
     if not np.all(np.isfinite(v)):
         raise InputError("input vector must be finite")
     return v
@@ -364,11 +368,18 @@ def _present(som: SomMap, x: np.ndarray, lr: float, radius: float, scratch: np.n
 
 
 def apply_presentation(som: SomMap, x, lr: float, radius: float) -> SomMap:
-    """Return a new map after presenting a single stimulus vector."""
+    """Return a new map after presenting a single stimulus vector: a raw
+    vector, checked to have the map's dimension and finite entries, or a
+    ``Stimulus``, whose constructor has proved its features finite, so
+    that only their dimension is checked."""
     if not (0.0 < lr <= 1.0):
         raise InputError(f"learning rate must be in (0, 1], got {lr!r}")
     _check_radius("radius", radius, InputError)
-    v = _check_vector(som, x)
+    if isinstance(x, Stimulus):
+        _check_shape(som, (x.dim,))
+        v = np.asarray(x.features)
+    else:
+        v = _check_vector(som, x)
     out = som.copy()
     _present(out, v, float(lr), float(radius), np.empty_like(out.weights))
     return out

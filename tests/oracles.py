@@ -7,11 +7,14 @@ the definitions, sharing no code with the package internals, except that
 since what it is the reference for is the comparison that follows them,
 and ``oracle_train`` takes the presentation schedule from the library,
 since what it is the reference for is the step.  Tests compare library
-outputs against these.
+outputs against these.  ``order_matrix`` and ``preferential`` turn the
+library's bit rows of an order into an N x N boolean matrix and back, with
+the library's own packing helpers; the ``faulty_*`` helpers give library
+steps a fault that the comparisons must catch.
 
 The set-based routes live here too: ``extension`` evaluates a concept to a
 frozenset of element ids, and ``minimal_elements`` reads the minima of a set
-off the whole materialised order.  ``typicality_extension``, ``entails`` and
+off the whole order.  ``typicality_extension``, ``entails`` and
 ``oracle_verify_klm`` build on them; they are the references for the
 library's mask-based ``extension_mask``, ``minima``, ``somlogic check`` and
 ``verify_klm``.
@@ -25,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from somlogic import jsonio
+from somlogic import jsonio, preferences
 from somlogic.checker import SpecificityRelation
 from somlogic.concepts import And, Bot, ConceptExpr, Inclusion, Name, Top, parse_query, pretty
 from somlogic.errors import InputError, ParseError, UnknownCategoryError
@@ -34,7 +37,9 @@ from somlogic.preferences import (
     PreferentialModel,
     PropertyCheck,
     Violation,
+    _bit_rows,
     _check,
+    _unpacked,
     default_concept_pool,
 )
 from somlogic.som import presentation_schedule
@@ -144,6 +149,49 @@ def faulty_inclusion_table(table: np.ndarray, k: int, fault: str) -> np.ndarray:
     return np.concatenate((table[:k], blocks.ravel()))
 
 
+def faulty_suffix_tables(groups, fault: str):
+    """The ``(lo, rank, ge)`` groups of ``_suffix_tables`` with one fault
+    for the order comparisons to catch, carried from each group into the
+    next: the previous group's last ranks replace the first ranks of the
+    next group (``"stale-rank"``), or its last table stays ORed into the
+    next group's first table (``"stale-table"``)."""
+    prev = None
+    for lo, rank, ge in groups:
+        if prev is not None:
+            if fault == "stale-rank":
+                rank[0] = prev[0]
+            else:
+                ge[0] |= prev[1]
+        prev = rank[-1].copy(), ge[-1].copy()
+        yield lo, rank, ge
+
+
+def faulty_overriders(over: dict[int, list[int]]) -> dict[int, list[int]]:
+    """``_overriders`` with one fault for the order comparisons to catch:
+    each overridden category's accumulator skips its first overriding
+    category."""
+    return {j: hs[1:] for j, hs in over.items()}
+
+
+GROUP_FAULTS = ("stale-rank", "stale-table", "skipped-overrider")
+
+
+def faulty_group_build(monkeypatch, fault: str) -> None:
+    """Make ``_global_order`` build its tables or accumulators with one of
+    ``GROUP_FAULTS``: those of ``faulty_suffix_tables`` or
+    ``faulty_overriders``."""
+    if fault == "skipped-overrider":
+        over = preferences._overriders
+        monkeypatch.setattr(
+            preferences, "_overriders", lambda cats, rel: faulty_overriders(over(cats, rel))
+        )
+    else:
+        groups = preferences._suffix_tables
+        monkeypatch.setattr(
+            preferences, "_suffix_tables", lambda rd: faulty_suffix_tables(groups(rd), fault)
+        )
+
+
 def parse_kb_text(text: str) -> list[Inclusion]:
     """The inclusions of a knowledge-base file as ``kb_file_text`` writes
     it: one per line, ``#`` starting a comment that runs to the end of the
@@ -216,9 +264,22 @@ def extension(model: SemanticModel, expr: ConceptExpr) -> frozenset[str]:
     raise InputError(f"not a concept expression: {expr!r}")
 
 
+def order_matrix(pref: PreferentialModel) -> np.ndarray:
+    """The global preference of ``pref`` as an N x N boolean matrix:
+    entry (i, j) is True iff element i is preferred to element j."""
+    return _unpacked(pref.bits, len(pref.element_ids))
+
+
+def preferential(base, specificity, element_ids, order) -> PreferentialModel:
+    """A PreferentialModel whose order is the N x N boolean matrix
+    ``order``, bypassing the builder."""
+    order = np.asarray(order, dtype=bool).reshape(len(element_ids), len(element_ids))
+    return PreferentialModel(base, specificity, tuple(element_ids), _bit_rows(order))
+
+
 def minimal_elements(pref: PreferentialModel, eids: Iterable[str]) -> frozenset[str]:
     """Subset of ``eids`` with no globally preferred element inside ``eids``,
-    read off the whole materialised order.  Non-empty whenever ``eids`` is
+    read off the whole order.  Non-empty whenever ``eids`` is
     (the order is well-founded on a finite domain)."""
     idx = []
     for eid in eids:
@@ -229,14 +290,14 @@ def minimal_elements(pref: PreferentialModel, eids: Iterable[str]) -> frozenset[
     if not idx:
         return frozenset()
     idx = sorted(idx)
-    sub = pref.order[np.ix_(idx, idx)]
+    sub = order_matrix(pref)[np.ix_(idx, idx)]
     dominated = sub.any(axis=0)
     return frozenset(pref.element_ids[i] for i, dom in zip(idx, dominated) if not dom)
 
 
 def typicality_extension(pref: PreferentialModel, expr: ConceptExpr) -> frozenset[str]:
     """Extension of T(expr): the globally minimal elements of ext(expr),
-    read off the whole materialised order."""
+    read off the whole order."""
     return minimal_elements(pref, extension(pref.base, expr))
 
 

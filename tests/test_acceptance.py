@@ -11,14 +11,24 @@ from __future__ import annotations
 import json
 import math
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
 
 from conftest import REF_CFG, REF_MAP
-from oracles import extension_ids, make_model, oracle_global_prefer, random_model, rd_table
+from oracles import (
+    GROUP_FAULTS,
+    extension_ids,
+    faulty_group_build,
+    make_model,
+    oracle_global_prefer,
+    order_matrix,
+    random_model,
+    rd_table,
+)
 from somlogic import (
     SpecificityRelation,
     TrainConfig,
@@ -41,6 +51,7 @@ from somlogic import (
     train,
     verify_klm,
 )
+from somlogic import preferences
 from somlogic.cli import main as cli_main
 from somlogic.dataset import write_csv
 from somlogic.som import nearest_units
@@ -165,11 +176,29 @@ def test_criterion_04_global_preference_three_routes(capsys, random_models, rand
         c["detail"] = f"100 models, {n_pairs} pairs, {n_sampled} through minima, {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize("fault", [None, *GROUP_FAULTS])
+def test_criterion_04_catches_a_faulty_group_build(random_models, monkeypatch, fault):
+    # At a budget of 1 item each category's table is a group of its own.
+    # Built so, the three routes agree; with a fault in the group build,
+    # the orders built under it and its two-element minima do not.  The
+    # scorecard line goes to the captured output.
+    monkeypatch.setattr(preferences, "_CHUNK_ITEMS", 1)
+    if fault is not None:
+        faulty_group_build(monkeypatch, fault)
+    prefs = [build_preferential(m, rel) for m, rel, _, _ in random_models]
+    quiet = SimpleNamespace(disabled=nullcontext)
+    if fault is None:
+        test_criterion_04_global_preference_three_routes(quiet, random_models, prefs)
+    else:
+        with pytest.raises(AssertionError):
+            test_criterion_04_global_preference_three_routes(quiet, random_models, prefs)
+
+
 def test_criterion_05_order_axioms_exhaustive(capsys, random_models, random_prefs):
     with criterion(capsys, 5, "global preference is irreflexive and transitive under exhaustive scan") as c:
         t0 = time.perf_counter()
         for pref in random_prefs:
-            order = pref.order
+            order = order_matrix(pref)
             n = order.shape[0]
             for x in range(n):
                 assert not order[x, x]

@@ -36,17 +36,21 @@ from somlogic import (
 from somlogic.checker import SpecificityRelation
 from somlogic.model import SemanticModel
 from somlogic import preferences
-from somlogic.preferences import PreferentialModel, _void_keys, default_concept_pool
+from somlogic.preferences import _void_keys, default_concept_pool
 
 from oracles import (
+    GROUP_FAULTS,
     entails,
     extension,
+    faulty_group_build,
     make_model,
     minimal_elements,
     oracle_global_prefer,
     oracle_minimal,
     oracle_order_violations,
     oracle_verify_klm,
+    order_matrix,
+    preferential,
     random_model,
     rd_table,
     two_way_override_model,
@@ -228,7 +232,7 @@ def test_minima_of_a_dense_block_stay_in_a_fixed_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 0.6 * 2**20
-    order = build_preferential(model, rel).order
+    order = order_matrix(build_preferential(model, rel))
     assert order.sum() > 70_000
     assert np.array_equal(got, ~order.any(axis=0))
 
@@ -239,7 +243,7 @@ def test_minima_of_a_dense_block_name_the_first_violation_of_a_two_cycle():
     # middle k; the order is irreflexive, so that is the first witness.
     model, rel = _pareto_block(cycle=True)
     ids = model.element_ids
-    order = build_preferential(model, rel).order
+    order = order_matrix(build_preferential(model, rel))
     assert not order.diagonal().any()
     as_float = order.astype(np.float32)
     i, j = np.argwhere((as_float @ as_float > 0) & ~order)[0]
@@ -397,12 +401,7 @@ def test_broken_order_is_reported():
     order = np.zeros((3, 3), dtype=bool)
     order[0, 1] = order[1, 2] = True  # a<b<c but not a<c
     order[1, 1] = True
-    pref = PreferentialModel(
-        base=m,
-        specificity=SpecificityRelation(pairs=frozenset()),
-        element_ids=m.element_ids,
-        order=order,
-    )
+    pref = preferential(m, SpecificityRelation(pairs=frozenset()), m.element_ids, order)
     checks = {c.check: c for c in verify_order_axioms(pref)}
     assert checks["irreflexivity"].status == "fail"
     assert checks["transitivity"].status == "fail"
@@ -411,17 +410,17 @@ def test_broken_order_is_reported():
 
 
 def test_verifiers_follow_an_order_changed_after_the_build():
-    # The verifiers read ``pref.order`` alone, so an order changed after
+    # The verifiers read ``pref.bits`` alone, so an order changed after
     # ``build_preferential``, in place or by ``dataclasses.replace``, is
     # the one checked.
     rd = {"K": {"a": 0.0, "b": 0.5, "c": 1.0}}
     pref = build_preferential(make_model(rd, {"K": ["a"]}))
     assert all(c.status == "pass" for c in verify_order_axioms(pref)[:3])
-    broken = pref.order.copy()
+    broken = order_matrix(pref)
     broken[0, 2] = False  # a<b<c but not a<c
     broken[1, 1] = True
-    replaced = dataclasses.replace(pref, order=broken)
-    pref.order[:] = broken
+    replaced = dataclasses.replace(pref, bits=preferences._bit_rows(broken))
+    pref.bits[:] = preferences._bit_rows(broken)
     for p in (pref, replaced):
         checks = {c.check: c for c in verify_order_axioms(p)}
         want = oracle_order_violations(p.element_ids, broken)
@@ -439,12 +438,7 @@ def _hand_built(ids, pairs):
     order = np.zeros((len(ids), len(ids)), dtype=bool)
     for x, y in pairs:
         order[row[x], row[y]] = True
-    return PreferentialModel(
-        base=m,
-        specificity=SpecificityRelation(pairs=frozenset()),
-        element_ids=m.element_ids,
-        order=order,
-    )
+    return preferential(m, SpecificityRelation(pairs=frozenset()), m.element_ids, order)
 
 
 @pytest.mark.parametrize("middles", [255, 256])
@@ -474,8 +468,9 @@ def test_order_axioms_match_oracle_on_random_relations():
         ids = [f"e{i}" for i in range(n)]
         for density in (0.05, 0.2, 0.5, 0.8):
             pref = _hand_built(ids, [])
-            pref.order[:] = rng.random((n, n)) < density
-            want = oracle_order_violations(ids, pref.order)
+            m = rng.random((n, n)) < density
+            pref.bits[:] = preferences._bit_rows(m)
+            want = oracle_order_violations(ids, m)
             checks = {c.check: c for c in verify_order_axioms(pref)}
             for name, violations in want.items():
                 got = [(v.instance, v.witnesses) for v in checks[name].violations]
@@ -530,7 +525,7 @@ def _boundary_mismatches() -> list[tuple[int, str]]:
     ``_order_violations`` that ``minima`` calls, differs from the oracle."""
     out = []
     for n, name, ids, m, want in _boundary_cases():
-        pref = PreferentialModel(None, SpecificityRelation(pairs=frozenset()), ids, m)
+        pref = preferential(None, SpecificityRelation(pairs=frozenset()), ids, m)
         checks = {c.check: c for c in verify_order_axioms(pref)}
         got = {k: [(v.instance, v.witnesses) for v in checks[k].violations] for k in want}
         got["well_foundedness"] = checks["well_foundedness"].status
@@ -755,7 +750,7 @@ def _rank_rule_mismatches(n: int) -> int:
     model, rel, rd, above = _rank_model(n)
     ids = model.element_ids
     assert len(set(rd["D"].values())) == n
-    order = build_preferential(model, rel).order
+    order = order_matrix(build_preferential(model, rel))
     want = np.array([[oracle_global_prefer(rd, above, x, y) for y in ids] for x in ids])
     bad = int((order != want).sum())
     rng = np.random.default_rng(1)
@@ -780,14 +775,14 @@ def test_rule_on_ranks_matches_oracle(n):
 def test_rank_comparison_catches_strict_rows_read_as_weak(monkeypatch):
     # Each element's strict row taken from its own rank rather than the
     # next one: the order turns reflexive and ties count as wins.
-    _inject(monkeypatch, "_global_order", "ge[i, rank[i] + 1]", "ge[i, rank[i]]")
+    _inject(monkeypatch, "_global_order", "ge[i, r + 1]", "ge[i, r]")
     assert _rank_rule_mismatches(9) > 0
 
 
 def test_minima_refuse_a_reflexive_block(monkeypatch):
     # Strict rows read as weak turn one category's order into rd(x) <=
     # rd(y): transitive, so only the block's diagonal bits can refuse it.
-    _inject(monkeypatch, "_global_order", "ge[i, rank[i] + 1]", "ge[i, rank[i]]")
+    _inject(monkeypatch, "_global_order", "ge[i, r + 1]", "ge[i, r]")
     model = make_model({"K": {"a": 0.0, "b": 0.5, "c": 1.0}}, {"K": ["a", "b"]})
     with pytest.raises(ConsistencyError) as exc:
         minima(model, SpecificityRelation(pairs=frozenset()), np.ones(3, dtype=bool))
@@ -837,16 +832,77 @@ def _sized_model(rng, n: int):
 @settings(max_examples=4, deadline=None)
 def test_bit_row_order_equals_oracle(n, seed):
     # Unpacked, the rows built on bits are the oracle's relation; packed,
-    # their padding bits are 0.
+    # their padding bits are 0.  The tables come in one group at the
+    # default budget and one category a group at a budget of 1 item.
     model, rel, tables, above = _sized_model(np.random.default_rng(seed), n)
     ids = model.element_ids
     want = np.array(
         [[oracle_global_prefer(tables, above, x, y) for y in ids] for x in ids], dtype=bool
     ).reshape(n, n)
-    bits = preferences._global_order(model, rel, np.arange(n))
-    assert np.array_equal(bits, _words(want))
-    pref = build_preferential(model, rel)
-    assert np.array_equal(pref.order, want)
+    for budget in (preferences._CHUNK_ITEMS, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(preferences, "_CHUNK_ITEMS", budget)
+            bits = preferences._global_order(model, rel, np.arange(n))
+            assert np.array_equal(bits, _words(want)), budget
+            pref = build_preferential(model, rel)
+            assert np.array_equal(order_matrix(pref), want), budget
+            assert np.array_equal(pref.bits, bits), budget
+
+
+@pytest.mark.parametrize("fault", GROUP_FAULTS)
+def test_order_comparison_catches_a_faulty_group_build(fault, monkeypatch):
+    faulty_group_build(monkeypatch, fault)
+    with pytest.raises(AssertionError):
+        for n in (63, 64, 65, 127, 128, 129):
+            test_bit_row_order_equals_oracle(n)
+
+
+def _override_chain_model(k: int, n: int, chain: int):
+    """A model over n elements with k categories of seeded rd on a grid
+    (ties and one inf each), and its specificity: the first ``chain``
+    categories form a chain, each more specific than every later one of
+    them, so ``chain - 1`` categories are overridden."""
+    rng = np.random.default_rng([k, n, chain])
+    ids = [f"e{i:04d}" for i in range(n)]
+    names = [f"K{c:02d}" for c in range(k)]
+    rd = rng.integers(0, 50, (k, n)) / 10
+    rd[np.arange(k), np.arange(k)] = 0.0
+    rd[np.arange(k), n - 1 - np.arange(k)] = np.inf
+    model = SemanticModel(
+        input_dim=2,
+        element_ids=ids,
+        col_of={e: i for i, e in enumerate(ids)},
+        features=np.zeros((n, 2)),
+        origins=["probe"] * n,
+        refs={name: ((0,), (ids[c],), (ids[c],)) for c, name in enumerate(names)},
+        precision=[1.0] * k,
+        rd=rd,
+    )
+    pairs = {(a, b) for i, a in enumerate(names[:chain]) for b in names[i + 1 : chain]}
+    return model, SpecificityRelation(pairs=frozenset(pairs))
+
+
+@pytest.mark.parametrize("chain", [0, 4])
+def test_global_order_holds_one_group_of_tables_at_a_time(chain):
+    # 16 categories over 3000 elements, 47 words a row: one category's
+    # table alone exceeds the budget, so each group holds one.  The peak
+    # stays within twice the (3 + overridden) x n x words uint64 of the
+    # accumulators and one table; all 16 tables at once take 17 x n x
+    # words, more than that bound with up to 5 overridden categories.
+    k, n = 16, 3000
+    model, rel = _override_chain_model(k, n, chain)
+    overridden = len({general for _, general in rel.pairs})
+    assert overridden == max(chain - 1, 0)
+    cols = np.arange(n)
+    tracemalloc.start()
+    try:
+        bits = preferences._global_order(model, rel, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = n * -(-n // 64) * 8
+    assert peak < 2 * (3 + overridden) * unit
+    assert bits.any()
 
 
 @pytest.mark.parametrize("n", [0, 8, 9])
@@ -863,9 +919,10 @@ def test_klm_report_matches_oracle_at_byte_edges(n):
                 models.append((model, rel))
     for model, rel in models:
         pref = build_preferential(model, rel)
-        flipped = [pref.order ^ (rng.random(pref.order.shape) < 0.2) for _ in range(3)]
-        for order in [pref.order, *flipped]:
-            p = PreferentialModel(model, pref.specificity, model.element_ids, order)
+        built = order_matrix(pref)
+        flipped = [built ^ (rng.random(built.shape) < 0.2) for _ in range(3)]
+        for order in [built, *flipped]:
+            p = preferential(model, pref.specificity, model.element_ids, order)
             assert [c.to_json() for c in verify_klm(p)] == [
                 c.to_json() for c in oracle_verify_klm(p)
             ]
@@ -894,10 +951,11 @@ def test_klm_report_matches_oracle_with_extra_intersections():
     cm_failures = 0
     for _ in range(6):
         model = _cube_model(rng)
-        pref = build_preferential(model, SpecificityRelation(pairs=frozenset()))
-        flipped = [pref.order ^ (rng.random(pref.order.shape) < d) for d in (0.02, 0.1)]
-        for order in [pref.order, *flipped]:
-            p = PreferentialModel(model, pref.specificity, model.element_ids, order)
+        none = SpecificityRelation(pairs=frozenset())
+        built = order_matrix(build_preferential(model, none))
+        flipped = [built ^ (rng.random(built.shape) < d) for d in (0.02, 0.1)]
+        for order in [built, *flipped]:
+            p = preferential(model, none, model.element_ids, order)
             got = [c.to_json() for c in verify_klm(p)]
             assert got == [c.to_json() for c in oracle_verify_klm(p)]
             cm_failures += got[4]["status"] == "fail"
@@ -924,14 +982,15 @@ def test_klm_report_matches_oracle_when_family_exceeds_classes():
     pairs = [And(Name(a), Name(b)) for a, b in itertools.combinations(names, 2)]
     past_classes = 0
     pref = build_preferential(model)
+    built = order_matrix(pref)
     rng = np.random.default_rng(3)
-    flipped = [pref.order ^ (rng.random(pref.order.shape) < d) for d in (0.02, 0.05)]
+    flipped = [built ^ (rng.random(built.shape) < d) for d in (0.02, 0.05)]
     for pool in (default_concept_pool(names), pairs):
         ext_of = {pretty(c): frozenset(extension(model, c)) for c in pool}
         exts = set(ext_of.values())
         assert len({a & b for a in exts for b in exts} | exts) > len(exts)
-        for order in [pref.order, *flipped]:
-            p = PreferentialModel(model, pref.specificity, model.element_ids, order)
+        for order in [built, *flipped]:
+            p = preferential(model, pref.specificity, model.element_ids, order)
             got = [c.to_json() for c in verify_klm(p, pool)]
             assert got == [c.to_json() for c in oracle_verify_klm(p, pool)]
             for v in got[4]["violations"]:
@@ -963,12 +1022,7 @@ def test_broken_order_fails_cautious_monotonicity(verify):
     m = make_model(rd, {"KD": ["a", "c"], "KE": ["a"]})
     order = np.zeros((3, 3), dtype=bool)
     order[0, 1] = order[1, 2] = True
-    pref = PreferentialModel(
-        base=m,
-        specificity=SpecificityRelation(pairs=frozenset()),
-        element_ids=m.element_ids,
-        order=order,
-    )
+    pref = preferential(m, SpecificityRelation(pairs=frozenset()), m.element_ids, order)
     checks = {c.check: c for c in verify(pref, [Top(), Name("KD"), Name("KE")])}
     cm = checks.pop("cautious_monotonicity")
     assert cm.status == "fail"
@@ -1006,12 +1060,12 @@ def _klm_report_mismatches() -> tuple[list[int], int]:
     mismatches, cm_failures = [], 0
     for i in range(100):
         model, rel, _, _ = random_model(rng, max_elements=20, max_categories=4)
-        pref = build_preferential(model, rel)
-        orders = [pref.order]
+        built = order_matrix(build_preferential(model, rel))
+        orders = [built]
         for density in (densities[i % 3], densities[(i + 1) % 3]):
-            orders.append(pref.order ^ (rng.random(pref.order.shape) < density))
+            orders.append(built ^ (rng.random(built.shape) < density))
         for order in orders:
-            p = PreferentialModel(model, rel, model.element_ids, order)
+            p = preferential(model, rel, model.element_ids, order)
             got = [c.to_json() for c in verify_klm(p)]
             if got != [c.to_json() for c in oracle_verify_klm(p)]:
                 mismatches.append(i)
@@ -1100,9 +1154,9 @@ def test_default_pool_reports_print_expression_labels():
     listed = 0
     for _ in range(30):
         model, rel, _, _ = random_model(rng, max_elements=20, max_categories=4)
-        pref = build_preferential(model, rel)
-        order = pref.order ^ (rng.random(pref.order.shape) < 0.1)
-        p = PreferentialModel(model, rel, model.element_ids, order)
+        built = order_matrix(build_preferential(model, rel))
+        order = built ^ (rng.random(built.shape) < 0.1)
+        p = preferential(model, rel, model.element_ids, order)
         got = [c.to_json() for c in verify_klm(p)]
         pool = default_concept_pool(model.category_names)
         assert got == [c.to_json() for c in verify_klm(p, pool)]
@@ -1119,7 +1173,7 @@ def test_empty_domain_model():
     from somlogic import initial_model
 
     pref = build_preferential(initial_model(["A"], 2))
-    assert pref.order.shape == (0, 0)
+    assert pref.bits.shape == (0, 0)
     assert typicality_extension(pref, Name("A")) == frozenset()
     for check in verify_order_axioms(pref):
         if check.required:

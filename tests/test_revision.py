@@ -10,6 +10,7 @@ from somlogic import (
     InputError,
     Stimulus,
     TrainConfig,
+    apply_presentation,
     build_model,
     extract_kb,
     feature_range,
@@ -330,6 +331,19 @@ def test_revise_validation():
     clone = Stimulus(data[0].sid, (9.0, 9.0), data[0].label)
     with pytest.raises(InputError):
         revise(state, clone, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("features", [(0.0,), (0.0, 0.1, 0.2)])
+def test_revise_refuses_a_stimulus_of_another_dimension(features):
+    # ``revise`` checks only a stimulus's dimension, with the message a raw
+    # vector of the wrong shape gets.
+    state = initial_state(init_map(3, 3, 2, 0, ((0.0, 0.0), (1.0, 1.0))), ["X"])
+    message = f"input vector has shape ({len(features)},), map expects (2,)"
+    with pytest.raises(InputError) as raw:
+        apply_presentation(state.som, features, 0.5, 1.0)
+    with pytest.raises(InputError) as stepped:
+        revise(state, Stimulus("x", features, "X"), 0.5, 1.0)
+    assert str(raw.value) == str(stepped.value) == message
 
 
 def test_representing_same_stimulus_keeps_seen_set():
