@@ -20,15 +20,21 @@ saved model.json (stdout captured).  It also prints the tracemalloc peak in
 MB of one call each of build_preferential, verify_order_axioms and minima
 over the whole domain, and the max RSS in MB of one `somlogic verify` run
 in a child process, read from its own resource usage (``os.wait4``).
-It takes no options; run it from the repository root as
+The revise step is timed in a fresh child process too, since its speed
+follows what the process ran and freed before it (glibc's dynamic mmap
+and trim thresholds).  Run it from the repository root as
 
     PYTHONPATH=src python scripts/ladder.py
+
+The child runs ``scripts/ladder.py --revise-step RUNG``, which prints only
+that rung's mean revision step in milliseconds.
 """
 
 import contextlib
 import io
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -114,21 +120,45 @@ def child_max_rss_mb(argv):
     return usage.ru_maxrss / 1024  # kB on Linux
 
 
-def rung_times(k, per_cluster, side, dim, epochs, spread, tmp, revise=True):
-    """The rung's element count, the median time of each of STAGES (None
-    for the revise step unless ``revise``), the peak memory of each of
-    PEAKS and the max RSS of a CLI `verify` run."""
+def rung_data(name):
+    """The stimuli of rung ``name``."""
+    k, per_cluster, _, dim, _, spread = RUNGS[name]
     centres = np.random.default_rng(0).uniform(0, spread, (k, dim))
-    data = gaussian_clusters(centres.tolist(), [f"C{i}" for i in range(k)], per_cluster, 1.5, 1)
+    return gaussian_clusters(centres.tolist(), [f"C{i}" for i in range(k)], per_cluster, 1.5, 1)
+
+
+def revise_step_ms(name):
+    """The mean step of one one-epoch run_trace over the data of rung
+    ``name``: its time divided by its steps."""
+    side = RUNGS[name][2]
+    data = rung_data(name)
+    t0 = time.perf_counter()
+    _, steps = run_trace(data, TrainConfig(epochs=1), side, side)
+    return 1000 * (time.perf_counter() - t0) / len(steps)
+
+
+def child_revise_step_ms(name):
+    """``revise_step_ms(name)`` in a fresh child process."""
+    out = subprocess.run(
+        [sys.executable, __file__, "--revise-step", name],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return float(out.stdout)
+
+
+def rung_times(name, tmp):
+    """The rung's element count, the median time of each of STAGES (None
+    for the revise step on a rung of NO_REVISE), the peak memory of each
+    of PEAKS and the max RSS of a CLI `verify` run."""
+    _, _, side, dim, epochs, _ = RUNGS[name]
+    data = rung_data(name)
     som0 = init_map(side, side, dim, 0, feature_range(data))
     t0 = time.perf_counter()
     som, _ = train(som0, data, TrainConfig(epochs=epochs))
     train_ms = 1000 * (time.perf_counter() - t0)
-    step_ms = None
-    if revise:
-        t0 = time.perf_counter()
-        _, steps = run_trace(data, TrainConfig(epochs=1), side, side)
-        step_ms = 1000 * (time.perf_counter() - t0) / len(steps)
+    step_ms = None if name in NO_REVISE else child_revise_step_ms(name)
     model = build_model(som, data)
     path = os.path.join(tmp, "model.json")
     save_model(path, model)
@@ -158,11 +188,11 @@ def rung_times(k, per_cluster, side, dim, epochs, spread, tmp, revise=True):
 
 
 def main() -> None:
+    if sys.argv[1:2] == ["--revise-step"]:
+        print(revise_step_ms(sys.argv[2]))
+        return
     with tempfile.TemporaryDirectory() as tmp:
-        results = {
-            name: rung_times(*rung, tmp, revise=name not in NO_REVISE)
-            for name, rung in RUNGS.items()
-        }
+        results = {name: rung_times(name, tmp) for name in RUNGS}
     print("| stage (ms, median of 3 unless one call) | " + " | ".join(results) + " |")
     print("|---|" + "---:|" * len(results))
     print("| elements | " + " | ".join(str(n) for n, *_ in results.values()) + " |")

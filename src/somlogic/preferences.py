@@ -35,18 +35,20 @@ are, and the former checks the axioms once.  ``minima`` applies it to one
 set, e.g. ext(C), given as a mask, and reads T(C) off that block, which is
 how ``somlogic check`` answers a defeasible query without the whole order.
 Nothing verifies that block afterwards, so ``minima`` checks it to be a
-strict order itself, on its bit rows: irreflexivity on the diagonal bits,
-transitivity as the OR of each element's successors' rows lying inside its
-own row.
+strict order itself, through the one order checker ``_order_violations``,
+and raises on the first violation it lists.
 
 The order checks take no matrix product, and no pair walk holds an N x N
 matrix or a list of all pairs.  Every walk (``_chunks``) reads its sets as
-bit rows, counts each row's pairs, and unpacks and lists the pairs of one
-block of rows at a time, blocks that fit the one budget ``_CHUNK_ITEMS``.
-Transitivity ORs, for each element, the bit rows of its successors
-(``_or_rows``) and compares the result with its own row; in ``verify``
-the same blocks also serve modularity, whose listing stops at the last
-violation its report lists.
+bit rows, counts each row's pairs (``np.bitwise_count``), and unpacks and
+lists the pairs of one block of rows at a time, blocks that fit the one
+budget ``_CHUNK_ITEMS``.  Transitivity ORs, for each element, the bit rows
+of its successors (``_or_chunk``) and its own row, and compares the result
+with that row; in ``verify`` the same blocks also serve modularity, whose
+listing stops at the last violation its report lists.
+Besides the order, the walk holds its word columns, the ORed rows and, for
+modularity, the complement of the order's transpose, each one n x words
+array.
 
 ``verify_klm`` checks the standard closure postulates (Reflexivity, Left
 Logical Equivalence, Right Weakening, And, Cautious Monotonicity, and Or
@@ -55,17 +57,19 @@ C |~ D  iff  every globally minimal element of ext(C) lies in ext(D).
 
 The postulates are checked over the distinct extensions of the concept pool,
 not over every pool concept: entailment depends on a concept only through
-its extension, which is what LLE licenses.  Sets are boolean masks over the
-domain.  The default pool is built by index: a conjunction's mask ANDs the
-model's extension rows of its names, and its label is printed only when a
-report lists it; an explicit pool is evaluated by ``extension_mask``.  Two
-masks fall into the same class exactly when the bytes of their bit-packed
-rows are equal: each row is one void scalar, compared bytewise by
-``np.unique``, so no two different sets can share a class.  Intersections
-and unions of classes are keyed the same way and looked up among the
-sorted class keys.  ``verify`` takes no matrix product: minima and
-inclusions work on uint64 bit rows.  T(C) is ext(C) minus the OR of the
-order's rows over the members of ext(C) (``_or_rows`` again), and C |~ D
+its extension, which is what LLE licenses.  Sets are built as boolean
+masks over the domain.  The default pool is built by index: a
+conjunction's mask ANDs the model's extension rows of its names, and its
+label is printed only when a report lists it; an explicit pool is
+evaluated by ``extension_mask``.  Sets are held as ``_bit_rows``, the
+order's form, and two masks fall into the same class exactly when the bytes of their bit rows are equal: each row is
+one void scalar (``_void_keys``), compared bytewise by ``np.unique``, so no
+two different sets can share a class.  Intersections and unions of classes
+are ANDed and ORed on those rows, keyed the same way and looked up among
+the sorted class keys.  ``verify`` takes no matrix product: minima and
+inclusions work on the bit rows.  T(C) is ext(C) minus the OR of the
+order's rows over the members of ext(C) (``_or_rows``, on the same
+``_or_chunk`` kernel), and C |~ D
 holds when T(C) has no bit outside ext(D), tested one word column at a
 time.  Once minima are computed as sets, Reflexivity, LLE, RW, And and Or
 hold for *any* relation (minima lie inside their set, and min(C | D) is a
@@ -248,21 +252,18 @@ def minima(
     order restricted to that set alone: O(k·|set|²) rather than O(k·N²).
 
     The restricted block is checked to be an irreflexive, transitive strict
-    order without unpacking it: no diagonal bit may be set, and the OR of
-    each element's successors' rows (``_or_rows``, in blocks within
-    ``_CHUNK_ITEMS``) must lie inside its own row.  Only a block that fails
-    is listed by ``_order_violations``, whose first violation the
-    ConsistencyError names: never a silently wrong answer.  The set's
-    minima are its elements outside the OR of all the block's rows.  An
-    empty set has no block to check and no minima.
+    order by ``_order_violations``, whose first violation the
+    ConsistencyError names: never a silently wrong answer.  The set's minima
+    are its elements outside the OR of all the block's rows.  An empty set
+    has no block to check and no minima.
     """
     out = np.zeros(len(model.element_ids), dtype=bool)
     cols = np.flatnonzero(mask)
     if not len(cols):
         return out
     bits = _global_order(model, specificity, cols)
-    if _diagonal(bits).any() or (_or_rows(bits, bits) & ~bits).any():
-        refl, trans, _ = _order_violations([model.element_ids[c] for c in cols], bits)
+    refl, trans, _ = _order_violations([model.element_ids[c] for c in cols.tolist()], bits)
+    if refl or trans:
         raise ConsistencyError(
             f"global preference is not a strict order: {(refl + trans)[0].instance}"
         )
@@ -328,40 +329,6 @@ def _check(
 # rows unpacked to booleans.
 _CHUNK_ITEMS = 1 << 14
 
-# The SWAR bit count's masks: every other bit, every other bit pair, the
-# low nibble of each byte, and the low bit of each byte.
-_EVERY_2, _EVERY_4, _EVERY_8, _BYTE_ONES = (
-    np.uint64(v)
-    for v in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
-)
-
-
-def _row_counts(bits: np.ndarray) -> np.ndarray:
-    """The set bits of each ``_bit_rows`` row, counted in place on as many
-    rows at a time as fit ``_CHUNK_ITEMS`` in two scratch copies.  Each
-    word is counted SWAR style: the bits of every 2-, 4- and 8-bit field
-    are summed into that field, and one multiplication sums the word's
-    eight byte counts into its top byte."""
-    counts = np.empty(len(bits), dtype=np.intp)
-    step = max(1, _CHUNK_ITEMS // (2 * max(1, bits.shape[1])))
-    for lo in range(0, len(bits), step):
-        block = bits[lo : lo + step]
-        c = block >> np.uint64(1)
-        c &= _EVERY_2
-        np.subtract(block, c, out=c)
-        t = c >> np.uint64(2)
-        t &= _EVERY_4
-        c &= _EVERY_4
-        c += t
-        np.right_shift(c, np.uint64(4), out=t)
-        c += t
-        c &= _EVERY_8
-        c *= _BYTE_ONES
-        c >>= np.uint64(56)
-        counts[lo : lo + step] = c.sum(axis=1)
-    return counts
-
-
 def _bit_rows(m: np.ndarray) -> np.ndarray:
     """The rows of the boolean matrix ``m`` as uint64 words: entry j of a
     row is bit j % 64 of word j // 64, and the padding bits past the last
@@ -373,12 +340,12 @@ def _bit_rows(m: np.ndarray) -> np.ndarray:
 
 
 def _complement(words: np.ndarray, n: int) -> np.ndarray:
-    """The complement of the ``_bit_rows`` ``words`` over ``n`` columns,
+    """``words``, ``_bit_rows`` over ``n`` columns, complemented in place,
     its padding bits kept 0."""
-    out = ~words
+    np.invert(words, out=words)
     if n % 64:
-        out[..., -1] &= np.uint64((1 << n % 64) - 1)
-    return out
+        words[..., -1] &= np.uint64((1 << n % 64) - 1)
+    return words
 
 
 def _unpacked(words: np.ndarray, n: int) -> np.ndarray:
@@ -419,18 +386,14 @@ def _chunks(sel_bits: np.ndarray, n: int):
     ``(lo, j, bounds)``, where the pairs of row ``lo + i`` are
     ``j[bounds[i]:bounds[i + 1]]``, in row-major order.
 
-    A block takes rows while their pairs plus 8 per word of each row (the
-    row unpacked) fit ``_CHUNK_ITEMS``, and at least one row; only its rows
-    are unpacked, so no list of all pairs and no unpacked matrix is held.
-    Each row's pairs are counted first (``_row_counts``), unless the rows
-    would fit one block even with all n bits set.  The pairs come from one
-    ``flatnonzero`` of the unpacked block, which reads only the first ``n``
-    bits of each row."""
+    Each row's pairs are counted first, by ``np.bitwise_count``.  A block
+    takes rows while their pairs plus 8 per word of each row (the row
+    unpacked) fit ``_CHUNK_ITEMS``, and at least one row; only its rows are
+    unpacked, so no list of all pairs and no unpacked matrix is held.  The
+    pairs come from one ``flatnonzero`` of the unpacked block, which reads
+    only the first ``n`` bits of each row."""
     rows, words = sel_bits.shape
-    if rows * (n + 8 * words) <= _CHUNK_ITEMS:
-        ends = np.arange(1, rows + 1) * (n + 8 * words)
-    else:
-        ends = np.cumsum(_row_counts(sel_bits) + 8 * words)
+    ends = np.cumsum(np.bitwise_count(sel_bits).sum(axis=1, dtype=np.intp) + 8 * words)
     lo = 0
     while lo < rows:
         spent = ends[lo - 1] if lo else 0
@@ -490,21 +453,24 @@ def _inside(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _unmodular(
-    ids: Sequence[str], not_after: np.ndarray, not_before: np.ndarray, lo: int,
+    ids: Sequence[str], bits: np.ndarray, not_before: np.ndarray, lo: int,
     j: np.ndarray, bounds: np.ndarray, limit: int,
 ) -> list[Violation]:
     """The first ``limit`` pairs x < y of one ``_chunks`` block of the order
-    with some z unordered against both, each with the first such z.
-    ``not_after`` and ``not_before`` are the ``_complement`` of the order's
-    rows (not x < z) and of its columns (not z < y).  Their rows are
-    gathered and ANDed in slices of ``_CHUNK_ITEMS`` words for the two,
-    until ``limit`` are found."""
+    ``bits`` with some z unordered against both, each with the first such
+    z: z lies neither in x's row (not x < z) nor in y's row of
+    ``not_before``, the ``_complement`` of the order's transpose (not
+    z < y).  The x rows are gathered and complemented in place, and the y
+    rows gathered and ANDed with them, in slices of ``_CHUNK_ITEMS`` words
+    for the two, until ``limit`` are found; the padding bits the complement
+    sets are cleared by ``not_before``'s."""
     x = lo + np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    step = max(1, _CHUNK_ITEMS // (2 * not_after.shape[1]))
+    step = max(1, _CHUNK_ITEMS // (2 * bits.shape[1]))
     out: list[Violation] = []
     for s in range(0, len(j), step):
         xs, ys = x[s : s + step], j[s : s + step]
-        both = not_after[xs]
+        both = bits[xs]
+        np.invert(both, out=both)
         both &= not_before[ys]
         bad = np.flatnonzero(both.any(axis=1))[: limit - len(out)]
         for i, y, words in zip(xs[bad], ys[bad], both[bad]):
@@ -529,34 +495,36 @@ def _order_violations(
 
     Irreflexivity reads the diagonal bits.  One ``_chunks`` walk over the
     relation's pairs serves the other two checks.  Each block ORs its rows'
-    successor rows (``_or_chunk``); row i fails transitivity exactly when
-    that OR has a bit that row i lacks, and only a failing row is unpacked
-    to list its (i, k, j), each with the first middle k.  A diagonal gap is
-    a 2-cycle x < z < x.  Modularity (``_unmodular``) is read from the same
-    blocks until its last reported violation.
+    successor rows (``_or_chunk``) into ``reach``, held as word columns
+    like the relation's ``cols``.  ``reach`` then ORs in each row itself,
+    in place; row i fails transitivity exactly when that leaves it unequal
+    to row i.  The word columns are freed before only a failing row is
+    unpacked to list its (i, k, j), each with the first middle k.  A
+    diagonal gap is a 2-cycle x < z < x.  Modularity (``_unmodular``) is
+    read from the same blocks until its last reported violation.
     """
     n = len(ids)
     refl = [
         Violation(instance=f"{ids[i]} < {ids[i]}", witnesses=(ids[i],))
         for i in np.flatnonzero(_diagonal(bits))[:_MAX_VIOLATIONS]
     ]
+    if modular:
+        not_before = _complement(_transposed(bits, n), n)
     cols = bits.T.copy()
     reach = np.zeros_like(cols)
-    if modular:
-        not_after = _complement(bits, n)
-        not_before = _complement(_transposed(bits, n), n)
     mod: list[Violation] = []
     for lo, j, bounds in _chunks(bits, n):
         _or_chunk(reach, cols, lo, j, bounds)
         if modular and len(mod) < _MAX_VIOLATIONS:
-            mod += _unmodular(
-                ids, not_after, not_before, lo, j, bounds, _MAX_VIOLATIONS - len(mod)
-            )
+            mod += _unmodular(ids, bits, not_before, lo, j, bounds, _MAX_VIOLATIONS - len(mod))
+    reach |= cols
+    bad = np.flatnonzero((reach != cols).any(axis=0))
+    del cols
     reach = reach.T
     trans: list[Violation] = []
-    for r in np.flatnonzero((reach & ~bits).any(axis=1)):
+    for r in bad:
         row = _unpacked(bits[r], n)
-        for j in np.flatnonzero(_unpacked(reach[r] & ~bits[r], n)):
+        for j in np.flatnonzero(_unpacked(reach[r] ^ bits[r], n)):
             k = int(np.argmax(row & _column(bits, j)))
             trans.append(
                 Violation(
@@ -575,8 +543,9 @@ def verify_order_axioms(pref: PreferentialModel) -> list[PropertyCheck]:
 
     One ``_order_violations`` walk over the pairs of ``pref.bits``, in
     blocks within ``_CHUNK_ITEMS``, serves both transitivity and
-    modularity; modularity's columns are the transpose of the bit rows,
-    packed a block of rows at a time.  No matrix product is taken.
+    modularity; modularity's columns are the complement of the transpose
+    of the bit rows, packed a block of rows at a time and complemented in
+    place.  No matrix product is taken.
     """
     refl, trans, mod = _order_violations(pref.element_ids, pref.bits, modular=True)
     # An irreflexive transitive relation on a finite set has no infinite
@@ -643,10 +612,11 @@ def _pool_masks(
 
 
 def _void_keys(rows: np.ndarray) -> np.ndarray:
-    """One void scalar per row of the uint8 matrix ``rows``, compared
-    bytewise, so two keys are equal exactly when the rows are."""
+    """One void scalar per row of the matrix ``rows`` (``_bit_rows``, say),
+    as many bytes as the row, compared bytewise, so two keys are equal
+    exactly when the rows are."""
     rows = np.ascontiguousarray(rows if rows.shape[1] else np.zeros((len(rows), 1), np.uint8))
-    return rows.view(np.dtype((np.void, rows.shape[1])))[:, 0]
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
 
 
 def _witnesses(ids: Sequence[str], mask: np.ndarray) -> tuple[str, ...]:
@@ -674,7 +644,9 @@ def verify_klm(
     is an implementation bug surfacing, not an interesting phenomenon.
 
     No matrix product is taken.  Sets are ``_bit_rows``, and so is the
-    order, ``pref.bits``.  T(C) is ext(C) minus the OR of the order's rows
+    order, ``pref.bits``; the pool's sets are packed once, and classes,
+    unions and intersections are all keyed on the bytes of those rows
+    (``_void_keys``).  T(C) is ext(C) minus the OR of the order's rows
     over the members of ext(C) (``_bit_minima``, one ``_or_rows`` over all
     the pool's sets, whose pairs it walks in blocks within
     ``_CHUNK_ITEMS``), and C |~ D holds when T(C) has no bit outside
@@ -701,11 +673,10 @@ def verify_klm(
         for i in np.flatnonzero((typ & ~ext_bits).any(axis=1))
     ]
 
-    # The classes, one per distinct packed row in the order of their sorted
+    # The classes, one per distinct bit row in the order of their sorted
     # keys: inv[c] is the class of pool concept c and first[a] the first pool
     # concept of class a.
-    packed = np.packbits(ext, axis=1)
-    keys, first, inv = np.unique(_void_keys(packed), return_index=True, return_inverse=True)
+    keys, first, inv = np.unique(_void_keys(ext_bits), return_index=True, return_inverse=True)
     cls_bits = ext_bits[first]
     entail = _inside(typ, cls_bits)  # entail[c, a]: T(C) inside class a
     lle: list[Violation] = []
@@ -723,25 +694,23 @@ def verify_klm(
     # class.  Unions and distinct intersections are looked up among the
     # sorted class keys; only the intersections go through ``np.unique``.
     k = len(first)
-    packed = packed[first]
     a, b = np.triu_indices(k)
 
     def class_of(rows: np.ndarray) -> np.ndarray:
-        """The class whose packed mask each row is, or -1."""
+        """The class whose bit row each row is, or -1."""
         found = _void_keys(rows)
         at = np.minimum(np.searchsorted(keys, found), k - 1)
         return np.where(keys[at] == found, at, -1)
 
     join = np.full((k, k), -1, dtype=np.intp)
-    join[a, b] = join[b, a] = class_of(packed[a] | packed[b])
-    met = packed[a] & packed[b]
+    join[a, b] = join[b, a] = class_of(cls_bits[a] | cls_bits[b])
+    met = cls_bits[a] & cls_bits[b]
     _, distinct, which = np.unique(_void_keys(met), return_index=True, return_inverse=True)
     known = class_of(met[distinct])
     extra = known < 0
     meet = np.empty((k, k), dtype=np.intp)
     meet[a, b] = meet[b, a] = np.where(extra, k + np.cumsum(extra) - 1, known)[which]
-    extras = np.unpackbits(met[distinct[extra]], axis=1, count=width).view(bool)
-    extra_bits = _bit_rows(extras)
+    extra_bits = met[distinct[extra]]
     # The first k family rows are the classes, whose minima are known.
     ent = entail[first]
     cls_typ = typ[first]

@@ -430,13 +430,15 @@ def _refusing_overflow():
 
 def train(som: SomMap, data: Sequence[Stimulus], cfg: TrainConfig) -> tuple[SomMap, list[float]]:
     """Train a copy of ``som`` on ``data`` and return it with the per-epoch
-    quantization error log (one entry per completed epoch).  Data whose
-    distances to the map overflow is refused (``_refusing_overflow``).
+    quantization error log (one entry per completed epoch).  Each
+    stimulus's constructor has proved its features finite, so only their
+    dimension is checked.  Data whose distances to the map overflow is
+    refused (``_refusing_overflow``).
     """
     if len(data) == 0:
         raise InputError("cannot train on empty data")
     for s in data:
-        _check_vector(som, s.features)
+        _check_shape(som, (s.dim,))
     x = np.array([s.features for s in data], dtype=np.float64)
 
     out = som.copy()
@@ -462,12 +464,13 @@ def _qe(weights: np.ndarray, x: np.ndarray) -> float:
 
 
 def quantization_error(som: SomMap, data: Sequence[Stimulus]) -> float:
-    """Mean distance from each stimulus to its BMU's weights; refused, as in
-    ``train``, when a distance overflows."""
+    """Mean distance from each stimulus to its BMU's weights.  As in
+    ``train``, only each stimulus's dimension is checked, and a distance
+    that overflows is refused."""
     if len(data) == 0:
         raise InputError("quantization error over empty data is undefined")
     for s in data:
-        _check_vector(som, s.features)
+        _check_shape(som, (s.dim,))
     x = np.array([s.features for s in data], dtype=np.float64)
     with _refusing_overflow():
         return _qe(som.weights, x)

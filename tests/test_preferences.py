@@ -237,6 +237,28 @@ def test_minima_of_a_dense_block_stay_in_a_fixed_memory_budget():
     assert np.array_equal(got, ~order.any(axis=0))
 
 
+def test_order_axioms_of_a_dense_order_hold_three_copies_of_it():
+    # A Pareto order over 3000 points, about 2.2 million pairs.  Besides
+    # the order, the check holds its word columns, the ORed rows and the
+    # complement of its transpose, one copy each, and the walk's blocks;
+    # a full complement of the rows on top of those breaks the bound.
+    n = 3000
+    point = np.random.default_rng(3).random((n, 2))
+    m = (point[:, np.newaxis] < point[np.newaxis, :]).all(axis=2)
+    ids = tuple(f"e{i:04d}" for i in range(n))
+    pref = preferential(None, SpecificityRelation(pairs=frozenset()), ids, m)
+    del m
+    tracemalloc.start()
+    try:
+        checks = verify_order_axioms(pref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * pref.bits.nbytes + 2**20
+    assert [c.status for c in checks] == ["pass", "pass", "pass", "fail"]
+    assert len(checks[3].violations) == 10
+
+
 def test_minima_of_a_dense_block_name_the_first_violation_of_a_two_cycle():
     # The reference is the first pair (i, j) in row-major order that the
     # square of the order reaches but the order lacks, with its first
@@ -695,13 +717,33 @@ def test_minima_comparison_catches_late_chunks(budget, monkeypatch):
     assert _bit_minima_mismatches()
 
 
-@pytest.mark.parametrize(
-    "shape", [(0, 0), (3, 0), (0, 5), (5, 1), (7, 63), (9, 64), (11, 65), (40, 129)]
-)
+_KERNEL_SHAPES = [(0, 0), (3, 0), (0, 5), (5, 1), (7, 63), (9, 64), (11, 65), (40, 129)]
+
+
+def _chunk_checks(m: np.ndarray) -> tuple[bool, bool]:
+    """Whether every ``_chunks`` block of the bit rows of ``m``, at the
+    current budget, has its rows' bit counts as its segment lengths, and
+    whether every block fits ``_CHUNK_ITEMS`` (its pairs plus 8 per word
+    of its rows) or is one row.  The blocks must tile the rows in order."""
+    bits = preferences._bit_rows(m)
+    counted = fits = True
+    at = 0
+    for lo, j, bounds in preferences._chunks(bits, m.shape[1]):
+        rows = len(bounds) - 1
+        assert lo == at and rows >= 1
+        at += rows
+        counted &= np.array_equal(np.diff(bounds), m[lo:at].sum(axis=1))
+        fits &= rows == 1 or len(j) + 8 * bits.shape[1] * rows <= preferences._CHUNK_ITEMS
+    assert at == len(m)
+    return counted, fits
+
+
+@pytest.mark.parametrize("shape", _KERNEL_SHAPES)
 def test_or_kernel_matches_set_oracle(shape, monkeypatch):
     # Every third row of m has no entry, so its OR is 0; the ORed rows have
     # zero padding, which the result keeps.  Each case runs at the default
-    # budget and at 1 and 40 items, where the rows split into many blocks.
+    # budget and at 1 and 40 items, where the rows split into many blocks;
+    # each block's segments are its rows' pairs, and it fits the budget.
     r, c = shape
     rng = np.random.default_rng(list(shape))
     for density in (0.0, 0.1, 0.5, 1.0):
@@ -720,8 +762,28 @@ def test_or_kernel_matches_set_oracle(shape, monkeypatch):
                 patch.setattr(preferences, "_CHUNK_ITEMS", budget)
                 got = preferences._or_rows(bits, preferences._bit_rows(members))
                 assert np.array_equal(got, _words(want)), (shape, density, budget)
-                counts = preferences._row_counts(bits)
-                assert np.array_equal(counts, m.sum(axis=1)), (shape, density, budget)
+                assert _chunk_checks(m) == (True, True), (shape, density, budget)
+
+
+def test_chunk_checks_catch_halved_counts(monkeypatch):
+    # Counting each row's pairs at half packs more rows into a block than
+    # the budget holds.
+    _inject(
+        monkeypatch,
+        "_chunks",
+        "np.bitwise_count(sel_bits).sum(axis=1, dtype=np.intp)",
+        "np.bitwise_count(sel_bits).sum(axis=1, dtype=np.intp) // 2",
+    )
+    fits = []
+    for shape in _KERNEL_SHAPES:
+        rng = np.random.default_rng(list(shape))
+        for density in (0.1, 0.5, 1.0):
+            m = rng.random(shape) < density
+            for budget in (preferences._CHUNK_ITEMS, 1, 40):
+                with monkeypatch.context() as patch:
+                    patch.setattr(preferences, "_CHUNK_ITEMS", budget)
+                    fits.append(_chunk_checks(m)[1])
+    assert not all(fits)
 
 
 def _rank_model(n: int):
@@ -1080,8 +1142,8 @@ def test_klm_report_matches_oracle():
 
 
 def test_klm_class_keys_see_the_last_element():
-    # 11 elements, so the last one sits in a partial byte of the packed
-    # masks; ext(A) and ext(B) differ in it alone.  It is minimal in B and
+    # 11 elements, so the last one sits in a partial word of the bit rows
+    # that key the classes; ext(A) and ext(B) differ in it alone.  It is minimal in B and
     # outside A, so B |~ A fails while A |~ A holds: merging the two
     # classes would report an LLE violation.
     ids = [f"e{i}" for i in range(11)]
@@ -1093,7 +1155,7 @@ def test_klm_class_keys_see_the_last_element():
     m = make_model(rd, {"A": ["e0", "e1"], "B": ["e0", "e1"], "C": ["e1", "e10"]})
     a, b = extension_mask(m, Name("A")), extension_mask(m, Name("B"))
     assert np.flatnonzero(a != b).tolist() == [10]
-    assert len(set(_void_keys(np.packbits(np.vstack([a, b]), axis=1)).tolist())) == 2
+    assert len(set(_void_keys(preferences._bit_rows(np.vstack([a, b]))).tolist())) == 2
     pref = build_preferential(m, SpecificityRelation(pairs=frozenset()))
     assert _minima_ids(m, pref.specificity, extension(m, Name("B"))) == {"e0", "e10"}
     got = [c.to_json() for c in verify_klm(pref)]
@@ -1102,8 +1164,9 @@ def test_klm_class_keys_see_the_last_element():
 
 
 def test_klm_report_comparison_catches_merged_classes(monkeypatch):
-    # A class key without the last packed byte merges extensions that
-    # differ only in their last elements; the oracle comparison sees it.
+    # A class key without the last word of the bit row merges extensions
+    # that differ only in their last elements; the oracle comparison sees
+    # it.
     def truncated(rows):
         return _void_keys(rows[:, :-1])
 

@@ -435,6 +435,22 @@ def test_train_empty_data():
         quantization_error(som, [])
 
 
+@pytest.mark.parametrize("features", [(0.0,), (0.0, 0.1, 0.2)])
+def test_train_and_quantization_error_refuse_a_stimulus_of_another_dimension(features):
+    # Both check only each stimulus's dimension, with the message a raw
+    # vector of the wrong shape gets.
+    som = init_map(2, 2, 2, seed=0, value_range=(0.0, 1.0))
+    data = [Stimulus("a", (0.5, 0.5), "A"), Stimulus("b", features, "A")]
+    message = f"input vector has shape ({len(features)},), map expects (2,)"
+    with pytest.raises(InputError) as raw:
+        apply_presentation(som, features, 0.5, 1.0)
+    with pytest.raises(InputError) as trained:
+        train(som, data, TrainConfig(epochs=1))
+    with pytest.raises(InputError) as measured:
+        quantization_error(som, data)
+    assert str(raw.value) == str(trained.value) == str(measured.value) == message
+
+
 # ==============================================================
 # Snapshots
 # ==============================================================
