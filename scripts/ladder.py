@@ -13,8 +13,11 @@ The script prints, per rung, in milliseconds, the time of the one train
 call that builds the rung's map, the mean revision step of one one-epoch
 run_trace over the rung's data (its time divided by its steps; not on XL,
 whose one-epoch trace is 9600 steps), and the median of three calls of
-build_model, build_preferential, verify_order_axioms, verify_klm, minima
-over the whole domain (T(Top), with its strict-order guard), and
+quantization_error on the rung's data and trained map (train makes E of
+them, one per epoch for its log, so train less E of them is what its
+presentations cost), build_model, build_preferential, verify_order_axioms,
+verify_klm, minima over the whole domain (T(Top), with its strict-order
+guard), and
 `somlogic verify` and `somlogic check "T(Top) <= C0"` run in-process on the
 saved model.json (stdout captured).  It also prints the tracemalloc peak in
 MB of one call each of build_preferential, verify_order_axioms and minima
@@ -51,6 +54,7 @@ from somlogic import (
     gaussian_clusters,
     init_map,
     minima,
+    quantization_error,
     run_trace,
     save_model,
     train,
@@ -93,6 +97,7 @@ def peak_mb(fn):
 
 STAGES = (
     "train, one call",
+    "quantization_error, one call",
     "revise, mean step over one epoch",
     "build_model",
     "build_preferential",
@@ -172,6 +177,7 @@ def rung_times(name, tmp):
     domain = np.ones(len(model.element_ids), dtype=bool)
     return len(model.element_ids), [
         train_ms,
+        median_ms(lambda: quantization_error(som, data)),
         step_ms,
         median_ms(lambda: build_model(som, data)),
         median_ms(lambda: build_preferential(model, rel)),

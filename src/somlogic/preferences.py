@@ -253,17 +253,20 @@ def minima(
 
     The restricted block is checked to be an irreflexive, transitive strict
     order by ``_order_violations``, whose first violation the
-    ConsistencyError names: never a silently wrong answer.  The set's minima
-    are its elements outside the OR of all the block's rows.  An empty set
-    has no block to check and no minima.
+    ConsistencyError names: never a silently wrong answer.  The check runs
+    on the block's domain columns; only a block that fails it is checked
+    again under its element ids, for the message.  The set's minima are its
+    elements outside the OR of all the block's rows.  An empty set has no
+    block to check and no minima.
     """
     out = np.zeros(len(model.element_ids), dtype=bool)
     cols = np.flatnonzero(mask)
     if not len(cols):
         return out
     bits = _global_order(model, specificity, cols)
-    refl, trans, _ = _order_violations([model.element_ids[c] for c in cols.tolist()], bits)
+    refl, trans, _ = _order_violations(cols, bits)
     if refl or trans:
+        refl, trans, _ = _order_violations([model.element_ids[c] for c in cols.tolist()], bits)
         raise ConsistencyError(
             f"global preference is not a strict order: {(refl + trans)[0].instance}"
         )
@@ -487,11 +490,12 @@ def _unmodular(
 
 
 def _order_violations(
-    ids: Sequence[str], bits: np.ndarray, modular: bool = False
+    ids: Sequence, bits: np.ndarray, modular: bool = False
 ) -> tuple[list[Violation], list[Violation], list[Violation]]:
     """Irreflexivity, transitivity and, if ``modular``, modularity
     violations of the relation over ``ids`` whose ``_bit_rows`` are
     ``bits``, at most ``_MAX_VIOLATIONS`` of each, pairs in row-major order.
+    ``ids`` is read only to name the elements of a violation.
 
     Irreflexivity reads the diagonal bits.  One ``_chunks`` walk over the
     relation's pairs serves the other two checks.  Each block ORs its rows'

@@ -8,11 +8,22 @@ linearly over the total number of presentations.
 
 Everything is deterministic given the seed: weight initialisation, the
 per-epoch presentation order, and BMU tie-breaking (lowest unit index).
+
+Training is online, one stimulus at a time, in the order a revision trace
+replays, so it is a sequential loop whose steps cost numpy call overhead
+more than arithmetic.  One kernel, ``_present``, makes every step, for
+``train`` and for ``apply_presentation`` alike: it runs on buffers of the
+weights' shape, with no broadcast operand, and sums each unit's squared
+distance in the order of the distance kernel (``nearest_units``).  The
+schedule (``presentation_schedule``) computes each epoch's parameters at
+once.  Every weight equals, bit for bit, the one the step-by-step formulas
+give.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -305,7 +316,8 @@ def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     short-axis reduce; a matrix-product expansion would differ in the last
     bit.  Rows are taken in blocks so that the temporaries stay small.  Each
     row's distance is read at its argmin, which is its minimum, inf
-    included.
+    included.  The presentation step (``_present``) finds its BMU with the
+    same sum, so training, revision and this kernel agree on every BMU.
     """
     nearest = np.empty(len(x), dtype=np.intp)
     d2_min = np.empty(len(x), dtype=np.float64)
@@ -337,34 +349,58 @@ def nearest_in_groups(x: np.ndarray, weights: np.ndarray, cols, starts) -> np.nd
 _MIN_TWO_R2 = 1e-3
 
 
-def _present(som: SomMap, x: np.ndarray, lr: float, radius: float, scratch: np.ndarray) -> None:
+def _step_buffers(weights: np.ndarray) -> tuple:
+    """Scratch for ``_present`` on weights of the shape and memory layout of
+    ``weights``: three buffers like them (the work buffer, the stimulus in
+    every row, a in every column) and the work buffer's column views."""
+    work, xs, a = (np.empty_like(weights) for _ in range(3))
+    return work, xs, a, [work[:, k] for k in range(weights.shape[1])]
+
+
+def _present(som: SomMap, x: np.ndarray, lr: float, radius: float, scratch: tuple) -> None:
     """One stimulus presentation, updating ``som.weights`` in place.
 
     Each unit moves as w <- (1 - a) * w + a * x with a = lr * h and Gaussian
     neighbourhood h = exp(-grid_dist^2 / (2 * radius^2)) around the BMU.  The
     convex-combination form makes lr = 1, h = 1 land exactly on ``x``.
 
-    The step costs only that arithmetic.  The squared differences from
-    ``x`` are formed in ``scratch``, a buffer of the weights' shape that the
-    caller keeps across steps.  -grid_dist^2 is the sum of the BMU's rows
-    of the map's two offset tables (``SomMap``), and the neighbourhood is
-    divided by 2 * radius^2 (at least ``_MIN_TWO_R2``), exponentiated and
-    scaled by lr in place on that one units-long vector.  Each float
-    equals, bit for bit, the one the formula gives from the units' grid
-    coordinates; where the formula's exponent would overflow, h is 0.0, its
-    limit.
+    The step costs only that arithmetic, on the buffers of ``scratch``
+    (``_step_buffers``), which the caller keeps across steps.  No ufunc in
+    it broadcasts an array.  An array operand broadcast along an axis
+    (stride 0) sends numpy through its buffered iterator, which allocates
+    buffers on every call (26 KB at 400 x 8 under tracemalloc; a float
+    operand allocates none) and at these sizes costs more than the
+    arithmetic: at 400 x 8, w - x takes about 5.6 us against 2.2 + 1.4 us
+    for copying ``x`` into every row of a buffer and subtracting that
+    (numpy 2.4.6, one core of a 2-core machine).  So ``x`` and a are
+    copied into buffers of the weights' shape once, and every difference
+    and product is taken between arrays of that shape; x * a has the bits
+    of a * x.  The BMU's squared distances add the squared differences'
+    columns with ``_pairwise_sum``, in the order of numpy's own sum over
+    the feature axis and of the distance kernel (``nearest_units``),
+    without numpy's reduce along that short axis.  -grid_dist^2 is the sum
+    of the BMU's rows of the map's two offset tables (``SomMap``), and the
+    neighbourhood is divided by 2 * radius^2 (at least ``_MIN_TWO_R2``),
+    exponentiated and scaled by lr in place on that one units-long vector.
+    Each float equals, bit for bit, the one the formula gives from the
+    units' grid coordinates, whatever the weights' memory layout; where the
+    formula's exponent would overflow, h is 0.0, its limit.
     """
     w = som.weights
-    diff = np.subtract(w, x, out=scratch)
-    diff *= diff
-    r, c = divmod(int(diff.sum(axis=1).argmin()), som.cols)
-    h = np.add(som._row_gd2[r], som._col_gd2[c])
+    work, xs, a, columns = scratch
+    xs[...] = x
+    np.subtract(w, xs, out=work)
+    work *= work
+    r, c = divmod(int(_pairwise_sum(columns).argmin()), som.cols)
+    h = som._row_gd2[r] + som._col_gd2[c]
     h /= max(2.0 * radius * radius, _MIN_TWO_R2)
     np.exp(h, out=h)
     h *= lr
-    a = h[:, np.newaxis]
-    w *= 1.0 - a
-    w += np.multiply(a, x, out=scratch)
+    a[...] = h[:, np.newaxis]
+    np.subtract(1.0, a, out=work)
+    w *= work
+    a *= xs
+    w += a
 
 
 def apply_presentation(som: SomMap, x, lr: float, radius: float) -> SomMap:
@@ -381,8 +417,34 @@ def apply_presentation(som: SomMap, x, lr: float, radius: float) -> SomMap:
     else:
         v = _check_vector(som, x)
     out = som.copy()
-    _present(out, v, float(lr), float(radius), np.empty_like(out.weights))
+    _present(out, v, float(lr), float(radius), _step_buffers(out.weights))
     return out
+
+
+def _epoch_schedules(
+    n_samples: int, cfg: TrainConfig
+) -> Iterator[tuple[int, list[int], list[float], list[float]]]:
+    """Yield (epoch, sample order, lrs, radii) for every epoch: the
+    ``presentation_schedule`` of that epoch as three lists.
+
+    Presentation t of ``total`` has frac = t / (total - 1) (0.0 when total
+    is 1), and each parameter is the two-product lerp start * (1 - frac) +
+    end * frac, which hits both endpoints exactly.  The epoch's lerps are
+    taken on arrays; numpy converts t and total - 1 to float64 exactly and
+    fuses no multiply-add, so each float equals the one Python's own
+    arithmetic gives step by step.
+    """
+    if n_samples < 1:
+        raise InputError("schedule needs at least one sample")
+    rng = np.random.default_rng(cfg.seed)
+    total = cfg.epochs * n_samples
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n_samples) if cfg.shuffle else np.arange(n_samples)
+        t = np.arange(epoch * n_samples, (epoch + 1) * n_samples)
+        frac = t / (total - 1) if total > 1 else np.zeros(n_samples)
+        lr = cfg.lr_start * (1.0 - frac) + cfg.lr_end * frac
+        radius = cfg.radius_start * (1.0 - frac) + cfg.radius_end * frac
+        yield epoch, order.tolist(), lr.tolist(), radius.tolist()
 
 
 def presentation_schedule(
@@ -391,26 +453,14 @@ def presentation_schedule(
     """Yield (epoch, sample_index, lr, radius) for every presentation.
 
     This is the single source of truth for presentation order and parameter
-    decay; both batch training and step-wise revision traces iterate it, so a
+    decay; both batch training and step-wise revision traces read it, so a
     trace over the same data and config reproduces the trained map exactly.
+    Each epoch draws a fresh order from one generator seeded with
+    ``cfg.seed`` (or takes data order without ``shuffle``) and computes its
+    parameters at once (``_epoch_schedules``, which ``train`` iterates).
     """
-    if n_samples < 1:
-        raise InputError("schedule needs at least one sample")
-    rng = np.random.default_rng(cfg.seed)
-    total = cfg.epochs * n_samples
-    t = 0
-    for _epoch in range(cfg.epochs):
-        if cfg.shuffle:
-            order = rng.permutation(n_samples)
-        else:
-            order = np.arange(n_samples)
-        for i in order:
-            frac = t / (total - 1) if total > 1 else 0.0
-            # two-product lerp hits both endpoints exactly
-            lr = cfg.lr_start * (1.0 - frac) + cfg.lr_end * frac
-            radius = cfg.radius_start * (1.0 - frac) + cfg.radius_end * frac
-            yield _epoch, int(i), lr, radius
-            t += 1
+    for epoch, order, lrs, radii in _epoch_schedules(n_samples, cfg):
+        yield from zip(itertools.repeat(epoch), order, lrs, radii)
 
 
 @contextlib.contextmanager
@@ -434,6 +484,13 @@ def train(som: SomMap, data: Sequence[Stimulus], cfg: TrainConfig) -> tuple[SomM
     stimulus's constructor has proved its features finite, so only their
     dimension is checked.  Data whose distances to the map overflow is
     refused (``_refusing_overflow``).
+
+    The steps are ``_present`` on one set of ``_step_buffers``, in the
+    order and with the parameters of ``presentation_schedule``, taken an
+    epoch at a time (``_epoch_schedules``).  While they run, the weights
+    are held column-major, so that each feature's column, which the BMU
+    sum adds and the neighbourhood fills, is contiguous; the returned map's
+    weights are row-major again.
     """
     if len(data) == 0:
         raise InputError("cannot train on empty data")
@@ -446,15 +503,16 @@ def train(som: SomMap, data: Sequence[Stimulus], cfg: TrainConfig) -> tuple[SomM
     if cfg.epochs == 0:
         return out, qe_log
 
-    scratch = np.empty_like(out.weights)
-    current_epoch = 0
+    out.weights = np.asfortranarray(out.weights)
+    scratch = _step_buffers(out.weights)
     with _refusing_overflow():
-        for epoch, i, lr, radius in presentation_schedule(len(data), cfg):
-            if epoch != current_epoch:
+        for epoch, order, lrs, radii in _epoch_schedules(len(data), cfg):
+            if epoch:
                 qe_log.append(_qe(out.weights, x))
-                current_epoch = epoch
-            _present(out, x[i], lr, radius, scratch)
+            for i, lr, radius in zip(order, lrs, radii):
+                _present(out, x[i], lr, radius, scratch)
         qe_log.append(_qe(out.weights, x))
+    out.weights = np.ascontiguousarray(out.weights)
     out.epochs_trained = som.epochs_trained + cfg.epochs
     return out, qe_log
 

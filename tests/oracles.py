@@ -4,13 +4,12 @@ Everything here is written with plain Python loops and dicts, straight from
 the definitions, sharing no code with the package internals, except that
 ``oracle_verify_klm`` takes the report types from the library and
 ``oracle_model_from_snapshot`` the snapshot reading and the derivation,
-since what it is the reference for is the comparison that follows them,
-and ``oracle_train`` takes the presentation schedule from the library,
-since what it is the reference for is the step.  Tests compare library
-outputs against these.  ``order_matrix`` and ``preferential`` turn the
-library's bit rows of an order into an N x N boolean matrix and back, with
-the library's own packing helpers; the ``faulty_*`` helpers give library
-steps a fault that the comparisons must catch.
+since what it is the reference for is the comparison that follows them.
+Tests compare library outputs against these.  ``order_matrix`` and
+``preferential`` turn the library's bit rows of an order into an N x N
+boolean matrix and back, with the library's own packing helpers; the
+``faulty_*`` helpers give library steps a fault that the comparisons must
+catch.
 
 The set-based routes live here too: ``extension`` evaluates a concept to a
 frozenset of element ids, and ``minimal_elements`` reads the minima of a set
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from somlogic.preferences import (
     _unpacked,
     default_concept_pool,
 )
-from somlogic.som import presentation_schedule
 
 
 def rd_table(model: SemanticModel, name: str) -> dict[str, float]:
@@ -100,10 +98,32 @@ def oracle_present(weights: np.ndarray, cols: int, x: np.ndarray, lr: float, rad
     return (1.0 - a) * weights + a * x
 
 
+def oracle_schedule(n_samples: int, cfg) -> Iterator[tuple[int, int, float, float]]:
+    """(epoch, sample index, lr, radius) for every presentation, one step
+    at a time: a fresh order per epoch from one generator seeded with
+    ``cfg.seed`` (data order without ``shuffle``), and each parameter the
+    two-product lerp start * (1 - frac) + end * frac at frac = t / (total -
+    1) over the ``total`` presentations (0.0 when there is one)."""
+    rng = np.random.default_rng(cfg.seed)
+    total = cfg.epochs * n_samples
+    t = 0
+    for epoch in range(cfg.epochs):
+        if cfg.shuffle:
+            order = rng.permutation(n_samples)
+        else:
+            order = np.arange(n_samples)
+        for i in order:
+            frac = t / (total - 1) if total > 1 else 0.0
+            # two-product lerp hits both endpoints exactly
+            lr = cfg.lr_start * (1.0 - frac) + cfg.lr_end * frac
+            radius = cfg.radius_start * (1.0 - frac) + cfg.radius_end * frac
+            yield epoch, int(i), lr, radius
+            t += 1
+
+
 def oracle_train(som, data, cfg) -> tuple[np.ndarray, list[float]]:
     """The weights ``train`` reaches and its per-epoch quantization errors,
-    one ``oracle_present`` per step of the library's presentation
-    schedule."""
+    one ``oracle_present`` per step of ``oracle_schedule``."""
     x = np.array([s.features for s in data], dtype=np.float64)
     w = som.weights.copy()
     qe_log: list[float] = []
@@ -112,7 +132,7 @@ def oracle_train(som, data, cfg) -> tuple[np.ndarray, list[float]]:
         return float(np.sqrt(oracle_sq_dists(x, w).min(axis=1)).mean())
 
     current_epoch = 0
-    for epoch, i, lr, radius in presentation_schedule(len(data), cfg):
+    for epoch, i, lr, radius in oracle_schedule(len(data), cfg):
         if epoch != current_epoch:
             qe_log.append(qe())
             current_epoch = epoch

@@ -188,6 +188,22 @@ def test_minima_rejects_cyclic_specificity():
     assert "x < y < x" in str(exc.value)
 
 
+def test_minima_names_a_violation_by_element_id_in_a_mask_with_gaps():
+    # The block {x, y, s1} sits at domain columns 1, 3 and 4, so its
+    # positions 0 and 1 are other elements (g0 and x): the message must
+    # name the cycle by the ids of the block's columns.
+    rd = {
+        "K1": {"g0": 1.0, "x": 0.0, "g1": 1.0, "y": 0.5, "s1": 1.0, "s2": 1.0},
+        "K2": {"g0": 1.0, "x": 0.5, "g1": 1.0, "y": 0.0, "s1": 1.0, "s2": 1.0},
+    }
+    m = make_model(rd, {"K1": ["x", "s1"], "K2": ["y", "s2"]})
+    cyclic = SpecificityRelation(pairs=frozenset({("K1", "K2"), ("K2", "K1")}))
+    assert [m.col_of[e] for e in ("x", "y", "s1")] == [1, 3, 4]
+    with pytest.raises(ConsistencyError) as exc:
+        _minima_ids(m, cyclic, {"x", "y", "s1"})
+    assert str(exc.value) == "global preference is not a strict order: x < y < x but not x < x"
+
+
 def test_minima_of_empty_set(nested_model):
     rel = derive_specificity(nested_model)
     empty = np.zeros(len(nested_model.element_ids), dtype=bool)

@@ -1,5 +1,6 @@
 import copy
 import inspect
+import math
 import textwrap
 
 import numpy as np
@@ -27,7 +28,14 @@ from somlogic import (
 from somlogic import som as som_module
 from somlogic.som import map_from_snapshot, map_snapshot, nearest_in_groups, nearest_units
 
-from oracles import oracle_bmu, oracle_present, oracle_qe, oracle_sq_dists, oracle_train
+from oracles import (
+    oracle_bmu,
+    oracle_present,
+    oracle_qe,
+    oracle_schedule,
+    oracle_sq_dists,
+    oracle_train,
+)
 
 
 def small_data():
@@ -183,17 +191,18 @@ def test_kernel_equals_pinned_expression(seed, n, units, dim, duplicates, huge):
     assert _kernel_mismatches(x, w, groups) == []
 
 
+def _left_to_right(terms):
+    """A fault for ``som._pairwise_sum``: the terms summed left to right."""
+    total = terms[0]
+    for t in terms[1:]:
+        total += t
+    return total
+
+
 def test_kernel_comparison_catches_left_to_right_sum(monkeypatch):
     x, w, groups = _kernel_case(0, 70, 70, 8, False, False)
     assert _kernel_mismatches(x, w, groups) == []
-
-    def left_to_right(terms):
-        total = terms[0]
-        for t in terms[1:]:
-            total += t
-        return total
-
-    monkeypatch.setattr(som_module, "_pairwise_sum", left_to_right)
+    monkeypatch.setattr(som_module, "_pairwise_sum", _left_to_right)
     assert "distances" in _kernel_mismatches(x, w, groups)
 
 
@@ -281,6 +290,44 @@ def test_schedule_endpoints_and_shuffle():
     assert [i for _, i, _, _ in no_shuffle[:10]] == list(range(10))
 
 
+def _schedule_configs(seed: int):
+    """Configs over epochs 0-4 with shuffle on and off, each once with
+    lr_start == lr_end."""
+    rng = np.random.default_rng(seed)
+    for epochs in range(5):
+        for shuffle in (True, False):
+            lr_start, lr_end = rng.uniform(0.01, 1.0, 2).tolist()
+            radius_start, radius_end = rng.uniform(0.1, 5.0, 2).tolist()
+            for lr in ((lr_start, lr_end), (lr_start, lr_start)):
+                yield TrainConfig(epochs=epochs, lr_start=lr[0], lr_end=lr[1], radius_start=radius_start,
+                                  radius_end=radius_end, seed=seed, shuffle=shuffle)
+
+
+def _schedule_mismatches(seeds, sizes) -> int:
+    """How many (config, size) pairs give a schedule that differs, tuple
+    for tuple and float for float (``==``), from the oracle's."""
+    return sum(
+        list(presentation_schedule(n, cfg)) != list(oracle_schedule(n, cfg))
+        for seed in seeds for cfg in _schedule_configs(seed) for n in sizes
+    )
+
+
+def test_schedule_equals_oracle():
+    # n = 1 at one epoch makes total = 1, where frac is 0.0
+    assert _schedule_mismatches(range(6), (1, 2, 7, 60)) == 0
+
+
+def test_schedule_comparison_catches_a_step_counter_restarting_each_epoch(monkeypatch):
+    assert _schedule_mismatches((0,), (7,)) == 0
+    src = textwrap.dedent(inspect.getsource(som_module._epoch_schedules))
+    counter = "np.arange(epoch * n_samples, (epoch + 1) * n_samples)"
+    assert src.count(counter) == 1
+    namespace = dict(vars(som_module))
+    exec(compile(src.replace(counter, "np.arange(n_samples)"), som_module.__file__, "exec"), namespace)
+    monkeypatch.setattr(som_module, "_epoch_schedules", namespace["_epoch_schedules"])
+    assert _schedule_mismatches((0,), (7,))
+
+
 def test_single_presentation_pulls_bmu_onto_stimulus():
     # lr = 1 with a vanishing radius moves exactly the BMU, exactly onto x
     som = init_map(3, 3, 2, seed=0, value_range=(0.0, 1.0))
@@ -337,16 +384,54 @@ def _step_mismatches(som, data, cfg) -> list[str]:
     st.integers(0, 2**32 - 1),
     st.integers(1, 5),
     st.integers(1, 5),
-    st.integers(1, 8),
+    st.integers(1, 12),
     st.integers(1, 8),
     st.integers(1, 3),
 )
 @settings(max_examples=60)
 @example(0, 2, 5, 8, 8, 3)
 @example(1, 5, 3, 1, 8, 2)
+# eight running sums plus one and plus four leftover features
+@example(2, 3, 4, 9, 8, 2)
+@example(3, 4, 3, 12, 8, 2)
 def test_presentation_step_equals_oracle(seed, rows, cols, dim, n, epochs):
     som, data, cfg = _train_case(seed, rows, cols, dim, n, epochs)
     assert _step_mismatches(som, data, cfg) == []
+
+
+def _summation_order_case():
+    """A 1 x 2 map at d = 9 whose BMU for x = 0 only the order of the
+    squared distance's sum decides.  Unit 0's squares are 1e16 and eight
+    1s, unit 1's 1e16, 4 and seven 0s; the spacing of floats at 1e16 is 2.
+    Left to right, each 1 added to 1e16 rounds away and 1e16 + 4 stays, so
+    unit 0 is nearer.  Numpy's pairwise order adds the eighth and ninth
+    squares first (1e16 + 1 -> 1e16) and then combines the eight running
+    sums: 1e16 + 6 against 1e16 + 4, so unit 1 is."""
+    w = np.array([[1e8] + [1.0] * 8, [1e8, 2.0] + [0.0] * 7])
+    return SomMap(rows=1, cols=2, input_dim=9, seed=0, weights=w), np.zeros(9)
+
+
+def _summation_order_mismatch(som, x) -> bool:
+    """Whether one presentation of ``x`` (lr 1, radius 1e-9: only the BMU
+    moves, onto ``x``) differs, bit for bit, from the oracle's step."""
+    got = apply_presentation(som, x, 1.0, 1e-9).weights
+    return got.tobytes() != oracle_present(som.weights, som.cols, x, 1.0, 1e-9).tobytes()
+
+
+def test_presentation_sums_in_pairwise_order_past_eight_features():
+    som, x = _summation_order_case()
+    squares = ((som.weights - x) ** 2).tolist()
+    assert [math.fsum(q) for q in squares] == [1e16 + 8, 1e16 + 4]
+    assert int(np.argmin([sum(q) for q in squares])) == 0  # left to right
+    assert int(np.argmin(((som.weights - x) ** 2).sum(axis=1))) == 1  # numpy's order
+    assert not _summation_order_mismatch(som, x)
+    assert apply_presentation(som, x, 1.0, 1e-9).weights[1].tolist() == x.tolist()
+
+
+def test_step_comparison_catches_left_to_right_bmu_sum(monkeypatch):
+    som, x = _summation_order_case()
+    monkeypatch.setattr(som_module, "_pairwise_sum", _left_to_right)
+    assert _summation_order_mismatch(som, x)
 
 
 def test_step_comparison_catches_swapped_tables():
