@@ -15,9 +15,9 @@ run_trace over the rung's data (its time divided by its steps; not on XL,
 whose one-epoch trace is 9600 steps), and the median of three calls of
 quantization_error on the rung's data and trained map (train makes E of
 them, one per epoch for its log, so train less E of them is what its
-presentations cost), build_model, build_preferential, verify_order_axioms,
-verify_klm, minima over the whole domain (T(Top), with its strict-order
-guard), and
+presentations cost), build_model, load_model of the rung's saved
+model.json, build_preferential, verify_order_axioms, verify_klm, minima
+over the whole domain (T(Top), with its strict-order guard), and
 `somlogic verify` and `somlogic check "T(Top) <= C0"` run in-process on the
 saved model.json (stdout captured).  It also prints the tracemalloc peak in
 MB of one call each of build_preferential, verify_order_axioms and minima
@@ -53,6 +53,7 @@ from somlogic import (
     feature_range,
     gaussian_clusters,
     init_map,
+    load_model,
     minima,
     quantization_error,
     run_trace,
@@ -100,6 +101,7 @@ STAGES = (
     "quantization_error, one call",
     "revise, mean step over one epoch",
     "build_model",
+    "load_model, one call",
     "build_preferential",
     "verify_order_axioms",
     "verify_klm",
@@ -180,6 +182,7 @@ def rung_times(name, tmp):
         median_ms(lambda: quantization_error(som, data)),
         step_ms,
         median_ms(lambda: build_model(som, data)),
+        median_ms(lambda: load_model(path)),
         median_ms(lambda: build_preferential(model, rel)),
         median_ms(lambda: verify_order_axioms(pref)),
         median_ms(lambda: verify_klm(pref)),

@@ -20,7 +20,9 @@ Exit codes:
   CSV, features whose squared distances overflow float64, or a
   ``model.json`` whose stored tables differ from the ones ``build_model``'s
   derivation gives for its features and prototype lists.
-* 2: a file cannot be opened, is not UTF-8 text, or is not valid JSON.
+* 2: a file cannot be opened, is not UTF-8 text, or is not valid JSON;
+  ``jsonio.load_file`` names what it refuses beyond what ``json`` refuses
+  (``NaN``, ``1e400``, nesting past 10 000 levels).
 * 3: a specificity cycle, or a global preference that is not a strict
   order: for ``check`` on the block of ext(C) it reads (an ``error:``
   line); for ``verify`` a failed required check, irreflexivity and

@@ -460,9 +460,14 @@ def model_from_snapshot(doc: dict) -> SemanticModel:
     numbers, as ``bmu_units`` must be strictly increasing lists of
     non-negative integers, as ``build_model`` writes them, and ``input_dim``
     an integer; anything else is a malformed snapshot.  The stored tables are
-    compared a row at a time (``_check_stored``)."""
-    model, origins, stored = _derive_snapshot(doc)
-    _check_stored(model, origins, stored)
+    compared a row at a time (``_check_stored``).  A value nested too deep
+    for ``repr`` or ``==`` (``jsonio.load_file`` reads ``MAX_DEPTH``
+    levels) is a malformed snapshot too."""
+    try:
+        model, origins, stored = _derive_snapshot(doc)
+        _check_stored(model, origins, stored)
+    except RecursionError as exc:
+        raise InputError(f"malformed model snapshot: {exc}") from exc
     return model
 
 

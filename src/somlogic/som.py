@@ -566,7 +566,7 @@ def map_from_snapshot(doc: dict) -> SomMap:
     ``col`` are JSON integers, each index appears once with ``(row, col)``
     equal to ``divmod(index, cols)``, and each unit's ``weights`` is a list
     of ``input_dim`` JSON numbers.  Anything else is a malformed
-    snapshot."""
+    snapshot, a value nested too deep for ``repr`` among them."""
     try:
         rows, cols, dim, seed = (_json_int(doc, k) for k in ("rows", "cols", "input_dim", "seed"))
         epochs_trained = _json_int(doc, "epochs_trained") if "epochs_trained" in doc else 0
@@ -588,7 +588,7 @@ def map_from_snapshot(doc: dict) -> SomMap:
                 raise TypeError(f"unit {idx}: weights must be a list of {dim} numbers, got {w!r}")
             by_index[idx] = w
         weights = np.array(by_index, dtype=np.float64).reshape(len(units), dim)
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise InputError(f"malformed map snapshot: {exc}") from exc
     return SomMap(
         rows=rows,

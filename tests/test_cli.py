@@ -235,6 +235,114 @@ def test_non_utf8_input_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def _run_on_snapshot(tmp_path, data_csv, kind, text, capsys):
+    """Exit code and stderr of ``check --model`` (kind "model") or
+    ``extract --map`` (kind "map") on a file holding ``text``."""
+    path = tmp_path / f"edited-{kind}.json"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    if kind == "model":
+        code = main(["check", "--model", str(path), "--query", "T(X) <= X"])
+    else:
+        code = main(["extract", "--map", str(path), "--data", data_csv,
+                     "--out", str(tmp_path / "extracted")])
+    return code, capsys.readouterr().err
+
+
+def _snapshot_text(tmp_path, data_csv, kind, edit):
+    """The text of a small run's model.json or map.json after ``edit``
+    sets one value to the string "@@", with that string written as a bare
+    JSON literal; ``edit(doc, value)`` returns nothing."""
+    out = train_and_extract(tmp_path, data_csv)
+    doc = json.loads((out / f"{kind}.json").read_text(encoding="utf-8"))
+    edit(doc, "@@")
+    return json.dumps(doc)
+
+
+_FIRST_NUMBER = {
+    "model": lambda doc, v: doc["elements"][0]["features"].__setitem__(0, v),
+    "map": lambda doc, v: doc["units"][0]["weights"].__setitem__(0, v),
+}
+_FIRST_VECTOR = {
+    "model": lambda doc, v: doc["elements"][0].update(features=v),
+    "map": lambda doc, v: doc["units"][0].update(weights=v),
+}
+
+
+@pytest.mark.parametrize("kind", ["model", "map"])
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 100_000, id="100 000 unclosed"),
+    pytest.param("[" * 200_000 + "]" * 200_000, id="200 000 closed"),
+])
+def test_deeply_nested_snapshot_exits_without_a_traceback(tmp_path, data_csv, kind, text):
+    # json.load raised RecursionError out of main on both; orjson alone
+    # overflows the C stack past about 130 000 nested arrays and kills the
+    # process, so each runs in a child.
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text, encoding="utf-8")
+    if kind == "model":
+        argv = ["check", "--model", str(path), "--query", "T(A) <= A"]
+    else:
+        argv = ["extract", "--map", str(path), "--data", data_csv, "--out", str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-m", "somlogic", *argv], capture_output=True, text=True)
+    assert proc.returncode in (1, 2), proc.returncode
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["model", "map"])
+def test_deeply_nested_value_exit_1(tmp_path, data_csv, capsys, kind):
+    # Within the reader's depth limit but too deep for repr: the loader's
+    # error message reprs the value.
+    text = _snapshot_text(tmp_path, data_csv, kind, _FIRST_VECTOR[kind])
+    code, err = _run_on_snapshot(tmp_path, data_csv, kind,
+                                 text.replace('"@@"', "[" * 5000 + "]" * 5000), capsys)
+    assert code == 1
+    assert err.startswith(f"error: malformed {kind} snapshot: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["model", "map"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_number_literal_exit_2(tmp_path, data_csv, capsys, kind, literal):
+    # json.load read these as nan and inf, which the model's re-derivation
+    # or the map's finite check refused with exit 1; orjson refuses them.
+    text = _snapshot_text(tmp_path, data_csv, kind, _FIRST_NUMBER[kind])
+    code, err = _run_on_snapshot(tmp_path, data_csv, kind, text.replace('"@@"', literal), capsys)
+    assert code == 2
+    assert err.startswith("error: invalid JSON input: ")
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("model", lambda doc: doc["categories"]["X"]["bmu_units"].append(2**64 + 5),
+     "category 'X': bmu_units must be a list of integers, got ["),
+    ("map", lambda doc: doc.update(seed=2**64 + 5),
+     "seed must be an integer, got 1.8446744073709552e+19"),
+])
+def test_integer_past_uint64_exit_1(tmp_path, data_csv, capsys, kind, edit, message):
+    # json.load read it as an int, and both files loaded (exit 0); orjson
+    # reads it as a float, which an integer field refuses.
+    out = train_and_extract(tmp_path, data_csv)
+    doc = json.loads((out / f"{kind}.json").read_text(encoding="utf-8"))
+    edit(doc)
+    code, err = _run_on_snapshot(tmp_path, data_csv, kind, json.dumps(doc), capsys)
+    assert code == 1
+    assert err.startswith(f"error: malformed {kind} snapshot: ") and message in err
+    assert "1.8446744073709552e+19" in err
+
+
+def test_lone_surrogate_exit_2(tmp_path, data_csv, capsys):
+    # An element id made a lone surrogate escape wherever it occurs: json.load
+    # read it and the model loaded (exit 0); orjson refuses the escape.
+    out = train_and_extract(tmp_path, data_csv)
+    text = (out / "model.json").read_text(encoding="utf-8")
+    eid = json.loads(text)["elements"][0]["id"]
+    code, err = _run_on_snapshot(tmp_path, data_csv, "model",
+                                 text.replace(json.dumps(eid), '"\\ud800"'), capsys)
+    assert code == 2
+    assert err.startswith("error: invalid JSON input: ")
+
+
 def test_malformed_csv_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.0,0.1,X\n0.2,oops,X\n", encoding="utf-8")
