@@ -1,14 +1,15 @@
 """Time training and the `verify` stages on the S, M, L and XL rungs of
-the scale ladder and on the dense-overlap rung O.
+the scale ladder and on the dense-overlap rungs O and O16.
 
 Each rung is rebuilt from the recipe in ROADMAP.md's baseline: k Gaussian
 clusters labelled C0.. with centres from default_rng(0).uniform(0, s,
 (k, d)), std 1.5, sample seed 1, on an r x r map from
 init_map(r, r, d, 0, feature_range(data)) trained with TrainConfig(epochs=E).
 The centre spread s is 20 on S, M, L and XL, where the clusters lie apart,
-and 3 on O, where they overlap so densely that almost every conjunction in
-the concept pool has its own extension.  XL is L with 600 stimuli per
-cluster on a 30 x 30 map trained for 2 epochs.
+and 3 on O and O16, where they overlap so densely that almost every
+conjunction in the concept pool has its own extension.  XL is L with 600
+stimuli per cluster on a 30 x 30 map trained for 2 epochs, and O16 is O
+with 16 clusters.
 The script prints, per rung, in milliseconds, the time of the one train
 call that builds the rung's map, the mean revision step of one one-epoch
 run_trace over the rung's data (its time divided by its steps; not on XL,
@@ -20,9 +21,10 @@ model.json, build_preferential, verify_order_axioms, verify_klm, minima
 over the whole domain (T(Top), with its strict-order guard), and
 `somlogic verify` and `somlogic check "T(Top) <= C0"` run in-process on the
 saved model.json (stdout captured).  It also prints the tracemalloc peak in
-MB of one call each of build_preferential, verify_order_axioms and minima
-over the whole domain, and the max RSS in MB of one `somlogic verify` run
-in a child process, read from its own resource usage (``os.wait4``).
+MB of one call each of build_preferential, verify_order_axioms, verify_klm
+and minima over the whole domain, and the max RSS in MB of one
+`somlogic verify` run in a child process, read from its own resource usage
+(``os.wait4``).
 The revise step is timed in a fresh child process too, since its speed
 follows what the process ran and freed before it (glibc's dynamic mmap
 and trim thresholds).  Run it from the repository root as
@@ -71,6 +73,7 @@ RUNGS = {
     "M": (8, 50, 12, 4, 20, 20),
     "L": (16, 60, 20, 8, 10, 20),
     "O": (12, 60, 20, 8, 10, 3),
+    "O16": (16, 60, 20, 8, 10, 3),
     "XL": (16, 600, 30, 8, 2, 20),
 }
 # Rungs whose one-epoch trace is too long to time.
@@ -109,7 +112,9 @@ STAGES = (
     "CLI `verify`, in-process",
     'CLI `check "T(Top) <= C0"`, in-process',
 )
-PEAKS = ("build_preferential", "verify_order_axioms", "minima, whole domain")
+PEAKS = (
+    "build_preferential", "verify_order_axioms", "verify_klm", "minima, whole domain"
+)
 
 
 def child_max_rss_mb(argv):
@@ -192,6 +197,7 @@ def rung_times(name, tmp):
     ], [
         peak_mb(lambda: build_preferential(model, rel)),
         peak_mb(lambda: verify_order_axioms(pref)),
+        peak_mb(lambda: verify_klm(pref)),
         peak_mb(lambda: minima(model, rel, domain)),
     ], child_max_rss_mb(["verify", "--model", path])
 

@@ -509,10 +509,15 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
             ext = doc["extensions"][name]
             iter(ext)  # a set of ids; _check_stored reads the entries
             stored[name] = (c["precision"], c["rd_max"], dict(c["rd"]), ext)
+        stray = sorted(doc["extensions"].keys() - doc["categories"].keys())
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model snapshot: {exc}") from exc
 
-    # What the derivation reads must be well formed.
+    # What the derivation reads must be well formed, and the stored tables
+    # must be those of the listed categories, so that saving gives the file
+    # back.
+    if stray:
+        raise InputError(f"extensions has category {stray[0]!r}, which categories does not list")
     if input_dim < 1:
         raise InputError(f"input_dim must be positive, got {input_dim}")
     if set(map(len, rows)) - {input_dim}:
@@ -523,6 +528,10 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
         for eid in (*bmu, *stim):
             if eid not in col_of:
                 raise InputError(f"category {name!r} references unknown element {eid!r}")
+        for field, listed in (("bmu_elements", bmu), ("stimulus_elements", stim)):
+            if len(set(listed)) != len(listed):
+                eid = next(e for i, e in enumerate(listed) if e in listed[:i])
+                raise InputError(f"category {name!r} lists element {eid!r} twice in {field}")
         if not (bool(bmu_units) == bool(bmu) == bool(stim)):
             raise InputError(f"category {name!r}: bmu_units, bmu_elements and "
                              f"stimulus_elements must be all empty or all non-empty")

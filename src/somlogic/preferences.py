@@ -57,25 +57,33 @@ C |~ D  iff  every globally minimal element of ext(C) lies in ext(D).
 
 The postulates are checked over the distinct extensions of the concept pool,
 not over every pool concept: entailment depends on a concept only through
-its extension, which is what LLE licenses.  Sets are built as boolean
-masks over the domain.  The default pool is built by index: a
-conjunction's mask ANDs the model's extension rows of its names, and its
-label is printed only when a report lists it; an explicit pool is
+its extension, which is what LLE licenses.  The default pool is built by
+index: a conjunction's mask ANDs the model's extension rows of its names,
+and its label is printed only when a report lists it; an explicit pool is
 evaluated by ``extension_mask``.  Sets are held as ``_bit_rows``, the
-order's form, and two masks fall into the same class exactly when the bytes of their bit rows are equal: each row is
-one void scalar (``_void_keys``), compared bytewise by ``np.unique``, so no
-two different sets can share a class.  Intersections and unions of classes
-are ANDed and ORed on those rows, keyed the same way and looked up among
-the sorted class keys.  ``verify`` takes no matrix product: minima and
-inclusions work on the bit rows.  T(C) is ext(C) minus the OR of the
+order's form, and two masks fall into the same class exactly when the
+bytes of their bit rows are equal: each row is one void scalar
+(``_void_keys``), compared bytewise by ``np.unique``.  A union of two
+classes is ORed on those rows and looked up among the sorted class keys.
+``verify`` takes no matrix product.  T(C) is ext(C) minus the OR of the
 order's rows over the members of ext(C) (``_or_rows``, on the same
-``_or_chunk`` kernel), and C |~ D
-holds when T(C) has no bit outside ext(D), tested one word column at a
-time.  Once minima are computed as sets, Reflexivity, LLE, RW, And and Or
-hold for *any* relation (minima lie inside their set, and min(C | D) is a
+``_or_chunk`` kernel), and C |~ D holds when T(C) has no bit outside
+ext(D), tested one word column at a time.
+
+RW, And, CM and Or are decided per class C by bit rows, so nothing of
+K x K x K is held over the K classes.  One ``_or_rows`` walk over the
+classes that C entails gives I(C), the AND of their extensions, and RW's
+reach, the classes that hold one of them.  And fails when T(C) is not
+inside I(C), CM when min(ext(C) & ext(D)) is not inside I(C) for some
+entailed D (one ``_bit_minima`` over all entailed pairs), and RW when the
+reach holds a class that C does not entail.  Or fails for C, D and their
+union J, a class looked up in slices within ``_CHUNK_ITEMS``, when C and
+D entail a class that J does not.  Only a failing class has its (D, E)
+matrix built, to list its instances in pool order.
+Once minima are computed as sets, Reflexivity, LLE, RW, And and Or hold
+for *any* relation (minima lie inside their set, and min(C | D) is a
 subset of min(C) | min(D)), so of the postulates only CM can be broken by
-a bad order; the others are still checked, as guards on the computation
-itself.
+a bad order; the others are still checked, as guards on the computation.
 """
 
 from __future__ import annotations
@@ -352,9 +360,10 @@ def _complement(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def _unpacked(words: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` bits of each ``_bit_rows`` row (or of one row), as
-    booleans."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+    """The first ``n`` bits of each ``_bit_rows`` row (or of one row, even
+    a strided view such as a row of column-major minima), as booleans."""
+    words = np.ascontiguousarray(words).view(np.uint8)
+    return np.unpackbits(words, axis=-1, count=n, bitorder="little").view(bool)
 
 
 def _diagonal(bits: np.ndarray) -> np.ndarray:
@@ -639,6 +648,14 @@ def _first_violations(n: int, bad_at, make) -> list[Violation]:
     return out
 
 
+def _class_of(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The class whose bit row each of ``rows`` is, or -1: its place among
+    the sorted class ``keys``, ``_void_keys`` of the classes' rows."""
+    found = _void_keys(rows)
+    at = np.minimum(np.searchsorted(keys, found), len(keys) - 1)
+    return np.where(keys[at] == found, at, -1)
+
+
 def verify_klm(
     pref: PreferentialModel, pool: Sequence[ConceptExpr] | None = None
 ) -> list[PropertyCheck]:
@@ -647,21 +664,10 @@ def verify_klm(
     plus Top and Bot).  All of them must hold in this semantics; a violation
     is an implementation bug surfacing, not an interesting phenomenon.
 
-    No matrix product is taken.  Sets are ``_bit_rows``, and so is the
-    order, ``pref.bits``; the pool's sets are packed once, and classes,
-    unions and intersections are all keyed on the bytes of those rows
-    (``_void_keys``).  T(C) is ext(C) minus the OR of the order's rows
-    over the members of ext(C) (``_bit_minima``, one ``_or_rows`` over all
-    the pool's sets, whose pairs it walks in blocks within
-    ``_CHUNK_ITEMS``), and C |~ D holds when T(C) has no bit outside
-    ext(D) (``_inside``).  Reflexivity and LLE are checked
-    per pool concept, with one entailment row per concept over the
-    distinct extensions of the pool ("classes"), which LLE licenses.  RW,
-    And, CM and Or are checked over the classes as class x class x class
-    boolean tensors; only a tensor with a violation is walked again in pool
-    order to list instances.  And and CM read entailment from a class to an
-    intersection of two classes and back, so only those two blocks are
-    computed for the intersections that are no class.
+    T(C) is ``_bit_minima`` of ext(C), and C |~ D holds when T(C) is
+    ``_inside`` ext(D).  Reflexivity and LLE are checked per pool concept,
+    with one entailment row per concept over the pool's distinct extensions
+    ("classes"); RW, And, CM and Or per class, as the module docstring says.
     """
     ids = pref.element_ids
     ext, label = _pool_masks(pref.base, pool)
@@ -693,49 +699,42 @@ def verify_klm(
             lambda i, j, d: Violation(instance=f"C1={label(i)}, C2={label(j)}, D={label(d)}"),
         )
 
-    # The set family: the classes, then every distinct intersection of two
-    # classes that is not itself a class.  A union counts only if it is a
-    # class.  Unions and distinct intersections are looked up among the
-    # sorted class keys; only the intersections go through ``np.unique``.
-    k = len(first)
-    a, b = np.triu_indices(k)
-
-    def class_of(rows: np.ndarray) -> np.ndarray:
-        """The class whose bit row each row is, or -1."""
-        found = _void_keys(rows)
-        at = np.minimum(np.searchsorted(keys, found), k - 1)
-        return np.where(keys[at] == found, at, -1)
-
-    join = np.full((k, k), -1, dtype=np.intp)
-    join[a, b] = join[b, a] = class_of(cls_bits[a] | cls_bits[b])
-    met = cls_bits[a] & cls_bits[b]
-    _, distinct, which = np.unique(_void_keys(met), return_index=True, return_inverse=True)
-    known = class_of(met[distinct])
-    extra = known < 0
-    meet = np.empty((k, k), dtype=np.intp)
-    meet[a, b] = meet[b, a] = np.where(extra, k + np.cumsum(extra) - 1, known)[which]
-    extra_bits = met[distinct[extra]]
-    # The first k family rows are the classes, whose minima are known.
+    k, words = cls_bits.shape
     ent = entail[first]
+    ent_bits = _bit_rows(ent)
     cls_typ = typ[first]
-    fam_typ = np.vstack([cls_typ, _bit_minima(pref.bits, extra_bits)])
-    # The two blocks of entailment between classes and the family that And
-    # and CM read: from each class into each set, and back.
-    into = np.hstack([ent, _inside(cls_typ, extra_bits)])
-    back = np.vstack([ent, _inside(fam_typ[k:], cls_bits)])
-
-    entailed = ent[:, :, np.newaxis] & ent[:, np.newaxis, :]  # C |~ D and C |~ E
     subset = _inside(cls_bits, cls_bits)
-    expressible = join >= 0
+    # Over the classes C entails, OR their complements and their subset rows.
+    complements = _complement(cls_bits.copy(), width)
+    walk = _or_rows(ent_bits, np.hstack([complements, _bit_rows(subset)]))
+    common = _complement(walk[:, :words], width)  # I(C)
+    # min(ext(C) & ext(D)) for every entailed pair (C, D), in row pair[C, D].
+    pc, pd = np.nonzero(ent)
+    pair = np.cumsum(ent, dtype=np.int32).reshape(k, k) - 1
+    cm_min = _bit_minima(pref.bits, cls_bits[pc] & cls_bits[pd])
+    # join[a, b]: the class of the union of classes a and b, or -1.
+    join = np.full((k, k), -1, dtype=np.intp)
+    or_fails = np.zeros(k, dtype=bool)
+    a, b = np.triu_indices(k)
+    step = max(1, _CHUNK_ITEMS // max(1, words))
+    for s in range(0, len(a), step):
+        x, y = a[s : s + step], b[s : s + step]
+        j = join[x, y] = join[y, x] = _class_of(keys, cls_bits[x] | cls_bits[y])
+        x, y, j = x[j >= 0], y[j >= 0], j[j >= 0]
+        bad = (ent_bits[x] & ent_bits[y] & ~ent_bits[j]).any(axis=1)
+        or_fails[x[bad]] = or_fails[y[bad]] = True
 
-    def triples(tensor: np.ndarray, witness, unordered: bool = False) -> list[Violation]:
-        """Pool instances (c, d, e) of the class tensor's violations, each
-        with ``witness(c, d, e)``, the mask of the elements that make it bad."""
-        if not tensor.any():
+    def triples(fails: np.ndarray, bad_at_class, witness, unordered=False) -> list[Violation]:
+        """Pool instances (c, d, e) of the classes ``fails`` marks, from
+        ``bad_at_class(a)``, class a's class x class matrix of bad (D, E),
+        each with ``witness(c, d, e)``, the elements that make it bad."""
+        if not fails.any():
             return []
 
         def bad_at(c: int) -> np.ndarray:
-            bad = tensor[inv[c]][np.ix_(inv, inv)]
+            if not fails[inv[c]]:
+                return np.zeros((0, 0), dtype=bool)
+            bad = bad_at_class(inv[c])[np.ix_(inv, inv)]
             if unordered:
                 bad[: c + 1] = False  # each pair once, as (c, d) with c < d
             return bad
@@ -749,48 +748,48 @@ def verify_klm(
             ),
         )
 
+    def and_at(a: int) -> np.ndarray:
+        outside = (cls_typ[a] & ~cls_bits).any(axis=1)  # T(C) not inside ext(D)
+        return ent[a][:, np.newaxis] & ent[a] & (outside[:, np.newaxis] | outside)
+
+    rw = triples(
+        # C |~ D and ext(D) inside ext(E), but not C |~ E
+        (walk[:, words:] & ~ent_bits).any(axis=1),
+        lambda a: ent[a][:, np.newaxis] & ~ent[a] & subset,
+        lambda c, d, e: _unpacked(typ[c], width) & ~ext[e],
+    )
+    conj = triples(
+        # C |~ D and C |~ E, but not C |~ D & E
+        (cls_typ & ~common).any(axis=1),
+        and_at,
+        lambda c, d, e: _unpacked(typ[c], width) & ~(ext[d] & ext[e]),
+    )
+    cm = triples(
+        # C |~ D and C |~ E, but not C & D |~ E
+        np.bincount(pc, (cm_min & ~common[pc]).any(axis=1), minlength=k) > 0,
+        lambda a: ent[a][:, np.newaxis] & ent[a] & ~_inside(cm_min[pair[a]], cls_bits),
+        lambda c, d, e: _unpacked(cm_min[pair[inv[c], inv[d]]], width) & ~ext[e],
+    )
+    or_viol = triples(
+        # C |~ E and D |~ E, but not C | D |~ E, for a union that is a class
+        or_fails,
+        lambda a: (join[a] >= 0)[:, np.newaxis] & ent[a] & ent & ~ent[join[a]],
+        lambda c, d, e: _unpacked(cls_typ[join[inv[c], inv[d]]], width) & ~ext[e],
+        unordered=True,
+    )
     # Pool pairs (c, d), c < d, whose union is no class.  Equal classes
     # always join to themselves, so only pairs of distinct classes count.
     mult = np.bincount(inv, minlength=k)
-    skipped = int(np.outer(mult, mult)[~expressible].sum()) // 2
+    skipped = int(np.outer(mult, mult)[join < 0].sum()) // 2
     return [
         _check("reflexivity", refl),
         _check("left_logical_equivalence", lle),
-        _check(
-            "right_weakening",
-            triples(
-                # C |~ D and ext(D) inside ext(E), but not C |~ E
-                ent[:, :, np.newaxis] & ~ent[:, np.newaxis, :] & subset,
-                lambda c, d, e: _unpacked(typ[c], width) & ~ext[e],
-            ),
-        ),
-        _check(
-            "and",
-            triples(
-                # C |~ D and C |~ E, but not C |~ D & E
-                entailed & ~into[:, meet],
-                lambda c, d, e: _unpacked(typ[c], width) & ~(ext[d] & ext[e]),
-            ),
-        ),
-        _check(
-            "cautious_monotonicity",
-            triples(
-                # C |~ D and C |~ E, but not C & D |~ E
-                entailed & ~back[meet],
-                lambda c, d, e: _unpacked(fam_typ[meet[inv[c], inv[d]]], width) & ~ext[e],
-            ),
-        ),
+        _check("right_weakening", rw),
+        _check("and", conj),
+        _check("cautious_monotonicity", cm),
         _check(
             "or",
-            triples(
-                # C |~ E and D |~ E, but not C | D |~ E, for a union that is a class
-                expressible[:, :, np.newaxis]
-                & ent[:, np.newaxis, :]
-                & ent[np.newaxis, :, :]
-                & ~ent[np.where(expressible, join, 0)],
-                lambda c, d, e: _unpacked(fam_typ[join[inv[c], inv[d]]], width) & ~ext[e],
-                unordered=True,
-            ),
+            or_viol,
             notes=(
                 f"checked only pairs whose union is the extension of a pool "
                 f"concept; {skipped} pairs skipped as inexpressible"

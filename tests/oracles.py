@@ -21,9 +21,10 @@ library's mask-based ``extension_mask``, ``minima``, ``somlogic check`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -360,28 +361,37 @@ def oracle_order_violations(ids, order) -> dict[str, list[tuple[str, tuple]]]:
 
 
 def oracle_verify_klm(
-    pref: PreferentialModel, pool: Sequence[ConceptExpr] | None = None
+    pref: PreferentialModel,
+    pool: Sequence[ConceptExpr] | None = None,
+    included: Callable[[frozenset, frozenset], bool] = frozenset.__le__,
+    minimal: Callable[[frozenset], frozenset] | None = None,
 ) -> list[PropertyCheck]:
     """The KLM postulate checks as plain loops over pool concepts, pairs and
-    triples, on frozensets of element ids: the reference for the
-    distinct-extension tensors of ``preferences.verify_klm``.  Minima come
-    from ``minimal_elements``, which is itself checked against
-    ``oracle_minimal``."""
+    triples, on frozensets of element ids: the reference for the per-class
+    decisions of ``preferences.verify_klm``.  Minima come from
+    ``minimal_elements``, which is itself checked against
+    ``oracle_minimal``.  Reflexivity, LLE, RW, And and Or hold whatever
+    the order, so a test makes them fail with a misreading that both sides
+    share: ``minimal(set)``, in place of the minima, or
+    ``included(ext(D), ext(E))``, RW's premise ext(D) inside ext(E), which
+    nothing else reads."""
+    if minimal is None:
+        minimal = functools.partial(minimal_elements, pref)
     if pool is None:
         pool = default_concept_pool(pref.base.category_names)
     pool = list(pool)
     n = len(pool)
     labels = [pretty(c) for c in pool]
     exts = [extension(pref.base, c) for c in pool]
-    typs = [minimal_elements(pref, e) for e in exts]
+    typs = [minimal(e) for e in exts]
     entail = [[typs[i] <= exts[j] for j in range(n)] for i in range(n)]
-    subset = [[exts[i] <= exts[j] for j in range(n)] for i in range(n)]
+    subset = [[included(exts[i], exts[j]) for j in range(n)] for i in range(n)]
 
     min_cache: dict[frozenset, frozenset] = {}
 
     def minima(s: frozenset) -> frozenset:
         if s not in min_cache:
-            min_cache[s] = minimal_elements(pref, s)
+            min_cache[s] = minimal(s)
         return min_cache[s]
 
     def violation(c: int, d: int, e: int, bad: frozenset) -> Violation:

@@ -565,6 +565,20 @@ def _edit_bmu_units_to_strings(doc):
     cat["bmu_units"] = [str(u) for u in cat["bmu_units"]]
 
 
+def _edit_repeated_bmu_element(doc):
+    listed = doc["categories"]["X"]["bmu_elements"]
+    listed.append(listed[0])
+
+
+def _edit_repeated_stimulus_element(doc):
+    listed = doc["categories"]["X"]["stimulus_elements"]
+    listed.append(listed[0])
+
+
+def _edit_stray_extension(doc):
+    doc["extensions"]["Z"] = list(doc["extensions"]["X"])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("edit", [
     _edit_rd_to_list, _edit_empty_category, _edit_empty_extension,
@@ -572,7 +586,8 @@ def _edit_bmu_units_to_strings(doc):
     _edit_shifted_features, _edit_overflowing_features, _edit_input_dim,
     _edit_extra_feature, _edit_origin, _edit_unknown_stimulus, _edit_no_bmu_elements,
     _edit_cyclic_tables, _edit_features_to_string, _edit_boolean_feature,
-    _edit_bmu_units_to_strings,
+    _edit_bmu_units_to_strings, _edit_repeated_bmu_element,
+    _edit_repeated_stimulus_element, _edit_stray_extension,
 ])
 def test_broken_snapshot_exit_1(tmp_path, data_csv, capsys, edit):
     out = train_and_extract(tmp_path, data_csv)

@@ -513,6 +513,28 @@ def test_snapshot_json_types_are_read_strictly(edit, message):
     assert str(refused.value) == f"malformed model snapshot: {message}"
 
 
+@pytest.mark.parametrize("field", ["bmu_elements", "stimulus_elements"])
+def test_snapshot_listing_an_element_twice_is_refused(field):
+    # build_model lists each element once; a repeat used to load and show up
+    # twice in the witnesses of a failed check.
+    doc = json.loads(_small_snapshot())
+    listed = doc["categories"]["B"][field]
+    listed.insert(1, listed[0])
+    with pytest.raises(InputError) as refused:
+        model_from_snapshot(doc)
+    assert str(refused.value) == f"category 'B' lists element {listed[0]!r} twice in {field}"
+
+
+def test_snapshot_with_the_extension_of_an_unlisted_category_is_refused():
+    # The loader used to drop such an entry, so saving the loaded model did
+    # not give the file back.
+    doc = json.loads(_small_snapshot())
+    doc["extensions"]["Z"] = []
+    with pytest.raises(InputError) as refused:
+        model_from_snapshot(doc)
+    assert str(refused.value) == "extensions has category 'Z', which categories does not list"
+
+
 @pytest.mark.parametrize("dim", [2, 9, 130])
 def test_files_written_before_the_feature_by_feature_kernel_load_unchanged(dim):
     """``tests/data/model_d{2,9,130}.json`` were written by commit d8a2b87,

@@ -733,6 +733,17 @@ def test_minima_comparison_catches_late_chunks(budget, monkeypatch):
     assert _bit_minima_mismatches()
 
 
+def test_unpacked_reads_strided_rows():
+    # numpy may lay out ``set & ~reach`` column-major: the minima of the
+    # 7868 entailed pairs of a k = 8 overlap model came back so, and a CM
+    # witness unpacks one of their rows.
+    m = np.random.default_rng(0).random((7, 130)) < 0.5
+    bits = np.asfortranarray(preferences._bit_rows(m))
+    assert np.array_equal(preferences._unpacked(bits, 130), m)
+    for i in range(len(m)):
+        assert np.array_equal(preferences._unpacked(bits[i], 130), m[i])
+
+
 _KERNEL_SHAPES = [(0, 0), (3, 0), (0, 5), (5, 1), (7, 63), (9, 64), (11, 65), (40, 129)]
 
 
@@ -1023,8 +1034,9 @@ def _cube_model(rng, k: int = 5):
 
 
 def test_klm_report_matches_oracle_with_extra_intersections():
-    # The meet table numbers six extra sets here; a meet that points at
-    # the wrong one changes the And and CM reports.
+    # Six intersections of two classes are no class here.  CM takes the
+    # minima of every entailed pair's intersection, so a pair read against
+    # the wrong intersection changes its report.
     rng = np.random.default_rng(0)
     cm_failures = 0
     for _ in range(6):
@@ -1053,8 +1065,8 @@ def _overlap_model():
 def test_klm_report_matches_oracle_when_family_exceeds_classes():
     # CM reads the minima of intersections that are no class.  With the
     # pool of two-name conjunctions, the first CM failures of a flipped
-    # order already have such a C & D, so they come from the family rows
-    # past the classes.
+    # order already have such a C & D, so they come from minima of sets
+    # that no pool concept has as its extension.
     model = _overlap_model()
     names = model.category_names
     pairs = [And(Name(a), Name(b)) for a, b in itertools.combinations(names, 2)]
@@ -1188,6 +1200,263 @@ def test_klm_report_comparison_catches_merged_classes(monkeypatch):
 
     monkeypatch.setattr(preferences, "_void_keys", truncated)
     assert _klm_report_mismatches()[0]
+
+
+def test_klm_report_matches_oracle_in_small_slices(monkeypatch):
+    # At a budget of 1 item each union of two classes is looked up in a
+    # slice of its own, and every walk takes one row at a time.
+    monkeypatch.setattr(preferences, "_CHUNK_ITEMS", 1)
+    mismatches, cm_failures = _klm_report_mismatches()
+    assert mismatches == []
+    assert cm_failures > 0
+
+
+def _walk_fault(monkeypatch, part: str, row: int) -> None:
+    """Fault injection in ``verify_klm``'s one walk over the classes each
+    class entails: class ``row``'s row is dropped from ``part`` of the
+    ORed rows, "common" (its extension leaves every I(C)) or "reach" (its
+    subset row leaves every RW reach).  The walk is the ``_or_rows`` call
+    whose rows are wider than its selections; a call for minima ORs the
+    order's rows, as wide as its sets."""
+    or_rows = preferences._or_rows
+
+    def faulty(sel_bits, rows):
+        split = rows.shape[1] - sel_bits.shape[1]
+        if split > 0:
+            rows = rows.copy()
+            cols = slice(None, split) if part == "common" else slice(split, None)
+            rows[row, cols] = 0
+        return or_rows(sel_bits, rows)
+
+    monkeypatch.setattr(preferences, "_or_rows", faulty)
+
+
+def test_klm_report_comparison_catches_a_class_left_out_of_i_of_c(monkeypatch):
+    # The first class key is the empty set's, where the pool has one.  Left
+    # out of I(C), it hides the CM failures of a C whose T(C) is empty but
+    # not every min(ext(C) & ext(D)).
+    _walk_fault(monkeypatch, "common", 0)
+    assert _klm_report_mismatches()[0]
+
+
+def _near_inclusion(monkeypatch):
+    """RW's premise misread: ext(D) counts as inside ext(E) when at most
+    one element of it is outside.  ``verify_klm`` reads the subset rows
+    from the one ``_inside`` call of the class rows against themselves; the
+    returned function is the same misreading on sets, for the oracle."""
+    inside = preferences._inside
+
+    def near(a, b):
+        if a is not b:
+            return inside(a, b)
+        outside = np.zeros((len(a), len(b)), dtype=np.intp)
+        for w in range(a.shape[1]):
+            outside += np.bitwise_count(a[:, w, np.newaxis] & ~b[np.newaxis, :, w])
+        return outside <= 1
+
+    monkeypatch.setattr(preferences, "_inside", near)
+    return lambda s, t: len(s - t) <= 1
+
+
+def _rw_report_mismatches(included) -> tuple[list[int], int]:
+    """The seeded random models whose ``verify_klm`` report differs from
+    the oracle's under the RW premise ``included``, and the number of
+    reports with a failing RW."""
+    rng = np.random.default_rng(11)
+    mismatches, rw_failures = [], 0
+    for i in range(100):
+        model, rel, _, _ = random_model(rng, max_elements=20, max_categories=4)
+        pref = build_preferential(model, rel)
+        got = [c.to_json() for c in verify_klm(pref)]
+        if got != [c.to_json() for c in oracle_verify_klm(pref, included=included)]:
+            mismatches.append(i)
+        rw_failures += got[2]["status"] == "fail"
+    return mismatches, rw_failures
+
+
+def test_klm_report_matches_oracle_when_rw_misreads_inclusion(monkeypatch):
+    # RW cannot fail on a consistent entailment (T(C) inside ext(D) inside
+    # ext(E)), so its decision and listing are compared on a misread one.
+    mismatches, rw_failures = _rw_report_mismatches(_near_inclusion(monkeypatch))
+    assert mismatches == []
+    assert rw_failures > 0
+
+
+def test_klm_report_comparison_catches_a_subset_row_left_out_of_the_reach(monkeypatch):
+    # The last class's subset row left out of every reach hides the RW
+    # failures that only a D of that class gives.
+    included = _near_inclusion(monkeypatch)
+    _walk_fault(monkeypatch, "reach", -1)
+    assert _rw_report_mismatches(included)[0]
+
+
+def test_and_lists_the_pairs_of_a_misread_entailment(monkeypatch):
+    # And cannot fail on entailment read off the sets it compares, so here
+    # every entailment from T = {a} into ext(C) = {b, c} is misread as
+    # holding.  Top, A and B have T = {a}, so each pair of classes they
+    # then entail with C among them fails And, with witness a.
+    rd = {
+        "A": {"a": 0.0, "b": 0.5, "c": 2.0},
+        "B": {"a": 0.0, "b": 2.0, "c": 0.5},
+        "C": {"a": 2.0, "b": 0.0, "c": 0.0},
+    }
+    m = make_model(rd, {"A": ["a", "b"], "B": ["a", "c"], "C": ["b", "c"]})
+    order = np.zeros((3, 3), dtype=bool)
+    order[0, 1:] = True  # a < b, a < c
+    pref = preferential(m, SpecificityRelation(pairs=frozenset()), m.element_ids, order)
+    only_a, only_bc = preferences._bit_rows(np.array([[True, False, False], [False, True, True]]))
+    inside = preferences._inside
+
+    def misread(a, b):
+        out = inside(a, b)
+        if a is not b:
+            out |= (a == only_a).all(axis=1)[:, np.newaxis] & (b == only_bc).all(axis=1)
+        return out
+
+    monkeypatch.setattr(preferences, "_inside", misread)
+    pool = [Top(), Name("A"), Name("B"), Name("C")]
+    conj = {c.check: c for c in verify_klm(pref, pool)}["and"]
+    pairs = [("Top", "C"), ("A", "C"), ("B", "C"), ("C", "Top"), ("C", "A"), ("C", "B"),
+             ("C", "C"), ("Top", "C"), ("A", "C"), ("B", "C")]
+    assert [(v.instance, v.witnesses) for v in conj.violations] == [
+        (f"C={c}, D={d}, E={e}", ("a",)) for c, (d, e) in zip(["Top"] * 7 + ["A"] * 3, pairs)
+    ]
+
+
+def test_or_lists_the_pair_of_a_misread_entailment(monkeypatch):
+    # With no element preferred, T(X) = ext(X).  U |~ U is misread as not
+    # holding; A and B entail U and their union is U, so the pair fails Or.
+    # The pool lists B before A although B's class key, ext(B) = {b}, sorts
+    # after ext(A) = {a}: the failing pair marks both of its classes.
+    rd = {
+        "A": {"a": 0.0, "b": 1.0, "c": 1.0},
+        "B": {"a": 1.0, "b": 0.0, "c": 1.0},
+        "U": {"a": 0.0, "b": 0.0, "c": 1.0},
+    }
+    m = make_model(rd, {"A": ["a"], "B": ["b"], "U": ["a", "b"]})
+    pref = preferential(m, SpecificityRelation(pairs=frozenset()), m.element_ids,
+                        np.zeros((3, 3), dtype=bool))
+    (ab,) = preferences._bit_rows(np.array([[True, True, False]]))
+    inside = preferences._inside
+
+    def misread(a, b):
+        out = inside(a, b)
+        if a is not b:
+            out &= ~((a == ab).all(axis=1)[:, np.newaxis] & (b == ab).all(axis=1))
+        return out
+
+    monkeypatch.setattr(preferences, "_inside", misread)
+    checks = {c.check: c for c in verify_klm(pref, [Name("B"), Name("A"), Name("U"), Top()])}
+    assert [(v.instance, v.witnesses) for v in checks["or"].violations] == [
+        ("C=B, D=A, E=U", ())
+    ]
+
+
+def _or_report_mismatches(monkeypatch) -> tuple[list[int], int]:
+    """The seeded random models, and the overlap model as the last, whose
+    ``verify_klm`` report differs from the oracle's when both misread every
+    set's minima to also hold the set's median element in domain order,
+    and the number of reports with a failing Or.  min(C | D) inside min(C) | min(D) fails under the
+    misreading, so Or can fail; nothing else in the semantics makes it."""
+    bit_minima = preferences._bit_minima
+
+    def with_median(order_bits, set_bits):
+        out = bit_minima(order_bits, set_bits).copy()
+        for row, members in zip(out, preferences._unpacked(set_bits, len(order_bits))):
+            cols = np.flatnonzero(members)
+            if len(cols):
+                m = int(cols[len(cols) // 2])
+                row[m >> 6] |= np.uint64(1) << np.uint64(m & 63)
+        return out
+
+    monkeypatch.setattr(preferences, "_bit_minima", with_median)
+    rng = np.random.default_rng(11)
+    models = [random_model(rng, max_elements=20, max_categories=4)[:2] for _ in range(100)]
+    mismatches, or_failures = [], 0
+    for i, (model, rel) in enumerate([*models, (_overlap_model(), None)]):
+        pref = build_preferential(model, rel)
+
+        def minimal(s, pref=pref):
+            median = sorted(s, key=pref.base.col_of.__getitem__)[len(s) // 2 :][:1]
+            return minimal_elements(pref, s) | frozenset(median)
+
+        got = [c.to_json() for c in verify_klm(pref)]
+        if got != [c.to_json() for c in oracle_verify_klm(pref, minimal=minimal)]:
+            mismatches.append(i)
+        or_failures += got[5]["status"] == "fail"
+    return mismatches, or_failures
+
+
+def test_klm_report_matches_oracle_when_minima_are_misread(monkeypatch):
+    mismatches, or_failures = _or_report_mismatches(monkeypatch)
+    assert mismatches == []
+    assert or_failures > 0
+
+
+def test_klm_report_comparison_catches_a_join_slice_without_its_last_pair(monkeypatch):
+    # The last union of each slice counts as no class: the Or note's count
+    # of skipped pairs grows.
+    class_of = preferences._class_of
+
+    def skip_last(keys, rows):
+        out = class_of(keys, rows)
+        out[-1] = -1
+        return out
+
+    monkeypatch.setattr(preferences, "_class_of", skip_last)
+    assert _klm_report_mismatches()[0]
+
+
+@functools.cache
+def _dense_overlap_model():
+    """Ten clusters with centres in [0, 3)**8 and std 1.5, 12 stimuli each
+    on an 8 x 8 map: 148 distinct extensions among the 177 concepts of the
+    default pool."""
+    centres = np.random.default_rng(0).uniform(0, 3, (10, 8))
+    data = gaussian_clusters(centres.tolist(), [f"C{i}" for i in range(10)], 12, 1.5, 1)
+    som, _ = train(init_map(8, 8, 8, 0, feature_range(data)), data, TrainConfig(epochs=10))
+    return build_model(som, data)
+
+
+def _class_count(model) -> int:
+    pool = default_concept_pool(model.category_names)
+    masks = np.array([extension_mask(model, c) for c in pool])
+    return len(set(_void_keys(preferences._bit_rows(masks)).tolist()))
+
+
+def test_klm_report_matches_oracle_on_a_dense_overlap():
+    # About the largest class count at which the oracle takes a second an
+    # order; a flipped order fails CM.
+    model = _dense_overlap_model()
+    assert _class_count(model) == 148
+    pref = build_preferential(model)
+    built = order_matrix(pref)
+    rng = np.random.default_rng(3)
+    cm_failures = 0
+    for order in [built, *(built ^ (rng.random(built.shape) < d) for d in (0.001, 0.01))]:
+        p = preferential(model, pref.specificity, model.element_ids, order)
+        got = [c.to_json() for c in verify_klm(p)]
+        assert got == [c.to_json() for c in oracle_verify_klm(p)]
+        cm_failures += got[4]["status"] == "fail"
+    assert cm_failures > 0
+
+
+def test_klm_on_a_dense_overlap_holds_less_than_one_class_cube():
+    # Each postulate is decided per class on bit rows, so nothing of K x K
+    # x K is held over the K classes: the peak stays below one such boolean
+    # tensor (3.1 MB here).  Four of them and the intersections of two
+    # classes took 10.6 MB.
+    model = _dense_overlap_model()
+    pref = build_preferential(model)
+    k = _class_count(model)
+    tracemalloc.start()
+    try:
+        checks = verify_klm(pref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k**3
+    assert all(c.status == "pass" for c in checks)
 
 
 def test_default_concept_pool_shape():
