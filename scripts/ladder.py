@@ -21,10 +21,10 @@ model.json, build_preferential, verify_order_axioms, verify_klm, minima
 over the whole domain (T(Top), with its strict-order guard), and
 `somlogic verify` and `somlogic check "T(Top) <= C0"` run in-process on the
 saved model.json (stdout captured).  It also prints the tracemalloc peak in
-MB of one call each of build_preferential, verify_order_axioms, verify_klm
-and minima over the whole domain, and the max RSS in MB of one
-`somlogic verify` run in a child process, read from its own resource usage
-(``os.wait4``).
+MB of one call each of load_model, build_preferential, verify_order_axioms,
+verify_klm and minima over the whole domain, and the max RSS in MB of one
+`somlogic verify` run, read from its own resource usage (``os.wait4``) by
+the fresh interpreter that spawns it.
 The revise step is timed in a fresh child process too, since its speed
 follows what the process ran and freed before it (glibc's dynamic mmap
 and trim thresholds).  Run it from the repository root as
@@ -113,23 +113,34 @@ STAGES = (
     'CLI `check "T(Top) <= C0"`, in-process',
 )
 PEAKS = (
-    "build_preferential", "verify_order_axioms", "verify_klm", "minima, whole domain"
+    "load_model", "build_preferential", "verify_order_axioms", "verify_klm",
+    "minima, whole domain",
 )
 
 
+# Run by a fresh interpreter: spawn the CLI with the given arguments,
+# stdout to /dev/null, and print its exit code and max RSS in kB.
+_RSS_PROBE = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "somlogic", *sys.argv[1:]], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def child_max_rss_mb(argv):
-    """The max RSS of one run of the CLI with ``argv`` in a child process,
-    from the child's own resource usage; stdout goes to /dev/null."""
-    pid = os.posix_spawn(
-        sys.executable,
-        [sys.executable, "-m", "somlogic", *argv],
-        os.environ,
-        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)],
-    )
-    _, status, usage = os.wait4(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
+    """The max RSS of one run of the CLI with ``argv``, from the run's own
+    resource usage.  The run is spawned by a fresh interpreter, not by this
+    process: Linux carries a process's memory high-water mark across exec,
+    so a run spawned from here would read this process's own peak whenever
+    that is the larger."""
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE, *argv],
+                         check=True, capture_output=True, text=True)
+    code, kb = map(int, out.stdout.split())
+    if code != 0:
         raise RuntimeError(f"somlogic {' '.join(argv)} failed")
-    return usage.ru_maxrss / 1024  # kB on Linux
+    return kb / 1024  # kB on Linux
 
 
 def rung_data(name):
@@ -195,6 +206,7 @@ def rung_times(name, tmp):
         median_ms(lambda: cli("verify")),
         median_ms(lambda: cli("check", "--query", "T(Top) <= C0")),
     ], [
+        peak_mb(lambda: load_model(path)),
         peak_mb(lambda: build_preferential(model, rel)),
         peak_mb(lambda: verify_order_axioms(pref)),
         peak_mb(lambda: verify_klm(pref)),

@@ -144,7 +144,9 @@ def load_file(path) -> Any:
     ``-Infinity``, a number that overflows a double (``1e400``), a lone
     surrogate escape (``"\\ud800"``), and arrays and objects nested deeper
     than ``MAX_DEPTH``.  An integer literal outside the range of int64 and
-    uint64 reads as the nearest float, not as an int."""
+    uint64 reads as the nearest float, not as an int.  The file's bytes are
+    freed before the parse, so the text and the document are the most it
+    holds at once."""
     with open(path, "rb") as fh:
         data = fh.read()
     text = data.decode("utf-8")  # orjson's own message for bad bytes names no byte
@@ -153,29 +155,43 @@ def load_file(path) -> Any:
         doc = data[:pos].decode("utf-8")
         raise json.JSONDecodeError(f"arrays and objects nested deeper than {MAX_DEPTH} levels",
                                    doc, len(doc))
+    del data
     return orjson.loads(text)
+
+
+# Bytes that ``_too_deep_at`` classifies at a time.
+_SCAN_BYTES = 1 << 16
 
 
 def _too_deep_at(data: bytes) -> int | None:
     """The offset of the first bracket of ``data`` that opens level
     ``MAX_DEPTH + 1``, or None if there is none.  Exact on valid JSON, where
     a backslash only occurs in a string; on other text orjson raises
-    anyway, before it builds anything."""
+    anyway, before it builds anything.  The quote, backslash and bracket
+    positions are collected ``_SCAN_BYTES`` at a time, so that no
+    temporary is the size of the text."""
     b = np.frombuffer(data, np.uint8)
-    c = b | 0x20  # "[" and "]" read as "{" and "}"
-    # Depth is at most the number of opening brackets, strings included.
-    if np.count_nonzero(c == 0x7B) <= MAX_DEPTH:
+    offsets = range(0, len(b), _SCAN_BYTES)
+    # Depth is at most the number of opening brackets, strings included;
+    # "[" reads as "{" once 0x20 is set.
+    if sum(np.count_nonzero((b[s:s + _SCAN_BYTES] | 0x20) == 0x7B) for s in offsets) <= MAX_DEPTH:
         return None
-    quotes = np.flatnonzero(b == 0x22)
-    backslashes = np.flatnonzero(b == 0x5C)
+    found = ([], [], [])  # quotes, backslashes, brackets
+    for s in offsets:
+        chunk = b[s:s + _SCAN_BYTES]
+        c = chunk | 0x20
+        for out, hit in zip(found, (chunk == 0x22, chunk == 0x5C, (c == 0x7B) | (c == 0x7D))):
+            at = np.flatnonzero(hit)
+            at += s
+            out.append(at)
+    quotes, backslashes, brackets = map(np.concatenate, found)
     if backslashes.size:
         # A quote after an odd run of backslashes is escaped.
         cut = np.flatnonzero(np.diff(backslashes) != 1)
         starts = backslashes[np.r_[0, cut + 1]]
         ends = backslashes[np.r_[cut, backslashes.size - 1]]
         quotes = np.setdiff1d(quotes, ends[(ends - starts) % 2 == 0] + 1, assume_unique=True)
-    brackets = np.flatnonzero((c == 0x7B) | (c == 0x7D))
     brackets = brackets[np.searchsorted(quotes, brackets) % 2 == 0]  # outside strings
-    depth = np.cumsum(np.where(c[brackets] == 0x7B, 1, -1))
+    depth = np.cumsum(np.where((b[brackets] | 0x20) == 0x7B, 1, -1))
     deep = np.flatnonzero(depth > MAX_DEPTH)
     return int(brackets[deep[0]]) if deep.size else None

@@ -341,13 +341,9 @@ def _derive(
     precision: list[float | None] = [None] * len(names)
     if ranked.size:
         # One row of distances per category with stimuli, to its nearest BMU
-        # element, each distance computed once: the rows of
-        # ``features[is_bmu]`` are the BMU columns in ascending order.
-        is_bmu = np.zeros(len(element_ids), dtype=bool)
-        is_bmu[bmu_cols] = True
+        # element.
         num = np.sqrt(nearest_in_groups(
-            features, features[is_bmu], (np.cumsum(is_bmu) - 1)[bmu_cols],
-            _run_starts(np.bincount(bmu_rows)[ranked])).T)
+            features, features, bmu_cols, _run_starts(np.bincount(bmu_rows)[ranked])).T)
         # A stimulus's own BMU minimises the distance over *all* units, so
         # its distance to the ensemble is exactly its own-BMU distance; the
         # precision is therefore their max.
@@ -458,11 +454,12 @@ def model_from_snapshot(doc: dict) -> SemanticModel:
 
     The features are read into one matrix, and must be lists of JSON
     numbers, as ``bmu_units`` must be strictly increasing lists of
-    non-negative integers, as ``build_model`` writes them, and ``input_dim``
-    an integer; anything else is a malformed snapshot.  The stored tables are
-    compared a row at a time (``_check_stored``).  A value nested too deep
-    for ``repr`` or ``==`` (``jsonio.load_file`` reads ``MAX_DEPTH``
-    levels) is a malformed snapshot too."""
+    non-negative integers and each category's ``rd`` an object, as
+    ``build_model`` writes them, and ``input_dim`` an integer; anything else
+    is a malformed snapshot.  The stored tables are read as parsed, not
+    copied, and compared a row at a time (``_check_stored``).  A value
+    nested too deep for ``repr`` or ``==`` (``jsonio.load_file`` reads
+    ``MAX_DEPTH`` levels) is a malformed snapshot too."""
     try:
         model, origins, stored = _derive_snapshot(doc)
         _check_stored(model, origins, stored)
@@ -508,7 +505,11 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
             )
             ext = doc["extensions"][name]
             iter(ext)  # a set of ids; _check_stored reads the entries
-            stored[name] = (c["precision"], c["rd_max"], dict(c["rd"]), ext)
+            rd = c["rd"]
+            if type(rd) is not dict:
+                raise TypeError(f"category {name!r}: rd must be an object of element ids, "
+                                f"got {type(rd).__name__}")
+            stored[name] = (c["precision"], c["rd_max"], rd, ext)
         stray = sorted(doc["extensions"].keys() - doc["categories"].keys())
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model snapshot: {exc}") from exc

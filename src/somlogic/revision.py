@@ -11,10 +11,10 @@ A step computes only what the KB reads, with the distance kernels
 (``checker.kb_criteria``, ``checker.kb_inclusions``) that ``build_model``
 and ``extract_kb`` use, so its KB equals ``extract_kb(build_model(...)).kb``:
 the BMUs of the N seen stimuli on the new map (O(N*U*d) for U units in d
-dimensions), each with its distance read at its argmin, each category's
+dimensions), each with its distance to its BMU, each category's
 precision and ``rd_max``, and the relative distance of each BMU unit in
-each category (O(U_bmu^2*d) over the U_bmu units that are some stimulus's
-BMU).  The KB is a function of the k x k criteria matrices and the empty
+each category (O(U_bmu*P*d) over the U_bmu units that are some stimulus's
+BMU and the P (category, BMU unit) pairs).  The KB is a function of the k x k criteria matrices and the empty
 mask alone.  ``initial_state`` builds the 2*k^2 + k inclusions that a KB
 over the k categories can hold once, as the trace's ``inclusion_table``; a
 step picks its KB from that table by index, and only when the matrices and

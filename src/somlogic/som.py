@@ -255,9 +255,9 @@ def _check_vector(som: SomMap, x) -> np.ndarray:
     return v
 
 
-# Distance-matrix entries per row block of ``_blocks``: small enough
-# that a block's ``dim`` temporaries, of (rows, units) each, stay near
-# 256 KB together at dim 8.
+# Distance-matrix entries per row block of ``_blocks``, which sizes each
+# of its ``dim + 1`` buffers: at most 32 KB each, 288 KB together at dim 8.
+# A map of more units than this takes one row per block.
 _BLOCK_ENTRIES = 4096
 
 
@@ -266,7 +266,8 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
     contiguous axis: left to right below 8 terms; from 8 to 128, eight
     running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then
     the leftover terms in order; above 128, each half, split at a multiple
-    of 8, summed the same way.  Accumulates into the terms themselves."""
+    of 8, summed the same way.  Accumulates into the terms themselves, so
+    it allocates nothing; ``a += b`` has the bits of ``a + b``."""
     n = len(terms)
     if n > 128:
         half = n // 2 - n // 2 % 8
@@ -282,7 +283,10 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
     full = n - n % 8
     for i in range(8, full):
         r[i % 8] += terms[i]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for step in (1, 2, 4):  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), into r0
+        for i in range(0, 8, 2 * step):
+            r[i] += r[i + step]
+    total = r[0]
     for t in terms[full:]:
         total += t
     return total
@@ -290,14 +294,37 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
 
 def _blocks(x: np.ndarray, weights: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """Row blocks of ``x``, each with its squared distances to every row of
-    ``weights``; see ``nearest_units``."""
-    rows = max(1, _BLOCK_ENTRIES // len(weights))
-    wt = np.ascontiguousarray(weights.T)
+    ``weights``; see ``nearest_units``.  The distances of a block live in
+    the kernel's buffers and are overwritten by the next block's.
+
+    The kernel allocates its ``dim`` term buffers and one copy buffer, of
+    ``_BLOCK_ENTRIES`` entries or one row of units each, once per call, and
+    no other array.  Each block takes a contiguous prefix of every buffer,
+    a shorter last block included.  A term is filled by assignment, which
+    does not buffer: feature k of the block's rows into every column of
+    the term, weights' column k into every row of the copy buffer.  Its
+    difference and square (``t * t`` has the bits of ``t ** 2``) are then
+    taken in place between arrays of one shape.  A ufunc with a broadcast
+    (stride-0) operand, as in ``x[block, k, None] - weights[:, k]``, or
+    with a strided view of a partial block, goes through numpy's buffered
+    iterator, which allocates on every call: under tracemalloc with numpy
+    2.4, about 64 KB at 40 x 100 entries and 128 KB at 150 x 100."""
+    units, dim = weights.shape
+    rows = max(1, _BLOCK_ENTRIES // units)
+    size = min(rows, len(x)) * units
+    buffers = [np.empty(size) for _ in range(dim + 1)]  # the copy buffer, then the terms
+    shape = None
     for start in range(0, len(x), rows):
-        block = slice(start, start + rows)
-        yield block, _pairwise_sum(
-            [(x[block, k, np.newaxis] - wt[k]) ** 2 for k in range(len(wt))]
-        )
+        stop = min(start + rows, len(x))
+        if shape != (stop - start, units):  # the first block, and a shorter last one
+            shape = (stop - start, units)
+            w, *terms = (b[:shape[0] * units].reshape(shape) for b in buffers)
+        for k, t in enumerate(terms):
+            t[...] = x[start:stop, k, np.newaxis]
+            w[...] = weights[:, k]
+            np.subtract(t, w, out=t)
+            np.multiply(t, t, out=t)
+        yield slice(start, stop), _pairwise_sum(terms)
 
 
 def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,16 +341,17 @@ def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     numpy's own sum over the feature axis of the (rows, units, dim) array of
     squared differences, without building that array or running its
     short-axis reduce; a matrix-product expansion would differ in the last
-    bit.  Rows are taken in blocks so that the temporaries stay small.  Each
-    row's distance is read at its argmin, which is its minimum, inf
-    included.  The presentation step (``_present``) finds its BMU with the
-    same sum, so training, revision and this kernel agree on every BMU.
+    bit.  Rows are taken in blocks, and the kernel's scratch is its
+    ``dim + 1`` block buffers.  Each row's distance is read at its argmin,
+    which is its minimum, inf included, by its flat index in the block.
+    The presentation step (``_present``) finds its BMU with the same sum,
+    so training, revision and this kernel agree on every BMU.
     """
     nearest = np.empty(len(x), dtype=np.intp)
     d2_min = np.empty(len(x), dtype=np.float64)
     for block, d2 in _blocks(x, weights):
-        nearest[block] = d2.argmin(axis=1)
-        d2_min[block] = d2[np.arange(len(d2)), nearest[block]]
+        d2.argmin(axis=1, out=nearest[block])
+        d2.take(nearest[block] + np.arange(0, d2.size, d2.shape[1]), out=d2_min[block])
     return nearest, d2_min
 
 
@@ -333,11 +361,12 @@ def nearest_in_groups(x: np.ndarray, weights: np.ndarray, cols, starts) -> np.nd
     len(starts)`` matrix.  Group ``g`` is ``cols[starts[g]:starts[g + 1]]``,
     the last one running to the end of ``cols``, as ``np.minimum.reduceat``
     reads them; no group may be empty.  The distances are those of
-    ``nearest_units``, bit for bit, and each is computed once however many
-    groups share its row."""
+    ``nearest_units``, bit for bit: the kernel runs on the groups' member
+    rows, gathered in group order, so a row listed in two groups is
+    computed twice, with the same bits."""
     out = np.empty((len(x), len(starts)), dtype=np.float64)
-    for block, d2 in _blocks(x, weights):
-        out[block] = np.minimum.reduceat(d2[:, cols], starts, axis=1)
+    for block, d2 in _blocks(x, weights[cols]):
+        np.minimum.reduceat(d2, starts, axis=1, out=out[block])
     return out
 
 

@@ -492,6 +492,11 @@ def _edit_rd_to_list(doc):
     cat["rd"] = list(cat["rd"].values())
 
 
+def _edit_rd_to_pairs(doc):
+    cat = doc["categories"]["X"]
+    cat["rd"] = [[eid, value] for eid, value in cat["rd"].items()]
+
+
 def _edit_empty_category(doc):
     cat = doc["categories"]["X"]
     cat["rd"] = {eid: -1.0 for eid in cat["rd"]}
@@ -581,7 +586,7 @@ def _edit_stray_extension(doc):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("edit", [
-    _edit_rd_to_list, _edit_empty_category, _edit_empty_extension,
+    _edit_rd_to_list, _edit_rd_to_pairs, _edit_empty_category, _edit_empty_extension,
     _edit_stimulus_rd_to_zero, _edit_ghost_rd_key, _edit_precision,
     _edit_shifted_features, _edit_overflowing_features, _edit_input_dim,
     _edit_extra_feature, _edit_origin, _edit_unknown_stimulus, _edit_no_bmu_elements,

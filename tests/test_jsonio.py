@@ -182,7 +182,7 @@ def _deep_after(prefix):
     return prefix + "[" * _N + "]" * _N + "]", len(prefix) + _N - 1
 
 
-@pytest.mark.parametrize("text, deep_at", [
+_NESTING = [
     pytest.param("[" * _N + "]" * _N, None, id="max-depth arrays"),
     pytest.param("[" * (_N + 1) + "]" * (_N + 1), _N, id="one array more"),
     pytest.param('{"a":' * (_N + 1) + "0" + "}" * (_N + 1), 5 * _N, id="one object more"),
@@ -196,7 +196,10 @@ def _deep_after(prefix):
     pytest.param(*_deep_after('["\\"' + "]" * (_N + 1) + '", '), id="escaped quote"),
     pytest.param(*_deep_after('["\\\\", '), id="escaped backslash"),
     pytest.param('["\\\\\\"' + "[" * (_N + 1) + '"]', None, id="escaped backslash and quote"),
-])
+]
+
+
+@pytest.mark.parametrize("text, deep_at", _NESTING)
 def test_nesting_deeper_than_max_depth_is_refused(tmp_path, text, deep_at):
     p = tmp_path / "doc.json"
     p.write_text(text, encoding="utf-8")
@@ -206,3 +209,11 @@ def test_nesting_deeper_than_max_depth_is_refused(tmp_path, text, deep_at):
     with pytest.raises(json.JSONDecodeError, match=f"nested deeper than {_N} levels") as refused:
         jsonio.load_file(p)
     assert refused.value.pos == deep_at
+
+
+@pytest.mark.parametrize("text, deep_at", _NESTING)
+def test_depth_scan_reads_across_its_blocks(monkeypatch, text, deep_at):
+    # Three bytes a block: escape runs, strings and bracket runs all cross
+    # block boundaries, and the scan must find what it finds in one block.
+    monkeypatch.setattr(jsonio, "_SCAN_BYTES", 3)
+    assert jsonio._too_deep_at(text.encode()) == deep_at

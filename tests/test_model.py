@@ -276,6 +276,19 @@ def test_model_snapshot_validation(cluster_model):
         model_from_snapshot(doc)
 
 
+def test_rd_table_must_be_an_object(trained_map, clusters):
+    # An rd table as a list of [id, value] pairs, or an empty category's as
+    # an empty list, would read as the same mapping, but saving the model
+    # would write a different file.
+    built = build_model(trained_map, clusters, categories=["A", "B", "C", "Z"])
+    for name, form in (("A", lambda rd: [list(item) for item in rd.items()]), ("Z", list)):
+        doc = model_snapshot(built)
+        doc["categories"][name]["rd"] = form(doc["categories"][name]["rd"])
+        with pytest.raises(InputError, match=f"malformed model snapshot: category '{name}': "
+                                             f"rd must be an object of element ids, got list"):
+            model_from_snapshot(doc)
+
+
 @pytest.mark.parametrize("name", ["Top", "1x", "a b"])
 def test_loaded_category_names_are_checked_as_built(name):
     # A label build_model refuses is refused on load with the same message.

@@ -2,6 +2,7 @@ import copy
 import inspect
 import math
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,10 @@ def _kernel_case(seed: int, n: int, units: int, dim: int, duplicates: bool, huge
 @example(0, 70, 70, 8, False, False)
 @example(0, 70, 70, 136, False, False)
 @example(0, 70, 70, 257, False, False)
+# a short last block (40 and 21 rows), and more units than a block's
+# entries (one row per block)
+@example(0, 61, 100, 9, True, False)
+@example(0, 3, som_module._BLOCK_ENTRIES + 1, 9, True, False)
 def test_kernel_equals_pinned_expression(seed, n, units, dim, duplicates, huge):
     x, w, groups = _kernel_case(seed, n, units, dim, duplicates, huge)
     assert _kernel_mismatches(x, w, groups) == []
@@ -204,6 +209,65 @@ def test_kernel_comparison_catches_left_to_right_sum(monkeypatch):
     assert _kernel_mismatches(x, w, groups) == []
     monkeypatch.setattr(som_module, "_pairwise_sum", _left_to_right)
     assert "distances" in _kernel_mismatches(x, w, groups)
+
+
+# The kernel's memory case: 15 stimuli on 600 units, in blocks of 6, 6
+# and 3 rows, the last one short; each block buffer holds 28 800 bytes.
+_MEMORY_ROWS, _MEMORY_UNITS = 15, 600
+# What the kernel may hold beyond its block buffers: views, lists and the
+# generator, about 2 KB at dim 1 and 5 KB at dim 9 with numpy 2.4.
+_MEMORY_SLACK = 8 * 1024
+
+
+def _kernel_overshoot(dim: int) -> int:
+    """The most by which ``nearest_units`` or ``nearest_in_groups``, under
+    tracemalloc, holds more than ``dim + 1`` block buffers besides its
+    results and, for the groups, their gathered rows of the weights."""
+    rng = np.random.default_rng(dim)
+    x = rng.normal(size=(_MEMORY_ROWS, dim))
+    w = rng.normal(size=(_MEMORY_UNITS, dim))
+    cols, starts = rng.permutation(_MEMORY_UNITS), np.array([0, 200, 400])
+    rows = som_module._BLOCK_ENTRIES // _MEMORY_UNITS
+    assert 0 < _MEMORY_ROWS % rows < rows
+    buffers = (dim + 1) * rows * _MEMORY_UNITS * 8
+    over = []
+    for call, known in (
+        (lambda: nearest_units(x, w), 2 * _MEMORY_ROWS * 8),
+        (lambda: nearest_in_groups(x, w, cols, starts), _MEMORY_ROWS * len(starts) * 8 + w.nbytes),
+    ):
+        call()  # numpy's first-call set-up stays out of the count
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        over.append(peak - known - buffers)
+    return max(over)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 9])
+def test_kernel_scratch_is_its_block_buffers(dim):
+    assert _kernel_overshoot(dim) <= _MEMORY_SLACK
+
+
+@pytest.mark.parametrize("old, new", [
+    # a ufunc that takes the stimuli's broadcast column directly
+    ("np.subtract(t, w, out=t)", "np.subtract(x[start:stop, k, np.newaxis], w, out=t)"),
+    # the buffers laid out unit by unit, so that the short last block is a
+    # strided view of them
+    ("[:shape[0] * units].reshape(shape)", ".reshape(units, -1).T[:shape[0]]"),
+], ids=["broadcast column", "strided last block"])
+@pytest.mark.parametrize("dim", [2, 9])
+def test_kernel_memory_bound_catches_buffered_ufuncs(monkeypatch, old, new, dim):
+    src = textwrap.dedent(inspect.getsource(som_module._blocks))
+    assert src.count(old) == 1
+    namespace = dict(vars(som_module))
+    exec(compile(src.replace(old, new), som_module.__file__, "exec"), namespace)
+    monkeypatch.setattr(som_module, "_blocks", namespace["_blocks"])
+    x, w, groups = _kernel_case(0, 70, 70, dim, False, False)
+    assert _kernel_mismatches(x, w, groups) == []
+    assert _kernel_overshoot(dim) > _MEMORY_SLACK
 
 
 def test_bmu_input_validation():
