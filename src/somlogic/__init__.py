@@ -46,7 +46,6 @@ from .model import (
     DomainElement,
     SemanticModel,
     build_model,
-    initial_model,
     load_model,
     model_from_snapshot,
     model_snapshot,

@@ -17,7 +17,8 @@ Exit codes:
 
 * 0: success (for ``check``: the queried inclusion holds).
 * 1: readable input with wrong content: a bad option or query, a malformed
-  CSV, features whose squared distances overflow float64, or a
+  CSV, features whose squared distances or initial weight band overflow
+  float64, or a
   ``model.json`` whose stored tables differ from the ones ``build_model``'s
   derivation gives for its features and prototype lists.
 * 2: a file cannot be opened, is not UTF-8 text, or is not valid JSON;

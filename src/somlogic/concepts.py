@@ -12,6 +12,8 @@ Grammar (ASCII, whitespace-insensitive)::
 ``T`` marks typicality and may wrap exactly the whole left-hand side of a
 defeasible inclusion, nowhere else.  ``Top``, ``Bot`` and ``T`` are reserved
 words, so category labels must be ordinary identifiers distinct from them.
+Parentheses may nest at most ``MAX_NESTING`` levels deep; a conjunction may
+have any number of conjuncts.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ __all__ = [
     "inclusion_text",
     "extension_mask",
 ]
+
+# The deepest parenthesis nesting the parser accepts.  Each level costs a
+# few interpreter frames in the parser, and in the printer and evaluator
+# where the nesting puts a conjunction on the left, so the bound keeps
+# well below the interpreter's default recursion limit of 1000.
+MAX_NESTING = 200
 
 
 # ==============================================================
@@ -119,6 +127,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses open around the current position
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -152,8 +161,12 @@ class _Parser:
                 raise ParseError(f"{text!r} is a reserved word", pos=pos)
             return Name(text)
         if kind == "LP":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", pos=pos)
+            self.depth += 1
             inner = self.concept()
             self.expect("RP", "')'")
+            self.depth -= 1
             return inner
         got = text or "end of input"
         raise ParseError(f"expected a concept, got {got!r}", pos=pos)
@@ -203,19 +216,22 @@ def parse_query(text: str) -> Union[ConceptExpr, Inclusion]:
 def pretty(expr: ConceptExpr) -> str:
     """Concrete syntax for an AST; re-parsing the result gives an identical
     tree (a left-nested conjunction, which the parser itself never produces,
-    prints with explicit parentheses)."""
-    if isinstance(expr, Top):
-        return "Top"
-    if isinstance(expr, Bot):
-        return "Bot"
-    if isinstance(expr, Name):
-        return expr.name
-    if isinstance(expr, And):
+    prints with explicit parentheses).  A right-nested conjunction is walked
+    in a loop, so any number of conjuncts prints."""
+    parts = []
+    while isinstance(expr, And):
         left = pretty(expr.left)
-        if isinstance(expr.left, And):
-            left = f"({left})"
-        return f"{left} & {pretty(expr.right)}"
-    raise InputError(f"not a concept expression: {expr!r}")
+        parts.append(f"({left})" if isinstance(expr.left, And) else left)
+        expr = expr.right
+    if isinstance(expr, Top):
+        parts.append("Top")
+    elif isinstance(expr, Bot):
+        parts.append("Bot")
+    elif isinstance(expr, Name):
+        parts.append(expr.name)
+    else:
+        raise InputError(f"not a concept expression: {expr!r}")
+    return " & ".join(parts)
 
 
 def inclusion_text(inc: Inclusion) -> str:
@@ -232,18 +248,25 @@ def inclusion_text(inc: Inclusion) -> str:
 def extension_mask(model: SemanticModel, expr: ConceptExpr) -> np.ndarray:
     """The set of domain elements the concept denotes in the model, as a
     boolean mask over ``model.element_ids``: a name reads its row of
-    ``model.ext`` (read-only), a conjunction ANDs the masks of its sides."""
+    ``model.ext`` (read-only), a conjunction ANDs the masks of its sides,
+    left to right, walking a right-nested conjunction in a loop."""
+    masks = []
+    while isinstance(expr, And):
+        masks.append(extension_mask(model, expr.left))
+        expr = expr.right
     if isinstance(expr, Top):
-        return np.ones(len(model.element_ids), dtype=bool)
-    if isinstance(expr, Bot):
-        return np.zeros(len(model.element_ids), dtype=bool)
-    if isinstance(expr, Name):
+        mask = np.ones(len(model.element_ids), dtype=bool)
+    elif isinstance(expr, Bot):
+        mask = np.zeros(len(model.element_ids), dtype=bool)
+    elif isinstance(expr, Name):
         try:
-            return model.ext[model.row_of[expr.name]]
+            mask = model.ext[model.row_of[expr.name]]
         except KeyError:
             raise UnknownCategoryError(
                 f"concept name {expr.name!r} is not a learned category"
             ) from None
-    if isinstance(expr, And):
-        return extension_mask(model, expr.left) & extension_mask(model, expr.right)
-    raise InputError(f"not a concept expression: {expr!r}")
+    else:
+        raise InputError(f"not a concept expression: {expr!r}")
+    for left in masks:
+        mask = left & mask
+    return mask

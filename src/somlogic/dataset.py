@@ -28,13 +28,17 @@ def _is_number(text: str) -> bool:
 def _clean_rows(path) -> list[tuple[int, list[str]]]:
     rows: list[tuple[int, list[str]]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in row]
-            if not cells or all(c == "" for c in cells):
-                continue
-            if cells[0].startswith("#"):
-                continue
-            rows.append((line_no, cells))
+        reader = csv.reader(fh)
+        try:
+            for line_no, row in enumerate(reader, start=1):
+                cells = [c.strip() for c in row]
+                if not cells or all(c == "" for c in cells):
+                    continue
+                if cells[0].startswith("#"):
+                    continue
+                rows.append((line_no, cells))
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise DatasetError(str(exc), line=reader.line_num) from exc
     return rows
 
 

@@ -9,7 +9,9 @@ Domain elements are identified by bitwise-equal feature vectors, so a
 stimulus that coincides with a unit's weights is one element, not two.  The
 domain is the union of three groups, in construction order: input stimuli,
 the weight vectors of all best-matching units, and optional unlabelled probe
-vectors.
+vectors.  A stimulus element keeps the stimulus's id; the element of unit
+``u`` is ``u{u}`` and that of probe ``j`` is ``p{j}``, with a prime added
+for as long as an earlier element holds the id (``u0'``, then ``u0''``).
 
 Per category ``C`` with at least one stimulus:
 
@@ -59,7 +61,6 @@ __all__ = [
     "RESERVED_WORDS",
     "valid_category_name",
     "build_model",
-    "initial_model",
     "model_snapshot",
     "model_from_snapshot",
     "save_model",
@@ -255,16 +256,19 @@ def build_model(
     by_feat: dict[tuple[float, ...], str] = {}
     for s in data:
         by_feat.setdefault(s.features, s.sid)
+    taken = set(by_feat.values())
     unit_feats = {u: tuple(float(v) for v in som.weights[u]) for u in sorted(set(bmu_of))}
     for u, feats in unit_feats.items():
-        by_feat.setdefault(feats, f"u{u}")
+        if feats not in by_feat:
+            by_feat[feats] = _fresh(f"u{u}", taken)
     for j, p in enumerate(probes):
         feats = tuple(float(v) for v in p)
         if len(feats) != som.input_dim:
             raise InputError(
                 f"probe {j} has dimension {len(feats)}, map expects {som.input_dim}"
             )
-        by_feat.setdefault(feats, f"p{j}")
+        if feats not in by_feat:
+            by_feat[feats] = _fresh(f"p{j}", taken)
 
     refs = {}
     for cat in cat_names:
@@ -278,6 +282,14 @@ def build_model(
     ids = list(by_feat.values())
     features = np.array(list(by_feat), dtype=np.float64).reshape(len(ids), som.input_dim)
     return _derive(som.input_dim, ids, dict(zip(ids, range(len(ids)))), features, refs)
+
+
+def _fresh(eid: str, taken: set[str]) -> str:
+    """``eid`` with primes appended until ``taken`` lacks it, then taken."""
+    while eid in taken:
+        eid += "'"
+    taken.add(eid)
+    return eid
 
 
 def _rd(num: np.ndarray, precision: np.ndarray) -> np.ndarray:
@@ -398,17 +410,6 @@ def _check_tables(model: SemanticModel, bmu_cells: tuple, stim_cells: tuple) -> 
                 raise ConsistencyError(
                     f"category {name!r}: stimulus element {eid!r} outside its own extension"
                 )
-
-
-def initial_model(categories: Sequence[str], input_dim: int) -> SemanticModel:
-    """The model before any stimulus has been presented: empty domain, every
-    category empty (and hence every strict inclusion into the empty concept
-    holding)."""
-    cat_names = list(dict.fromkeys(categories))
-    if not cat_names:
-        raise InputError("need at least one category")
-    return _derive(input_dim, (), {}, np.empty((0, input_dim)),
-                   dict.fromkeys(cat_names, ((), (), ())))
 
 
 # ==============================================================

@@ -31,7 +31,6 @@ presentation schedule over the same initial map.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -42,7 +41,7 @@ from . import jsonio
 from .checker import extract_kb, inclusion_table, kb_criteria, kb_inclusions
 from .concepts import Inclusion, inclusion_text
 from .errors import InputError
-from .model import SemanticModel, _rd, build_model, initial_model
+from .model import SemanticModel, _rd, build_model
 from .som import (
     SomMap,
     Stimulus,
@@ -92,8 +91,7 @@ class RevisionState:
     ``seen_by_id`` maps the id of each stimulus presented so far to it, in
     order of first presentation.  ``features`` and ``labels`` hold the same
     stimuli as rows of features and indices into ``categories``; a step that
-    presents a new stimulus adds one row.  ``named_units`` holds each unit
-    ``u`` with ``f"u{u}"`` a seen id.  ``inclusions`` is the categories'
+    presents a new stimulus adds one row.  ``inclusions`` is the categories'
     ``inclusion_table``, built once per trace, from which each step picks
     its KB.  ``kb_key`` is ``kb``'s ``_kb_key``, None before the first
     step.
@@ -104,7 +102,6 @@ class RevisionState:
     seen_by_id: Mapping[str, Stimulus]
     features: np.ndarray
     labels: np.ndarray
-    named_units: np.ndarray
     inclusions: np.ndarray
     kb: frozenset[Inclusion]
     kb_key: bytes | None
@@ -123,30 +120,19 @@ class RevisionState:
 
 def initial_state(som: SomMap, categories) -> RevisionState:
     cats = tuple(dict.fromkeys(categories))
+    if not cats:
+        raise InputError("need at least one category")
     return RevisionState(
         som=som,
         categories=cats,
         seen_by_id={},
         features=np.empty((0, som.input_dim)),
         labels=np.empty(0, dtype=np.intp),
-        named_units=np.empty(0, dtype=np.intp),
         inclusions=inclusion_table(cats),
-        kb=extract_kb(initial_model(cats, som.input_dim)).kb,
+        kb=extract_kb(build_model(som, (), categories=cats)).kb,
         kb_key=None,
         steps_done=0,
     )
-
-
-# build_model's element id of BMU unit u: f"u{u}", in ASCII digits.
-_UNIT_ID = re.compile(r"u(0|[1-9][0-9]*)")
-
-
-def _named_unit(sid: str, n_units: int) -> int | None:
-    """The unit ``u < n_units`` with ``sid == f"u{u}"``, if there is one."""
-    m = _UNIT_ID.fullmatch(sid)
-    if m and len(m[1]) <= len(str(n_units)) and int(m[1]) < n_units:
-        return int(m[1])
-    return None
 
 
 def _kb_key(criteria: Mapping[str, np.ndarray], empty: np.ndarray) -> bytes:
@@ -155,22 +141,22 @@ def _kb_key(criteria: Mapping[str, np.ndarray], empty: np.ndarray) -> bytes:
 
 
 def _kb_of(som: SomMap, categories: tuple[str, ...], features: np.ndarray, labels: np.ndarray,
-           seen: Mapping[str, Stimulus], named_units: np.ndarray, table: np.ndarray,
+           seen: Mapping[str, Stimulus], table: np.ndarray,
            reuse: tuple[bytes | None, frozenset[Inclusion]]) -> tuple[bytes, frozenset[Inclusion]]:
     """``extract_kb(build_model(som, seen, categories=categories)).kb`` from
-    the BMU geometry alone, with its key (``_kb_key``); ``features``,
-    ``labels`` and ``named_units`` describe ``seen``, and ``table`` is the
-    categories' ``inclusion_table``.  ``reuse`` is a (key, KB) pair whose KB
-    is returned as it is when the key is the same."""
+    the BMU geometry alone, with its key (``_kb_key``); ``features`` and
+    ``labels`` describe ``seen``, and ``table`` is the categories'
+    ``inclusion_table``.  ``reuse`` is a (key, KB) pair whose KB is
+    returned as it is when the key is the same."""
     bmu, d2 = nearest_units(features, som.weights)
     k = len(categories)
     # pairs[c, u]: some stimulus of category c has BMU u
     pairs = np.zeros((k, som.n_units), dtype=bool)
     pairs[labels, bmu] = True
     hit = pairs.any(axis=0)
-    if not np.isfinite(d2).all() or (named_units.size and hit[named_units].any()):
-        # build_model refuses a precision that overflowed and a stimulus id
-        # that is also a BMU element's id; let it decide on these inputs.
+    if not np.isfinite(d2).all():
+        # build_model refuses a precision that overflowed; let it word the
+        # refusal.
         build_model(som, tuple(seen.values()), categories=categories)
 
     # The (category, BMU unit) pairs, by category, then by unit (an index
@@ -207,7 +193,6 @@ def revise(state: RevisionState, stimulus: Stimulus, lr: float, radius: float) -
             f"not one of the trace's categories {list(state.categories)}"
         )
     seen, features, labels = state.seen_by_id, state.features, state.labels
-    named_units = state.named_units
     known = seen.get(stimulus.sid)
     if known is not None and (known.features != stimulus.features or known.label != stimulus.label):
         raise InputError(f"stimulus id {stimulus.sid!r} reused with different content")
@@ -217,10 +202,7 @@ def revise(state: RevisionState, stimulus: Stimulus, lr: float, radius: float) -
         seen = {**seen, stimulus.sid: stimulus}
         features = np.vstack((features, stimulus.features))
         labels = np.append(labels, state.categories.index(stimulus.label))
-        u = _named_unit(stimulus.sid, new_som.n_units)
-        if u is not None:
-            named_units = np.append(named_units, u)
-    kb_key, kb = _kb_of(new_som, state.categories, features, labels, seen, named_units,
+    kb_key, kb = _kb_of(new_som, state.categories, features, labels, seen,
                         state.inclusions, (state.kb_key, state.kb))
 
     step = RevisionStep(
@@ -237,7 +219,6 @@ def revise(state: RevisionState, stimulus: Stimulus, lr: float, radius: float) -
         seen_by_id=seen,
         features=features,
         labels=labels,
-        named_units=named_units,
         inclusions=state.inclusions,
         kb=kb,
         kb_key=kb_key,

@@ -221,6 +221,7 @@ def init_map(
     strictly outside the data region keeps early relative distances large and
     makes the quantization-error drop during training unambiguous.  A feature
     with zero span falls back to span 1.0 so the band stays non-degenerate.
+    A band whose bounds or width overflow float64 is refused.
     """
     lo = np.broadcast_to(np.asarray(value_range[0], dtype=np.float64), (input_dim,))
     hi = np.broadcast_to(np.asarray(value_range[1], dtype=np.float64), (input_dim,))
@@ -228,10 +229,16 @@ def init_map(
         raise ConfigError("value_range must be finite")
     if np.any(lo > hi):
         raise ConfigError("value_range lower bound exceeds upper bound")
-    span = hi - lo
-    span = np.where(span == 0.0, 1.0, span)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        span = np.where(span == 0.0, 1.0, span)
+        low, high = hi + 0.1 * span, hi + 0.6 * span
+        finite = np.isfinite(high - low).all()
+    if not finite:
+        raise ConfigError("the band the initial weights are drawn from overflows float64; "
+                          "rescale the features")
     rng = np.random.default_rng(seed)
-    w = rng.uniform(hi + 0.1 * span, hi + 0.6 * span, size=(rows * cols, input_dim))
+    w = rng.uniform(low, high, size=(rows * cols, input_dim))
     return SomMap(rows=rows, cols=cols, input_dim=input_dim, seed=seed, weights=w)
 
 

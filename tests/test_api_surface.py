@@ -3,8 +3,10 @@
 A name in the ``__all__`` of a module of ``src/somlogic`` must be referenced
 in code by some module of the package other than ``__init__.py``, or by a
 file under ``scripts/`` or ``bench/``: as a name, an attribute or an import.
-Its own definition, strings and docstrings do not count.  Code that only
-tests read belongs in ``tests/oracles.py``.
+So must each public method, property and annotated field (a dataclass
+field) of a class in ``__all__``.  Its own definition, strings and
+docstrings do not count.  Code that only tests read belongs in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,26 @@ def _exported(tree: ast.Module) -> list[str]:
         ):
             return list(ast.literal_eval(node.value))
     return []
+
+
+def _public(tree: ast.Module) -> list[tuple[str, str]]:
+    """(path, name) of each name in ``__all__`` and of each public method,
+    property and annotated field of an exported class, the path being
+    ``name`` or ``Class.name``."""
+    exported = _exported(tree)
+    out = [(name, name) for name in exported]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in exported:
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    out.append((f"{node.name}.{name}", name))
+    return out
 
 
 class _References(ast.NodeVisitor):
@@ -57,14 +79,14 @@ class _References(ast.NodeVisitor):
 
 
 def _unread(library: dict[str, str], readers: list[str]) -> list[str]:
-    """``module.name`` for each name in the ``__all__`` of the modules in
+    """``module.path`` for each public name (``_public``) of the modules in
     ``library`` (module name to source) that no source in ``readers``
     references."""
     refs = _References()
     for source in readers:
         refs.visit(ast.parse(source))
-    return [f"{module}.{name}" for module, source in sorted(library.items())
-            for name in _exported(ast.parse(source)) if name not in refs.names]
+    return [f"{module}.{path}" for module, source in sorted(library.items())
+            for path, name in _public(ast.parse(source)) if name not in refs.names]
 
 
 def test_every_exported_name_has_a_reader_outside_the_tests():
@@ -82,8 +104,16 @@ def test_census_ignores_definitions_strings_and_init():
                "def used(): return 1\n"
                "def recursive(n): return recursive(n - 1) if n else 0\n"
                'def quoted(): """See used."""\n'
-               "class Kept: pass\n",
-        "__init__": "from .mod import quoted\n",
+               "class Kept:\n"
+               "    field: int\n"
+               "    unread_field: int\n"
+               "    _private: int\n"
+               "    def __init__(self): self._private = 0\n"
+               "    def used(self): return self.field\n"
+               "    @property\n"
+               "    def unread(self): return self.unread\n",
+        "__init__": "from .mod import quoted\nquoted.unread_field\n",
     }
     readers = [library["mod"], "import mod\nmod.used()\nfrom mod import Kept\n"]
-    assert _unread(library, readers) == ["mod.recursive", "mod.quoted", "mod.LIMIT"]
+    assert _unread(library, readers) == ["mod.recursive", "mod.quoted", "mod.LIMIT",
+                                         "mod.Kept.unread_field", "mod.Kept.unread"]

@@ -17,7 +17,6 @@ from somlogic import (
     check_typicality,
     derive_specificity,
     extract_kb,
-    initial_model,
     kb_file_text,
     rd_bmu_set,
 )
@@ -155,7 +154,7 @@ def test_extract_kb_agrees_with_pairwise_checks(cluster_model, trained_map, clus
     models = [
         cluster_model,
         build_model(trained_map, clusters, categories=["A", "B", "C", "Z"]),
-        initial_model(["A", "B"], 2),
+        build_model(trained_map, (), categories=["A", "B"]),
         *(random_model(np.random.default_rng([11, s]))[0] for s in range(30)),
     ]
     for m in models:
@@ -193,8 +192,8 @@ def test_extract_with_empty_category(trained_map, clusters):
     assert {i for i in ex.kb if "Z" in inclusion_text(i)} == {Inclusion("strict", Name("Z"), Bot())}
 
 
-def test_initial_model_kb():
-    m = initial_model(["A", "B"], 2)
+def test_initial_model_kb(trained_map):
+    m = build_model(trained_map, (), categories=["A", "B"])
     ex = extract_kb(m)
     assert {inclusion_text(i) for i in ex.kb} == {"A <= Bot", "B <= Bot"}
     assert ex.ranked_defeasible == ()

@@ -208,6 +208,29 @@ def test_check_unknown_category(tmp_path, data_csv, capsys):
     assert "Qq" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("template", ["{} <= Bot", "T({}) <= X", "T(X) <= {}"])
+def test_check_answers_a_long_conjunction_as_its_two_name_form(tmp_path, data_csv, capsys, template):
+    out = train_and_extract(tmp_path, data_csv)
+    capsys.readouterr()
+    answers = []
+    for conjuncts in (2, 5000):
+        query = template.format(" & ".join(["X", "Y"] * (conjuncts // 2)))
+        code = main(["check", "--model", str(out / "model.json"), "--query", query])
+        doc = json.loads(capsys.readouterr().out)
+        assert code in (0, 4) and doc["inclusion"] == query
+        answers.append((code, doc["holds"], doc["method"]))
+    assert answers[0] == answers[1]
+
+
+def test_check_refuses_parentheses_nested_too_deep(tmp_path, data_csv, capsys):
+    out = train_and_extract(tmp_path, data_csv)
+    capsys.readouterr()
+    query = "(" * 2000 + "X" + ")" * 2000 + " <= Y"
+    assert main(["check", "--model", str(out / "model.json"), "--query", query]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parentheses nested deeper than") and "position" in err
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     assert main(["check", "--model", str(tmp_path / "nope.json"), "--query", "T(X) <= X"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -372,6 +395,40 @@ def test_overflowing_features_exit_1(tmp_path, data_csv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflow" in err
     assert not (run / "model.json").exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    # The initial weight band of 1e308 overflows; at 1e300 the band is
+    # finite and the squared distances overflow.
+    ("1e308", "the band the initial weights are drawn from overflows float64"),
+    ("1e300", "squared distances between the stimuli and the map's weights overflow"),
+])
+def test_features_near_the_float64_limit_exit_1(tmp_path, capsys, value, message):
+    big = tmp_path / "big.csv"
+    big.write_text(f"{value},0.1,X\n-{value},0.2,X\n", encoding="utf-8")
+    for cmd in ("train", "trace"):
+        out = tmp_path / cmd
+        assert main([cmd, "--data", str(big), "--out", str(out)] + SMALL) == 1, cmd
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.endswith("; rescale the features\n"), cmd
+        assert not out.exists(), cmd
+
+
+def test_csv_field_past_the_field_limit_exit_1(tmp_path, data_csv, capsys):
+    wide = "1" * 140_000
+    bad_data, bad_probes = tmp_path / "wide.csv", tmp_path / "wide-probes.csv"
+    bad_data.write_text(f"0.0,0.1,X\n1.0,{wide},X\n", encoding="utf-8")
+    bad_probes.write_text(f"0.0,0.1\n{wide},1.0\n", encoding="utf-8")
+    run = train_and_extract(tmp_path, data_csv)
+    capsys.readouterr()
+    for argv in (
+        ["train", "--data", str(bad_data), "--out", str(tmp_path / "trained")] + SMALL,
+        ["extract", "--map", str(run / "map.json"), "--data", data_csv,
+         "--probes", str(bad_probes), "--out", str(tmp_path / "extracted")],
+    ):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: field larger than field limit"), argv[0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

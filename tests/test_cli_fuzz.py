@@ -1,0 +1,214 @@
+"""Input fuzz through the command line.
+
+``main`` runs on a small run's ``model.json``, ``map.json``, data and probe
+CSV files and on query strings, one of them mutated: a JSON value replaced
+or removed, a CSV cell replaced, or a splice of text.  Whatever the input,
+no exception escapes ``main``, the exit code is a documented one, and exits
+1 and 2 print an ``error:`` line.  Every command runs on a 3 x 3 map for
+two epochs at most, so no input makes the program allocate much.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import shutil
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from somlogic import (
+    Stimulus,
+    TrainConfig,
+    build_model,
+    feature_range,
+    init_map,
+    jsonio,
+    model_snapshot,
+    train,
+)
+from somlogic.cli import main
+from somlogic.som import map_snapshot
+
+DATA = """\
+f0,f1,label
+0.0,0.1,X
+0.2,0.0,X
+0.1,0.3,X
+0.3,0.2,X
+4.0,4.1,Y
+4.2,4.0,Y
+4.1,4.3,Y
+4.3,4.2,Y
+"""
+PROBES = "2.0,2.0\n-1.0,5.0\n"
+TRAINING = ["--rows", "3", "--cols", "3", "--epochs", "2", "--seed", "7"]
+
+# The files each command reads, by role.
+ROLES = {
+    "check": ("model",),
+    "verify": ("model",),
+    "extract": ("map", "data", "probes"),
+    "train": ("data",),
+    "trace": ("data",),
+}
+
+
+@functools.cache
+def base_texts() -> dict[str, str]:
+    """The unmutated files: the run that ``train`` and ``extract`` with
+    ``TRAINING`` give on ``DATA`` and ``PROBES``."""
+    # load_csv names each stimulus after its line.
+    rows = [line.split(",") for line in DATA.splitlines()[1:]]
+    data = [Stimulus(f"row{i}", (float(f0), float(f1)), label)
+            for i, (f0, f1, label) in enumerate(rows, start=2)]
+    som0 = init_map(3, 3, 2, 7, feature_range(data))
+    som, _ = train(som0, data, TrainConfig(epochs=2, seed=7))
+    probes = [tuple(map(float, line.split(","))) for line in PROBES.split()]
+    return {
+        "model": jsonio.canonical_dumps(model_snapshot(build_model(som, data, probes))),
+        "map": jsonio.canonical_dumps(map_snapshot(som)),
+        "data": DATA,
+        "probes": PROBES,
+    }
+
+
+# Values that sit at the edges of what the readers accept.
+EDGE_NUMBERS = [0, -1, 1, 2, 3, 9, 2**63, 2**64 + 5, -(2**63) - 1, 0.5, -0.0,
+                1e-320, 1e300, -1e300, 1e308, -1e308]
+EDGE_TEXTS = ["", "X", "Y", "T", "Top", "u0", "u0'", "p0", "1e308", "12", "é"]
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.sampled_from(EDGE_NUMBERS),
+              st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_TEXTS)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(EDGE_TEXTS), inner, max_size=2)),
+    max_leaves=4,
+)
+CELLS = ["", "nan", "inf", "-inf", "1e308", "-1e308", "1e300", "1e-320", "0x1", "abc",
+         "X", "Y", "Top", "T", "u0", "#", '"', '"1,2"', "1" * 140_000]
+SPLICES = ["", ",", "\n", '"', "[", "]", "{", "}", ":", "0", "-", "e9", "1e400",
+           "NaN", "null", "(", ")", "&", "<=", "T(", "Bot", "\\ud800", "\x00", "é"]
+
+
+@st.composite
+def json_edit(draw, text: str) -> str:
+    """``text`` with one value, reached by a random walk from the root,
+    replaced by a random JSON value or removed."""
+    doc = json.loads(text)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if draw(st.booleans()):
+        parent[key] = draw(json_values)
+    elif isinstance(parent, dict):
+        del parent[key]
+    else:
+        parent.pop(key)
+    return json.dumps(doc)
+
+
+@st.composite
+def csv_edit(draw, text: str) -> str:
+    """``text`` with one cell replaced, or one line repeated or dropped."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    cells = lines[i].split(",")
+    action = draw(st.sampled_from(["cell", "repeat", "drop"]))
+    if action == "cell":
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(CELLS))
+        lines[i] = ",".join(cells)
+    elif action == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def splice(draw, text: str) -> str:
+    """``text`` with a short run of characters replaced by one of
+    ``SPLICES``."""
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 3)))
+    return text[:i] + draw(st.sampled_from(SPLICES)) + text[j:]
+
+
+concepts = st.lists(st.sampled_from(["X", "Y", "Z", "Top", "Bot", "(X & Y)"]),
+                    min_size=1, max_size=3).map(" & ".join)
+queries = st.one_of(
+    st.tuples(st.sampled_from(["{} <= {}", "T({}) <= {}"]), concepts, concepts).map(
+        lambda t: t[0].format(*t[1:])),
+    st.lists(st.sampled_from(["X", "Y", "Top", "Bot", "T", "T(", "(", ")", "&", "<=", "?"]),
+             max_size=10).map(" ".join),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def cases(draw):
+    """A command, the one file it reads that is mutated, the mutated text,
+    and the query (for ``check``)."""
+    command = draw(st.sampled_from(sorted(ROLES)))
+    role = draw(st.sampled_from(ROLES[command]))
+    text = base_texts()[role]
+    if command == "check" and draw(st.booleans()):
+        return command, None, None, draw(queries)
+    edit = json_edit if role in ("model", "map") else csv_edit
+    text = draw(st.one_of(edit(text), splice(text)))
+    return command, role, text, draw(queries) if command == "check" else None
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+def run(workdir, command, role, text, query) -> tuple[int, str]:
+    """The exit code and stderr of ``main`` on the base files with the one
+    of role ``role`` holding ``text``."""
+    paths = {}
+    for name, base in base_texts().items():
+        path = workdir / f"{name}.{'json' if name in ('model', 'map') else 'csv'}"
+        path.write_text(text if name == role else base, encoding="utf-8")
+        paths[name] = str(path)
+    out = workdir / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    argv = {
+        "check": ["check", "--model", paths["model"], f"--query={query}"],
+        "verify": ["verify", "--model", paths["model"]],
+        "extract": ["extract", "--map", paths["map"], "--data", paths["data"],
+                    "--probes", paths["probes"], "--out", str(out)],
+        "train": ["train", "--data", paths["data"], "--out", str(out)] + TRAINING,
+        "trace": ["trace", "--data", paths["data"], "--out", str(out)] + TRAINING,
+    }[command]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+def _wide_cell(text: str) -> str:
+    return text.replace("0.1,X", "1" * 140_000 + ",X", 1)
+
+
+@settings(max_examples=300)
+@given(cases())
+# Parentheses nested 600 deep, and 1000 conjuncts plain and under T(...).
+@example(("check", None, None, "(" * 600 + "X" + ")" * 600 + " <= Y"))
+@example(("check", None, None, " & ".join(["X", "Y"] * 500) + " <= Y"))
+@example(("check", None, None, "T(" + " & ".join(["X", "Y"] * 500) + ") <= Y"))
+# A CSV field past csv.field_size_limit(), in the data and in the probes.
+@example(("train", "data", _wide_cell(DATA), None))
+@example(("extract", "probes", "1" * 140_000 + ",1\n", None))
+# Features whose initial weight band overflows float64.
+@example(("train", "data", DATA.replace("0.0,0.1,X", "1e308,0.1,X").replace(
+    "4.0,4.1,Y", "-1e308,4.1,Y"), None))
+@example(("trace", "data", DATA.replace("0.0,0.1,X", "1e308,0.1,X").replace(
+    "4.0,4.1,Y", "-1e308,4.1,Y"), None))
+def test_main_exits_cleanly_on_mutated_input(workdir, case):
+    code, err = run(workdir, *case)
+    assert code in (0, 1, 2, 3, 4)
+    if code in (1, 2):
+        assert any(line.startswith("error: ") for line in err.splitlines()), err

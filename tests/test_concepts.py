@@ -18,6 +18,7 @@ from somlogic import (
     parse_query,
     pretty,
 )
+from somlogic.concepts import MAX_NESTING
 
 from oracles import extension, make_model, parse_kb_text, random_model
 
@@ -99,6 +100,19 @@ def test_parse_error_carries_position():
 def test_t_is_valid_prefix_of_names():
     assert parse_query("Tall") == Name("Tall")
     assert parse_query("T_x & Topmost") == And(Name("T_x"), Name("Topmost"))
+
+
+def test_parentheses_nest_at_most_max_nesting_levels():
+    # At the limit a left-nested conjunction parses, prints and evaluates
+    # within the default recursion limit; one more level is refused at its
+    # opening parenthesis.
+    text = "(" * MAX_NESTING + "P" + " & Q)" * MAX_NESTING
+    expr = parse_query(text)
+    assert parse_query(pretty(expr)) == expr
+    assert _extension_ids(_tiny_model(), expr) == {"y"}
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse_query("(" + text + ")")
+    assert exc.value.pos == MAX_NESTING
 
 
 # ==============================================================

@@ -17,8 +17,8 @@ from somlogic import (
     TrainConfig,
     build_model,
     feature_range,
+    gaussian_clusters,
     init_map,
-    initial_model,
     load_model,
     save_model,
     train,
@@ -149,6 +149,51 @@ def test_duplicate_sid_different_features_rejected():
         build_model(som, data)
 
 
+# ==============================================================
+# Element ids
+# ==============================================================
+
+
+def _one_unit_map():
+    return SomMap(rows=1, cols=1, input_dim=2, seed=0, weights=np.array([[0.5, 0.5]]))
+
+
+def test_a_stimulus_named_like_a_unit_primes_the_unit(tmp_path):
+    m = build_model(_one_unit_map(), [Stimulus("u0", (0.0, 0.0), "A")])
+    assert m.element_ids == ("u0", "u0'")
+    assert m.origins == ("stimulus", "bmu")
+    assert m.categories["A"].bmu_element_ids == ("u0'",)
+    save_model(tmp_path / "model.json", m)
+    assert model_snapshot(load_model(tmp_path / "model.json")) == model_snapshot(m)
+
+
+def test_primes_go_on_until_the_id_is_free():
+    data = [Stimulus("u0'", (0.0, 0.0), "A"), Stimulus("u0", (1.0, 0.0), "A")]
+    m = build_model(_one_unit_map(), data)
+    assert m.element_ids == ("u0'", "u0", "u0''")
+
+
+def test_a_stimulus_named_like_a_probe_primes_the_probe():
+    m = build_model(_one_unit_map(), [Stimulus("p0", (0.0, 0.0), "A")], probes=[(3.0, 3.0)])
+    assert m.element_ids == ("p0", "u0", "p0'")
+    assert m.origins[m.col_of["p0'"]] == "probe"
+
+
+def test_a_label_that_spells_unit_ids_builds():
+    # Label u1 names its stimuli u100, u101, ..., the ids of units 100 and
+    # up on an 11 x 11 map.
+    data = gaussian_clusters([(0.0, 0.0), (5.0, 5.0)], ["u1", "A"], 60, 1.0, 3)
+    som, _ = train(init_map(11, 11, 2, 0, feature_range(data)), data, TrainConfig(epochs=3, seed=0))
+    m = build_model(som, data)
+    assert len(set(m.element_ids)) == len(m.element_ids)
+    sids = {s.sid for s in data}
+    for name, table in m.categories.items():
+        for u, eid in zip(table.bmu_units, table.bmu_element_ids):
+            if m.origins[m.col_of[eid]] == "bmu":
+                assert eid == f"u{u}" + "'" * (f"u{u}" in sids)
+    assert any(eid.endswith("'") for eid in m.element_ids)
+
+
 def test_probes_join_the_domain(trained_map, clusters):
     m = build_model(trained_map, clusters, probes=[(3.0, 3.0), (100.0, 100.0)])
     assert "p0" in m.element_ids and "p1" in m.element_ids
@@ -171,7 +216,7 @@ def test_reserved_labels_rejected(trained_map):
     with pytest.raises(InputError):
         build_model(trained_map, data)
     with pytest.raises(InputError):
-        initial_model(["A", "not a name"], 2)
+        build_model(trained_map, (), categories=["A", "not a name"])
 
 
 @pytest.mark.parametrize("rd, precision, message", [
@@ -198,8 +243,8 @@ def test_table_invariants_name_the_first_violation(rd, precision, message):
             model_module._check_tables(m, *cells)
 
 
-def test_initial_model_is_empty():
-    m = initial_model(["A", "B"], 2)
+def test_initial_model_is_empty(trained_map):
+    m = build_model(trained_map, (), categories=["A", "B"])
     assert m.elements == ()
     assert all(t.empty for t in m.categories.values())
     assert m.ext.shape == (2, 0)

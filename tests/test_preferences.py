@@ -26,7 +26,6 @@ from somlogic import (
     feature_range,
     gaussian_clusters,
     init_map,
-    initial_model,
     minima,
     pretty,
     train,
@@ -995,11 +994,11 @@ def test_global_order_holds_one_group_of_tables_at_a_time(chain):
 
 
 @pytest.mark.parametrize("n", [0, 8, 9])
-def test_klm_report_matches_oracle_at_byte_edges(n):
+def test_klm_report_matches_oracle_at_byte_edges(n, trained_map):
     # Packed masks 0 bytes wide, exactly one byte, and one byte plus a bit.
     rng = np.random.default_rng(n)
     if n == 0:
-        models = [(initial_model(["A", "B", "C"], 2), None)]
+        models = [(build_model(trained_map, (), categories=["A", "B", "C"]), None)]
     else:
         models = []
         while len(models) < 6:
@@ -1487,8 +1486,8 @@ def test_index_built_pool_matches_expression_pool(names):
     assert [label(i) for i in range(len(masks))] == [pretty(c) for c in pool]
 
 
-def test_index_built_pool_on_empty_domain():
-    model = initial_model(["C", "A", "B"], 2)
+def test_index_built_pool_on_empty_domain(trained_map):
+    model = build_model(trained_map, (), categories=["C", "A", "B"])
     masks, label = preferences._pool_masks(model, None)
     pool = default_concept_pool(model.category_names)
     assert masks.shape == (len(pool), 0)
@@ -1517,10 +1516,8 @@ def test_property_check_json_shape(cluster_pref):
     assert set(doc) == {"check", "status", "violations", "required", "notes"}
 
 
-def test_empty_domain_model():
-    from somlogic import initial_model
-
-    pref = build_preferential(initial_model(["A"], 2))
+def test_empty_domain_model(trained_map):
+    pref = build_preferential(build_model(trained_map, (), categories=["A"]))
     assert pref.bits.shape == (0, 0)
     assert typicality_extension(pref, Name("A")) == frozenset()
     for check in verify_order_axioms(pref):

@@ -14,6 +14,7 @@ from somlogic import (
     build_model,
     extract_kb,
     feature_range,
+    gaussian_clusters,
     inclusion_text,
     init_map,
     initial_state,
@@ -49,6 +50,8 @@ def test_initial_kb_is_all_bot():
     state = initial_state(som0, ["X", "Y"])
     assert {inclusion_text(i) for i in state.kb} == {"X <= Bot", "Y <= Bot"}
     assert state.steps_done == 0 and state.seen == ()
+    with pytest.raises(InputError, match="need at least one category"):
+        initial_state(som0, [])
 
 
 def test_first_step_retracts_bot():
@@ -109,7 +112,7 @@ def test_rebuild_comparison_catches_stale_bmus():
         fresh = extract_kb(build_model(state.som, state.seen, categories=state.categories)).kb
         stale = revision._kb_of(
             previous_som, state.categories, state.features, state.labels, state.seen_by_id,
-            state.named_units, state.inclusions, (None, frozenset()),  # no previous KB to reuse
+            state.inclusions, (None, frozenset()),  # no previous KB to reuse
         )[1]
         stale_steps += stale != fresh
     assert stale_steps > 0
@@ -259,49 +262,49 @@ def test_step_kb_at_equality_boundaries():
 
 
 @pytest.mark.parametrize("value_range, stimulus, error, message", [
-    # a stimulus id equal to the element id of a BMU unit not on a stimulus
-    (((0.0, 0.0), (1.0, 1.0)), Stimulus("u0", (0.0, 0.0), "A"), InputError,
-     "duplicate element ids in domain"),
     # squared distances that overflow give an infinite precision
     (((0.0, 0.0), (1e200, 1e200)), Stimulus("a", (0.0, 0.0), "A"), InputError,
      "overflow"),
-], ids=["unit-id", "overflow"])
+], ids=["overflow"])
 def test_step_keeps_build_model_refusals(value_range, stimulus, error, message):
     state = initial_state(init_map(1, 1, 2, 0, value_range), ["A"])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
         revise(state, stimulus, 0.5, 1.0)
 
 
-@given(st.one_of(st.text(max_size=6), st.from_regex(r"[uU][-+0-9٣²]{0,5}", fullmatch=True)),
-       st.integers(1, 1500))
-@example("u05", 10)
-@example("u٣", 10)
-@example("u²", 10)
-@example("u-1", 10)
-@example("u+1", 10)
-@example("u", 10)
-@example("U3", 10)
-@example("u0", 1)
-@example("u9", 10)
-@example("u10", 10)
-@example("u1\n", 10)
-@example("u1_0", 20)
-@example("u" + "1" * 5000, 10)
-def test_named_unit_is_the_unit_whose_id_is_the_sid(sid, n_units):
-    want = next((u for u in range(n_units) if f"u{u}" == sid), None)
-    assert revision._named_unit(sid, n_units) == want
+def test_step_names_a_unit_after_a_stimulus_with_its_id():
+    # A stimulus named "u0" that is not on unit 0: unit 0's element is u0'.
+    state = initial_state(init_map(1, 1, 2, 0, ((0.0, 0.0), (1.0, 1.0))), ["A"])
+    state, _ = revise(state, Stimulus("u0", (0.0, 0.0), "A"), 0.5, 1.0)
+    fresh = build_model(state.som, state.seen, categories=state.categories)
+    assert fresh.element_ids == ("u0", "u0'")
+    assert state.kb == extract_kb(fresh).kb
+    assert model_snapshot(state.model) == model_snapshot(fresh)
 
 
-def test_step_refuses_a_unit_id_when_its_unit_first_becomes_a_bmu():
+def test_step_replays_a_stimulus_named_after_a_later_bmu():
     # "u1" is seen from the first step, near unit 0; unit 1 first becomes a
-    # BMU at the last step, and only then does its element id clash.
+    # BMU at the last step, and its element is then named u1'.  Every step
+    # equals a rebuild.
     som0 = SomMap(rows=1, cols=2, input_dim=2, seed=0, weights=np.array([[0.0, 0.0], [10.0, 10.0]]))
     state = initial_state(som0, ["A", "B"])
-    for s in [Stimulus("u1", (0.5, 0.5), "A")] * 3 + [Stimulus("a", (1.0, 0.0), "A")]:
+    stream = [Stimulus("u1", (0.5, 0.5), "A")] * 3 + [Stimulus("a", (1.0, 0.0), "A"),
+                                                     Stimulus("b", (10.0, 9.5), "B")]
+    for s in stream:
         state, _ = revise(state, s, 0.5, 0.3)
-    assert state.named_units.tolist() == [1]
-    with pytest.raises(InputError, match="duplicate element ids in domain"):
-        revise(state, Stimulus("b", (10.0, 9.5), "B"), 0.5, 0.3)
+        fresh = build_model(state.som, state.seen, categories=state.categories)
+        assert state.kb == extract_kb(fresh).kb
+    assert state.model.categories["B"].bmu_element_ids == ("u1'",)
+    assert model_snapshot(state.model) == model_snapshot(fresh)
+
+
+def test_replay_of_a_label_that_spells_unit_ids_matches_rebuild():
+    # Label u1 names its stimuli u100, u101, ..., the ids of units 100 and
+    # up on an 11 x 11 map, whose elements then take primes.
+    data = gaussian_clusters([(0.0, 0.0), (5.0, 5.0)], ["u1", "A"], 30, 1.0, 3)
+    assert _steps_unlike_rebuild(data, TrainConfig(epochs=1, seed=0), 11, 11) == 0
+    state, _ = run_trace(data, TrainConfig(epochs=1, seed=0), 11, 11)
+    assert any(eid.endswith("'") for eid in state.model.element_ids)
 
 
 def test_trace_final_equals_batch():
