@@ -5,7 +5,7 @@ Grammar (ASCII, whitespace-insensitive)::
     query      :=  inclusion | concept
     inclusion  :=  "T" "(" concept ")" "<=" concept      defeasible
                 |  concept "<=" concept                  strict
-    concept    :=  atom ("&" atom)*                      conjunction, right-nested
+    concept    :=  atom ("&" atom)*                      conjunction, one node
     atom       :=  "Top" | "Bot" | NAME | "(" concept ")"
     NAME       :=  [A-Za-z_][A-Za-z0-9_]*
 
@@ -42,9 +42,9 @@ __all__ = [
 ]
 
 # The deepest parenthesis nesting the parser accepts.  Each level costs a
-# few interpreter frames in the parser, and in the printer and evaluator
-# where the nesting puts a conjunction on the left, so the bound keeps
-# well below the interpreter's default recursion limit of 1000.
+# few interpreter frames in the parser, printer and evaluator and in the
+# generated __hash__, __eq__ and __repr__, so the bound keeps well below
+# the interpreter's default recursion limit of 1000.
 MAX_NESTING = 200
 
 
@@ -76,8 +76,18 @@ class Name(ConceptExpr):
 
 @dataclass(frozen=True)
 class And(ConceptExpr):
-    left: ConceptExpr
-    right: ConceptExpr
+    """Two or more parts; a conjunction passed last is spliced in, so
+    ``And(a, And(b, c)) == And(a, b, c)``, while ``And(And(a, b), c)``
+    keeps ``a & b`` as a part."""
+
+    parts: tuple[ConceptExpr, ...]
+
+    def __init__(self, *parts: ConceptExpr):
+        if len(parts) < 2:
+            raise InputError(f"a conjunction needs two or more parts, got {len(parts)}")
+        if isinstance(parts[-1], And):
+            parts = parts[:-1] + parts[-1].parts
+        object.__setattr__(self, "parts", parts)
 
 
 @dataclass(frozen=True)
@@ -176,10 +186,7 @@ class _Parser:
         while self.peek()[0] == "AMP":
             self.next()
             parts.append(self.atom())
-        expr = parts[-1]
-        for p in reversed(parts[:-1]):  # conjunction nests to the right
-            expr = And(p, expr)
-        return expr
+        return And(*parts) if len(parts) > 1 else parts[0]
 
     def query(self) -> Union[ConceptExpr, Inclusion]:
         kind, text, _pos = self.peek()
@@ -215,23 +222,17 @@ def parse_query(text: str) -> Union[ConceptExpr, Inclusion]:
 
 def pretty(expr: ConceptExpr) -> str:
     """Concrete syntax for an AST; re-parsing the result gives an identical
-    tree (a left-nested conjunction, which the parser itself never produces,
-    prints with explicit parentheses).  A right-nested conjunction is walked
-    in a loop, so any number of conjuncts prints."""
-    parts = []
-    while isinstance(expr, And):
-        left = pretty(expr.left)
-        parts.append(f"({left})" if isinstance(expr.left, And) else left)
-        expr = expr.right
+    tree.  A part of a conjunction that is itself one is parenthesised."""
+    if isinstance(expr, And):
+        return " & ".join(f"({pretty(p)})" if isinstance(p, And) else pretty(p)
+                          for p in expr.parts)
     if isinstance(expr, Top):
-        parts.append("Top")
-    elif isinstance(expr, Bot):
-        parts.append("Bot")
-    elif isinstance(expr, Name):
-        parts.append(expr.name)
-    else:
-        raise InputError(f"not a concept expression: {expr!r}")
-    return " & ".join(parts)
+        return "Top"
+    if isinstance(expr, Bot):
+        return "Bot"
+    if isinstance(expr, Name):
+        return expr.name
+    raise InputError(f"not a concept expression: {expr!r}")
 
 
 def inclusion_text(inc: Inclusion) -> str:
@@ -248,25 +249,22 @@ def inclusion_text(inc: Inclusion) -> str:
 def extension_mask(model: SemanticModel, expr: ConceptExpr) -> np.ndarray:
     """The set of domain elements the concept denotes in the model, as a
     boolean mask over ``model.element_ids``: a name reads its row of
-    ``model.ext`` (read-only), a conjunction ANDs the masks of its sides,
-    left to right, walking a right-nested conjunction in a loop."""
-    masks = []
-    while isinstance(expr, And):
-        masks.append(extension_mask(model, expr.left))
-        expr = expr.right
+    ``model.ext`` (read-only), a conjunction ANDs the masks of its parts,
+    left to right."""
+    if isinstance(expr, And):
+        mask = extension_mask(model, expr.parts[0])
+        for part in expr.parts[1:]:
+            mask = mask & extension_mask(model, part)
+        return mask
     if isinstance(expr, Top):
-        mask = np.ones(len(model.element_ids), dtype=bool)
-    elif isinstance(expr, Bot):
-        mask = np.zeros(len(model.element_ids), dtype=bool)
-    elif isinstance(expr, Name):
+        return np.ones(len(model.element_ids), dtype=bool)
+    if isinstance(expr, Bot):
+        return np.zeros(len(model.element_ids), dtype=bool)
+    if isinstance(expr, Name):
         try:
-            mask = model.ext[model.row_of[expr.name]]
+            return model.ext[model.row_of[expr.name]]
         except KeyError:
             raise UnknownCategoryError(
                 f"concept name {expr.name!r} is not a learned category"
             ) from None
-    else:
-        raise InputError(f"not a concept expression: {expr!r}")
-    for left in masks:
-        mask = left & mask
-    return mask
+    raise InputError(f"not a concept expression: {expr!r}")

@@ -478,8 +478,9 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
         if type(input_dim) is not int:
             raise TypeError(f"input_dim must be an integer, got {input_dim!r}")
         ids = [e["id"] for e in doc["elements"]]
-        if set(map(type, ids)) - {str}:
-            ids = list(map(str, ids))
+        if set(map(type, ids)) - {str} or "" in ids:
+            eid = next(e for e in ids if type(e) is not str or not e)
+            raise TypeError(f"element ids must be non-empty strings, got {eid!r}")
         rows = [e["features"] for e in doc["elements"]]
         # A row that is not a list either fails to iterate, or yields
         # something that is not a number ("12" yields "1" and "2"), or
@@ -499,11 +500,12 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
             if units != sorted(set(units)) or (units and units[0] < 0):
                 raise ValueError(f"category {name!r}: bmu_units must be strictly increasing "
                                  f"and non-negative, got {units!r}")
-            refs[name] = (
-                tuple(units),
-                tuple(map(str, c["bmu_elements"])),
-                tuple(map(str, c["stimulus_elements"])),
-            )
+            bmu, stim = c["bmu_elements"], c["stimulus_elements"]
+            for field, listed in (("bmu_elements", bmu), ("stimulus_elements", stim)):
+                if type(listed) is not list or set(map(type, listed)) - {str}:
+                    raise TypeError(f"category {name!r}: {field} must be a list of element ids, "
+                                    f"got {listed!r}")
+            refs[name] = (tuple(units), tuple(bmu), tuple(stim))
             ext = doc["extensions"][name]
             iter(ext)  # a set of ids; _check_stored reads the entries
             rd = c["rd"]
@@ -583,7 +585,11 @@ def _check_stored(model: SemanticModel, origins: list, stored: Mapping[str, tupl
                             if rd.get(k, _MISSING) != want.get(k, _MISSING))
             raise refuse(f"category {name!r}, rd of {eid!r}", got, want.get(eid, _MISSING))
         if not _stored_ext_matches(ext, model.col_of, model.ext[row]):
-            ext = frozenset(map(str, ext))
+            if set(map(type, ext)) - {str}:
+                eid = next(e for e in ext if type(e) is not str)
+                raise InputError(f"malformed model snapshot: category {name!r}: extension "
+                                 f"entries must be element ids, got {eid!r}")
+            ext = frozenset(ext)
             diff = ext ^ frozenset(compress(ids, model.ext[row].tolist()))
             if diff:
                 eid = next(e for e in (*ids, *sorted(diff)) if e in diff)
@@ -615,7 +621,7 @@ def _stored_rd_matches(values: list, row: np.ndarray) -> bool:
 def _stored_ext_matches(ext, col_of: Mapping[str, int], mask: np.ndarray) -> bool:
     """Whether the stored extension ``ext`` holds the ids of the columns
     ``mask`` marks, and no other entry.  False also where it holds entries
-    that are not ids, although ``str`` could make some of them ids."""
+    that are not strings."""
     try:
         cols = np.fromiter(map(col_of.__getitem__, ext), np.intp, len(ext))
     except (KeyError, TypeError):

@@ -404,17 +404,24 @@ def _chunks(sel_bits: np.ndarray, n: int):
     unpacked, so no list of all pairs and no unpacked matrix is held.  The
     pairs come from one ``flatnonzero`` of the unpacked block, which reads
     only the first ``n`` bits of each row."""
-    rows, words = sel_bits.shape
+    words = sel_bits.shape[1]
     ends = np.cumsum(np.bitwise_count(sel_bits).sum(axis=1, dtype=np.intp) + 8 * words)
-    lo = 0
-    while lo < rows:
-        spent = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, spent + _CHUNK_ITEMS, side="right")))
+    for lo, hi in _slices(ends, _CHUNK_ITEMS):
         j = np.flatnonzero(_unpacked(sel_bits[lo:hi], n))
         row_start = np.arange(hi - lo + 1) * n
         bounds = np.searchsorted(j, row_start)
         j -= np.repeat(row_start[:-1], np.diff(bounds))
         yield lo, j, bounds
+
+
+def _slices(ends: np.ndarray, budget: int):
+    """Consecutive slices ``(lo, hi)`` of rows whose costs, summed up to
+    each row in ``ends``, fit ``budget``, and at least one row each."""
+    lo = 0
+    while lo < len(ends):
+        spent = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, spent + budget, side="right")))
+        yield lo, hi
         lo = hi
 
 
@@ -455,13 +462,25 @@ def _bit_minima(order_bits: np.ndarray, set_bits: np.ndarray) -> np.ndarray:
 
 def _inside(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``out[i, j]``: row i of the bit rows ``a`` has no bit outside row j
-    of ``b``.  The rows are ANDed one word column at a time, so no
-    ``len(a) x len(b) x words`` block is held; the complement of ``b`` is
-    read only against ``a``, whose padding is 0."""
-    out = np.zeros((len(a), len(b)), dtype=np.uint64)
-    for w in range(a.shape[1]):
-        out |= a[:, w, np.newaxis] & ~b[np.newaxis, :, w]
-    return out == 0
+    of ``b``.  A block of rows of ``a``, as many as fit ``_CHUNK_ITEMS``
+    words against all of ``b`` and at least one, is ANDed with the
+    complement of ``b`` one word column at a time and ORed into one
+    buffer, so only that block's words are held besides the booleans; the
+    complement of ``b`` is read only against ``a``, whose padding is 0."""
+    out = np.empty((len(a), len(b)), dtype=bool)
+    not_b = np.invert(b.T, order="C")
+    step = max(1, _CHUNK_ITEMS // max(1, len(b)))
+    acc = np.empty((min(step, len(a)), len(b)), dtype=np.uint64)
+    term = np.empty_like(acc)
+    for lo in range(0, len(a), step):
+        rows = a[lo : lo + step]
+        block, part = acc[: len(rows)], term[: len(rows)]
+        block.fill(0)
+        for w in range(a.shape[1]):
+            np.bitwise_and(rows[:, w, np.newaxis], not_b[w], out=part)
+            block |= part
+        np.equal(block, 0, out=out[lo : lo + len(rows)])
+    return out
 
 
 def _unmodular(
@@ -584,15 +603,12 @@ def verify_order_axioms(pref: PreferentialModel) -> list[PropertyCheck]:
 
 def default_concept_pool(names: Sequence[str], max_conjuncts: int = 3) -> list[ConceptExpr]:
     """Top, Bot, every category name, and every conjunction of up to
-    ``max_conjuncts`` distinct names (right-nested, sorted)."""
+    ``max_conjuncts`` distinct names (sorted)."""
     pool: list[ConceptExpr] = [Top(), Bot()]
     names = sorted(dict.fromkeys(names))
-    for r in range(1, max_conjuncts + 1):
-        for combo in itertools.combinations(names, r):
-            expr: ConceptExpr = Name(combo[-1])
-            for nm in reversed(combo[:-1]):
-                expr = And(Name(nm), expr)
-            pool.append(expr)
+    pool.extend(map(Name, names))
+    for r in range(2, max_conjuncts + 1):
+        pool.extend(And(*map(Name, combo)) for combo in itertools.combinations(names, r))
     return pool
 
 
@@ -712,14 +728,21 @@ def verify_klm(
     pc, pd = np.nonzero(ent)
     pair = np.cumsum(ent, dtype=np.int32).reshape(k, k) - 1
     cm_min = _bit_minima(pref.bits, cls_bits[pc] & cls_bits[pd])
-    # join[a, b]: the class of the union of classes a and b, or -1.
-    join = np.full((k, k), -1, dtype=np.intp)
+    # join[a, b]: the class of the union of classes a and b, or -1.  The
+    # pairs a <= b are walked in slices of rows of a whose pairs' words fit
+    # _CHUNK_ITEMS.  Each slice also counts the pool pairs (c, d), c < d,
+    # whose union is no class; equal classes always join to themselves, so
+    # only pairs of distinct classes count.
+    join = np.full((k, k), -1, dtype=np.int32)
     or_fails = np.zeros(k, dtype=bool)
-    a, b = np.triu_indices(k)
-    step = max(1, _CHUNK_ITEMS // max(1, words))
-    for s in range(0, len(a), step):
-        x, y = a[s : s + step], b[s : s + step]
+    mult = np.bincount(inv, minlength=k)
+    skipped = 0
+    for lo, hi in _slices(np.cumsum(np.arange(k, 0, -1) * words), _CHUNK_ITEMS):
+        x, y = np.triu_indices(hi - lo, m=k - lo)
+        x += lo
+        y += lo
         j = join[x, y] = join[y, x] = _class_of(keys, cls_bits[x] | cls_bits[y])
+        skipped += int((mult[x] * mult[y])[j < 0].sum())
         x, y, j = x[j >= 0], y[j >= 0], j[j >= 0]
         bad = (ent_bits[x] & ent_bits[y] & ~ent_bits[j]).any(axis=1)
         or_fails[x[bad]] = or_fails[y[bad]] = True
@@ -777,10 +800,6 @@ def verify_klm(
         lambda c, d, e: _unpacked(cls_typ[join[inv[c], inv[d]]], width) & ~ext[e],
         unordered=True,
     )
-    # Pool pairs (c, d), c < d, whose union is no class.  Equal classes
-    # always join to themselves, so only pairs of distinct classes count.
-    mult = np.bincount(inv, minlength=k)
-    skipped = int(np.outer(mult, mult)[join < 0].sum()) // 2
     return [
         _check("reflexivity", refl),
         _check("left_logical_equivalence", lle),

@@ -281,7 +281,7 @@ def extension(model: SemanticModel, expr: ConceptExpr) -> frozenset[str]:
                 f"concept name {expr.name!r} is not a learned category"
             ) from None
     if isinstance(expr, And):
-        return extension(model, expr.left) & extension(model, expr.right)
+        return frozenset.intersection(*(extension(model, p) for p in expr.parts))
     raise InputError(f"not a concept expression: {expr!r}")
 
 
@@ -479,7 +479,8 @@ def oracle_model_from_snapshot(doc: dict) -> SemanticModel:
     with the library's own ``_derive_snapshot`` and refuses, in the same
     order and with the same ``InputError`` message, an origin, precision,
     ``rd_max``, rd entry or extension entry that differs from the derived
-    one; an extension is compared as a set of ids."""
+    one; an extension is compared as a set of ids, and one with an entry
+    that is not a string is malformed."""
     model, origins, stored = _derive_snapshot(doc)
     missing = "missing"
 
@@ -504,7 +505,11 @@ def oracle_model_from_snapshot(doc: dict) -> SemanticModel:
                 got, want = rd.get(eid, missing), encoded.get(eid, missing)
                 if got != want:
                     raise refuse(f"category {name!r}, rd of {eid!r}", got, want)
-        ext = frozenset(map(str, ext))
+        not_ids = [e for e in ext if type(e) is not str]
+        if not_ids:
+            raise InputError(f"malformed model snapshot: category {name!r}: extension "
+                             f"entries must be element ids, got {not_ids[0]!r}")
+        ext = frozenset(ext)
         derived_ext = extension_ids(model, name)
         if ext != derived_ext:
             diff = ext ^ derived_ext

@@ -193,12 +193,25 @@ def _wide_cell(text: str) -> str:
     return text.replace("0.1,X", "1" * 140_000 + ",X", 1)
 
 
+def _integer_id(old: str, before: str) -> str:
+    """The base model.json with element ``old`` renamed "7" throughout,
+    and the "7" that follows the text ``before`` written as the integer 7."""
+    text = base_texts()["model"].replace(f'"{old}"', '"7"')
+    return text.replace(f'{before}"7"', f"{before}7", 1)
+
+
 @settings(max_examples=300)
 @given(cases())
 # Parentheses nested 600 deep, and 1000 conjuncts plain and under T(...).
 @example(("check", None, None, "(" * 600 + "X" + ")" * 600 + " <= Y"))
 @example(("check", None, None, " & ".join(["X", "Y"] * 500) + " <= Y"))
 @example(("check", None, None, "T(" + " & ".join(["X", "Y"] * 500) + ") <= Y"))
+# An element id, a stimulus reference and an extension entry that are the
+# integer 7 where the rest of the file names "7", and an empty element id.
+@example(("check", "model", _integer_id("p1", '"id":'), "T(X) <= Y"))
+@example(("check", "model", _integer_id("row2", '"stimulus_elements":['), "T(X) <= Y"))
+@example(("check", "model", _integer_id("row2", '"X":['), "T(X) <= Y"))
+@example(("check", "model", base_texts()["model"].replace('"p1"', '""'), "T(X) <= Y"))
 # A CSV field past csv.field_size_limit(), in the data and in the probes.
 @example(("train", "data", _wide_cell(DATA), None))
 @example(("extract", "probes", "1" * 140_000 + ",1\n", None))

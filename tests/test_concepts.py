@@ -9,11 +9,13 @@ from somlogic import (
     And,
     Bot,
     Inclusion,
+    InputError,
     Name,
     ParseError,
     Top,
     UnknownCategoryError,
     extension_mask,
+    extract_kb,
     inclusion_text,
     parse_query,
     pretty,
@@ -39,6 +41,19 @@ def test_conjunction_nests_right():
     assert parse_query("A & B") == And(Name("A"), Name("B"))
     assert parse_query("A & B & C") == And(Name("A"), And(Name("B"), Name("C")))
     assert parse_query("(A & B) & C") == And(And(Name("A"), Name("B")), Name("C"))
+
+
+def test_conjunction_is_one_node():
+    # A conjunction passed last is spliced in; one passed elsewhere stays
+    # a part.
+    a, b, c = Name("A"), Name("B"), Name("C")
+    assert And(a, And(b, c)) == And(a, b, c) != And(And(a, b), c)
+    assert And(a, And(b, c)).parts == (a, b, c)
+    assert And(And(a, b), c).parts == (And(a, b), c)
+    assert parse_query("A & (B & C)") == parse_query("A & B & C") == And(a, b, c)
+    for parts in ((), (a,)):
+        with pytest.raises(InputError, match="two or more parts"):
+            And(*parts)
 
 
 def test_inclusions():
@@ -102,14 +117,34 @@ def test_t_is_valid_prefix_of_names():
     assert parse_query("T_x & Topmost") == And(Name("T_x"), Name("Topmost"))
 
 
-def test_parentheses_nest_at_most_max_nesting_levels():
-    # At the limit a left-nested conjunction parses, prints and evaluates
-    # within the default recursion limit; one more level is refused at its
-    # opening parenthesis.
-    text = "(" * MAX_NESTING + "P" + " & Q)" * MAX_NESTING
+def _handles(text: str) -> None:
+    """The concept ``text``, which denotes {y} in ``_tiny_model``, and its
+    inclusions parse, hash, compare, print, evaluate and are looked up in
+    the model's KB."""
+    model = _tiny_model()
     expr = parse_query(text)
     assert parse_query(pretty(expr)) == expr
-    assert _extension_ids(_tiny_model(), expr) == {"y"}
+    assert hash(expr) == hash(parse_query(text)) and repr(expr) == repr(parse_query(text))
+    assert _extension_ids(model, expr) == {"y"}
+    kb = extract_kb(model).kb
+    for inc in (Inclusion("strict", expr, Name("P")), Inclusion("defeasible", expr, expr)):
+        assert parse_query(inclusion_text(inc)) == inc
+        assert hash(inc) == hash(parse_query(inclusion_text(inc)))
+        assert inc not in kb and inc not in set(kb)
+
+
+def test_a_long_conjunction_is_walked_without_recursion():
+    # 5000 conjuncts are one node: hashing, comparing and printing it
+    # recurse on nothing but parentheses.
+    _handles(" & ".join(["P", "Q"] * 2500))
+
+
+def test_parentheses_nest_at_most_max_nesting_levels():
+    # At the limit a left-nested conjunction parses, hashes, compares,
+    # prints and evaluates within the default recursion limit; one more
+    # level is refused at its opening parenthesis.
+    text = "(" * MAX_NESTING + "P" + " & Q)" * MAX_NESTING
+    _handles(text)
     with pytest.raises(ParseError, match="nested deeper") as exc:
         parse_query("(" + text + ")")
     assert exc.value.pos == MAX_NESTING

@@ -467,6 +467,11 @@ def _mutate_extension_duplicate(doc, rng):
     ext.insert(rng.randrange(len(ext) + 1), rng.choice(ext))
 
 
+def _mutate_extension_integer(doc, rng):
+    ext = doc["extensions"][rng.choice(sorted(doc["extensions"]))]
+    ext[rng.randrange(len(ext))] = rng.choice([0, 7])
+
+
 def _mutate_feature(doc, rng):
     features = rng.choice(doc["elements"])["features"]
     k = rng.randrange(len(features))
@@ -489,6 +494,7 @@ _MUTATIONS = {
     "extension-add": (_mutate_extension_add, False),
     "extension-drop": (_mutate_extension_drop, False),
     "extension-duplicate": (_mutate_extension_duplicate, True),
+    "extension-integer": (_mutate_extension_integer, False),
     "feature-nudged": (_mutate_feature, None),
 }
 
@@ -540,7 +546,33 @@ def test_oracle_comparison_catches_a_broken_loader(monkeypatch, attr, fault):
     assert _mutation_mismatches()
 
 
+def _renamed(doc, old: str, new: str) -> None:
+    """Rename element ``old`` to ``new`` wherever ``doc`` names it."""
+    renamed = json.loads(json.dumps(doc).replace(json.dumps(old), json.dumps(new)))
+    doc.clear()
+    doc.update(renamed)
+
+
+def _integer_id(doc, old: str, place) -> None:
+    """Rename element ``old`` to "7" throughout ``doc``, then write the
+    integer 7 at ``place(doc)``, the (container, key) where it stands: a
+    file that ``str()`` read as the model."""
+    _renamed(doc, old, "7")
+    container, key = place(doc)
+    container[key] = 7
+
+
 @pytest.mark.parametrize("edit, message", [
+    # An element id that is not a non-empty string, or a reference to one;
+    # each loaded, and saving the model wrote "7" back for 7.
+    (lambda doc: _integer_id(doc, "p0", lambda d: (d["elements"][-1], "id")),
+     "element ids must be non-empty strings, got 7"),
+    (lambda doc: _renamed(doc, "p0", ""), "element ids must be non-empty strings, got ''"),
+    (lambda doc: _integer_id(doc, "a0", lambda d: (d["categories"]["A"]["stimulus_elements"], 0)),
+     "category 'A': stimulus_elements must be a list of element ids, "
+     "got [7, 'a1', 'a2', 'a3', 'a4']"),
+    (lambda doc: _integer_id(doc, "a0", lambda d: (d["extensions"]["A"], 0)),
+     "category 'A': extension entries must be element ids, got 7"),
     # p0 sits at (2.0, 2.0), so "22" was read as its features
     (lambda doc: doc["elements"][-1].update(features="22"),
      "element 'p0': features must be a list of numbers, got '22'"),

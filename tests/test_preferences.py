@@ -623,9 +623,10 @@ def test_boundary_comparison_catches_off_by_one_segments(monkeypatch):
 
 def _late_chunks(monkeypatch, budget: int) -> None:
     """Start every row block of the pair walk but the first one row late,
-    at the budget ``budget``."""
+    at the budget ``budget``: the row slices that ``_chunks`` walks skip
+    the row after each slice."""
     monkeypatch.setattr(preferences, "_CHUNK_ITEMS", budget)
-    _inject(monkeypatch, "_chunks", "lo = hi", "lo = hi + 1")
+    _inject(monkeypatch, "_slices", "lo = hi", "lo = hi + 1")
 
 
 @pytest.mark.parametrize("budget", [1, 40])
@@ -1455,6 +1456,30 @@ def test_klm_on_a_dense_overlap_holds_less_than_one_class_cube():
     finally:
         tracemalloc.stop()
     assert peak < k**3
+    assert all(c.status == "pass" for c in checks)
+
+
+def test_klm_on_a_wide_overlap_holds_twenty_bytes_a_class_pair():
+    # Twenty clusters with centres in [0, 3)**8 and std 1.5, 40 stimuli
+    # each on a 20 x 20 map: about 1340 classes among the 1352 concepts of
+    # the pool.  The int32 pair and join tables and a few class x class
+    # booleans make the peak, 18 bytes a class pair (32 MB) here.  The
+    # union walk's np.triu_indices, an intp join and the outer product of
+    # the class counts took 45 (80 MB).
+    centres = np.random.default_rng(1).uniform(0, 3, (20, 8))
+    data = gaussian_clusters(centres.tolist(), [f"C{i}" for i in range(20)], 40, 1.5, 1)
+    som, _ = train(init_map(20, 20, 8, 0, feature_range(data)), data, TrainConfig(epochs=10, seed=1))
+    model = build_model(som, data)
+    pref = build_preferential(model)
+    k = _class_count(model)
+    assert k > 1300
+    tracemalloc.start()
+    try:
+        checks = verify_klm(pref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * k * k
     assert all(c.status == "pass" for c in checks)
 
 
