@@ -21,10 +21,11 @@ model.json, build_preferential, verify_order_axioms, verify_klm, minima
 over the whole domain (T(Top), with its strict-order guard), and
 `somlogic verify` and `somlogic check "T(Top) <= C0"` run in-process on the
 saved model.json (stdout captured).  It also prints the tracemalloc peak in
-MB of one call each of load_model, build_preferential, verify_order_axioms,
-verify_klm and minima over the whole domain, and the max RSS in MB of one
-`somlogic verify` run, read from its own resource usage (``os.wait4``) by
-the fresh interpreter that spawns it.
+MB of one revise step on the trace's last state (not on XL), of one call
+each of load_model, build_preferential, verify_order_axioms, verify_klm and
+minima over the whole domain, and the max RSS in MB of one `somlogic
+verify` run, read from its own resource usage (``os.wait4``) by the fresh
+interpreter that spawns it.
 The revise step is timed in a fresh child process too, since its speed
 follows what the process ran and freed before it (glibc's dynamic mmap
 and trim thresholds).  Run it from the repository root as
@@ -32,7 +33,9 @@ and trim thresholds).  Run it from the repository root as
     PYTHONPATH=src python scripts/ladder.py
 
 The child runs ``scripts/ladder.py --revise-step RUNG``, which prints only
-that rung's mean revision step in milliseconds.
+that rung's mean revision step in milliseconds and the tracemalloc peak
+in MB of one more step on the trace's last state, which holds the trace's
+kernel workspace.
 """
 
 import contextlib
@@ -58,6 +61,7 @@ from somlogic import (
     load_model,
     minima,
     quantization_error,
+    revise,
     run_trace,
     save_model,
     train,
@@ -113,8 +117,8 @@ STAGES = (
     'CLI `check "T(Top) <= C0"`, in-process',
 )
 PEAKS = (
-    "load_model", "build_preferential", "verify_order_axioms", "verify_klm",
-    "minima, whole domain",
+    "revise, one step on a revised state", "load_model", "build_preferential",
+    "verify_order_axioms", "verify_klm", "minima, whole domain",
 )
 
 
@@ -150,38 +154,41 @@ def rung_data(name):
     return gaussian_clusters(centres.tolist(), [f"C{i}" for i in range(k)], per_cluster, 1.5, 1)
 
 
-def revise_step_ms(name):
+def revise_step(name):
     """The mean step of one one-epoch run_trace over the data of rung
-    ``name``: its time divided by its steps."""
+    ``name`` (its time divided by its steps) in ms, and the peak memory of
+    one more step on its last state in MB."""
     side = RUNGS[name][2]
     data = rung_data(name)
+    cfg = TrainConfig(epochs=1)
     t0 = time.perf_counter()
-    _, steps = run_trace(data, TrainConfig(epochs=1), side, side)
-    return 1000 * (time.perf_counter() - t0) / len(steps)
+    state, steps = run_trace(data, cfg, side, side)
+    step_ms = 1000 * (time.perf_counter() - t0) / len(steps)
+    return step_ms, peak_mb(lambda: revise(state, data[0], cfg.lr_end, cfg.radius_end))
 
 
-def child_revise_step_ms(name):
-    """``revise_step_ms(name)`` in a fresh child process."""
+def child_revise_step(name):
+    """``revise_step(name)`` in a fresh child process."""
     out = subprocess.run(
         [sys.executable, __file__, "--revise-step", name],
         check=True,
         capture_output=True,
         text=True,
     )
-    return float(out.stdout)
+    return tuple(map(float, out.stdout.split()))
 
 
 def rung_times(name, tmp):
-    """The rung's element count, the median time of each of STAGES (None
-    for the revise step on a rung of NO_REVISE), the peak memory of each
-    of PEAKS and the max RSS of a CLI `verify` run."""
+    """The rung's element count, the median time of each of STAGES and the
+    peak memory of each of PEAKS (None for the revise step on a rung of
+    NO_REVISE), and the max RSS of a CLI `verify` run."""
     _, _, side, dim, epochs, _ = RUNGS[name]
     data = rung_data(name)
     som0 = init_map(side, side, dim, 0, feature_range(data))
     t0 = time.perf_counter()
     som, _ = train(som0, data, TrainConfig(epochs=epochs))
     train_ms = 1000 * (time.perf_counter() - t0)
-    step_ms = None if name in NO_REVISE else child_revise_step_ms(name)
+    step_ms, step_peak = (None, None) if name in NO_REVISE else child_revise_step(name)
     model = build_model(som, data)
     path = os.path.join(tmp, "model.json")
     save_model(path, model)
@@ -206,6 +213,7 @@ def rung_times(name, tmp):
         median_ms(lambda: cli("verify")),
         median_ms(lambda: cli("check", "--query", "T(Top) <= C0")),
     ], [
+        step_peak,
         peak_mb(lambda: load_model(path)),
         peak_mb(lambda: build_preferential(model, rel)),
         peak_mb(lambda: verify_order_axioms(pref)),
@@ -216,7 +224,7 @@ def rung_times(name, tmp):
 
 def main() -> None:
     if sys.argv[1:2] == ["--revise-step"]:
-        print(revise_step_ms(sys.argv[2]))
+        print(*revise_step(sys.argv[2]))
         return
     with tempfile.TemporaryDirectory() as tmp:
         results = {name: rung_times(name, tmp) for name in RUNGS}
@@ -227,7 +235,8 @@ def main() -> None:
         cells = ["–" if t[i] is None else f"{t[i]:.1f}" for _, t, _, _ in results.values()]
         print(f"| {stage} | " + " | ".join(cells) + " |")
     for i, stage in enumerate(PEAKS):
-        cells = [f"{peaks[i]:.2f}" for _, _, peaks, _ in results.values()]
+        cells = ["–" if peaks[i] is None else f"{peaks[i]:.3f}"
+                 for _, _, peaks, _ in results.values()]
         print(f"| {stage}, tracemalloc peak (MB) | " + " | ".join(cells) + " |")
     cells = [f"{rss:.0f}" for *_, rss in results.values()]
     print("| CLI `verify`, max RSS (MB) | " + " | ".join(cells) + " |")

@@ -455,10 +455,11 @@ def model_from_snapshot(doc: dict) -> SemanticModel:
 
     The features are read into one matrix, and must be lists of JSON
     numbers, as ``bmu_units`` must be strictly increasing lists of
-    non-negative integers and each category's ``rd`` an object, as
-    ``build_model`` writes them, and ``input_dim`` an integer; anything else
-    is a malformed snapshot.  The stored tables are read as parsed, not
-    copied, and compared a row at a time (``_check_stored``).  A value
+    non-negative integers, each category's ``rd`` an object and each
+    extension a list, as ``build_model`` writes them, and ``input_dim`` an
+    integer; anything else is a malformed snapshot.  The stored tables are
+    read as parsed, not copied, and compared a row at a time
+    (``_check_stored``).  A value
     nested too deep for ``repr`` or ``==`` (``jsonio.load_file`` reads
     ``MAX_DEPTH`` levels) is a malformed snapshot too."""
     try:
@@ -507,7 +508,9 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
                                     f"got {listed!r}")
             refs[name] = (tuple(units), tuple(bmu), tuple(stim))
             ext = doc["extensions"][name]
-            iter(ext)  # a set of ids; _check_stored reads the entries
+            if type(ext) is not list:  # a set of ids; _check_stored reads the entries
+                raise TypeError(f"category {name!r}: extension must be a list of element ids, "
+                                f"got {type(ext).__name__}")
             rd = c["rd"]
             if type(rd) is not dict:
                 raise TypeError(f"category {name!r}: rd must be an object of element ids, "

@@ -75,10 +75,11 @@ K x K x K is held over the K classes.  One ``_or_rows`` walk over the
 classes that C entails gives I(C), the AND of their extensions, and RW's
 reach, the classes that hold one of them.  And fails when T(C) is not
 inside I(C), CM when min(ext(C) & ext(D)) is not inside I(C) for some
-entailed D (one ``_bit_minima`` over all entailed pairs), and RW when the
-reach holds a class that C does not entail.  Or fails for C, D and their
-union J, a class looked up in slices within ``_CHUNK_ITEMS``, when C and
-D entail a class that J does not.  Only a failing class has its (D, E)
+entailed D (``_bit_minima`` over the entailed pairs, in slices of rows of
+C within ``_CHUNK_ITEMS``, keeping only which classes fail), and RW when
+the reach holds a class that C does not entail.  Or fails for C, D and
+their union J, a class looked up in slices within ``_CHUNK_ITEMS``, when
+C and D entail a class that J does not.  Only a failing class has its (D, E)
 matrix built, to list its instances in pool order.
 Once minima are computed as sets, Reflexivity, LLE, RW, And and Or hold
 for *any* relation (minima lie inside their set, and min(C | D) is a
@@ -724,10 +725,24 @@ def verify_klm(
     complements = _complement(cls_bits.copy(), width)
     walk = _or_rows(ent_bits, np.hstack([complements, _bit_rows(subset)]))
     common = _complement(walk[:, :words], width)  # I(C)
-    # min(ext(C) & ext(D)) for every entailed pair (C, D), in row pair[C, D].
-    pc, pd = np.nonzero(ent)
-    pair = np.cumsum(ent, dtype=np.int32).reshape(k, k) - 1
-    cm_min = _bit_minima(pref.bits, cls_bits[pc] & cls_bits[pd])
+    # cm_fails[C]: min(ext(C) & ext(D)) is not inside I(C) for some D that C
+    # entails.  The entailed pairs are walked in slices of rows of C whose
+    # pairs' words fit _CHUNK_ITEMS; a failing class's minima are computed
+    # again when its instances are listed (cm_minima).
+    cm_fails = np.zeros(k, dtype=bool)
+    for lo, hi in _slices(np.cumsum(ent.sum(axis=1) * words), _CHUNK_ITEMS):
+        pc, pd = np.nonzero(ent[lo:hi])
+        pc += lo
+        outside = (_bit_minima(pref.bits, cls_bits[pc] & cls_bits[pd]) & ~common[pc]).any(axis=1)
+        cm_fails[pc[outside]] = True
+
+    def cm_minima(a: int) -> np.ndarray:
+        """min(ext(C) & ext(D)) for class a as C, in row D of every class D
+        that C entails, and 0 in the other rows."""
+        out = np.zeros_like(cls_bits)
+        out[ent[a]] = _bit_minima(pref.bits, cls_bits[a] & cls_bits[ent[a]])
+        return out
+
     # join[a, b]: the class of the union of classes a and b, or -1.  The
     # pairs a <= b are walked in slices of rows of a whose pairs' words fit
     # _CHUNK_ITEMS.  Each slice also counts the pool pairs (c, d), c < d,
@@ -789,9 +804,11 @@ def verify_klm(
     )
     cm = triples(
         # C |~ D and C |~ E, but not C & D |~ E
-        np.bincount(pc, (cm_min & ~common[pc]).any(axis=1), minlength=k) > 0,
-        lambda a: ent[a][:, np.newaxis] & ent[a] & ~_inside(cm_min[pair[a]], cls_bits),
-        lambda c, d, e: _unpacked(cm_min[pair[inv[c], inv[d]]], width) & ~ext[e],
+        cm_fails,
+        lambda a: ent[a][:, np.newaxis] & ent[a] & ~_inside(cm_minima(a), cls_bits),
+        lambda c, d, e: _unpacked(
+            _bit_minima(pref.bits, cls_bits[inv[c], np.newaxis] & cls_bits[inv[d]])[0], width
+        ) & ~ext[e],
     )
     or_viol = triples(
         # C |~ E and D |~ E, but not C | D |~ E, for a union that is a class

@@ -479,8 +479,9 @@ def oracle_model_from_snapshot(doc: dict) -> SemanticModel:
     with the library's own ``_derive_snapshot`` and refuses, in the same
     order and with the same ``InputError`` message, an origin, precision,
     ``rd_max``, rd entry or extension entry that differs from the derived
-    one; an extension is compared as a set of ids, and one with an entry
-    that is not a string is malformed."""
+    one; an extension is compared as a set of ids, and one that is not a
+    JSON list (refused by ``_derive_snapshot``) or has an entry that is not
+    a string is malformed."""
     model, origins, stored = _derive_snapshot(doc)
     missing = "missing"
 

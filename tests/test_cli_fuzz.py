@@ -3,9 +3,11 @@
 ``main`` runs on a small run's ``model.json``, ``map.json``, data and probe
 CSV files and on query strings, one of them mutated: a JSON value replaced
 or removed, a CSV cell replaced, or a splice of text.  Whatever the input,
-no exception escapes ``main``, the exit code is a documented one, and exits
-1 and 2 print an ``error:`` line.  Every command runs on a 3 x 3 map for
-two epochs at most, so no input makes the program allocate much.
+no exception escapes ``main``, the exit code is a documented one, exits
+1 and 2 print an ``error:`` line, and a ``model.json`` that ``check`` or
+``verify`` accepts is the one ``save_model`` writes back, up to the order
+and repeats of each extension's entries.  Every command runs on a 3 x 3 map
+for two epochs at most, so no input makes the program allocate much.
 """
 
 import contextlib
@@ -25,6 +27,7 @@ from somlogic import (
     feature_range,
     init_map,
     jsonio,
+    load_model,
     model_snapshot,
     train,
 )
@@ -189,6 +192,14 @@ def run(workdir, command, role, text, query) -> tuple[int, str]:
     return code, stderr.getvalue()
 
 
+def _as_a_set_of_extensions(doc: dict) -> dict:
+    """``doc`` with each extension that is a list of strings read as a set,
+    its entries sorted and each once."""
+    sets = {name: sorted(set(ext)) if type(ext) is list and all(type(e) is str for e in ext)
+            else ext for name, ext in doc["extensions"].items()}
+    return {**doc, "extensions": sets}
+
+
 def _wide_cell(text: str) -> str:
     return text.replace("0.1,X", "1" * 140_000 + ",X", 1)
 
@@ -198,6 +209,13 @@ def _integer_id(old: str, before: str) -> str:
     and the "7" that follows the text ``before`` written as the integer 7."""
     text = base_texts()["model"].replace(f'"{old}"', '"7"')
     return text.replace(f'{before}"7"', f"{before}7", 1)
+
+
+def _extension_object() -> str:
+    """The base model.json with X's extension an object keyed by its ids."""
+    doc = json.loads(base_texts()["model"])
+    doc["extensions"]["X"] = dict.fromkeys(doc["extensions"]["X"])
+    return json.dumps(doc)
 
 
 @settings(max_examples=300)
@@ -212,6 +230,8 @@ def _integer_id(old: str, before: str) -> str:
 @example(("check", "model", _integer_id("row2", '"stimulus_elements":['), "T(X) <= Y"))
 @example(("check", "model", _integer_id("row2", '"X":['), "T(X) <= Y"))
 @example(("check", "model", base_texts()["model"].replace('"p1"', '""'), "T(X) <= Y"))
+# An extension written as an object keyed by its element ids.
+@example(("check", "model", _extension_object(), "T(X) <= Y"))
 # A CSV field past csv.field_size_limit(), in the data and in the probes.
 @example(("train", "data", _wide_cell(DATA), None))
 @example(("extract", "probes", "1" * 140_000 + ",1\n", None))
@@ -225,3 +245,7 @@ def test_main_exits_cleanly_on_mutated_input(workdir, case):
     assert code in (0, 1, 2, 3, 4)
     if code in (1, 2):
         assert any(line.startswith("error: ") for line in err.splitlines()), err
+    command, role, text, _query = case
+    if role == "model" and code in (0, 3, 4):
+        saved = model_snapshot(load_model(workdir / "model.json"))
+        assert _as_a_set_of_extensions(json.loads(text)) == _as_a_set_of_extensions(saved)

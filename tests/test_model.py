@@ -472,6 +472,11 @@ def _mutate_extension_integer(doc, rng):
     ext[rng.randrange(len(ext))] = rng.choice([0, 7])
 
 
+def _mutate_extension_object(doc, rng):
+    name = rng.choice(sorted(doc["extensions"]))
+    doc["extensions"][name] = dict.fromkeys(doc["extensions"][name])
+
+
 def _mutate_feature(doc, rng):
     features = rng.choice(doc["elements"])["features"]
     k = rng.randrange(len(features))
@@ -495,6 +500,7 @@ _MUTATIONS = {
     "extension-drop": (_mutate_extension_drop, False),
     "extension-duplicate": (_mutate_extension_duplicate, True),
     "extension-integer": (_mutate_extension_integer, False),
+    "extension-object": (_mutate_extension_object, False),
     "feature-nudged": (_mutate_feature, None),
 }
 

@@ -1483,6 +1483,29 @@ def test_klm_on_a_wide_overlap_holds_twenty_bytes_a_class_pair():
     assert all(c.status == "pass" for c in checks)
 
 
+def test_klm_where_almost_every_class_pair_is_entailed_holds_twenty_bytes_a_class_pair():
+    # The clusters above with 20 stimuli each on a 10 x 10 map: 497
+    # elements and about 990 classes, almost every pair of them entailed.
+    # Cautious Monotonicity's minima are computed a slice of entailed pairs
+    # at a time; one bit row kept for every entailed pair took about 200
+    # bytes a class pair (195 MB).
+    centres = np.random.default_rng(1).uniform(0, 3, (20, 8))
+    data = gaussian_clusters(centres, [f"C{i}" for i in range(20)], 20, 1.5, 1)
+    som, _ = train(init_map(10, 10, 8, 0, feature_range(data)), data, TrainConfig(epochs=2, seed=1))
+    model = build_model(som, data)
+    pref = build_preferential(model)
+    k = _class_count(model)
+    assert k > 950
+    tracemalloc.start()
+    try:
+        checks = verify_klm(pref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * k * k
+    assert all(c.status == "pass" for c in checks)
+
+
 def test_default_concept_pool_shape():
     pool = default_concept_pool(["A", "B", "C"])
     texts = {str(p) for p in pool}

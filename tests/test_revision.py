@@ -1,4 +1,6 @@
 import json
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from somlogic import (
     train,
 )
 from somlogic import revision
+from somlogic import som as som_module
 from somlogic.model import model_snapshot
 from somlogic.revision import step_to_json, trace_text
 from somlogic.som import SomMap, presentation_schedule
@@ -112,7 +115,7 @@ def test_rebuild_comparison_catches_stale_bmus():
         fresh = extract_kb(build_model(state.som, state.seen, categories=state.categories)).kb
         stale = revision._kb_of(
             previous_som, state.categories, state.features, state.labels, state.seen_by_id,
-            state.inclusions, (None, frozenset()),  # no previous KB to reuse
+            state.inclusions, (None, frozenset()), [],  # no previous KB to reuse
         )[1]
         stale_steps += stale != fresh
     assert stale_steps > 0
@@ -158,6 +161,55 @@ def test_revising_one_state_twice_and_an_older_state():
             assert branch.kb == extract_kb(fresh).kb
             reused += branch.kb is old.kb
     assert 0 < reused < 8
+
+
+def test_two_threads_revising_one_state_each_match_a_rebuild():
+    # Each thread takes the state's kernel workspace or starts a fresh one;
+    # neither writes into buffers the other reads.
+    data = two_cluster_stream()
+    som0 = init_map(3, 3, 2, CFG.seed, feature_range(data))
+    state = initial_state(som0, ["X", "Y"])
+    barrier = threading.Barrier(2)
+    for _e, i, lr, rad in presentation_schedule(len(data), CFG):
+        results = [None, None]
+
+        def step(slot, stimulus):
+            barrier.wait()
+            results[slot] = revise(state, stimulus, lr, rad)[0]
+
+        threads = [threading.Thread(target=step, args=(0, data[i])),
+                   threading.Thread(target=step, args=(1, data[-1 - i]))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for branch in results:
+            fresh = build_model(branch.som, branch.seen, categories=branch.categories)
+            assert branch.kb == extract_kb(fresh).kb
+        assert results[0]._workspace[0] is not results[1]._workspace[0]
+        assert state._workspace == []
+        state = results[0]
+
+
+def test_step_on_a_held_workspace_allocates_no_kernel_block():
+    # 80 stimuli on an 8 x 8 map: one call's kernel buffers are 3 blocks of
+    # 4096 entries, which a step that took its state's workspace over does
+    # not allocate.
+    data = gaussian_clusters([[0.0, 0.0], [3.0, 3.0]], ["A", "B"], 40, 1.0, 4)
+    cfg = TrainConfig(epochs=1, seed=4)
+    som0 = init_map(8, 8, 2, cfg.seed, feature_range(data))
+    state = initial_state(som0, ["A", "B"])
+    for _e, i, lr, rad in presentation_schedule(len(data), cfg):
+        state, _ = revise(state, data[i], lr, rad)
+    assert len(state.seen) == 80 and state._workspace
+    block = 3 * som_module._BLOCK_ENTRIES * 8
+    tracemalloc.start()
+    try:
+        revise(state, data[0], 0.1, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block
 
 
 def test_trace_written_before_kb_reuse_unchanged():

@@ -211,6 +211,75 @@ def test_kernel_comparison_catches_left_to_right_sum(monkeypatch):
     assert "distances" in _kernel_mismatches(x, w, groups)
 
 
+def _kernel_results(x, w, groups, workspace=None) -> tuple[bytes, ...]:
+    """The bits of ``nearest_units`` and ``nearest_in_groups`` on a case of
+    ``_kernel_case``, both on ``workspace`` when one is given."""
+    with np.errstate(over="ignore"):
+        nearest, d2 = nearest_units(x, w, workspace)
+        grouped = nearest_in_groups(x, w, np.concatenate(groups),
+                                    np.cumsum([0] + [len(g) for g in groups[:-1]]), workspace)
+    return nearest.tobytes(), d2.tobytes(), grouped.tobytes()
+
+
+def _held_kernel_mismatches(first, case) -> list[str]:
+    """Which results of the kernels on ``case`` differ, bit for bit,
+    between a workspace that a call on ``first`` sized and no workspace."""
+    workspace = []
+    _kernel_results(*first, workspace)
+    held = _kernel_results(*case, workspace)
+    return [name for name, a, b in zip(("indices", "distances", "grouped minima"),
+                                       held, _kernel_results(*case)) if a != b]
+
+
+_HELD = som_module._HELD_BLOCK_ENTRIES
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 12)),
+    st.integers(1, 300),
+    st.integers(1, 2000),
+    st.integers(1, 12),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+# rows across block edges: a block of 234 rows and one of 66, and 37
+# blocks of 8 and one of 4
+@example(0, (3, 5, 2), 300, 70, 12, False, False)
+@example(0, (3, 5, 2), 300, 2000, 9, True, False)
+# more units than a held block's entries, on a workspace sized for fewer
+# (one row per block)
+@example(0, (40, 40, 12), 3, _HELD + 1, 3, True, False)
+# ties and inf, on a workspace sized for more features than the call's
+@example(0, (40, 40, 12), 300, 100, 1, True, True)
+def test_held_kernel_equals_per_call_kernel(seed, first, n, units, dim, duplicates, huge):
+    first_case = _kernel_case(seed + 1, *first, False, False)
+    case = _kernel_case(seed, n, units, dim, duplicates, huge)
+    assert _held_kernel_mismatches(first_case, case) == []
+
+
+@pytest.mark.parametrize("first, n, units, dim", [
+    ((3, 5, 2), 300, 70, 9),  # a call with more features than the workspace has buffers
+    ((3, 5, 2), 3, _HELD + 1, 2),  # one with more units than its buffers hold
+], ids=["more features", "more units"])
+def test_held_kernel_comparison_catches_a_skipped_size_check(monkeypatch, first, n, units, dim):
+    src = textwrap.dedent(inspect.getsource(som_module._held_buffers))
+    old = "if len(workspace) < count or workspace[0].size < size:"
+    assert src.count(old) == 1
+    namespace = dict(vars(som_module))
+    exec(compile(src.replace(old, "if not workspace:"), som_module.__file__, "exec"), namespace)
+    first_case = _kernel_case(1, *first, False, False)
+    case = _kernel_case(0, n, units, dim, False, False)
+    assert _held_kernel_mismatches(first_case, case) == []
+    monkeypatch.setattr(som_module, "_held_buffers", namespace["_held_buffers"])
+    try:
+        caught = _held_kernel_mismatches(first_case, case) != []
+    except ValueError:  # the buffers are too small to take a block's shape
+        caught = True
+    assert caught
+
+
 # The kernel's memory case: 15 stimuli on 600 units, in blocks of 6, 6
 # and 3 rows, the last one short; each block buffer holds 28 800 bytes.
 _MEMORY_ROWS, _MEMORY_UNITS = 15, 600
@@ -219,23 +288,27 @@ _MEMORY_ROWS, _MEMORY_UNITS = 15, 600
 _MEMORY_SLACK = 8 * 1024
 
 
-def _kernel_overshoot(dim: int) -> int:
+def _kernel_overshoot(dim: int, held: bool = False) -> int:
     """The most by which ``nearest_units`` or ``nearest_in_groups``, under
     tracemalloc, holds more than ``dim + 1`` block buffers besides its
-    results and, for the groups, their gathered rows of the weights."""
+    results and, for the groups, their gathered rows of the weights; or,
+    when ``held``, more than nothing besides those, on a workspace that an
+    earlier call sized."""
     rng = np.random.default_rng(dim)
     x = rng.normal(size=(_MEMORY_ROWS, dim))
     w = rng.normal(size=(_MEMORY_UNITS, dim))
     cols, starts = rng.permutation(_MEMORY_UNITS), np.array([0, 200, 400])
     rows = som_module._BLOCK_ENTRIES // _MEMORY_UNITS
     assert 0 < _MEMORY_ROWS % rows < rows
-    buffers = (dim + 1) * rows * _MEMORY_UNITS * 8
+    workspace = [] if held else None
+    buffers = 0 if held else (dim + 1) * rows * _MEMORY_UNITS * 8
     over = []
     for call, known in (
-        (lambda: nearest_units(x, w), 2 * _MEMORY_ROWS * 8),
-        (lambda: nearest_in_groups(x, w, cols, starts), _MEMORY_ROWS * len(starts) * 8 + w.nbytes),
+        (lambda: nearest_units(x, w, workspace), 2 * _MEMORY_ROWS * 8),
+        (lambda: nearest_in_groups(x, w, cols, starts, workspace),
+         _MEMORY_ROWS * len(starts) * 8 + w.nbytes),
     ):
-        call()  # numpy's first-call set-up stays out of the count
+        call()  # numpy's first-call set-up, and the workspace, stay out of the count
         tracemalloc.start()
         try:
             call()
@@ -249,6 +322,8 @@ def _kernel_overshoot(dim: int) -> int:
 @pytest.mark.parametrize("dim", [1, 2, 8, 9])
 def test_kernel_scratch_is_its_block_buffers(dim):
     assert _kernel_overshoot(dim) <= _MEMORY_SLACK
+    # a held workspace's buffers (72 000 bytes each here) are not allocated again
+    assert _kernel_overshoot(dim, held=True) <= _MEMORY_SLACK < _MEMORY_ROWS * _MEMORY_UNITS * 8
 
 
 @pytest.mark.parametrize("old, new", [
