@@ -1459,49 +1459,46 @@ def test_klm_on_a_dense_overlap_holds_less_than_one_class_cube():
     assert all(c.status == "pass" for c in checks)
 
 
-def test_klm_on_a_wide_overlap_holds_twenty_bytes_a_class_pair():
-    # Twenty clusters with centres in [0, 3)**8 and std 1.5, 40 stimuli
-    # each on a 20 x 20 map: about 1340 classes among the 1352 concepts of
-    # the pool.  The int32 pair and join tables and a few class x class
-    # booleans make the peak, 18 bytes a class pair (32 MB) here.  The
-    # union walk's np.triu_indices, an intp join and the outer product of
-    # the class counts took 45 (80 MB).
+def _klm_on_overlap(per_cluster: int, side: int, epochs: int):
+    """The class count of the model of twenty clusters with centres in
+    [0, 3)**8 and std 1.5, ``per_cluster`` stimuli each on a ``side`` x
+    ``side`` map trained for ``epochs``, and the tracemalloc peak and
+    checks of ``verify_klm`` on it."""
     centres = np.random.default_rng(1).uniform(0, 3, (20, 8))
-    data = gaussian_clusters(centres.tolist(), [f"C{i}" for i in range(20)], 40, 1.5, 1)
-    som, _ = train(init_map(20, 20, 8, 0, feature_range(data)), data, TrainConfig(epochs=10, seed=1))
+    data = gaussian_clusters(centres.tolist(), [f"C{i}" for i in range(20)], per_cluster, 1.5, 1)
+    som, _ = train(init_map(side, side, 8, 0, feature_range(data)), data,
+                   TrainConfig(epochs=epochs, seed=1))
     model = build_model(som, data)
     pref = build_preferential(model)
-    k = _class_count(model)
-    assert k > 1300
     tracemalloc.start()
     try:
         checks = verify_klm(pref)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return _class_count(model), peak, checks
+
+
+def test_klm_on_a_wide_overlap_holds_twenty_bytes_a_class_pair():
+    # 40 stimuli a cluster on a 20 x 20 map: about 1340 classes among the
+    # 1352 concepts of the pool.  The int32 join table and a few class x
+    # class booleans make the peak, 9 bytes a class pair (16 MB) here.  The
+    # union walk's np.triu_indices, an intp join and the outer product of
+    # the class counts took 45 (80 MB).
+    k, peak, checks = _klm_on_overlap(40, 20, 10)
+    assert k > 1300
     assert peak <= 20 * k * k
     assert all(c.status == "pass" for c in checks)
 
 
 def test_klm_where_almost_every_class_pair_is_entailed_holds_twenty_bytes_a_class_pair():
-    # The clusters above with 20 stimuli each on a 10 x 10 map: 497
-    # elements and about 990 classes, almost every pair of them entailed.
-    # Cautious Monotonicity's minima are computed a slice of entailed pairs
-    # at a time; one bit row kept for every entailed pair took about 200
-    # bytes a class pair (195 MB).
-    centres = np.random.default_rng(1).uniform(0, 3, (20, 8))
-    data = gaussian_clusters(centres, [f"C{i}" for i in range(20)], 20, 1.5, 1)
-    som, _ = train(init_map(10, 10, 8, 0, feature_range(data)), data, TrainConfig(epochs=2, seed=1))
-    model = build_model(som, data)
-    pref = build_preferential(model)
-    k = _class_count(model)
+    # 20 stimuli a cluster on a 10 x 10 map: 497 elements and about 990
+    # classes, almost every pair of them entailed.  Cautious Monotonicity's
+    # minima are computed a slice of entailed pairs at a time; one bit row
+    # kept for every entailed pair took about 200 bytes a class pair
+    # (195 MB).
+    k, peak, checks = _klm_on_overlap(20, 10, 2)
     assert k > 950
-    tracemalloc.start()
-    try:
-        checks = verify_klm(pref)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert peak <= 20 * k * k
     assert all(c.status == "pass" for c in checks)
 
