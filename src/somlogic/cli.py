@@ -18,9 +18,10 @@ Exit codes:
 * 0: success (for ``check``: the queried inclusion holds).
 * 1: readable input with wrong content: a bad option or query, a malformed
   CSV, features whose squared distances or initial weight band overflow
-  float64, or a
-  ``model.json`` whose stored tables differ from the ones ``build_model``'s
-  derivation gives for its features and prototype lists.
+  float64, a ``model.json`` whose stored rd tables differ from the ones
+  ``build_model``'s derivation gives for its features and prototype lists
+  or that an older ``extract`` wrote (it has a top-level ``extensions``
+  key), or a run that numpy cannot find the memory for.
 * 2: a file cannot be opened, is not UTF-8 text, or is not valid JSON;
   ``jsonio.load_file`` names what it refuses beyond what ``json`` refuses
   (``NaN``, ``1e400``, nesting past 10 000 levels).
@@ -256,6 +257,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (SpecificityCycleError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,11 +27,12 @@ Per category ``C`` with at least one stimulus:
 Only the element features and each category's ``bmu_units``,
 ``bmu_elements`` and ``stimulus_elements`` come from the map; ``_derive``
 computes the rest from them.  ``build_model`` reads those off the map, and
-``load_model`` off a saved ``model.json``, whose stored tables and origins
-must then equal the derived ones.  The loader checks that a row at a time:
-each stored rd table and extension against its derived row in one list or
-mask comparison, the origins in one; it walks a table's elements only when
-that comparison has failed, to name the first difference.
+``load_model`` off a saved ``model.json``.  Of the derived values the file
+stores only each category's rd table and ``rd_max``, which must equal the
+derived ones; the loader compares each table with its derived row in one
+list comparison, and walks its elements only when that comparison has
+failed, to name the first difference.  A file with a top-level
+``extensions`` key, which an older ``extract`` wrote, is refused.
 
 The model is dense: one ``elements x input_dim`` float64 matrix of
 features, one ``categories x elements`` float64 matrix of rd and one
@@ -45,7 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -427,19 +428,13 @@ def model_snapshot(model: SemanticModel) -> dict:
             "bmu_units": list(t.bmu_units),
             "bmu_elements": list(t.bmu_element_ids),
             "stimulus_elements": list(t.stimulus_element_ids),
-            "precision": t.precision,
             "rd_max": None if t.rd_max is None else jsonio.encode_float(t.rd_max),
             "rd": dict(zip(ids, map(jsonio.encode_float, rd))),
         }
     return {
         "input_dim": model.input_dim,
-        "elements": [
-            {"id": eid, "features": f, "origin": o}
-            for eid, f, o in zip(ids, model.features.tolist(), model.origins)
-        ],
+        "elements": [{"id": eid, "features": f} for eid, f in zip(ids, model.features.tolist())],
         "categories": cats,
-        "extensions": {name: sorted(compress(ids, model.ext[i].tolist()))
-                       for name, i in model.row_of.items()},
     }
 
 
@@ -450,30 +445,33 @@ _MISSING = "missing"
 def model_from_snapshot(doc: dict) -> SemanticModel:
     """The model a snapshot describes, derived again from its element
     features and reference lists by ``build_model``'s own code.  A stored
-    table (precision, rd_max, rd, extension) or element origin that differs
-    from the derived one is refused with ``InputError``, naming it.
+    ``rd_max`` or rd table that differs from the derived one is refused
+    with ``InputError``, naming it, and so is a snapshot with a top-level
+    ``extensions`` key, which only an older ``extract`` wrote.
 
     The features are read into one matrix, and must be lists of JSON
     numbers, as ``bmu_units`` must be strictly increasing lists of
-    non-negative integers, each category's ``rd`` an object and each
-    extension a list, as ``build_model`` writes them, and ``input_dim`` an
-    integer; anything else is a malformed snapshot.  The stored tables are
-    read as parsed, not copied, and compared a row at a time
-    (``_check_stored``).  A value
+    non-negative integers and each category's ``rd`` an object, as
+    ``build_model`` writes them, and ``input_dim`` an integer; anything
+    else is a malformed snapshot.  The stored tables are read as parsed,
+    not copied, and compared a row at a time (``_check_stored``).  A value
     nested too deep for ``repr`` or ``==`` (``jsonio.load_file`` reads
     ``MAX_DEPTH`` levels) is a malformed snapshot too."""
     try:
-        model, origins, stored = _derive_snapshot(doc)
-        _check_stored(model, origins, stored)
+        model, stored = _derive_snapshot(doc)
+        _check_stored(model, stored)
     except RecursionError as exc:
         raise InputError(f"malformed model snapshot: {exc}") from exc
     return model
 
 
-def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
+def _derive_snapshot(doc: dict) -> tuple[SemanticModel, dict[str, tuple]]:
     """The model derived from a snapshot's element features and reference
-    lists, with the element origins and, per category, the (precision,
-    rd_max, rd, extension) the snapshot stores, as read."""
+    lists, with the (rd_max, rd) that the snapshot stores per category, as
+    read.  Any other key is not read."""
+    if isinstance(doc, dict) and "extensions" in doc:
+        raise InputError("model snapshot has a top-level 'extensions' key, which only an older "
+                         "extract wrote; run extract again")
     try:
         input_dim = doc["input_dim"]
         if type(input_dim) is not int:
@@ -492,7 +490,6 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
                           or any(type(v) not in (float, int) for v in f))
             raise TypeError(f"element {eid!r}: features must be a list of numbers, got {f!r}")
         flat = np.fromiter(flat, np.float64, len(flat))
-        origins = [e["origin"] for e in doc["elements"]]
         refs, stored = {}, {}
         for name, c in doc["categories"].items():
             units = c["bmu_units"]
@@ -507,24 +504,15 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
                     raise TypeError(f"category {name!r}: {field} must be a list of element ids, "
                                     f"got {listed!r}")
             refs[name] = (tuple(units), tuple(bmu), tuple(stim))
-            ext = doc["extensions"][name]
-            if type(ext) is not list:  # a set of ids; _check_stored reads the entries
-                raise TypeError(f"category {name!r}: extension must be a list of element ids, "
-                                f"got {type(ext).__name__}")
             rd = c["rd"]
             if type(rd) is not dict:
                 raise TypeError(f"category {name!r}: rd must be an object of element ids, "
                                 f"got {type(rd).__name__}")
-            stored[name] = (c["precision"], c["rd_max"], rd, ext)
-        stray = sorted(doc["extensions"].keys() - doc["categories"].keys())
+            stored[name] = (c["rd_max"], rd)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"malformed model snapshot: {exc}") from exc
 
-    # What the derivation reads must be well formed, and the stored tables
-    # must be those of the listed categories, so that saving gives the file
-    # back.
-    if stray:
-        raise InputError(f"extensions has category {stray[0]!r}, which categories does not list")
+    # What the derivation reads must be well formed.
     if input_dim < 1:
         raise InputError(f"input_dim must be positive, got {input_dim}")
     if set(map(len, rows)) - {input_dim}:
@@ -544,32 +532,26 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, list, dict[str, tuple]]:
                              f"stimulus_elements must be all empty or all non-empty")
 
     features = flat.reshape(len(ids), input_dim)
-    return _derive(input_dim, ids, col_of, features, refs), origins, stored
+    return _derive(input_dim, ids, col_of, features, refs), stored
 
 
-def _check_stored(model: SemanticModel, origins: list, stored: Mapping[str, tuple]) -> None:
-    """Refuse stored ``origins`` and (precision, rd_max, rd, extension)
-    tables that differ from ``model``'s, naming the first difference.
+def _check_stored(model: SemanticModel, stored: Mapping[str, tuple]) -> None:
+    """Refuse stored (rd_max, rd) tables that differ from ``model``'s,
+    naming the first difference.
 
     Stored values are compared as read, with what ``model_snapshot``
-    writes, so nothing is decoded.  Each origin list, rd table and
-    extension is compared as a whole, an extension as a set of ids; only
-    one that differs is walked, to find the element to name."""
+    writes, so nothing is decoded.  Each rd table is compared as a whole;
+    only one that differs is walked, to find the element to name."""
 
     def refuse(where: str, got, want) -> InputError:
         return InputError(f"model snapshot differs from its re-derivation: {where}: "
                           f"stored {got!r}, derived {want!r}")
 
-    if tuple(origins) != model.origins:
-        eid, o, want = next(t for t in zip(model.element_ids, origins, model.origins) if t[1] != t[2])
-        raise refuse(f"element {eid!r}, origin", o, want)
     ids = model.element_ids
     keys = cols = None  # the last stored rd keys and their columns
     for name, t in model.categories.items():
-        precision, rd_max, rd, ext = stored[name]
+        rd_max, rd = stored[name]
         row = model.row_of[name]
-        if precision != t.precision:
-            raise refuse(f"category {name!r}, precision", precision, t.precision)
         if rd_max != t.rd_max:
             raise refuse(f"category {name!r}, rd_max", rd_max, t.rd_max)
         if t.empty:
@@ -587,16 +569,6 @@ def _check_stored(model: SemanticModel, origins: list, stored: Mapping[str, tupl
             eid, got = next((k, rd.get(k, _MISSING)) for k in (*want, *rd)
                             if rd.get(k, _MISSING) != want.get(k, _MISSING))
             raise refuse(f"category {name!r}, rd of {eid!r}", got, want.get(eid, _MISSING))
-        if not _stored_ext_matches(ext, model.col_of, model.ext[row]):
-            if set(map(type, ext)) - {str}:
-                eid = next(e for e in ext if type(e) is not str)
-                raise InputError(f"malformed model snapshot: category {name!r}: extension "
-                                 f"entries must be element ids, got {eid!r}")
-            ext = frozenset(ext)
-            diff = ext ^ frozenset(compress(ids, model.ext[row].tolist()))
-            if diff:
-                eid = next(e for e in (*ids, *sorted(diff)) if e in diff)
-                raise refuse(f"category {name!r}, extension has {eid!r}", eid in ext, eid not in ext)
 
 
 def _rd_columns(keys: list, col_of: Mapping[str, int]) -> np.ndarray | None:
@@ -619,19 +591,6 @@ def _stored_rd_matches(values: list, row: np.ndarray) -> bool:
     for i in np.flatnonzero(np.isinf(row)).tolist():
         want[i] = jsonio.encode_float(want[i])
     return values == want
-
-
-def _stored_ext_matches(ext, col_of: Mapping[str, int], mask: np.ndarray) -> bool:
-    """Whether the stored extension ``ext`` holds the ids of the columns
-    ``mask`` marks, and no other entry.  False also where it holds entries
-    that are not strings."""
-    try:
-        cols = np.fromiter(map(col_of.__getitem__, ext), np.intp, len(ext))
-    except (KeyError, TypeError):
-        return False
-    got = np.zeros_like(mask)
-    got[cols] = True
-    return bool((got == mask).all())
 
 
 def save_model(path, model: SemanticModel) -> None:

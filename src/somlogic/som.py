@@ -106,12 +106,32 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.epochs, int) or self.epochs < 0:
             raise ConfigError(f"epochs must be a non-negative integer, got {self.epochs!r}")
+        _check_seed(self.seed)
         for name in ("lr_start", "lr_end"):
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise ConfigError(f"{name} must be in (0, 1], got {v!r}")
         for name in ("radius_start", "radius_end"):
             _check_radius(name, getattr(self, name), ConfigError)
+
+
+def _check_seed(seed: int) -> None:
+    # numpy's generators take no negative seed.
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed!r}")
+
+
+def _check_geometry(rows: int, cols: int, input_dim: int) -> None:
+    """Raise ``ConfigError`` unless the map is at least 1x1 with at least
+    one feature, and numpy can address its float64 weight array: its size
+    in bytes must fit ``np.intp``."""
+    if rows < 1 or cols < 1:
+        raise ConfigError(f"map must be at least 1x1, got {rows}x{cols}")
+    if input_dim < 1:
+        raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
+    if rows * cols * input_dim * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"a {rows}x{cols} map of {input_dim} features has more weights "
+                          f"than numpy can address")
 
 
 def _check_radius(name: str, v: float, error: type[Exception]) -> None:
@@ -149,10 +169,7 @@ class SomMap:
     _col_gd2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError(f"map must be at least 1x1, got {self.rows}x{self.cols}")
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
+        _check_geometry(self.rows, self.cols, self.input_dim)
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (self.rows * self.cols, self.input_dim):
             raise ConfigError(
@@ -221,8 +238,11 @@ def init_map(
     strictly outside the data region keeps early relative distances large and
     makes the quantization-error drop during training unambiguous.  A feature
     with zero span falls back to span 1.0 so the band stays non-degenerate.
-    A band whose bounds or width overflow float64 is refused.
+    A band whose bounds or width overflow float64, a negative seed and a map
+    whose weights numpy cannot address are refused before the draw.
     """
+    _check_seed(seed)
+    _check_geometry(rows, cols, input_dim)
     lo = np.broadcast_to(np.asarray(value_range[0], dtype=np.float64), (input_dim,))
     hi = np.broadcast_to(np.asarray(value_range[1], dtype=np.float64), (input_dim,))
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):

@@ -477,25 +477,17 @@ def oracle_model_from_snapshot(doc: dict) -> SemanticModel:
     """``model_from_snapshot`` with every stored table compared element by
     element: the loader's slow reference.  It reads and derives the model
     with the library's own ``_derive_snapshot`` and refuses, in the same
-    order and with the same ``InputError`` message, an origin, precision,
-    ``rd_max``, rd entry or extension entry that differs from the derived
-    one; an extension is compared as a set of ids, and one that is not a
-    JSON list (refused by ``_derive_snapshot``) or has an entry that is not
-    a string is malformed."""
-    model, origins, stored = _derive_snapshot(doc)
+    order and with the same ``InputError`` message, an ``rd_max`` or rd
+    entry that differs from the derived one."""
+    model, stored = _derive_snapshot(doc)
     missing = "missing"
 
     def refuse(where: str, got, want) -> InputError:
         return InputError(f"model snapshot differs from its re-derivation: {where}: "
                           f"stored {got!r}, derived {want!r}")
 
-    for eid, got, want in zip(model.element_ids, origins, model.origins):
-        if got != want:
-            raise refuse(f"element {eid!r}, origin", got, want)
     for name, t in model.categories.items():
-        precision, rd_max, rd, ext = stored[name]
-        if precision != t.precision:
-            raise refuse(f"category {name!r}, precision", precision, t.precision)
+        rd_max, rd = stored[name]
         if rd_max != t.rd_max:
             raise refuse(f"category {name!r}, rd_max", rd_max, t.rd_max)
         derived = rd_table(model, name)
@@ -506,17 +498,21 @@ def oracle_model_from_snapshot(doc: dict) -> SemanticModel:
                 got, want = rd.get(eid, missing), encoded.get(eid, missing)
                 if got != want:
                     raise refuse(f"category {name!r}, rd of {eid!r}", got, want)
-        not_ids = [e for e in ext if type(e) is not str]
-        if not_ids:
-            raise InputError(f"malformed model snapshot: category {name!r}: extension "
-                             f"entries must be element ids, got {not_ids[0]!r}")
-        ext = frozenset(ext)
-        derived_ext = extension_ids(model, name)
-        if ext != derived_ext:
-            diff = ext ^ derived_ext
-            eid = next(e for e in [*model.element_ids, *sorted(diff)] if e in diff)
-            raise refuse(f"category {name!r}, extension has {eid!r}", eid in ext, eid not in ext)
     return model
+
+
+def old_format(doc: dict) -> dict:
+    """``doc`` with the derived values that ``model_snapshot`` wrote before
+    the format dropped them put back: each element's ``origin``, each
+    category's ``precision`` and the top-level ``extensions``, a sorted list
+    of element ids per category.  Returns ``doc``."""
+    model = _derive_snapshot(doc)[0]
+    for element, origin in zip(doc["elements"], model.origins):
+        element["origin"] = origin
+    for name, cat in doc["categories"].items():
+        cat["precision"] = model.categories[name].precision
+    doc["extensions"] = {name: sorted(extension_ids(model, name)) for name in model.row_of}
+    return doc
 
 
 def make_model(rd_tables, stimulus_elements, bmu_elements=None, extra_elements=()) -> SemanticModel:

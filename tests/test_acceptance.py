@@ -327,7 +327,7 @@ MAP_SCHEMA = {
 
 MODEL_SCHEMA = {
     "type": "object",
-    "required": ["input_dim", "elements", "categories", "extensions"],
+    "required": ["input_dim", "elements", "categories"],
     "additionalProperties": False,
     "properties": {
         "input_dim": {"type": "integer", "minimum": 1},
@@ -335,12 +335,11 @@ MODEL_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["id", "features", "origin"],
+                "required": ["id", "features"],
                 "additionalProperties": False,
                 "properties": {
                     "id": {"type": "string"},
                     "features": {"type": "array", "items": {"type": "number"}},
-                    "origin": {"enum": ["stimulus", "bmu", "probe"]},
                 },
             },
         },
@@ -348,16 +347,12 @@ MODEL_SCHEMA = {
             "type": "object",
             "additionalProperties": {
                 "type": "object",
-                "required": [
-                    "bmu_units", "bmu_elements", "stimulus_elements",
-                    "precision", "rd", "rd_max",
-                ],
+                "required": ["bmu_units", "bmu_elements", "stimulus_elements", "rd", "rd_max"],
                 "additionalProperties": False,
                 "properties": {
                     "bmu_units": {"type": "array", "items": {"type": "integer"}},
                     "bmu_elements": {"type": "array", "items": {"type": "string"}},
                     "stimulus_elements": {"type": "array", "items": {"type": "string"}},
-                    "precision": {"type": "number"},
                     "rd_max": {"anyOf": [{"type": "number"}, {"const": "inf"}]},
                     "rd": {
                         "type": "object",
@@ -367,10 +362,6 @@ MODEL_SCHEMA = {
                     },
                 },
             },
-        },
-        "extensions": {
-            "type": "object",
-            "additionalProperties": {"type": "array", "items": {"type": "string"}},
         },
     },
 }

@@ -6,8 +6,8 @@ import types
 
 import pytest
 
-from oracles import entails, make_model, parse_kb_text, two_way_override_model
-from somlogic import cli, preferences
+from oracles import entails, make_model, old_format, parse_kb_text, two_way_override_model
+from somlogic import cli, preferences, revision
 from somlogic import (
     Bot,
     CheckReport,
@@ -414,6 +414,35 @@ def test_features_near_the_float64_limit_exit_1(tmp_path, capsys, value, message
         assert not out.exists(), cmd
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
+    (["--rows", "3037000500", "--cols", "3037000500"],
+     "a 3037000500x3037000500 map of 2 features has more weights than numpy can address"),
+    (["--rows", "1000000000", "--cols", "1000000000"],
+     "a 1000000000x1000000000 map of 2 features has more weights than numpy can address"),
+])
+def test_option_values_numpy_refuses_exit_1(tmp_path, data_csv, capsys, options, message):
+    # Each ended in a numpy ValueError traceback; the sizes are refused
+    # before anything is allocated.
+    for cmd in ("train", "trace"):
+        out = tmp_path / cmd
+        assert main([cmd, "--data", data_csv, "--out", str(out)] + SMALL + options) == 1, cmd
+        assert capsys.readouterr().err == f"error: {message}\n", cmd
+        assert not out.exists(), cmd
+
+
+def test_out_of_memory_exit_1(tmp_path, data_csv, capsys, monkeypatch):
+    # A map that numpy can address but the machine cannot hold.
+    def init_map(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "init_map", init_map)
+    monkeypatch.setattr(revision, "init_map", init_map)
+    for cmd in ("train", "trace"):
+        assert main([cmd, "--data", data_csv, "--out", str(tmp_path / cmd)] + SMALL) == 1, cmd
+        assert capsys.readouterr().err == "error: out of memory\n", cmd
+
+
 def test_csv_field_past_the_field_limit_exit_1(tmp_path, data_csv, capsys):
     wide = "1" * 140_000
     bad_data, bad_probes = tmp_path / "wide.csv", tmp_path / "wide-probes.csv"
@@ -560,8 +589,10 @@ def _edit_empty_category(doc):
     cat["stimulus_elements"] = cat["bmu_elements"] = cat["bmu_units"] = []
 
 
+# The precision, origin and extension edits are of values that only the
+# older format stored; a file that holds them is refused as that format.
 def _edit_empty_extension(doc):
-    doc["extensions"]["X"] = []
+    old_format(doc)["extensions"]["X"] = []
 
 
 def _edit_stimulus_rd_to_zero(doc):
@@ -576,7 +607,7 @@ def _edit_ghost_rd_key(doc):
 
 
 def _edit_precision(doc):
-    doc["categories"]["X"]["precision"] = 123.0
+    old_format(doc)["categories"]["X"]["precision"] = 123.0
 
 
 def _edit_shifted_features(doc):
@@ -598,7 +629,7 @@ def _edit_extra_feature(doc):
 
 
 def _edit_origin(doc):
-    doc["elements"][0]["origin"] = "banana"
+    old_format(doc)["elements"][0]["origin"] = "banana"
 
 
 def _edit_unknown_stimulus(doc):
@@ -638,7 +669,8 @@ def _edit_repeated_stimulus_element(doc):
 
 
 def _edit_stray_extension(doc):
-    doc["extensions"]["Z"] = list(doc["extensions"]["X"])
+    extensions = old_format(doc)["extensions"]
+    extensions["Z"] = list(extensions["X"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -662,6 +694,20 @@ def test_broken_snapshot_exit_1(tmp_path, data_csv, capsys, edit):
         assert main(argv + ["--model", str(path)]) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_model_in_the_older_format_exit_1(tmp_path, data_csv, capsys):
+    # A model.json that an older extract wrote names the key that marks it
+    # and says how to get a current one.
+    out = train_and_extract(tmp_path, data_csv)
+    path = out / "model.json"
+    path.write_text(json.dumps(old_format(json.loads(path.read_text()))), encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["verify"], ["check", "--query", "X <= Y"], ["check", "--query", "T(X) <= Y"]):
+        assert main(argv + ["--model", str(path)]) == 1, argv
+        assert capsys.readouterr().err == (
+            "error: model snapshot has a top-level 'extensions' key, which only an older "
+            "extract wrote; run extract again\n")
 
 
 def test_usage_errors_exit_1(capsys):

@@ -28,7 +28,7 @@ from somlogic.jsonio import canonical_dumps
 from somlogic.model import SemanticModel, model_from_snapshot, model_snapshot
 from somlogic.som import nearest_units
 
-from oracles import dist, extension_ids, oracle_model_from_snapshot, oracle_rd, rd_table
+from oracles import dist, extension_ids, old_format, oracle_model_from_snapshot, oracle_rd, rd_table
 
 
 # ==============================================================
@@ -303,8 +303,8 @@ def test_model_snapshot_encodes_inf():
 
 def test_model_snapshot_validation(cluster_model):
     doc = model_snapshot(cluster_model)
-    doc["extensions"]["A"] = ["ghost"]
-    with pytest.raises(InputError):
+    doc["extensions"] = {"A": ["ghost"]}
+    with pytest.raises(InputError, match="top-level 'extensions' key"):
         model_from_snapshot(doc)
     doc = model_snapshot(cluster_model)
     doc["categories"]["A"]["rd"].pop(next(iter(doc["categories"]["A"]["rd"])))
@@ -341,7 +341,6 @@ def test_loaded_category_names_are_checked_as_built(name):
         build_model(_pinned_map(), [Stimulus("s1", (0.0, 0.0), name)])
     doc = json.loads(_small_snapshot())
     doc["categories"][name] = doc["categories"].pop("A")
-    doc["extensions"][name] = doc["extensions"].pop("A")
     with pytest.raises(InputError) as loaded:
         model_from_snapshot(doc)
     assert str(loaded.value) == str(built.value)
@@ -362,18 +361,14 @@ def test_changing_one_derived_leaf_is_refused(data):
     doc = json.loads(_small_snapshot())
     model_from_snapshot(doc)  # the saved model itself loads
     name = data.draw(st.sampled_from(sorted(doc["categories"])))
-    cat, ext = doc["categories"][name], doc["extensions"][name]
-    leaf = data.draw(st.sampled_from(["rd", "precision", "rd_max", "add", "drop"]))
-    if leaf in ("rd", "precision", "rd_max"):
-        table = cat["rd"] if leaf == "rd" else cat
-        key = data.draw(st.sampled_from(sorted(cat["rd"]))) if leaf == "rd" else leaf
-        old = float(table[key])  # the snapshot writes an infinite rd as "inf"
-        table[key] = data.draw(st.floats().filter(lambda v: not v == old))
-    elif leaf == "add":
-        outside = sorted({e["id"] for e in doc["elements"]} - set(ext)) + ["ghost"]
-        ext.append(data.draw(st.sampled_from(outside)))
+    cat = doc["categories"][name]
+    # rd and rd_max are the only derived values a snapshot stores.
+    if data.draw(st.booleans()):
+        table, key = cat["rd"], data.draw(st.sampled_from(sorted(cat["rd"])))
     else:
-        ext.remove(data.draw(st.sampled_from(ext)))
+        table, key = cat, "rd_max"
+    old = float(table[key])  # the snapshot writes an infinite rd as "inf"
+    table[key] = data.draw(st.floats().filter(lambda v: not v == old))
     with pytest.raises(InputError, match="re-derivation") as refused:
         model_from_snapshot(doc)
     assert str(refused.value) == _load_outcome(oracle_model_from_snapshot, doc)
@@ -437,7 +432,7 @@ def _mutate_rd_swapped(doc, rng):
 
 
 def _mutate_precision(doc, rng):
-    cat, _ = _some_rd(doc, rng)
+    cat, _ = _some_rd(old_format(doc), rng)
     cat["precision"] = cat["precision"] * 2 + rng.choice([0.5, 1e-9])
 
 
@@ -447,33 +442,38 @@ def _mutate_rd_max(doc, rng):
 
 
 def _mutate_origin(doc, rng):
-    element = rng.choice(doc["elements"])
+    element = rng.choice(old_format(doc)["elements"])
     element["origin"] = rng.choice(sorted({"stimulus", "bmu", "probe"} - {element["origin"]}))
 
 
+def _some_extension(doc, rng) -> list:
+    extensions = old_format(doc)["extensions"]
+    return extensions[rng.choice(sorted(extensions))]
+
+
 def _mutate_extension_add(doc, rng):
-    name = rng.choice(sorted(doc["extensions"]))
+    name = rng.choice(sorted(old_format(doc)["extensions"]))
     ext = doc["extensions"][name]
     ext.append(rng.choice(sorted({e["id"] for e in doc["elements"]} - set(ext)) + ["ghost"]))
 
 
 def _mutate_extension_drop(doc, rng):
-    ext = doc["extensions"][rng.choice(sorted(doc["extensions"]))]
+    ext = _some_extension(doc, rng)
     ext.remove(rng.choice(ext))
 
 
 def _mutate_extension_duplicate(doc, rng):
-    ext = doc["extensions"][rng.choice(sorted(doc["extensions"]))]
+    ext = _some_extension(doc, rng)
     ext.insert(rng.randrange(len(ext) + 1), rng.choice(ext))
 
 
 def _mutate_extension_integer(doc, rng):
-    ext = doc["extensions"][rng.choice(sorted(doc["extensions"]))]
+    ext = _some_extension(doc, rng)
     ext[rng.randrange(len(ext))] = rng.choice([0, 7])
 
 
 def _mutate_extension_object(doc, rng):
-    name = rng.choice(sorted(doc["extensions"]))
+    name = rng.choice(sorted(old_format(doc)["extensions"]))
     doc["extensions"][name] = dict.fromkeys(doc["extensions"][name])
 
 
@@ -484,8 +484,10 @@ def _mutate_feature(doc, rng):
 
 
 # Each mutation of a saved snapshot, with whether the loader must accept
-# it (None: either way).  An extension is a set, so a duplicate entry
-# changes nothing; an rd table is a mapping, so neither does its key order.
+# it (None: either way).  An rd table is a mapping, so its key order
+# changes nothing.  The precision, origin and extension mutations edit the
+# values that the older format stored as well (``old_format``), so each is
+# a file in that format, which is refused whatever it holds.
 _MUTATIONS = {
     "rd-value": (_mutate_rd_value, False),
     "rd-inf": (_mutate_rd_inf, False),
@@ -498,7 +500,7 @@ _MUTATIONS = {
     "origin": (_mutate_origin, False),
     "extension-add": (_mutate_extension_add, False),
     "extension-drop": (_mutate_extension_drop, False),
-    "extension-duplicate": (_mutate_extension_duplicate, True),
+    "extension-duplicate": (_mutate_extension_duplicate, False),
     "extension-integer": (_mutate_extension_integer, False),
     "extension-object": (_mutate_extension_object, False),
     "feature-nudged": (_mutate_feature, None),
@@ -536,17 +538,18 @@ def _rd_in_stored_key_order(keys, col_of):
 _real_check_stored = model_module._check_stored
 
 
-def _check_stored_without_origins(model, origins, stored):
-    _real_check_stored(model, model.origins, stored)
+def _check_stored_without_rd_max(model, stored):
+    _real_check_stored(model, {name: (model.categories[name].rd_max, rd)
+                               for name, (_, rd) in stored.items()})
 
 
 @pytest.mark.parametrize("attr, fault", [
     ("_rd_columns", _rd_in_stored_key_order),
-    ("_check_stored", _check_stored_without_origins),
+    ("_check_stored", _check_stored_without_rd_max),
 ])
 def test_oracle_comparison_catches_a_broken_loader(monkeypatch, attr, fault):
     # Fault injection: rd read in the order the file stores its keys, and
-    # no origin check.  Each makes some mutated snapshot load differently
+    # no rd_max check.  Each makes some mutated snapshot load differently
     # from the oracle.
     monkeypatch.setattr(model_module, attr, fault)
     assert _mutation_mismatches()
@@ -577,8 +580,6 @@ def _integer_id(doc, old: str, place) -> None:
     (lambda doc: _integer_id(doc, "a0", lambda d: (d["categories"]["A"]["stimulus_elements"], 0)),
      "category 'A': stimulus_elements must be a list of element ids, "
      "got [7, 'a1', 'a2', 'a3', 'a4']"),
-    (lambda doc: _integer_id(doc, "a0", lambda d: (d["extensions"]["A"], 0)),
-     "category 'A': extension entries must be element ids, got 7"),
     # p0 sits at (2.0, 2.0), so "22" was read as its features
     (lambda doc: doc["elements"][-1].update(features="22"),
      "element 'p0': features must be a list of numbers, got '22'"),
@@ -621,25 +622,55 @@ def test_snapshot_listing_an_element_twice_is_refused(field):
     assert str(refused.value) == f"category 'B' lists element {listed[0]!r} twice in {field}"
 
 
+_OLD_FORMAT = ("model snapshot has a top-level 'extensions' key, which only an older "
+               "extract wrote; run extract again")
+
+
 def test_snapshot_with_the_extension_of_an_unlisted_category_is_refused():
-    # The loader used to drop such an entry, so saving the loaded model did
-    # not give the file back.
-    doc = json.loads(_small_snapshot())
+    # Snapshots store no extensions, so a file with an extensions table is
+    # one in the older format, whichever categories the table names.
+    doc = old_format(json.loads(_small_snapshot()))
     doc["extensions"]["Z"] = []
     with pytest.raises(InputError) as refused:
         model_from_snapshot(doc)
-    assert str(refused.value) == "extensions has category 'Z', which categories does not list"
+    assert str(refused.value) == _OLD_FORMAT
+
+
+@pytest.mark.parametrize("extensions", ["tables", {}, [], None, "malformed"])
+def test_snapshot_in_the_older_format_is_refused(tmp_path, extensions):
+    # Whatever the key holds, and whatever else the file holds, it names
+    # the key and how to get a current file.
+    doc = old_format(json.loads(_small_snapshot()))
+    if extensions != "tables":
+        doc["extensions"] = extensions
+    if extensions == "malformed":
+        del doc["input_dim"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError) as refused:
+        load_model(path)
+    assert str(refused.value) == _OLD_FORMAT
+
+
+def test_snapshot_keys_the_loader_does_not_read_are_ignored():
+    # An origin, a precision and any other key that is not a top-level
+    # "extensions" are not read; the model loads as it was saved.
+    saved = json.loads(_small_snapshot())
+    doc = old_format(json.loads(_small_snapshot()))
+    del doc["extensions"]
+    doc["comment"] = "written by hand"
+    assert model_snapshot(model_from_snapshot(doc)) == saved
 
 
 @pytest.mark.parametrize("dim", [2, 9, 130])
 def test_files_written_before_the_feature_by_feature_kernel_load_unchanged(dim):
     """``tests/data/model_d{2,9,130}.json`` were written by commit d8a2b87,
     whose distances were numpy's own sum over the feature axis of a (rows,
-    units, dim) array.  Each must load, so that no stored precision or rd
+    units, dim) array.  Each must load, so that no stored rd or rd_max
     differs from its re-derivation, and save back byte for byte.  At d = 2
     the sum runs left to right, at d = 9 through eight running sums, at
     d = 130 through the split above 128 terms.  Recipe, from the root of
-    the repository:
+    the repository, first writing the files in the format of the time:
 
         mkdir /tmp/parent && git archive d8a2b87 | tar -x -C /tmp/parent
         cd /tmp/parent && PYTHONPATH=src python - "$OLDPWD/tests/data" <<'EOF'
@@ -653,6 +684,24 @@ def test_files_written_before_the_feature_by_feature_kernel_load_unchanged(dim):
             som, _ = train(init_map(r, r, d, 0, feature_range(data)), data,
                            TrainConfig(epochs=5))
             save_model(f"{sys.argv[1]}/model_d{d}.json", build_model(som, data))
+        EOF
+
+    then deleting from each the values that the format has since dropped,
+    which keeps every rd and rd_max byte as d8a2b87 wrote it:
+
+        cd "$OLDPWD" && PYTHONPATH=src python - <<'EOF'
+        import json
+        from somlogic.jsonio import dump_file
+        for d in (2, 9, 130):
+            path = f"tests/data/model_d{d}.json"
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            del doc["extensions"]
+            for element in doc["elements"]:
+                del element["origin"]
+            for category in doc["categories"].values():
+                del category["precision"]
+            dump_file(path, doc)
         EOF
     """
     path = Path(__file__).parent / "data" / f"model_d{dim}.json"

@@ -93,6 +93,25 @@ def test_init_bad_dimensions(kwargs):
         init_map(seed=0, value_range=(0.0, 1.0), **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(rows=3, cols=3, seed=-1), "seed must be non-negative, got -1"),
+    (dict(rows=-1, cols=3, seed=0), "map must be at least 1x1, got -1x3"),
+    # numpy's own refusals: past np.intp as one dimension, and in bytes
+    (dict(rows=3037000500, cols=3037000500, seed=0),
+     "a 3037000500x3037000500 map of 2 features has more weights than numpy can address"),
+    (dict(rows=10**9, cols=10**9, seed=0),
+     "a 1000000000x1000000000 map of 2 features has more weights than numpy can address"),
+])
+def test_init_refuses_before_the_draw(monkeypatch, kwargs, message):
+    def draw(*args):
+        raise AssertionError("init_map drew weights")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    with pytest.raises(ConfigError) as refused:
+        init_map(input_dim=2, value_range=(0.0, 1.0), **kwargs)
+    assert str(refused.value) == message
+
+
 def test_init_bad_range():
     with pytest.raises(ConfigError):
         init_map(2, 2, 1, seed=0, value_range=(2.0, 1.0))
@@ -639,6 +658,8 @@ def test_apply_presentation_validation():
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=-1)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        TrainConfig(epochs=1, seed=-1)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, lr_start=0.0)
     with pytest.raises(ConfigError):
