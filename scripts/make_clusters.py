@@ -1,17 +1,17 @@
 """Generate the seeded Gaussian cluster benchmark as CSV files.
 
-Writes the labelled stimulus set used across the tests (three blobs in the
-plane, 20 points each) and, optionally, a regular grid of unlabelled probe
-vectors spanning the data's bounding box.  Probes join the reasoning domain
-without belonging to any category, which makes the extracted extensions
-easier to inspect.
+Writes ``three_cluster_dataset(seed)``, the labelled stimulus set used
+across the tests and README (three blobs in the plane, 20 points each), and,
+optionally, a regular grid of unlabelled probe vectors spanning the data's
+bounding box.  Probes join the reasoning domain without belonging to any
+category, which makes the extracted extensions easier to inspect.
 """
 
 import argparse
 
 import numpy as np
 
-from somlogic import gaussian_clusters
+from somlogic import three_cluster_dataset
 from somlogic.dataset import write_csv, write_probes
 
 
@@ -20,13 +20,10 @@ def main() -> None:
     ap.add_argument("--out", default="clusters.csv", help="destination CSV")
     ap.add_argument("--probes-out", help="also write a probe grid CSV here")
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--n-per-cluster", type=int, default=20)
-    ap.add_argument("--std", type=float, default=0.6, help="cluster spread")
     ap.add_argument("--grid", type=int, default=7, help="probe grid points per axis")
     args = ap.parse_args()
 
-    centers = [(0.0, 0.0), (6.0, 0.0), (3.0, 6.0)]
-    data = gaussian_clusters(centers, ["A", "B", "C"], args.n_per_cluster, args.std, args.seed)
+    data = three_cluster_dataset(args.seed)
     write_csv(args.out, data, header=True)
     print(f"wrote {len(data)} stimuli to {args.out}")
 

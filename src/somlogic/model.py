@@ -129,41 +129,38 @@ class SemanticModel:
     one boolean matrix ``ext`` of extension masks.
 
     Column ``col_of[eid]`` belongs to element ``eid`` (``element_ids`` is the
-    domain order, and so is ``origins``) and row ``row_of[name]`` to
-    category ``name`` (the order in which the categories were given).  Row
-    ``col_of[y]`` of ``features`` holds y's features, ``rd[row_of[C],
-    col_of[y]]`` is rd(y, C), a row of nan for a category without stimuli,
-    and ``ext`` is ``rd <= rd_max`` row by row.  The three matrices are
-    read-only.  An element is looked up by ``col_of``.  ``elements`` holds
-    the same features as ``DomainElement`` records, built on first read;
-    nothing that ``check`` or ``verify`` runs reads it.
+    domain order) and row ``row_of[name]`` to category ``name`` (the order
+    in which the categories were given).  Row ``col_of[y]`` of ``features``
+    holds y's features, ``rd[row_of[C], col_of[y]]`` is rd(y, C), a row of
+    nan for a category without stimuli, and ``ext`` is ``rd <= rd_max`` row
+    by row.  The three matrices are read-only.  An element is looked up by
+    ``col_of``.  ``origins`` and ``elements`` (the ``DomainElement``
+    records) are derived on first read, from the categories' reference
+    lists; nothing that ``check`` or ``verify`` runs reads them.
     """
 
     def __init__(
         self,
-        input_dim: int,
         element_ids: Sequence[str],
         col_of: dict[str, int],
         features: np.ndarray,
-        origins: Iterable[str],
         refs: Mapping[str, tuple[tuple[int, ...], tuple[str, ...], tuple[str, ...]]],
         precision: Sequence[float | None],
         rd: np.ndarray,
     ):
         """The model of the elements ``element_ids``, element ``eid`` in
-        column ``col_of[eid]``, with the rows of ``features`` and their
-        ``origins``, given each category's (bmu_units, bmu_elements,
-        stimulus_elements) in ``refs``, its precision (None without stimuli)
-        and its row of ``rd``, in the order of ``refs``.  Each category's
-        ``rd_max`` is the largest rd over its stimulus elements and its
-        extension every element with rd at most that."""
-        self.input_dim = input_dim
+        column ``col_of[eid]``, with the rows of ``features``, given each
+        category's (bmu_units, bmu_elements, stimulus_elements) in ``refs``,
+        its precision (None without stimuli) and its row of ``rd``, in the
+        order of ``refs``.  Each category's ``rd_max`` is the largest rd
+        over its stimulus elements and its extension every element with rd
+        at most that."""
+        self.input_dim = features.shape[1]
         self.element_ids = tuple(element_ids)
         if len(col_of) != len(self.element_ids):
             raise InputError("duplicate element ids in domain")
         self.col_of = col_of
         self.features = features
-        self.origins = tuple(origins)
         self.row_of = {name: i for i, name in enumerate(refs)}
 
         stim_rows, stim_cols = _cells(refs, col_of, 2)
@@ -189,6 +186,18 @@ class SemanticModel:
             for (name, (bmu_units, bmu_ids, stim_ids)), p, m
             in zip(refs.items(), precision, rd_max.tolist())
         }
+
+    @cached_property
+    def origins(self) -> tuple[str, ...]:
+        """Each element's origin, in domain order: ``stimulus`` if some
+        category lists it as a stimulus, else ``bmu`` if one lists it as a
+        BMU, else ``probe``."""
+        origin = dict.fromkeys(self.element_ids, "probe")
+        for t in self.categories.values():
+            origin.update(dict.fromkeys(t.bmu_element_ids, "bmu"))
+        for t in self.categories.values():
+            origin.update(dict.fromkeys(t.stimulus_element_ids, "stimulus"))
+        return tuple(origin.values())
 
     @cached_property
     def elements(self) -> tuple[DomainElement, ...]:
@@ -282,7 +291,7 @@ def build_model(
         )
     ids = list(by_feat.values())
     features = np.array(list(by_feat), dtype=np.float64).reshape(len(ids), som.input_dim)
-    return _derive(som.input_dim, ids, dict(zip(ids, range(len(ids)))), features, refs)
+    return _derive(ids, dict(zip(ids, range(len(ids)))), features, refs)
 
 
 def _fresh(eid: str, taken: set[str]) -> str:
@@ -314,16 +323,10 @@ def _cells(refs: Mapping[str, tuple], col_of: Mapping[str, int], which: int) -> 
     return rows, np.fromiter(map(col_of.__getitem__, chain.from_iterable(lists)), np.intp, len(rows))
 
 
-# Element origins by code, as an object array so that indexing it with a
-# vector of codes gives the origin strings in one pass.
-_ORIGINS = np.array(["stimulus", "bmu", "probe"], dtype=object)
-
-
 # Squared distances may overflow on far-apart features.  An infinite
 # distance is a valid rd; only an infinite precision is refused.
 @np.errstate(over="ignore")
 def _derive(
-    input_dim: int,
     element_ids: Sequence[str],
     col_of: dict[str, int],
     features: np.ndarray,
@@ -335,10 +338,8 @@ def _derive(
     category's (bmu_units, bmu_elements, stimulus_elements) in ``refs``,
     the BMU elements non-empty exactly when the stimulus elements are.  Each
     category's precision and row of rd come from the distances to the BMU
-    elements' own feature rows; an element's origin is ``stimulus`` if some
-    category lists it as a stimulus, else ``bmu`` if one lists it as a BMU,
-    else ``probe``.  The category names must be identifiers distinct from
-    the reserved words, whichever path the model comes from.
+    elements' own feature rows.  The category names must be identifiers
+    distinct from the reserved words, whichever path the model comes from.
     """
     _check_category_names(refs)
     if not np.isfinite(features).all():
@@ -370,11 +371,7 @@ def _derive(
             precision[i] = value
         rd[ranked] = _rd(num, p[:, np.newaxis])
 
-    origin = np.full(len(element_ids), 2)  # probe
-    origin[bmu_cols] = 1  # bmu
-    origin[stim_cols] = 0  # stimulus
-    origins = _ORIGINS[origin].tolist()
-    model = SemanticModel(input_dim, element_ids, col_of, features, origins, refs, precision, rd)
+    model = SemanticModel(element_ids, col_of, features, refs, precision, rd)
     _check_tables(model, bmu_cells, stim_cells)
     return model
 
@@ -532,7 +529,7 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, dict[str, tuple]]:
                              f"stimulus_elements must be all empty or all non-empty")
 
     features = flat.reshape(len(ids), input_dim)
-    return _derive(input_dim, ids, col_of, features, refs), stored
+    return _derive(ids, col_of, features, refs), stored
 
 
 def _check_stored(model: SemanticModel, stored: Mapping[str, tuple]) -> None:

@@ -116,9 +116,12 @@ class TrainConfig:
 
 
 def _check_seed(seed: int) -> None:
-    # numpy's generators take no negative seed.
+    # numpy's generators take no negative seed, and orjson reads an integer
+    # past uint64 back as a float, so map.json could not hold a larger one.
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed!r}")
+    if seed > 2**64 - 1:
+        raise ConfigError(f"seed must be at most 2**64 - 1, got {seed!r}")
 
 
 def _check_geometry(rows: int, cols: int, input_dim: int) -> None:

@@ -550,11 +550,9 @@ def make_model(rd_tables, stimulus_elements, bmu_elements=None, extra_elements=(
         refs[cat] = (tuple(range(len(bmu))), bmu, stim)
     rd = np.array([[tbl[e] for e in all_ids] for tbl in rd_tables.values()], dtype=np.float64)
     return SemanticModel(
-        input_dim=2,
         element_ids=all_ids,
         col_of={eid: i for i, eid in enumerate(all_ids)},
         features=np.array([(float(i), 0.0) for i in range(len(all_ids))]).reshape(-1, 2),
-        origins=["probe"] * len(all_ids),
         refs=refs,
         precision=[1.0] * len(refs),
         rd=rd.reshape(len(refs), len(all_ids)),

@@ -397,10 +397,12 @@ def test_criterion_10_cli_determinism_and_round_trip(capsys, clusters, tmp_path)
                 "--data", str(data_csv), "--out", str(out),
             ]) == 0
             assert cli_main(["verify", "--model", str(out / "model.json")]) == 0
+            assert cli_main(["trace", "--data", str(data_csv), "--out", str(out / "trace")] + args) == 0
         capsys.readouterr()
 
         one, two = tmp_path / "one", tmp_path / "two"
-        for name in ("map.json", "model.json", "specificity.json", "kb.txt", "qe_log.csv"):
+        for name in ("map.json", "model.json", "specificity.json", "kb.txt", "qe_log.csv",
+                     "trace/trace.jsonl", "trace/map.json", "trace/model.json", "trace/kb.txt"):
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
         map_doc = json.loads((one / "map.json").read_text())
@@ -415,4 +417,4 @@ def test_criterion_10_cli_determinism_and_round_trip(capsys, clusters, tmp_path)
         assert (tmp_path / "map2.json").read_bytes() == (one / "map.json").read_bytes()
         save_model(str(tmp_path / "model2.json"), load_model(str(one / "model.json")))
         assert (tmp_path / "model2.json").read_bytes() == (one / "model.json").read_bytes()
-        c["detail"] = "two seeded runs byte-identical, 3 schemas valid, snapshots lossless"
+        c["detail"] = "two seeded runs and traces byte-identical, 3 schemas valid, snapshots lossless"

@@ -1,5 +1,6 @@
 import argparse
 import json
+import resource
 import subprocess
 import sys
 import types
@@ -441,6 +442,38 @@ def test_out_of_memory_exit_1(tmp_path, data_csv, capsys, monkeypatch):
     for cmd in ("train", "trace"):
         assert main([cmd, "--data", data_csv, "--out", str(tmp_path / cmd)] + SMALL) == 1, cmd
         assert capsys.readouterr().err == "error: out of memory\n", cmd
+
+
+def test_allocation_refused_by_the_address_space_limit_exit_1(tmp_path, data_csv):
+    # A 20000x20000 map of 2 features needs 5.96 GiB of weights; the child
+    # limits its own address space to 2 GB, so numpy's allocation fails
+    # before any page is touched.  The test process keeps its limits.
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    argv = ["train", "--data", data_csv, "--out", str(tmp_path / "big"),
+            "--rows", "20000", "--cols", "20000", "--epochs", "1"]
+    proc = subprocess.run([sys.executable, "-m", "somlogic", *argv], capture_output=True,
+                          text=True, preexec_fn=limit_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: Unable to allocate "), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_seed_past_uint64_exit_1(tmp_path, data_csv, capsys):
+    # map.json stored such a seed, and orjson read it back as a float, so
+    # the map that train wrote was refused by extract.
+    for cmd in ("train", "trace"):
+        out = tmp_path / cmd
+        assert main([cmd, "--data", data_csv, "--out", str(out)] + SMALL + [f"--seed={2**64}"]) == 1
+        assert capsys.readouterr().err == f"error: seed must be at most 2**64 - 1, got {2**64}\n"
+        assert not out.exists(), cmd
+    out = tmp_path / "largest"
+    largest = f"--seed={2**64 - 1}"
+    assert main(["train", "--data", data_csv, "--out", str(out)] + SMALL + [largest]) == 0
+    assert main(["extract", "--map", str(out / "map.json"), "--data", data_csv,
+                 "--out", str(out)]) == 0
+    assert load_map(str(out / "map.json")).seed == 2**64 - 1
 
 
 def test_csv_field_past_the_field_limit_exit_1(tmp_path, data_csv, capsys):

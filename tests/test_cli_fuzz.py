@@ -8,6 +8,12 @@ no exception escapes ``main``, the exit code is a documented one, exits
 ``verify`` accepts is the one ``save_model`` writes back.  Every command
 runs on a 3 x 3 map for two epochs at most, so no input makes the program
 allocate much.
+
+``train`` and ``trace`` also run with edge values for their options: huge
+and negative integers, nan, infinities, -0.0 and subnormal floats.  Each
+exits 0 or 1, an exit 1 prints one ``error:`` line and writes nothing, and
+after an exit 0 the ``map.json`` written reads back.  A map side is either
+small or refused before anything is allocated.
 """
 
 import contextlib
@@ -27,6 +33,7 @@ from somlogic import (
     feature_range,
     init_map,
     jsonio,
+    load_map,
     load_model,
     model_snapshot,
     train,
@@ -248,3 +255,47 @@ def test_main_exits_cleanly_on_mutated_input(workdir, case):
     if role == "model" and code in (0, 3, 4):
         saved = model_snapshot(load_model(workdir / "model.json"))
         assert json.loads(text) == saved
+
+
+# Option values at the edges of what the parser and TrainConfig accept.
+OPTION_INTEGERS = [-1, 0, 1, 2, 2**63, 2**64 - 1, 2**64, 10**30]
+OPTION_FLOATS = ["nan", "inf", "-inf", "-0.0", "5e-324", "0.5", "1e308"]
+# A map side is at most 4, or so large that the map's weights are refused
+# before anything is allocated, and a run is at most two epochs long, so
+# every accepted run stays small.
+MAP_SIDES = [n for n in OPTION_INTEGERS if n <= 4 or n >= 2**63]
+EPOCHS = [n for n in OPTION_INTEGERS if n <= 2]
+OPTION_VALUES = {
+    "rows": MAP_SIDES,
+    "cols": MAP_SIDES,
+    "epochs": EPOCHS,
+    "seed": OPTION_INTEGERS,
+    **dict.fromkeys(["lr-start", "lr-end", "radius-start", "radius-end"], OPTION_FLOATS),
+}
+# A few options at a time, so that some runs are accepted.
+option_values = st.lists(st.sampled_from(sorted(OPTION_VALUES)), max_size=3, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({n: st.sampled_from(OPTION_VALUES[n]) for n in names}))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["train", "trace"]), option_values)
+# A seed past uint64 was written to map.json, which then read it as a float.
+@example("train", {"seed": 2**64})
+@example("trace", {"seed": 10**30})
+def test_main_exits_cleanly_on_option_values(workdir, command, options):
+    data = workdir / "options.csv"
+    data.write_text(DATA, encoding="utf-8")
+    out = workdir / "options-out"
+    shutil.rmtree(out, ignore_errors=True)
+    argv = [command, "--data", str(data), "--out", str(out)] + TRAINING
+    argv += [f"--{name}={value}" for name, value in options.items()]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not out.exists()
+    else:
+        assert load_map(out / "map.json").seed == options.get("seed", 7)

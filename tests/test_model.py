@@ -233,8 +233,7 @@ def test_table_invariants_name_the_first_violation(rd, precision, message):
     ids = ["x", "y", "z"]
     col_of = {eid: i for i, eid in enumerate(ids)}
     refs = {"A": ((0,), ("x",), ("x", "y")), "B": ((1,), ("y",), ("y",))}
-    m = SemanticModel(2, ids, col_of, np.zeros((3, 2)), ["stimulus", "stimulus", "probe"],
-                      refs, precision, np.array(rd))
+    m = SemanticModel(ids, col_of, np.zeros((3, 2)), refs, precision, np.array(rd))
     cells = (model_module._cells(refs, col_of, 1), model_module._cells(refs, col_of, 2))
     if message is None:
         model_module._check_tables(m, *cells)

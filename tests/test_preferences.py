@@ -896,11 +896,9 @@ def _sized_model(rng, n: int):
         if finite:
             tables[name] = dict(zip(ids, rd[c].tolist()))
     model = SemanticModel(
-        input_dim=2,
         element_ids=ids,
         col_of={e: i for i, e in enumerate(ids)},
         features=np.zeros((n, 2)),
-        origins=["probe"] * n,
         refs=refs,
         precision=[1.0 if name in tables else None for name in names],
         rd=rd,
@@ -958,11 +956,9 @@ def _override_chain_model(k: int, n: int, chain: int):
     rd[np.arange(k), np.arange(k)] = 0.0
     rd[np.arange(k), n - 1 - np.arange(k)] = np.inf
     model = SemanticModel(
-        input_dim=2,
         element_ids=ids,
         col_of={e: i for i, e in enumerate(ids)},
         features=np.zeros((n, 2)),
-        origins=["probe"] * n,
         refs={name: ((0,), (ids[c],), (ids[c],)) for c, name in enumerate(names)},
         precision=[1.0] * k,
         rd=rd,

@@ -101,6 +101,8 @@ def test_init_bad_dimensions(kwargs):
      "a 3037000500x3037000500 map of 2 features has more weights than numpy can address"),
     (dict(rows=10**9, cols=10**9, seed=0),
      "a 1000000000x1000000000 map of 2 features has more weights than numpy can address"),
+    # map.json could not hold it: orjson reads it back as a float
+    (dict(rows=3, cols=3, seed=2**64), f"seed must be at most 2**64 - 1, got {2**64}"),
 ])
 def test_init_refuses_before_the_draw(monkeypatch, kwargs, message):
     def draw(*args):
@@ -660,6 +662,9 @@ def test_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
         TrainConfig(epochs=1, seed=-1)
+    with pytest.raises(ConfigError, match=r"seed must be at most 2\*\*64 - 1"):
+        TrainConfig(epochs=1, seed=2**64)
+    assert TrainConfig(epochs=1, seed=2**64 - 1).seed == 2**64 - 1
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, lr_start=0.0)
     with pytest.raises(ConfigError):
