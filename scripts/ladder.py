@@ -16,9 +16,11 @@ run_trace over the rung's data (its time divided by its steps; not on XL,
 whose one-epoch trace is 9600 steps), and the median of three calls of
 quantization_error on the rung's data and trained map (train makes E of
 them, one per epoch for its log, so train less E of them is what its
-presentations cost), build_model, load_model of the rung's saved
-model.json, build_preferential, verify_order_axioms, verify_klm, minima
-over the whole domain (T(Top), with its strict-order guard), and
+presentations cost), build_model, the parse alone of the rung's saved
+model.json (``orjson.loads`` on its bytes, read once beforehand) and
+load_model of it, so that the split between parse and derivation shows,
+build_preferential, verify_order_axioms, verify_klm, minima over the whole
+domain (T(Top), with its strict-order guard), and
 `somlogic verify` and `somlogic check "T(Top) <= C0"` run in-process on the
 saved model.json (stdout captured).  It also prints the tracemalloc peak in
 MB of one revise step on the trace's last state (not on XL), of one call
@@ -49,6 +51,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import orjson
 
 from somlogic import (
     TrainConfig,
@@ -108,6 +111,7 @@ STAGES = (
     "quantization_error, one call",
     "revise, mean step over one epoch",
     "build_model",
+    "model.json parse (orjson.loads)",
     "load_model, one call",
     "build_preferential",
     "verify_order_axioms",
@@ -192,6 +196,8 @@ def rung_times(name, tmp):
     model = build_model(som, data)
     path = os.path.join(tmp, "model.json")
     save_model(path, model)
+    with open(path, "rb") as fh:
+        text = fh.read()
     rel = derive_specificity(model)
     pref = build_preferential(model, rel)
 
@@ -205,6 +211,7 @@ def rung_times(name, tmp):
         median_ms(lambda: quantization_error(som, data)),
         step_ms,
         median_ms(lambda: build_model(som, data)),
+        median_ms(lambda: orjson.loads(text)),
         median_ms(lambda: load_model(path)),
         median_ms(lambda: build_preferential(model, rel)),
         median_ms(lambda: verify_order_axioms(pref)),

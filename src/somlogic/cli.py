@@ -20,8 +20,8 @@ Exit codes:
   CSV, features whose squared distances or initial weight band overflow
   float64, a ``model.json`` whose stored rd tables differ from the ones
   ``build_model``'s derivation gives for its features and prototype lists
-  or that an older ``extract`` wrote (it has a top-level ``extensions``
-  key), or a run that numpy cannot find the memory for.
+  or that an older ``extract`` wrote (it has no top-level ``features``
+  column), or a run that numpy cannot find the memory for.
 * 2: a file cannot be opened, is not UTF-8 text, or is not valid JSON;
   ``jsonio.load_file`` names what it refuses beyond what ``json`` refuses
   (``NaN``, ``1e400``, nesting past 10 000 levels).

@@ -27,12 +27,14 @@ Per category ``C`` with at least one stimulus:
 Only the element features and each category's ``bmu_units``,
 ``bmu_elements`` and ``stimulus_elements`` come from the map; ``_derive``
 computes the rest from them.  ``build_model`` reads those off the map, and
-``load_model`` off a saved ``model.json``.  Of the derived values the file
-stores only each category's rd table and ``rd_max``, which must equal the
-derived ones; the loader compares each table with its derived row in one
-list comparison, and walks its elements only when that comparison has
-failed, to name the first difference.  A file with a top-level
-``extensions`` key, which an older ``extract`` wrote, is refused.
+``load_model`` off a saved ``model.json``.  The file keeps each element's
+id in its record and all features in one top-level ``features`` column,
+row-major, ``input_dim`` numbers per element in domain order.  Of the
+derived values it stores only each category's rd table and ``rd_max``,
+which must equal the derived ones; the loader compares each table with its
+derived row in one list comparison, and walks its elements only when that
+comparison has failed, to name the first difference.  A file without the
+``features`` column, which an older ``extract`` wrote, is refused.
 
 The model is dense: one ``elements x input_dim`` float64 matrix of
 features, one ``categories x elements`` float64 matrix of rd and one
@@ -430,7 +432,8 @@ def model_snapshot(model: SemanticModel) -> dict:
         }
     return {
         "input_dim": model.input_dim,
-        "elements": [{"id": eid, "features": f} for eid, f in zip(ids, model.features.tolist())],
+        "elements": [{"id": eid} for eid in ids],
+        "features": model.features.ravel().tolist(),
         "categories": cats,
     }
 
@@ -439,36 +442,43 @@ def model_snapshot(model: SemanticModel) -> dict:
 _MISSING = "missing"
 
 
-def model_from_snapshot(doc: dict) -> SemanticModel:
-    """The model a snapshot describes, derived again from its element
-    features and reference lists by ``build_model``'s own code.  A stored
+def model_from_snapshot(doc: dict, *, release: bool = False) -> SemanticModel:
+    """The model a snapshot describes, derived again from its features
+    column and reference lists by ``build_model``'s own code.  A stored
     ``rd_max`` or rd table that differs from the derived one is refused
-    with ``InputError``, naming it, and so is a snapshot with a top-level
-    ``extensions`` key, which only an older ``extract`` wrote.
+    with ``InputError``, naming it, and so is a snapshot without the
+    top-level ``features`` column, which only an older ``extract`` wrote
+    (it kept each element's features in the element's record).
 
-    The features are read into one matrix, and must be lists of JSON
-    numbers, as ``bmu_units`` must be strictly increasing lists of
-    non-negative integers and each category's ``rd`` an object, as
-    ``build_model`` writes them, and ``input_dim`` an integer; anything
-    else is a malformed snapshot.  The stored tables are read as parsed,
-    not copied, and compared a row at a time (``_check_stored``).  A value
-    nested too deep for ``repr`` or ``==`` (``jsonio.load_file`` reads
-    ``MAX_DEPTH`` levels) is a malformed snapshot too."""
+    The features column must be one list of JSON numbers, ``input_dim`` of
+    them per element in domain order, as ``bmu_units`` must be strictly
+    increasing lists of non-negative integers and each category's ``rd`` an
+    object, as ``build_model`` writes them, and ``input_dim`` an integer;
+    anything else is a malformed snapshot.  The stored tables are read as
+    parsed, not copied, and compared a row at a time (``_check_stored``).  A
+    value nested too deep for ``repr`` or ``==`` (``jsonio.load_file`` reads
+    ``MAX_DEPTH`` levels) is a malformed snapshot too.
+
+    ``doc`` is left as it was given, unless ``release`` says the caller
+    gives it up: then the element records and the features column are
+    deleted from it once read, so that the derivation's scratch does not sit
+    on top of them.  ``load_model`` releases the document it parsed."""
     try:
-        model, stored = _derive_snapshot(doc)
+        model, stored = _derive_snapshot(doc, release)
         _check_stored(model, stored)
     except RecursionError as exc:
         raise InputError(f"malformed model snapshot: {exc}") from exc
     return model
 
 
-def _derive_snapshot(doc: dict) -> tuple[SemanticModel, dict[str, tuple]]:
-    """The model derived from a snapshot's element features and reference
+def _derive_snapshot(doc: dict, release: bool = False) -> tuple[SemanticModel, dict[str, tuple]]:
+    """The model derived from a snapshot's features column and reference
     lists, with the (rd_max, rd) that the snapshot stores per category, as
-    read.  Any other key is not read."""
-    if isinstance(doc, dict) and "extensions" in doc:
-        raise InputError("model snapshot has a top-level 'extensions' key, which only an older "
-                         "extract wrote; run extract again")
+    read.  Any other key is not read.  With ``release``, the element
+    records and the features column are deleted from ``doc`` once read."""
+    if isinstance(doc, dict) and "features" not in doc:
+        raise InputError("model snapshot has no top-level 'features' column, so an older "
+                         "extract wrote it; run extract again")
     try:
         input_dim = doc["input_dim"]
         if type(input_dim) is not int:
@@ -477,16 +487,15 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, dict[str, tuple]]:
         if set(map(type, ids)) - {str} or "" in ids:
             eid = next(e for e in ids if type(e) is not str or not e)
             raise TypeError(f"element ids must be non-empty strings, got {eid!r}")
-        rows = [e["features"] for e in doc["elements"]]
-        # A row that is not a list either fails to iterate, or yields
-        # something that is not a number ("12" yields "1" and "2"), or
-        # yields nothing and fails the length check below.
-        flat = list(chain.from_iterable(rows))
-        if set(map(type, flat)) - {float, int}:
-            eid, f = next((eid, f) for eid, f in zip(ids, rows) if type(f) is not list
-                          or any(type(v) not in (float, int) for v in f))
-            raise TypeError(f"element {eid!r}: features must be a list of numbers, got {f!r}")
-        flat = np.fromiter(flat, np.float64, len(flat))
+        column = doc["features"]
+        if type(column) is not list:
+            raise TypeError(f"features must be a list of numbers, got {type(column).__name__}")
+        if set(map(type, column)) - {float, int}:
+            i = next(i for i, v in enumerate(column) if type(v) not in (float, int))
+            raise TypeError(f"features must be a list of numbers, got {column[i]!r} at index {i}")
+        flat = np.fromiter(column, np.float64, len(column))
+        if release:
+            del doc["elements"], doc["features"], column
         refs, stored = {}, {}
         for name, c in doc["categories"].items():
             units = c["bmu_units"]
@@ -512,9 +521,7 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, dict[str, tuple]]:
     # What the derivation reads must be well formed.
     if input_dim < 1:
         raise InputError(f"input_dim must be positive, got {input_dim}")
-    if set(map(len, rows)) - {input_dim}:
-        eid, f = next((eid, f) for eid, f in zip(ids, rows) if len(f) != input_dim)
-        raise InputError(f"element {eid!r} has {len(f)} features, input_dim is {input_dim}")
+    features = _feature_matrix(flat, len(ids), input_dim)
     col_of = dict(zip(ids, range(len(ids))))
     for name, (bmu_units, bmu, stim) in refs.items():
         for eid in (*bmu, *stim):
@@ -528,8 +535,16 @@ def _derive_snapshot(doc: dict) -> tuple[SemanticModel, dict[str, tuple]]:
             raise InputError(f"category {name!r}: bmu_units, bmu_elements and "
                              f"stimulus_elements must be all empty or all non-empty")
 
-    features = flat.reshape(len(ids), input_dim)
     return _derive(ids, col_of, features, refs), stored
+
+
+def _feature_matrix(flat: np.ndarray, n: int, input_dim: int) -> np.ndarray:
+    """The features column ``flat`` as the ``n x input_dim`` matrix of the
+    snapshot's ``n`` elements, refused unless it holds that many numbers."""
+    if flat.size != n * input_dim:
+        raise InputError(f"features column holds {flat.size} numbers, {n} elements of "
+                         f"input_dim {input_dim} take {n * input_dim}")
+    return flat.reshape(n, input_dim)
 
 
 def _check_stored(model: SemanticModel, stored: Mapping[str, tuple]) -> None:
@@ -595,4 +610,4 @@ def save_model(path, model: SemanticModel) -> None:
 
 
 def load_model(path) -> SemanticModel:
-    return model_from_snapshot(jsonio.load_file(path))
+    return model_from_snapshot(jsonio.load_file(path), release=True)

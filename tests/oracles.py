@@ -474,12 +474,19 @@ def oracle_verify_klm(
 
 
 def oracle_model_from_snapshot(doc: dict) -> SemanticModel:
-    """``model_from_snapshot`` with every stored table compared element by
-    element: the loader's slow reference.  It reads and derives the model
-    with the library's own ``_derive_snapshot`` and refuses, in the same
-    order and with the same ``InputError`` message, an ``rd_max`` or rd
-    entry that differs from the derived one."""
+    """``model_from_snapshot`` with the features column cut element by
+    element and every stored table compared element by element: the
+    loader's slow reference.  It cuts a well-typed column into one slice of
+    ``input_dim`` numbers per element (``_feature_rows``), reads and derives
+    the model with the library's own ``_derive_snapshot``, whose features
+    must be those slices, and refuses, in the same order and with the same
+    ``InputError`` message, an ``rd_max`` or rd entry that differs from the
+    derived one."""
+    rows = _feature_rows(doc)
     model, stored = _derive_snapshot(doc)
+    if rows is not None and model.features.tolist() != rows:
+        raise AssertionError(f"the loader read features {model.features.tolist()}, "
+                             f"the column holds {rows}")
     missing = "missing"
 
     def refuse(where: str, got, want) -> InputError:
@@ -501,14 +508,35 @@ def oracle_model_from_snapshot(doc: dict) -> SemanticModel:
     return model
 
 
+def _feature_rows(doc) -> list[list] | None:
+    """Element i's features, numbers i * input_dim to (i + 1) * input_dim
+    of the snapshot's features column, for each element in turn; None when
+    the loader refuses the snapshot before it counts the column's numbers.
+    A slice that comes up short, or a number left over, is refused with
+    the loader's message."""
+    if not isinstance(doc, dict):
+        return None
+    column, dim, elements = doc.get("features"), doc.get("input_dim"), doc.get("elements")
+    if not (type(column) is list and all(type(v) in (float, int) for v in column)
+            and type(dim) is int and dim >= 1 and type(elements) is list):
+        return None
+    rows = [column[i * dim:(i + 1) * dim] for i in range(len(elements))]
+    if any(len(row) != dim for row in rows) or len(column) > len(elements) * dim:
+        raise InputError(f"features column holds {len(column)} numbers, {len(elements)} elements "
+                         f"of input_dim {dim} take {len(elements) * dim}")
+    return rows
+
+
 def old_format(doc: dict) -> dict:
-    """``doc`` with the derived values that ``model_snapshot`` wrote before
-    the format dropped them put back: each element's ``origin``, each
+    """``doc`` as ``model_snapshot`` wrote it before the features column:
+    each element's features in its record, and the derived values that the
+    format has since dropped put back, each element's ``origin``, each
     category's ``precision`` and the top-level ``extensions``, a sorted list
     of element ids per category.  Returns ``doc``."""
     model = _derive_snapshot(doc)[0]
-    for element, origin in zip(doc["elements"], model.origins):
-        element["origin"] = origin
+    del doc["features"]
+    for element, features, origin in zip(doc["elements"], model.features.tolist(), model.origins):
+        element.update(features=features, origin=origin)
     for name, cat in doc["categories"].items():
         cat["precision"] = model.categories[name].precision
     doc["extensions"] = {name: sorted(extension_ids(model, name)) for name in model.row_of}

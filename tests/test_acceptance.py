@@ -327,7 +327,7 @@ MAP_SCHEMA = {
 
 MODEL_SCHEMA = {
     "type": "object",
-    "required": ["input_dim", "elements", "categories"],
+    "required": ["input_dim", "elements", "features", "categories"],
     "additionalProperties": False,
     "properties": {
         "input_dim": {"type": "integer", "minimum": 1},
@@ -335,14 +335,13 @@ MODEL_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["id", "features"],
+                "required": ["id"],
                 "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "features": {"type": "array", "items": {"type": "number"}},
-                },
+                "properties": {"id": {"type": "string"}},
             },
         },
+        # input_dim numbers per element, row-major in domain order
+        "features": {"type": "array", "items": {"type": "number"}},
         "categories": {
             "type": "object",
             "additionalProperties": {

@@ -284,11 +284,11 @@ def _snapshot_text(tmp_path, data_csv, kind, edit):
 
 
 _FIRST_NUMBER = {
-    "model": lambda doc, v: doc["elements"][0]["features"].__setitem__(0, v),
+    "model": lambda doc, v: doc["features"].__setitem__(0, v),
     "map": lambda doc, v: doc["units"][0]["weights"].__setitem__(0, v),
 }
 _FIRST_VECTOR = {
-    "model": lambda doc, v: doc["elements"][0].update(features=v),
+    "model": lambda doc, v: doc.update(features=v),
     "map": lambda doc, v: doc["units"][0].update(weights=v),
 }
 
@@ -644,13 +644,13 @@ def _edit_precision(doc):
 
 
 def _edit_shifted_features(doc):
-    element = doc["elements"][0]
-    element["features"] = [v + 5.0 for v in element["features"]]
+    dim = doc["input_dim"]
+    doc["features"][:dim] = [v + 5.0 for v in doc["features"][:dim]]
 
 
 def _edit_overflowing_features(doc):
-    element = doc["elements"][0]
-    element["features"] = [1e200] * len(element["features"])
+    dim = doc["input_dim"]
+    doc["features"][:dim] = [1e200] * dim
 
 
 def _edit_input_dim(doc):
@@ -658,7 +658,7 @@ def _edit_input_dim(doc):
 
 
 def _edit_extra_feature(doc):
-    doc["elements"][0]["features"].append(0.0)
+    doc["features"].append(0.0)
 
 
 def _edit_origin(doc):
@@ -679,11 +679,11 @@ def _edit_cyclic_tables(doc):
 
 
 def _edit_features_to_string(doc):
-    doc["elements"][0]["features"] = "0" * len(doc["elements"][0]["features"])
+    doc["features"] = "0" * len(doc["features"])
 
 
 def _edit_boolean_feature(doc):
-    doc["elements"][0]["features"][0] = False
+    doc["features"][0] = False
 
 
 def _edit_bmu_units_to_strings(doc):
@@ -730,7 +730,7 @@ def test_broken_snapshot_exit_1(tmp_path, data_csv, capsys, edit):
 
 
 def test_model_in_the_older_format_exit_1(tmp_path, data_csv, capsys):
-    # A model.json that an older extract wrote names the key that marks it
+    # A model.json that an older extract wrote names the column it lacks
     # and says how to get a current one.
     out = train_and_extract(tmp_path, data_csv)
     path = out / "model.json"
@@ -739,8 +739,8 @@ def test_model_in_the_older_format_exit_1(tmp_path, data_csv, capsys):
     for argv in (["verify"], ["check", "--query", "X <= Y"], ["check", "--query", "T(X) <= Y"]):
         assert main(argv + ["--model", str(path)]) == 1, argv
         assert capsys.readouterr().err == (
-            "error: model snapshot has a top-level 'extensions' key, which only an older "
-            "extract wrote; run extract again\n")
+            "error: model snapshot has no top-level 'features' column, so an older extract "
+            "wrote it; run extract again\n")
 
 
 def test_usage_errors_exit_1(capsys):
