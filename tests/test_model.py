@@ -622,10 +622,11 @@ def _integer_id(doc, old: str, place) -> None:
      "category 'A': stimulus_elements must be a list of element ids, "
      "got [7, 'a1', 'a2', 'a3', 'a4']"),
     # a string of digits iterates as digits, and False as 0.0
-    (lambda doc: doc.update(features="22" * len(doc["features"])),
-     "features must be a list of numbers, got str"),
-    (lambda doc: doc["features"].__setitem__(0, False),
-     "features must be a list of numbers, got False at index 0"),
+    pytest.param(lambda doc: doc.update(features="22" * len(doc["features"])),
+                 "features must be a list of numbers, got str", id="features a string"),
+    pytest.param(lambda doc: doc["features"].__setitem__(0, False),
+                 "features must be a list of numbers, got False at index 0",
+                 id="features holding False"),
     (lambda doc: doc["categories"]["A"].update(bmu_units=["1"]),
      "category 'A': bmu_units must be a list of integers, got ['1']"),
     (lambda doc: doc["categories"]["A"].update(bmu_units=[True]),
