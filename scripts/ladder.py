@@ -17,17 +17,20 @@ whose one-epoch trace is 9600 steps), and the median of three calls of
 quantization_error on the rung's data and trained map (train makes E of
 them, one per epoch for its log, so train less E of them is what its
 presentations cost), build_model, the parse alone of the rung's saved
-model.json (``orjson.loads`` on its bytes, read once beforehand) and
+model.json (``orjson.loads`` on its bytes, read once beforehand),
+model_from_snapshot of the parsed document (the derivation alone) and
 load_model of it, so that the split between parse and derivation shows,
 build_preferential, verify_order_axioms, verify_klm, minima over the whole
 domain (T(Top), with its strict-order guard), and
 `somlogic verify` and `somlogic check "T(Top) <= C0"` run in-process on the
 saved model.json (stdout captured).  It also prints the tracemalloc peak in
-MB of one revise step on the trace's last state (not on XL), of one call
-each of load_model, build_preferential, verify_order_axioms, verify_klm and
-minima over the whole domain, and the max RSS in MB of one `somlogic
-verify` run, read from its own resource usage (``os.wait4``) by the fresh
-interpreter that spawns it.
+MB of one revise step on the trace's last state (not on XL), of one
+quantization_error call on a thread that has run the distance kernel and
+as the first call of a fresh thread, which allocates the thread's kernel
+buffers, of one call each of load_model, build_preferential,
+verify_order_axioms, verify_klm and minima over the whole domain, and the
+max RSS in MB of one `somlogic verify` run, read from its own resource
+usage (``os.wait4``) by the fresh interpreter that spawns it.
 The revise step is timed in a fresh child process too, since its speed
 follows what the process ran and freed before it (glibc's dynamic mmap
 and trim thresholds).  Run it from the repository root as
@@ -36,10 +39,10 @@ and trim thresholds).  Run it from the repository root as
 
 The child runs ``scripts/ladder.py --revise-step RUNG``, which prints only
 that rung's mean revision step in milliseconds and the tracemalloc peak
-in MB of one more step on the trace's last state, which holds the trace's
-kernel workspace.
+in MB of one more step on the trace's last state.
 """
 
+import concurrent.futures
 import contextlib
 import io
 import os
@@ -63,6 +66,7 @@ from somlogic import (
     init_map,
     load_model,
     minima,
+    model_from_snapshot,
     quantization_error,
     revise,
     run_trace,
@@ -106,12 +110,27 @@ def peak_mb(fn):
         tracemalloc.stop()
 
 
+def derivation_ms(text):
+    """The median of three model_from_snapshot calls on the model.json
+    ``text``, parsed once beforehand.  The parsed document is let go of on
+    return: held on, it changes the verify_klm peak measured later."""
+    doc = orjson.loads(text)
+    return median_ms(lambda: model_from_snapshot(doc))
+
+
+def in_fresh_thread(fn):
+    """``fn()``, run in a new thread, which holds no distance-kernel buffers."""
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
+
+
 STAGES = (
     "train, one call",
     "quantization_error, one call",
     "revise, mean step over one epoch",
     "build_model",
     "model.json parse (orjson.loads)",
+    "model_from_snapshot of the parsed document",
     "load_model, one call",
     "build_preferential",
     "verify_order_axioms",
@@ -123,6 +142,7 @@ STAGES = (
 PEAKS = (
     "revise, one step on a revised state", "load_model", "build_preferential",
     "verify_order_axioms", "verify_klm", "minima, whole domain",
+    "quantization_error, one call", "quantization_error, first call of a fresh thread",
 )
 
 
@@ -212,6 +232,7 @@ def rung_times(name, tmp):
         step_ms,
         median_ms(lambda: build_model(som, data)),
         median_ms(lambda: orjson.loads(text)),
+        derivation_ms(text),
         median_ms(lambda: load_model(path)),
         median_ms(lambda: build_preferential(model, rel)),
         median_ms(lambda: verify_order_axioms(pref)),
@@ -226,6 +247,8 @@ def rung_times(name, tmp):
         peak_mb(lambda: verify_order_axioms(pref)),
         peak_mb(lambda: verify_klm(pref)),
         peak_mb(lambda: minima(model, rel, domain)),
+        peak_mb(lambda: quantization_error(som, data)),
+        in_fresh_thread(lambda: peak_mb(lambda: quantization_error(som, data))),
     ], child_max_rss_mb(["verify", "--model", path])
 
 

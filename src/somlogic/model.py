@@ -442,7 +442,7 @@ def model_snapshot(model: SemanticModel) -> dict:
 _MISSING = "missing"
 
 
-def model_from_snapshot(doc: dict, *, release: bool = False) -> SemanticModel:
+def model_from_snapshot(doc: dict) -> SemanticModel:
     """The model a snapshot describes, derived again from its features
     column and reference lists by ``build_model``'s own code.  A stored
     ``rd_max`` or rd table that differs from the derived one is refused
@@ -457,25 +457,24 @@ def model_from_snapshot(doc: dict, *, release: bool = False) -> SemanticModel:
     anything else is a malformed snapshot.  The stored tables are read as
     parsed, not copied, and compared a row at a time (``_check_stored``).  A
     value nested too deep for ``repr`` or ``==`` (``jsonio.load_file`` reads
-    ``MAX_DEPTH`` levels) is a malformed snapshot too.
+    ``MAX_DEPTH`` levels) is a malformed snapshot too.  ``doc`` is left as
+    it was given."""
+    return _checked_model(doc, _read_elements(doc))
 
-    ``doc`` is left as it was given, unless ``release`` says the caller
-    gives it up: then the element records and the features column are
-    deleted from it once read, so that the derivation's scratch does not sit
-    on top of them.  ``load_model`` releases the document it parsed."""
+
+def _checked_model(doc: dict, elements: tuple) -> SemanticModel:
+    """``model_from_snapshot`` on ``doc`` and its ``_read_elements``."""
     try:
-        model, stored = _derive_snapshot(doc, release)
+        model, stored = _derive_snapshot(doc, *elements)
         _check_stored(model, stored)
     except RecursionError as exc:
         raise InputError(f"malformed model snapshot: {exc}") from exc
     return model
 
 
-def _derive_snapshot(doc: dict, release: bool = False) -> tuple[SemanticModel, dict[str, tuple]]:
-    """The model derived from a snapshot's features column and reference
-    lists, with the (rd_max, rd) that the snapshot stores per category, as
-    read.  Any other key is not read.  With ``release``, the element
-    records and the features column are deleted from ``doc`` once read."""
+def _read_elements(doc: dict) -> tuple[int, list, np.ndarray]:
+    """A snapshot's ``input_dim``, element ids and features column, the
+    column as a flat array; ``doc`` is not changed."""
     if isinstance(doc, dict) and "features" not in doc:
         raise InputError("model snapshot has no top-level 'features' column, so an older "
                          "extract wrote it; run extract again")
@@ -493,9 +492,17 @@ def _derive_snapshot(doc: dict, release: bool = False) -> tuple[SemanticModel, d
         if set(map(type, column)) - {float, int}:
             i = next(i for i, v in enumerate(column) if type(v) not in (float, int))
             raise TypeError(f"features must be a list of numbers, got {column[i]!r} at index {i}")
-        flat = np.fromiter(column, np.float64, len(column))
-        if release:
-            del doc["elements"], doc["features"], column
+        return input_dim, ids, np.fromiter(column, np.float64, len(column))
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed model snapshot: {exc}") from exc
+
+
+def _derive_snapshot(doc: dict, input_dim: int, ids: list,
+                     flat: np.ndarray) -> tuple[SemanticModel, dict[str, tuple]]:
+    """The model derived from a snapshot's elements (``_read_elements``) and
+    reference lists, with the (rd_max, rd) that the snapshot stores per
+    category, as read.  Any other key is not read."""
+    try:
         refs, stored = {}, {}
         for name, c in doc["categories"].items():
             units = c["bmu_units"]
@@ -610,4 +617,10 @@ def save_model(path, model: SemanticModel) -> None:
 
 
 def load_model(path) -> SemanticModel:
-    return model_from_snapshot(jsonio.load_file(path), release=True)
+    """``model_from_snapshot`` of the file at ``path``; the parsed element
+    records and features column are deleted once read, so that the
+    derivation's scratch does not sit on top of them."""
+    doc = jsonio.load_file(path)
+    elements = _read_elements(doc)
+    del doc["elements"], doc["features"]
+    return _checked_model(doc, elements)

@@ -22,13 +22,11 @@ the mask differ from the previous state's; otherwise the new state shares
 the previous KB object.  The full semantic model, ``RevisionState.model``,
 is built when it is first read, and then kept.
 
-A trace keeps one workspace of distance-kernel buffers across its steps
-(``som._blocks``): each state holds it until a step from that state takes
-it over and hands it to the new state, so the kernels of a step allocate
-no block buffers and run a step's distance matrix in one block.  A step
-from a state whose workspace was already taken (an older state revised
-again, or one state revised from two threads) starts a fresh one, so two
-states never share buffers.
+Both kernels run on the block buffers that the calling thread keeps
+across calls (``som._blocks``), so after a thread's first step the
+kernels of a step allocate no block buffers, and they run a step's
+distance matrix in one block.  States hold no buffers: any state can be
+revised again, from any thread.
 
 Before anything is seen every category is empty, so the initial knowledge
 base is exactly ``{Ci <= Bot}`` for every category.  A full trace over the
@@ -39,7 +37,7 @@ presentation schedule over the same initial map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -102,9 +100,7 @@ class RevisionState:
     presents a new stimulus adds one row.  ``inclusions`` is the categories'
     ``inclusion_table``, built once per trace, from which each step picks
     its KB.  ``kb_key`` is ``kb``'s ``_kb_key``, None before the first
-    step.  ``_workspace`` holds the trace's kernel workspace until a step
-    from this state takes it over (``revise``); it is empty after that, and
-    in ``initial_state``.
+    step.
     """
 
     som: SomMap
@@ -116,7 +112,6 @@ class RevisionState:
     kb: frozenset[Inclusion]
     kb_key: bytes | None
     steps_done: int
-    _workspace: list = field(default_factory=list, compare=False, repr=False)
 
     @property
     def seen(self) -> tuple[Stimulus, ...]:
@@ -153,15 +148,13 @@ def _kb_key(criteria: Mapping[str, np.ndarray], empty: np.ndarray) -> bytes:
 
 def _kb_of(som: SomMap, categories: tuple[str, ...], features: np.ndarray, labels: np.ndarray,
            seen: Mapping[str, Stimulus], table: np.ndarray,
-           reuse: tuple[bytes | None, frozenset[Inclusion]],
-           workspace: list) -> tuple[bytes, frozenset[Inclusion]]:
+           reuse: tuple[bytes | None, frozenset[Inclusion]]) -> tuple[bytes, frozenset[Inclusion]]:
     """``extract_kb(build_model(som, seen, categories=categories)).kb`` from
     the BMU geometry alone, with its key (``_kb_key``); ``features`` and
     ``labels`` describe ``seen``, and ``table`` is the categories'
     ``inclusion_table``.  ``reuse`` is a (key, KB) pair whose KB is
-    returned as it is when the key is the same.  Both kernels run on the
-    buffers of ``workspace`` (``som._blocks``)."""
-    bmu, d2 = nearest_units(features, som.weights, workspace)
+    returned as it is when the key is the same."""
+    bmu, d2 = nearest_units(features, som.weights)
     k = len(categories)
     # pairs[c, u]: some stimulus of category c has BMU u
     pairs = np.zeros((k, som.n_units), dtype=bool)
@@ -185,7 +178,7 @@ def _kb_of(som: SomMap, categories: tuple[str, ...], features: np.ndarray, label
     rd_max = np.where(precision > 0.0, 1.0, 0.0)
 
     unit_weights = som.weights[hit]
-    num = np.sqrt(nearest_in_groups(unit_weights, unit_weights, unit, starts, workspace))
+    num = np.sqrt(nearest_in_groups(unit_weights, unit_weights, unit, starts))
     rd = _rd(num, precision[ranked])  # rd(BMU unit, ranked category)
     val = np.full((k, k), np.nan)
     val[ranked[:, np.newaxis], ranked] = np.maximum.reduceat(rd[unit], starts, axis=0)
@@ -199,8 +192,7 @@ def _kb_of(som: SomMap, categories: tuple[str, ...], features: np.ndarray, label
 def revise(state: RevisionState, stimulus: Stimulus, lr: float, radius: float) -> tuple[RevisionState, RevisionStep]:
     """Present one stimulus and compute the knowledge base again; the new
     state shares the previous KB object when the criteria that made it are
-    unchanged.  The new state takes over ``state``'s kernel workspace, or
-    starts a fresh one if a step from ``state`` already took it."""
+    unchanged."""
     if stimulus.label not in state.categories:
         raise InputError(
             f"stimulus {stimulus.sid!r} has label {stimulus.label!r}, "
@@ -211,17 +203,13 @@ def revise(state: RevisionState, stimulus: Stimulus, lr: float, radius: float) -
     if known is not None and (known.features != stimulus.features or known.label != stimulus.label):
         raise InputError(f"stimulus id {stimulus.sid!r} reused with different content")
 
-    try:
-        workspace = state._workspace.pop()  # one atomic take-over
-    except IndexError:
-        workspace = []
     new_som = apply_presentation(state.som, stimulus, lr, radius)
     if known is None:
         seen = {**seen, stimulus.sid: stimulus}
         features = np.vstack((features, stimulus.features))
         labels = np.append(labels, state.categories.index(stimulus.label))
     kb_key, kb = _kb_of(new_som, state.categories, features, labels, seen,
-                        state.inclusions, (state.kb_key, state.kb), workspace)
+                        state.inclusions, (state.kb_key, state.kb))
 
     step = RevisionStep(
         step_index=state.steps_done,
@@ -241,7 +229,6 @@ def revise(state: RevisionState, stimulus: Stimulus, lr: float, radius: float) -
         kb=kb,
         kb_key=kb_key,
         steps_done=state.steps_done + 1,
-        _workspace=[workspace],
     )
     return new_state, step
 

@@ -18,6 +18,9 @@ distance in the order of the distance kernel (``nearest_units``).  The
 schedule (``presentation_schedule``) computes each epoch's parameters at
 once.  Every weight equals, bit for bit, the one the step-by-step formulas
 give.
+
+The distance kernel (``nearest_units``, ``nearest_in_groups``) runs on
+``dim + 1`` block buffers that each thread keeps across calls (``_blocks``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -116,8 +120,11 @@ class TrainConfig:
 
 
 def _check_seed(seed: int) -> None:
-    # numpy's generators take no negative seed, and orjson reads an integer
-    # past uint64 back as a float, so map.json could not hold a larger one.
+    # map.json holds the seed as a JSON integer (``_json_int``), numpy's
+    # generators take no negative seed, and orjson reads an integer past
+    # uint64 back as a float, so map.json could not hold a larger one.
+    if type(seed) is not int:
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed!r}")
     if seed > 2**64 - 1:
@@ -173,6 +180,7 @@ class SomMap:
 
     def __post_init__(self):
         _check_geometry(self.rows, self.cols, self.input_dim)
+        _check_seed(self.seed)
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (self.rows * self.cols, self.input_dim):
             raise ConfigError(
@@ -286,13 +294,12 @@ def _check_vector(som: SomMap, x) -> np.ndarray:
 
 
 # Distance-matrix entries per row block of ``_blocks``, which sizes each
-# of its ``dim + 1`` buffers: at most 32 KB each, 288 KB together at dim 8.
-# A map of more units than this takes one row per block.
-_BLOCK_ENTRIES = 4096
-# The same for a caller that holds a workspace across calls (a revision
-# trace): its buffers are allocated once, at 128 KB each (1.1 MB at dim 8),
-# so a trace step's distance matrix runs in one block.
-_HELD_BLOCK_ENTRIES = 16384
+# of its ``dim + 1`` buffers: 128 KB each, 1152 KB together at dim 8, so
+# that a revision step's distance matrix runs in one block.  A map of more
+# units than this takes one row per block.
+_BLOCK_ENTRIES = 16384
+# Each thread's kernel buffers, as the list ``buffers`` (``_thread_buffers``).
+_scratch = threading.local()
 
 
 def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
@@ -326,46 +333,42 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _held_buffers(workspace: list, count: int, size: int) -> list:
-    """The first ``count`` buffers of ``workspace``, each of at least
-    ``size`` entries.  A workspace with fewer buffers, or smaller ones, is
-    filled again with ``count`` buffers of at least ``_HELD_BLOCK_ENTRIES``."""
-    if len(workspace) < count or workspace[0].size < size:
-        workspace[:] = [np.empty(max(size, _HELD_BLOCK_ENTRIES)) for _ in range(count)]
-    return workspace[:count]
+def _thread_buffers(count: int, size: int) -> list:
+    """The first ``count`` of this thread's kernel buffers, each of at
+    least ``size`` entries.  A thread with fewer buffers, or smaller ones,
+    is given ``count`` new buffers of at least ``_BLOCK_ENTRIES``."""
+    held = getattr(_scratch, "buffers", [])
+    if len(held) < count or held[0].size < size:
+        held = _scratch.buffers = [np.empty(max(size, _BLOCK_ENTRIES)) for _ in range(count)]
+    return held[:count]
 
 
-def _blocks(x: np.ndarray, weights: np.ndarray,
-            workspace: list | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+def _blocks(x: np.ndarray, weights: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """Row blocks of ``x``, each with its squared distances to every row of
     ``weights``; see ``nearest_units``.  The distances of a block live in
     the kernel's buffers and are overwritten by the next block's.
 
     The kernel's scratch is ``dim`` term buffers and one copy buffer, and
-    no other array.  Without a ``workspace`` they hold ``_BLOCK_ENTRIES``
-    entries or one row of units each and are allocated once per call.  A
-    ``workspace`` is a list that holds them across calls (``[]`` to start
-    one): blocks then take ``_HELD_BLOCK_ENTRIES`` entries or one row of
-    units, and the buffers are allocated on first use, at that size, and
-    again only when a call needs more of them or larger ones
-    (``_held_buffers``).  Each block takes a contiguous prefix of every
-    buffer, a shorter last block included.  A term is filled by
-    assignment, which does not buffer: feature k of the block's rows into
-    every column of the term, weights' column k into every row of the copy
-    buffer.  Its difference and square (``t * t`` has the bits of ``t **
-    2``) are then taken in place between arrays of one shape.  A ufunc
-    with a broadcast (stride-0) operand, as in ``x[block, k, None] -
-    weights[:, k]``, or with a strided view of a partial block, goes
-    through numpy's buffered iterator, which allocates on every call:
+    no other array.  They belong to the calling thread
+    (``_thread_buffers``): allocated on its first call, and again only when
+    a call needs more of them or larger ones.  That is safe because every
+    caller consumes a ``_blocks`` generator in full before it returns, so
+    no second kernel call on the same thread can overwrite blocks that are
+    still being read, and no thread sees another thread's buffers.  A
+    block takes ``_BLOCK_ENTRIES`` entries or one row of units, as a
+    contiguous prefix of every buffer, a shorter last block included.  A
+    term is filled by assignment, which does not buffer: feature k of the
+    block's rows into every column of the term, weights' column k into
+    every row of the copy buffer.  Its difference and square (``t * t`` has
+    the bits of ``t ** 2``) are then taken in place between arrays of one
+    shape.  A ufunc with a broadcast (stride-0) operand, as in ``x[block,
+    k, None] - weights[:, k]``, or with a strided view of a partial block,
+    goes through numpy's buffered iterator, which allocates on every call:
     under tracemalloc with numpy 2.4, about 64 KB at 40 x 100 entries and
     128 KB at 150 x 100."""
     units, dim = weights.shape
-    if workspace is None:
-        rows = max(1, _BLOCK_ENTRIES // units)
-        buffers = [np.empty(min(rows, len(x)) * units) for _ in range(dim + 1)]
-    else:
-        rows = max(1, _HELD_BLOCK_ENTRIES // units)
-        buffers = _held_buffers(workspace, dim + 1, rows * units)
+    rows = max(1, _BLOCK_ENTRIES // units)
+    buffers = _thread_buffers(dim + 1, min(rows, len(x)) * units)
     shape = None
     for start in range(0, len(x), rows):
         stop = min(start + rows, len(x))
@@ -381,8 +384,7 @@ def _blocks(x: np.ndarray, weights: np.ndarray,
         yield slice(start, stop), _pairwise_sum(terms)
 
 
-def nearest_units(x: np.ndarray, weights: np.ndarray,
-                  workspace: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+def nearest_units(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of ``x``, the index of the nearest row of ``weights`` and
     the squared Euclidean distance to it.
 
@@ -397,35 +399,32 @@ def nearest_units(x: np.ndarray, weights: np.ndarray,
     squared differences, without building that array or running its
     short-axis reduce; a matrix-product expansion would differ in the last
     bit.  Rows are taken in blocks, and the kernel's scratch is its
-    ``dim + 1`` block buffers, allocated for the call or, when the caller
-    passes a ``workspace`` list, held in it across calls (``_blocks``); the
-    results are the same bits either way.  Each row's distance is read at
-    its argmin, which is its minimum, inf included, by its flat index in
-    the block.
+    ``dim + 1`` block buffers, which the calling thread holds across calls
+    (``_blocks``); the results are the same bits whatever size an earlier
+    call gave them.  Each row's distance is read at its argmin, which is
+    its minimum, inf included, by its flat index in the block.
     The presentation step (``_present``) finds its BMU with the same sum,
     so training, revision and this kernel agree on every BMU.
     """
     nearest = np.empty(len(x), dtype=np.intp)
     d2_min = np.empty(len(x), dtype=np.float64)
-    for block, d2 in _blocks(x, weights, workspace):
+    for block, d2 in _blocks(x, weights):
         d2.argmin(axis=1, out=nearest[block])
         d2.take(nearest[block] + np.arange(0, d2.size, d2.shape[1]), out=d2_min[block])
     return nearest, d2_min
 
 
-def nearest_in_groups(x: np.ndarray, weights: np.ndarray, cols, starts,
-                      workspace: list | None = None) -> np.ndarray:
+def nearest_in_groups(x: np.ndarray, weights: np.ndarray, cols, starts) -> np.ndarray:
     """For each row of ``x`` and each group of row indices of ``weights``,
     the squared distance to the group's nearest row, as a ``len(x) x
     len(starts)`` matrix.  Group ``g`` is ``cols[starts[g]:starts[g + 1]]``,
     the last one running to the end of ``cols``, as ``np.minimum.reduceat``
     reads them; no group may be empty.  The distances are those of
-    ``nearest_units``, bit for bit: the kernel runs on the groups' member
-    rows, gathered in group order, so a row listed in two groups is
-    computed twice, with the same bits.  A ``workspace`` holds the block
-    buffers across calls, as for ``nearest_units``."""
+    ``nearest_units``, bit for bit, on the same per-thread block buffers:
+    the kernel runs on the groups' member rows, gathered in group order, so
+    a row listed in two groups is computed twice, with the same bits."""
     out = np.empty((len(x), len(starts)), dtype=np.float64)
-    for block, d2 in _blocks(x, weights[cols], workspace):
+    for block, d2 in _blocks(x, weights[cols]):
         np.minimum.reduceat(d2, starts, axis=1, out=out[block])
     return out
 

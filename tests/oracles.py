@@ -32,7 +32,7 @@ from somlogic import jsonio, preferences
 from somlogic.checker import SpecificityRelation
 from somlogic.concepts import And, Bot, ConceptExpr, Inclusion, Name, Top, parse_query, pretty
 from somlogic.errors import InputError, ParseError, UnknownCategoryError
-from somlogic.model import SemanticModel, _derive_snapshot
+from somlogic.model import SemanticModel, _derive_snapshot, _read_elements
 from somlogic.preferences import (
     PreferentialModel,
     PropertyCheck,
@@ -483,7 +483,7 @@ def oracle_model_from_snapshot(doc: dict) -> SemanticModel:
     ``InputError`` message, an ``rd_max`` or rd entry that differs from the
     derived one."""
     rows = _feature_rows(doc)
-    model, stored = _derive_snapshot(doc)
+    model, stored = _derive_snapshot(doc, *_read_elements(doc))
     if rows is not None and model.features.tolist() != rows:
         raise AssertionError(f"the loader read features {model.features.tolist()}, "
                              f"the column holds {rows}")
@@ -533,7 +533,7 @@ def old_format(doc: dict) -> dict:
     format has since dropped put back, each element's ``origin``, each
     category's ``precision`` and the top-level ``extensions``, a sorted list
     of element ids per category.  Returns ``doc``."""
-    model = _derive_snapshot(doc)[0]
+    model = _derive_snapshot(doc, *_read_elements(doc))[0]
     del doc["features"]
     for element, features, origin in zip(doc["elements"], model.features.tolist(), model.origins):
         element.update(features=features, origin=origin)

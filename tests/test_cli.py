@@ -476,6 +476,15 @@ def test_seed_past_uint64_exit_1(tmp_path, data_csv, capsys):
     assert load_map(str(out / "map.json")).seed == 2**64 - 1
 
 
+def test_negative_seed_in_map_json_exit_1(tmp_path, data_csv, capsys):
+    # train refuses such a seed; extract refuses a map.json that holds one.
+    out = train_and_extract(tmp_path, data_csv)
+    doc = json.loads((out / "map.json").read_text(encoding="utf-8"))
+    doc["seed"] = -1
+    code, err = _run_on_snapshot(tmp_path, data_csv, "map", json.dumps(doc), capsys)
+    assert (code, err) == (1, "error: seed must be non-negative, got -1\n")
+
+
 def test_csv_field_past_the_field_limit_exit_1(tmp_path, data_csv, capsys):
     wide = "1" * 140_000
     bad_data, bad_probes = tmp_path / "wide.csv", tmp_path / "wide-probes.csv"

@@ -1,6 +1,7 @@
 import json
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +116,7 @@ def test_rebuild_comparison_catches_stale_bmus():
         fresh = extract_kb(build_model(state.som, state.seen, categories=state.categories)).kb
         stale = revision._kb_of(
             previous_som, state.categories, state.features, state.labels, state.seen_by_id,
-            state.inclusions, (None, frozenset()), [],  # no previous KB to reuse
+            state.inclusions, (None, frozenset()),  # no previous KB to reuse
         )[1]
         stale_steps += stale != fresh
     assert stale_steps > 0
@@ -163,46 +164,67 @@ def test_revising_one_state_twice_and_an_older_state():
     assert 0 < reused < 8
 
 
+def _revise_in_two_threads(state, stimuli, lr, rad) -> tuple[list, list]:
+    """The states that ``revise`` makes from ``state`` with each of two
+    stimuli, in two threads started together, and the kernel buffers that
+    each thread holds once both have revised."""
+    barrier = threading.Barrier(2, timeout=60)
+    results, buffers = [None, None], [None, None]
+
+    def step(slot):
+        barrier.wait()
+        results[slot] = revise(state, stimuli[slot], lr, rad)[0]
+        barrier.wait()
+        buffers[slot] = som_module._scratch.buffers
+
+    threads = [threading.Thread(target=step, args=(slot,)) for slot in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return results, buffers
+
+
+def _share_a_buffer(buffers) -> bool:
+    first, second = buffers
+    return any(a is b for a in first for b in second)
+
+
 def test_two_threads_revising_one_state_each_match_a_rebuild():
-    # Each thread takes the state's kernel workspace or starts a fresh one;
-    # neither writes into buffers the other reads.
+    # Each thread runs the kernels on its own buffers; neither writes into
+    # buffers the other reads.
     data = two_cluster_stream()
     som0 = init_map(3, 3, 2, CFG.seed, feature_range(data))
     state = initial_state(som0, ["X", "Y"])
-    barrier = threading.Barrier(2)
     for _e, i, lr, rad in presentation_schedule(len(data), CFG):
-        results = [None, None]
-
-        def step(slot, stimulus):
-            barrier.wait()
-            results[slot] = revise(state, stimulus, lr, rad)[0]
-
-        threads = [threading.Thread(target=step, args=(0, data[i])),
-                   threading.Thread(target=step, args=(1, data[-1 - i]))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        results, buffers = _revise_in_two_threads(state, (data[i], data[-1 - i]), lr, rad)
         for branch in results:
             fresh = build_model(branch.som, branch.seen, categories=branch.categories)
             assert branch.kb == extract_kb(fresh).kb
-        assert results[0]._workspace[0] is not results[1]._workspace[0]
-        assert state._workspace == []
+        assert not _share_a_buffer(buffers)
         state = results[0]
 
 
-def test_step_on_a_held_workspace_allocates_no_kernel_block():
-    # 80 stimuli on an 8 x 8 map: one call's kernel buffers are 3 blocks of
-    # 4096 entries, which a step that took its state's workspace over does
-    # not allocate.
+def test_buffer_check_catches_a_scratch_shared_by_threads(monkeypatch):
+    data = two_cluster_stream()
+    state = initial_state(init_map(3, 3, 2, CFG.seed, feature_range(data)), ["X", "Y"])
+    assert not _share_a_buffer(_revise_in_two_threads(state, (data[0], data[-1]), 0.5, 1.0)[1])
+    monkeypatch.setattr(som_module, "_scratch", types.SimpleNamespace())
+    assert _share_a_buffer(_revise_in_two_threads(state, (data[0], data[-1]), 0.5, 1.0)[1])
+
+
+def test_step_on_a_warm_thread_allocates_no_kernel_block():
+    # 80 stimuli on an 8 x 8 map: the kernels of a step run on 3 buffers of
+    # 16384 entries (384 KB), which a step on a thread that has run them
+    # before does not allocate.  The bound, 96 KB, is a quarter of those.
     data = gaussian_clusters([[0.0, 0.0], [3.0, 3.0]], ["A", "B"], 40, 1.0, 4)
     cfg = TrainConfig(epochs=1, seed=4)
     som0 = init_map(8, 8, 2, cfg.seed, feature_range(data))
     state = initial_state(som0, ["A", "B"])
     for _e, i, lr, rad in presentation_schedule(len(data), cfg):
         state, _ = revise(state, data[i], lr, rad)
-    assert len(state.seen) == 80 and state._workspace
-    block = 3 * som_module._BLOCK_ENTRIES * 8
+    assert len(state.seen) == 80
+    block = 3 * 4096 * 8
     tracemalloc.start()
     try:
         revise(state, data[0], 0.1, 0.5)

@@ -1,6 +1,8 @@
+import concurrent.futures
 import copy
 import inspect
 import math
+import re
 import textwrap
 import tracemalloc
 
@@ -103,6 +105,11 @@ def test_init_bad_dimensions(kwargs):
      "a 1000000000x1000000000 map of 2 features has more weights than numpy can address"),
     # map.json could not hold it: orjson reads it back as a float
     (dict(rows=3, cols=3, seed=2**64), f"seed must be at most 2**64 - 1, got {2**64}"),
+    # map.json holds only a JSON integer
+    (dict(rows=3, cols=3, seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(rows=3, cols=3, seed="3"), "seed must be an integer, got '3'"),
+    (dict(rows=3, cols=3, seed=np.int64(3)), "seed must be an integer, got np.int64(3)"),
+    (dict(rows=3, cols=3, seed=True), "seed must be an integer, got True"),
 ])
 def test_init_refuses_before_the_draw(monkeypatch, kwargs, message):
     def draw(*args):
@@ -208,9 +215,9 @@ def _kernel_case(seed: int, n: int, units: int, dim: int, duplicates: bool, huge
 @example(0, 70, 70, 8, False, False)
 @example(0, 70, 70, 136, False, False)
 @example(0, 70, 70, 257, False, False)
-# a short last block (40 and 21 rows), and more units than a block's
+# a short last block (163 and 37 rows), and more units than a block's
 # entries (one row per block)
-@example(0, 61, 100, 9, True, False)
+@example(0, 200, 100, 9, True, False)
 @example(0, 3, som_module._BLOCK_ENTRIES + 1, 9, True, False)
 def test_kernel_equals_pinned_expression(seed, n, units, dim, duplicates, huge):
     x, w, groups = _kernel_case(seed, n, units, dim, duplicates, huge)
@@ -232,27 +239,32 @@ def test_kernel_comparison_catches_left_to_right_sum(monkeypatch):
     assert "distances" in _kernel_mismatches(x, w, groups)
 
 
-def _kernel_results(x, w, groups, workspace=None) -> tuple[bytes, ...]:
+def _kernel_results(x, w, groups) -> tuple[bytes, ...]:
     """The bits of ``nearest_units`` and ``nearest_in_groups`` on a case of
-    ``_kernel_case``, both on ``workspace`` when one is given."""
+    ``_kernel_case``."""
     with np.errstate(over="ignore"):
-        nearest, d2 = nearest_units(x, w, workspace)
+        nearest, d2 = nearest_units(x, w)
         grouped = nearest_in_groups(x, w, np.concatenate(groups),
-                                    np.cumsum([0] + [len(g) for g in groups[:-1]]), workspace)
+                                    np.cumsum([0] + [len(g) for g in groups[:-1]]))
     return nearest.tobytes(), d2.tobytes(), grouped.tobytes()
 
 
-def _held_kernel_mismatches(first, case) -> list[str]:
+def _in_fresh_thread(fn):
+    """``fn()``, run in a new thread, which holds no kernel buffers yet."""
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
+
+
+def _sized_kernel_mismatches(first, case) -> list[str]:
     """Which results of the kernels on ``case`` differ, bit for bit,
-    between a workspace that a call on ``first`` sized and no workspace."""
-    workspace = []
-    _kernel_results(*first, workspace)
-    held = _kernel_results(*case, workspace)
+    between buffers that a call on ``first`` sized and fresh buffers."""
+    sized = _in_fresh_thread(lambda: [_kernel_results(*first), _kernel_results(*case)][1])
+    fresh = _in_fresh_thread(lambda: _kernel_results(*case))
     return [name for name, a, b in zip(("indices", "distances", "grouped minima"),
-                                       held, _kernel_results(*case)) if a != b]
+                                       sized, fresh) if a != b]
 
 
-_HELD = som_module._HELD_BLOCK_ENTRIES
+_BLOCK = som_module._BLOCK_ENTRIES
 
 
 @given(
@@ -269,82 +281,89 @@ _HELD = som_module._HELD_BLOCK_ENTRIES
 # blocks of 8 and one of 4
 @example(0, (3, 5, 2), 300, 70, 12, False, False)
 @example(0, (3, 5, 2), 300, 2000, 9, True, False)
-# more units than a held block's entries, on a workspace sized for fewer
-# (one row per block)
-@example(0, (40, 40, 12), 3, _HELD + 1, 3, True, False)
-# ties and inf, on a workspace sized for more features than the call's
+# more units than a block's entries, on buffers sized for fewer (one row
+# per block)
+@example(0, (40, 40, 12), 3, _BLOCK + 1, 3, True, False)
+# ties and inf, on buffers sized for more features than the call's
 @example(0, (40, 40, 12), 300, 100, 1, True, True)
-def test_held_kernel_equals_per_call_kernel(seed, first, n, units, dim, duplicates, huge):
+def test_sized_buffers_give_the_bits_of_fresh_ones(seed, first, n, units, dim, duplicates, huge):
     first_case = _kernel_case(seed + 1, *first, False, False)
     case = _kernel_case(seed, n, units, dim, duplicates, huge)
-    assert _held_kernel_mismatches(first_case, case) == []
+    assert _sized_kernel_mismatches(first_case, case) == []
 
 
 @pytest.mark.parametrize("first, n, units, dim", [
-    ((3, 5, 2), 300, 70, 9),  # a call with more features than the workspace has buffers
-    ((3, 5, 2), 3, _HELD + 1, 2),  # one with more units than its buffers hold
+    ((3, 5, 2), 300, 70, 9),  # a call with more features than the thread has buffers
+    ((3, 5, 2), 3, _BLOCK + 1, 2),  # one with more units than its buffers hold
 ], ids=["more features", "more units"])
-def test_held_kernel_comparison_catches_a_skipped_size_check(monkeypatch, first, n, units, dim):
-    src = textwrap.dedent(inspect.getsource(som_module._held_buffers))
-    old = "if len(workspace) < count or workspace[0].size < size:"
+def test_sized_buffer_comparison_catches_a_skipped_size_check(monkeypatch, first, n, units, dim):
+    src = textwrap.dedent(inspect.getsource(som_module._thread_buffers))
+    old = "if len(held) < count or held[0].size < size:"
     assert src.count(old) == 1
     namespace = dict(vars(som_module))
-    exec(compile(src.replace(old, "if not workspace:"), som_module.__file__, "exec"), namespace)
+    exec(compile(src.replace(old, "if not held:"), som_module.__file__, "exec"), namespace)
     first_case = _kernel_case(1, *first, False, False)
     case = _kernel_case(0, n, units, dim, False, False)
-    assert _held_kernel_mismatches(first_case, case) == []
-    monkeypatch.setattr(som_module, "_held_buffers", namespace["_held_buffers"])
+    assert _sized_kernel_mismatches(first_case, case) == []
+    monkeypatch.setattr(som_module, "_thread_buffers", namespace["_thread_buffers"])
     try:
-        caught = _held_kernel_mismatches(first_case, case) != []
+        caught = _sized_kernel_mismatches(first_case, case) != []
     except ValueError:  # the buffers are too small to take a block's shape
         caught = True
     assert caught
 
 
-# The kernel's memory case: 15 stimuli on 600 units, in blocks of 6, 6
-# and 3 rows, the last one short; each block buffer holds 28 800 bytes.
-_MEMORY_ROWS, _MEMORY_UNITS = 15, 600
+# The kernel's memory case: 60 stimuli on 600 units, in blocks of 27, 27
+# and 6 rows, the last one short; each block buffer holds _BLOCK_ENTRIES
+# entries, 131 072 bytes.
+_MEMORY_ROWS, _MEMORY_UNITS = 60, 600
 # What the kernel may hold beyond its block buffers: views, lists and the
 # generator, about 2 KB at dim 1 and 5 KB at dim 9 with numpy 2.4.
 _MEMORY_SLACK = 8 * 1024
 
 
-def _kernel_overshoot(dim: int, held: bool = False) -> int:
+def _kernel_overshoot(dim: int, warm: bool = False) -> int:
     """The most by which ``nearest_units`` or ``nearest_in_groups``, under
-    tracemalloc, holds more than ``dim + 1`` block buffers besides its
-    results and, for the groups, their gathered rows of the weights; or,
-    when ``held``, more than nothing besides those, on a workspace that an
-    earlier call sized."""
+    tracemalloc as the first call of a fresh thread, holds more than
+    ``dim + 1`` block buffers of max(``_BLOCK_ENTRIES``, units) entries
+    besides its results and, for the groups, their gathered rows of the
+    weights; or, when ``warm``, more than nothing besides those, on a thread
+    that has made the same call once already."""
     rng = np.random.default_rng(dim)
     x = rng.normal(size=(_MEMORY_ROWS, dim))
     w = rng.normal(size=(_MEMORY_UNITS, dim))
     cols, starts = rng.permutation(_MEMORY_UNITS), np.array([0, 200, 400])
     rows = som_module._BLOCK_ENTRIES // _MEMORY_UNITS
     assert 0 < _MEMORY_ROWS % rows < rows
-    workspace = [] if held else None
-    buffers = 0 if held else (dim + 1) * rows * _MEMORY_UNITS * 8
+    buffers = 0 if warm else (dim + 1) * max(som_module._BLOCK_ENTRIES, _MEMORY_UNITS) * 8
     over = []
     for call, known in (
-        (lambda: nearest_units(x, w, workspace), 2 * _MEMORY_ROWS * 8),
-        (lambda: nearest_in_groups(x, w, cols, starts, workspace),
+        (lambda: nearest_units(x, w), 2 * _MEMORY_ROWS * 8),
+        (lambda: nearest_in_groups(x, w, cols, starts),
          _MEMORY_ROWS * len(starts) * 8 + w.nbytes),
     ):
-        call()  # numpy's first-call set-up, and the workspace, stay out of the count
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        over.append(peak - known - buffers)
+        call()  # numpy's first-call set-up stays out of the count
+
+        def traced():
+            if warm:
+                call()
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        over.append(_in_fresh_thread(traced) - known - buffers)
     return max(over)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 9])
 def test_kernel_scratch_is_its_block_buffers(dim):
     assert _kernel_overshoot(dim) <= _MEMORY_SLACK
-    # a held workspace's buffers (72 000 bytes each here) are not allocated again
-    assert _kernel_overshoot(dim, held=True) <= _MEMORY_SLACK < _MEMORY_ROWS * _MEMORY_UNITS * 8
+    # a thread's buffers (131 072 bytes each here) are not allocated again
+    assert (_kernel_overshoot(dim, warm=True) <= _MEMORY_SLACK
+            < max(som_module._BLOCK_ENTRIES, _MEMORY_UNITS) * 8)
 
 
 @pytest.mark.parametrize("old, new", [
@@ -352,7 +371,7 @@ def test_kernel_scratch_is_its_block_buffers(dim):
     ("np.subtract(t, w, out=t)", "np.subtract(x[start:stop, k, np.newaxis], w, out=t)"),
     # the buffers laid out unit by unit, so that the short last block is a
     # strided view of them
-    ("[:shape[0] * units].reshape(shape)", ".reshape(units, -1).T[:shape[0]]"),
+    ("[:shape[0] * units].reshape(shape)", "[:rows * units].reshape(units, -1).T[:shape[0]]"),
 ], ids=["broadcast column", "strided last block"])
 @pytest.mark.parametrize("dim", [2, 9])
 def test_kernel_memory_bound_catches_buffered_ufuncs(monkeypatch, old, new, dim):
@@ -665,6 +684,16 @@ def test_config_validation():
     with pytest.raises(ConfigError, match=r"seed must be at most 2\*\*64 - 1"):
         TrainConfig(epochs=1, seed=2**64)
     assert TrainConfig(epochs=1, seed=2**64 - 1).seed == 2**64 - 1
+    # train would raise numpy's TypeError on 1.5, the comparison on "3",
+    # and save_map could not write np.int64(3), nor load_map read True back
+    for seed in (1.5, "3", np.int64(3), True):
+        with pytest.raises(ConfigError, match=f"seed must be an integer, got {re.escape(repr(seed))}"):
+            TrainConfig(epochs=1, seed=seed)
+    # a map, as load_map reads it, is held to the seeds init_map takes
+    for seed, message in ((-1, "seed must be non-negative, got -1"),
+                          (True, "seed must be an integer, got True")):
+        with pytest.raises(ConfigError, match=message):
+            SomMap(rows=1, cols=1, input_dim=1, seed=seed, weights=[[0.0]])
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, lr_start=0.0)
     with pytest.raises(ConfigError):
