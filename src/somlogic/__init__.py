@@ -16,7 +16,6 @@ from .checker import (
     derive_specificity,
     extract_kb,
     kb_file_text,
-    rd_bmu_set,
 )
 from .concepts import (
     And,

@@ -21,7 +21,9 @@ whole trace.
 ``extract_kb`` returns the inclusions that hold between every ordered pair
 of categories with stimuli, and ``Ci <= Bot`` for each category without any
 stimulus (its extension is empty).  ``check_typicality`` and
-``check_strict`` report on one pair, with witnesses.
+``check_strict`` report on one pair, with witnesses, from the same table
+and criteria over just the two categories, so a check and the KB cannot
+disagree.
 
 ``derive_specificity`` turns the strict checks into the relation used by the
 combined preference: Ci is more specific than Cj iff ``Ci <= Cj`` holds and
@@ -46,7 +48,6 @@ __all__ = [
     "CheckReport",
     "KbExtraction",
     "SpecificityRelation",
-    "rd_bmu_set",
     "check_typicality",
     "check_strict",
     "kb_criteria",
@@ -90,22 +91,6 @@ class CheckReport:
         }
 
 
-def _bmu_cols(model: SemanticModel, name: str) -> list[int]:
-    return [model.col_of[eid] for eid in model.categories[name].bmu_element_ids]
-
-
-def rd_bmu_set(model: SemanticModel, ci: str, cj: str) -> float:
-    """max over Ci's BMU elements of rd(., Cj); the relative distance of
-    Ci's most typical representatives seen from Cj."""
-    ti = model.category(ci)
-    tj = model.category(cj)
-    if ti.empty:
-        raise InputError(f"category {ci!r} has no stimuli; no BMU elements to measure")
-    if tj.empty:
-        raise InputError(f"category {cj!r} has no stimuli; relative distance is undefined")
-    return float(model.rd[model.row_of[cj], _bmu_cols(model, ci)].max())
-
-
 def _max_rd_witnesses(model: SemanticModel, ci: str, cj: str, bound: float) -> tuple[str, ...]:
     rd_j = model.rd[model.row_of[cj]]
     return tuple(eid for eid in model.categories[ci].bmu_element_ids
@@ -116,18 +101,14 @@ def _max_rd_witnesses(model: SemanticModel, ci: str, cj: str, bound: float) -> t
 _KINDS = ("defeasible", "strict")
 
 
-def _criteria(val, rd_max_i, rd_max_j) -> dict:
-    """Whether ``T(Ci) <= Cj`` and ``Ci <= Cj`` hold, by inclusion kind, for
-    ``val = rd_bmu_set(Ci, Cj)``; elementwise on arrays as on floats."""
-    return {"defeasible": val <= rd_max_j, "strict": val + rd_max_i <= rd_max_j}
-
-
 def kb_criteria(val: np.ndarray, rd_max: np.ndarray, empty: np.ndarray) -> dict[str, np.ndarray]:
     """For each inclusion kind, the ``k x k`` boolean matrix of the pairs
     (i, j) whose inclusion holds, false where a category is ``empty``.
-    ``val[i, j]`` is ``rd_bmu_set`` of category i in j and ``rd_max[i]`` the
-    bound of i; both are read only where neither category is empty."""
-    criteria = _criteria(val, rd_max[:, np.newaxis], rd_max[np.newaxis, :])
+    ``val[i, j]`` is the largest rd in category j of category i's BMU
+    elements and ``rd_max[i]`` the bound of i; both are read only where
+    neither category is empty."""
+    rd_max_i, rd_max_j = rd_max[:, np.newaxis], rd_max[np.newaxis, :]
+    criteria = {"defeasible": val <= rd_max_j, "strict": val + rd_max_i <= rd_max_j}
     if not empty.any():
         return criteria
     live = ~empty[:, np.newaxis] & ~empty[np.newaxis, :]
@@ -155,7 +136,8 @@ def kb_inclusions(table: np.ndarray, criteria: Mapping[str, np.ndarray], empty: 
 
 def _report(model: SemanticModel, inc: Inclusion, val: float, holds: bool) -> CheckReport:
     """The report on ``inc`` between two named categories with stimuli, whose
-    criterion gave ``holds`` on ``val = rd_bmu_set(lhs, rhs)``."""
+    criterion gave ``holds`` on ``val``, the largest rd in ``rhs`` of
+    ``lhs``'s BMU elements."""
     ci, cj = inc.lhs.name, inc.rhs.name
     bound = model.categories[cj].rd_max
     if inc.kind == "defeasible":
@@ -184,9 +166,16 @@ def _report(model: SemanticModel, inc: Inclusion, val: float, holds: bool) -> Ch
 
 
 def _check(model: SemanticModel, kind: str, ci: str, cj: str) -> CheckReport:
-    val = rd_bmu_set(model, ci, cj)
-    holds = _criteria(val, model.categories[ci].rd_max, model.categories[cj].rd_max)[kind]
-    return _report(model, Inclusion(kind=kind, lhs=Name(ci), rhs=Name(cj)), val, holds)
+    ti, tj = model.category(ci), model.category(cj)
+    if ti.empty:
+        raise InputError(f"category {ci!r} has no stimuli; no BMU elements to measure")
+    if tj.empty:
+        raise InputError(f"category {cj!r} has no stimuli; relative distance is undefined")
+    val, rd_max, empty = _rule_inputs(model, (ci, cj))
+    holds = kb_criteria(val, rd_max, empty)[kind][0, 1]
+    # The canonical writer takes Python scalars only.
+    inc = Inclusion(kind=kind, lhs=Name(ci), rhs=Name(cj))
+    return _report(model, inc, float(val[0, 1]), bool(holds))
 
 
 def check_typicality(model: SemanticModel, ci: str, cj: str) -> CheckReport:

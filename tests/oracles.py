@@ -52,6 +52,14 @@ def rd_table(model: SemanticModel, name: str) -> dict[str, float]:
     return dict(zip(model.element_ids, model.rd[model.row_of[name]].tolist()))
 
 
+def rd_bmu_set(model: SemanticModel, ci: str, cj: str) -> float:
+    """The largest rd(., Cj) over Ci's BMU elements, one element at a time:
+    the relative distance of Ci's most typical representatives seen from
+    Cj.  Both categories must have stimuli."""
+    rd_j = rd_table(model, cj)
+    return max(rd_j[eid] for eid in model.categories[ci].bmu_element_ids)
+
+
 def extension_ids(model: SemanticModel, name: str) -> frozenset[str]:
     """The ids of category ``name``'s extension, read off its row of
     ``model.ext``."""

@@ -18,7 +18,6 @@ from somlogic import (
     derive_specificity,
     extract_kb,
     kb_file_text,
-    rd_bmu_set,
 )
 from somlogic import checker
 from somlogic.checker import (
@@ -34,6 +33,7 @@ from oracles import (
     oracle_kb_inclusions,
     parse_kb_text,
     random_model,
+    rd_bmu_set,
     rd_table,
 )
 
@@ -43,12 +43,44 @@ from oracles import (
 # ==============================================================
 
 
+def _random_models():
+    """The 30 seeded random models that the pairwise comparisons run on."""
+    return [random_model(np.random.default_rng([11, s]))[0] for s in range(30)]
+
+
+def _bmu_maxima_mismatches(models) -> list[tuple[int, str, str]]:
+    """The ordered pairs (model, Ci, Cj) of categories with stimuli whose
+    largest rd in Cj of Ci's BMU elements, taken one element at a time
+    (``rd_bmu_set``), differs from the plausibility of ``T(Ci) <= Cj`` or
+    from the entry of the table that ``extract_kb`` reads."""
+    out = []
+    for n, m in enumerate(models):
+        names = m.category_names
+        val = checker._rule_inputs(m, names)[0]
+        live = [i for i, c in enumerate(names) if not m.categories[c].empty]
+        for i in live:
+            for j in live:
+                want = rd_bmu_set(m, names[i], names[j])
+                if (check_typicality(m, names[i], names[j]).plausibility, val[i, j]) != (want, want):
+                    out.append((n, names[i], names[j]))
+    return out
+
+
 def test_rd_bmu_set_is_max_over_bmu_elements(cluster_model):
-    m = cluster_model
-    for ci in m.category_names:
-        for cj in m.category_names:
-            want = max(rd_table(m, cj)[e] for e in m.categories[ci].bmu_element_ids)
-            assert rd_bmu_set(m, ci, cj) == want
+    assert _bmu_maxima_mismatches([cluster_model, *_random_models()]) == []
+
+
+def test_bmu_maxima_comparison_catches_a_transposed_table(cluster_model, monkeypatch):
+    # Both a check and extract_kb read the one table; read transposed, it
+    # gives Cj's maxima in Ci.
+    rule_inputs = checker._rule_inputs
+
+    def transposed(model, cats):
+        val, rd_max, empty = rule_inputs(model, cats)
+        return val.T, rd_max, empty
+
+    monkeypatch.setattr(checker, "_rule_inputs", transposed)
+    assert _bmu_maxima_mismatches([cluster_model, *_random_models()])
 
 
 def test_reflexive_checks_hold(cluster_model):
@@ -87,11 +119,11 @@ def test_failing_check_reports_witnesses(cluster_model):
 
 def test_empty_category_raises(trained_map, clusters):
     m = build_model(trained_map, clusters, categories=["A", "B", "C", "Z"])
-    with pytest.raises(InputError):
-        rd_bmu_set(m, "Z", "A")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="'Z' has no stimuli; no BMU elements to measure"):
+        check_typicality(m, "Z", "A")
+    with pytest.raises(InputError, match="'Z' has no stimuli; relative distance is undefined"):
         check_typicality(m, "A", "Z")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="'Z' has no stimuli; no BMU elements to measure"):
         check_strict(m, "Z", "A")
 
 
@@ -155,7 +187,7 @@ def test_extract_kb_agrees_with_pairwise_checks(cluster_model, trained_map, clus
         cluster_model,
         build_model(trained_map, clusters, categories=["A", "B", "C", "Z"]),
         build_model(trained_map, (), categories=["A", "B"]),
-        *(random_model(np.random.default_rng([11, s]))[0] for s in range(30)),
+        *_random_models(),
     ]
     for m in models:
         ex = extract_kb(m)

@@ -1198,6 +1198,17 @@ def test_klm_report_comparison_catches_merged_classes(monkeypatch):
     assert _klm_report_mismatches()[0]
 
 
+def test_klm_report_comparison_catches_minima_read_for_another_set(monkeypatch):
+    # Cautious Monotonicity computes the minima of each distinct set once
+    # and hands them back to the pairs that hold it.  Handed back in
+    # reverse pair order, they hide failures on the flipped orders.  (The
+    # previous pair's minima would hide almost none: that pair is mostly
+    # the same C's, and CM is decided per C.)
+    _inject(monkeypatch, "verify_klm", "[back]", "[back[::-1]]")
+    monkeypatch.setitem(globals(), "verify_klm", preferences.verify_klm)
+    assert _klm_report_mismatches()[0]
+
+
 def test_klm_report_matches_oracle_in_small_slices(monkeypatch):
     # At a budget of 1 item each union of two classes is looked up in a
     # slice of its own, and every walk takes one row at a time.
